@@ -128,18 +128,7 @@ def _parse_generators(ctx, text: str):
 
 
 def _cmd_census(args) -> int:
-    ctx = field_ring(args.q, args.n, _field_modulus(args.q, args.modulus))
-    rows = census(ctx)
-    if args.format == "csv":
-        _emit(_census_csv(rows), args.out)
-    else:
-        _emit(_json_text(_census_payload(rows, args.emit_bases)), args.out)
-    return 0
-
-
-def _cmd_census_z(args) -> int:
-    ctx = zpn_ring(args.p, args.N, args.n, args.k)
-    rows = census(ctx)
+    rows = census(_ring_from_args(args))
     if args.format == "csv":
         _emit(_census_csv(rows), args.out)
     else:
@@ -261,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     _add_output_flags(sp, csv_ok=True)
-    sp.set_defaults(fn=_cmd_census_z)
+    sp.set_defaults(fn=_cmd_census)
 
     sp = sub.add_parser("lifts", help="isomorphic lifts of a subring across the one-step extension")
     _add_ring_flags(sp)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 
 Point = Union[int, tuple[int, int]]
 
@@ -167,7 +167,8 @@ def minimal_generators(shape: Shape) -> tuple[Point, ...]:
     """
     nz = {pt for pt in shape.elems if pt != shape.domain.zero}
     gens = tuple(sorted(g for g in nz if _indecomposable(nz, g)))
-    assert generate(shape.domain, gens) == set(shape.elems), "generators must span the shape"
+    if generate(shape.domain, gens) != set(shape.elems):
+        raise InvariantViolation(f"generators {gens} do not span the shape {shape.elems}")
     return gens
 
 

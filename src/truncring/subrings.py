@@ -11,7 +11,7 @@ and the set of row valuations can be read straight off the pivots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CtxMismatch, InvariantViolation, NotMinimal, OutOfFamily, TooLarge
 from .rings import (
@@ -122,14 +122,31 @@ def _caps_log(ctx) -> list[int]:
     return [N] * (ctx.n - 1) + [ctx.k]
 
 
+def _echelon(ctx: RingCtx, rows, tags: int = 0):
+    """Canonical basis of rows that carry `tags` extra columns after the n
+    ring columns; a tag column is capped at p on the Howell path."""
+    if ctx.kind == "field":
+        return _rref(ctx.coeff, rows, ctx.n + tags)
+    return _howell(ctx.coeff.p, _caps_log(ctx) + [1] * tags, rows)
+
+
 def canonicalize(ctx: RingCtx, rows):
     """Canonical basis of the module spanned by the rows; two row sets span
     the same module iff their canonical bases are equal tuples."""
     for r in rows:
         ctx._check(r)
-    if ctx.kind == "field":
-        return _rref(ctx.coeff, rows, ctx.n)
-    return _howell(ctx.coeff.p, _caps_log(ctx), rows)
+    return _echelon(ctx, rows)
+
+
+def _lead(row) -> int:
+    """Pivot column of a canonical row."""
+    return next(i for i, x in enumerate(row) if x)
+
+
+def _pivot(row) -> tuple[int, int]:
+    """(column, entry) of a canonical row's pivot."""
+    col = _lead(row)
+    return col, row[col]
 
 
 def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
@@ -139,7 +156,7 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     if ctx.kind == "field":
         K = ctx.coeff
         for row in basis:
-            col = next(i for i, x in enumerate(row) if x)
+            col = _lead(row)
             c = v[col]
             if c:
                 for j in range(col, ctx.n):
@@ -149,7 +166,7 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     caps = ctx.caps
     v = [x % c for x, c in zip(v, caps)]
     for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
+        col = _lead(row)
         piv = row[col]
         if v[col]:
             if v[col] % piv:
@@ -166,7 +183,7 @@ def _span_logsize(ctx, basis) -> int:
     logs = _caps_log(ctx)
     total = 0
     for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
+        col = _lead(row)
         total += logs[col] - _val_p(p, row[col])
     return total
 
@@ -175,13 +192,19 @@ def _span_logsize(ctx, basis) -> int:
 
 
 class Subring:
-    """A unital, multiplicatively closed module, held by canonical basis."""
+    """A unital, multiplicatively closed module, held by canonical basis.
 
-    __slots__ = ("ctx", "basis")
+    The cotangent dimension is memoised: the quotient-chain enumeration
+    records it when it makes the subring, and any other subring computes
+    it with cotangent_dim on first use.
+    """
 
-    def __init__(self, ctx: RingCtx, basis):
+    __slots__ = ("ctx", "basis", "_cotangent")
+
+    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None):
         self.ctx = ctx
         self.basis = tuple(tuple(r) for r in basis)
+        self._cotangent = cotangent
 
     @classmethod
     def from_rows(cls, ctx: RingCtx, rows) -> "Subring":
@@ -233,8 +256,16 @@ class Subring:
                     frontier.append(w)
         return sorted(seen)
 
+    @property
+    def cotangent(self) -> int:
+        """cotangent_dim(self), memoised."""
+        if self._cotangent is None:
+            self._cotangent = cotangent_dim(self)
+        return self._cotangent
+
     def sort_key(self):
-        return (self.size, self.basis)
+        """(log size, basis): the same order as (size, basis)."""
+        return (self.log_size, self.basis)
 
     def __eq__(self, other):
         return isinstance(other, Subring) and self.ctx == other.ctx and self.basis == other.basis
@@ -266,6 +297,20 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
     return Subring.from_rows(dst, [project(S.ctx, dst, r) for r in S.basis])
 
 
+def _exponent_points(S: Subring) -> tuple:
+    """The sorted valuation points read off the canonical basis."""
+    ctx = S.ctx
+    if ctx.kind == "field":
+        return tuple(sorted(_lead(row) for row in S.basis))
+    p = ctx.coeff.p
+    logs = _caps_log(ctx)
+    pts = []
+    for row in S.basis:
+        col = _lead(row)
+        pts.extend((col, b) for b in range(_val_p(p, row[col]), logs[col]))
+    return tuple(sorted(pts))
+
+
 def exponent_set(S: Subring) -> Shape:
     """Valuations of the nonzero members, read off the canonical basis.
 
@@ -275,16 +320,10 @@ def exponent_set(S: Subring) -> Shape:
     """
     ctx = S.ctx
     if ctx.kind == "field":
-        pts = [next(i for i, x in enumerate(row) if x) for row in S.basis]
-        return Shape.of(IntervalDomain(ctx.n), pts)
-    p = ctx.coeff.p
-    logs = _caps_log(ctx)
-    pts = []
-    for row in S.basis:
-        col = next(i for i, x in enumerate(row) if x)
-        a = _val_p(p, row[col])
-        pts.extend((col, b) for b in range(a, logs[col]))
-    return Shape.of(GridDomain(ctx.n, ctx.coeff.N, ctx.k), pts)
+        domain = IntervalDomain(ctx.n)
+    else:
+        domain = GridDomain(ctx.n, ctx.coeff.N, ctx.k)
+    return Shape.of(domain, _exponent_points(S))
 
 
 # -- ideals and cotangent data ------------------------------------------------
@@ -316,13 +355,17 @@ def ideal_data(S: Subring) -> IdealData:
     return IdealData(m, sq, small)
 
 
+def _cotangent_of(ctx: RingCtx, data: IdealData) -> int:
+    if ctx.kind == "field":
+        return len(data.max_ideal) - len(data.square)
+    return _span_logsize(ctx, data.max_ideal) - _span_logsize(ctx, data.small)
+
+
 def cotangent_dim(S: Subring) -> int:
     """Dimension of m/m^2 over the residue field (of m/(m^2 + pR) over F_p
-    in mixed characteristic)."""
-    data = ideal_data(S)
-    if S.ctx.kind == "field":
-        return len(data.max_ideal) - len(data.square)
-    return _span_logsize(S.ctx, data.max_ideal) - _span_logsize(S.ctx, data.small)
+    in mixed characteristic), computed directly from ideal_data(S).
+    Subring.cotangent memoises it."""
+    return _cotangent_of(S.ctx, ideal_data(S))
 
 
 # -- one-step extensions and lifting ------------------------------------------
@@ -331,13 +374,15 @@ def cotangent_dim(S: Subring) -> int:
 @dataclass(frozen=True)
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
-    with the kernel generated by kernel_gen."""
+    with the kernel generated by kernel_gen.  src_ideal caches
+    ideal_data(src) when the builder already has it."""
 
     src: Subring
     dst: Subring
     kernel_gen: Element
     is_minimal: bool
     kernel_in_small: bool
+    src_ideal: IdealData | None = field(default=None, compare=False, repr=False)
 
 
 def _lift_row(src_ctx: RingCtx, row) -> Element:
@@ -348,13 +393,16 @@ def _lift_row(src_ctx: RingCtx, row) -> Element:
 
 def restricted_extension(B: Subring) -> MinimalExtension:
     """The preimage R of B under the one-step quotient onto B's ring,
-    packaged as the extension R -> B."""
+    packaged as the extension R -> B.  R carries its cotangent dimension,
+    read off the ideal data computed here."""
     src_ctx = extension_ctx(B.ctx)
     z = kernel_generator(src_ctx)
     rows = [_lift_row(src_ctx, r) for r in B.basis] + [z]
     R = Subring.from_rows(src_ctx, rows)
-    in_small = in_row_span(src_ctx, ideal_data(R).small, z)
-    return MinimalExtension(src=R, dst=B, kernel_gen=z, is_minimal=True, kernel_in_small=in_small)
+    data = ideal_data(R)
+    R._cotangent = _cotangent_of(src_ctx, data)
+    in_small = in_row_span(src_ctx, data.small, z)
+    return MinimalExtension(R, B, z, True, in_small, data)
 
 
 @dataclass(frozen=True)
@@ -367,6 +415,58 @@ class LiftFamily:
     lifts: tuple[Subring, ...]
 
 
+def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
+    """Canonical bases of span(1, w_1 - c_1 z, ..., w_d - c_d z, small), one
+    per scalar tuple c, in itertools.product order.
+
+    One canonical basis of span(1, w_1, ..., w_d, small) is computed, with d
+    tag columns holding each row's coefficient on w_i (mod p on the Howell
+    path).  The lift for c is the image of that module under
+    v -> v - f_c(v) z, where f_c(v) is the sum of c_i times v's tags.  The
+    lifts meet the kernel only in 0, so the kernel column n-1 never carries
+    a pivot, and editing that column row by row keeps the normal form.
+    Rows whose edit is zero are shared between the lifts.
+    """
+    n, d = ctx.n, len(w)
+    K = ctx.coeff
+    tagged = [ctx.one() + (0,) * d]
+    tagged += [wi + tuple(int(i == j) for j in range(d)) for i, wi in enumerate(w)]
+    tagged += [s + (0,) * d for s in small]
+    basis = _echelon(ctx, tagged, d)
+    if any(_lead(row) >= n - 1 for row in basis):
+        raise InvariantViolation("the kernel column of a lift family carries a pivot")
+    rows = [row[:n] for row in basis]
+    tags = [(i, row[n:]) for i, row in enumerate(basis) if any(row[n:])]
+    top = z[n - 1]
+    if ctx.kind == "field":
+        scalars = range(K.q)
+
+        def edited(x, lam, t):
+            f = 0
+            for c, ti in zip(lam, t):
+                f = K.add(f, K.mul(c, ti))
+            return K.sub(x, K.mul(f, top)) if f else x
+
+    else:
+        scalars = range(K.p)
+        cap = ctx.caps[-1]
+
+        def edited(x, lam, t):
+            f = sum(c * ti for c, ti in zip(lam, t)) % K.p
+            return (x - f * top) % cap if f else x
+
+    out = []
+    for lam in itertools.product(scalars, repeat=d):
+        lift = list(rows)
+        for i, t in tags:
+            r = rows[i]
+            x = edited(r[-1], lam, t)
+            if x != r[-1]:
+                lift[i] = r[:-1] + (x,)
+        out.append(tuple(lift))
+    return out
+
+
 def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     """Compute the lift family of a minimal one-step extension.
 
@@ -375,34 +475,31 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     length dim = cotangent_dim(dst): pick module generators w_1, ..., w_d
     of the maximal ideal modulo (obstruction + z), and send each tuple
     (c_1, ..., c_d) to the span of 1, the w_i - c_i z, and the obstruction
-    module.
+    module.  Every lift is isomorphic to dst and carries its cotangent
+    dimension.
     """
     if not ext.is_minimal:
         raise NotMinimal("lifting requires a minimal extension")
-    d = cotangent_dim(ext.dst)
+    d = ext.dst.cotangent
     if ext.kernel_in_small:
         return LiftFamily(ext, False, d, ())
     ctx = ext.src.ctx
     z = ext.kernel_gen
-    data = ideal_data(ext.src)
-    small = list(data.small)
-    grown = canonicalize(ctx, small + [z])
-    w = []
-    for r in data.max_ideal:
-        if not in_row_span(ctx, grown, r):
-            w.append(r)
-            grown = canonicalize(ctx, list(grown) + [r])
-    assert len(w) == d, "complement size must equal the target cotangent dimension"
-    scalars = range(ctx.coeff.q) if ctx.kind == "field" else range(ctx.coeff.p)
-    one = ctx.one()
-    lifts = []
-    for lam in itertools.product(scalars, repeat=d):
-        rows = [one]
-        rows += [ctx.sub(wi, ctx.scalar_mul(c, z)) for wi, c in zip(w, lam)]
-        rows += small
-        lifts.append(Subring.from_rows(ctx, rows))
-    assert len(set(lifts)) == len(lifts), "lifts must be pairwise distinct"
-    return LiftFamily(ext, True, d, tuple(sorted(lifts)))
+    data = ideal_data(ext.src) if ext.src_ideal is None else ext.src_ideal
+    small = data.small
+    # m / (small + z) is a vector space over the residue field, so the rows
+    # of m's canonical basis whose pivot is not one of (small + z)'s pivots
+    # form a complement.
+    grown = {_pivot(r) for r in canonicalize(ctx, [*small, z])}
+    w = [r for r in data.max_ideal if _pivot(r) not in grown]
+    if len(w) != d:
+        raise InvariantViolation(
+            f"complement of size {len(w)} for target cotangent dimension {d}"
+        )
+    lifts = [Subring(ctx, b, cotangent=d) for b in _lift_bases(ctx, z, w, small)]
+    if len({L.basis for L in lifts}) != len(lifts):
+        raise InvariantViolation("lifts must be pairwise distinct")
+    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=Subring.sort_key)))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -454,7 +551,7 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
                     for j in range(i, dim)
                 ):
                     found.append(S)
-    return sorted(found)
+    return sorted(found, key=Subring.sort_key)
 
 
 def _enumerate_closure_bfs(ctx) -> list[Subring]:
@@ -475,7 +572,7 @@ def _enumerate_closure_bfs(ctx) -> list[Subring]:
             if T not in found:
                 found.add(T)
                 frontier.append(T)
-    return sorted(found)
+    return sorted(found, key=Subring.sort_key)
 
 
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
@@ -495,11 +592,13 @@ def _enumerate_minimal_ext(ctx) -> list[Subring]:
         nxt = []
         for B in subs:
             ext = restricted_extension(B)
-            assert ext.src.ctx == step_ctx
+            if ext.src.ctx != step_ctx:
+                raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {step_ctx!r}")
             nxt.append(ext.src)
             nxt.extend(lift_isomorphic(ext).lifts)
-        assert len(set(nxt)) == len(nxt), "preimages and lifts must not collide"
-        subs = sorted(nxt)
+        if len({S.basis for S in nxt}) != len(nxt):
+            raise InvariantViolation("preimages and lifts must not collide")
+        subs = sorted(nxt, key=Subring.sort_key)
     return subs
 
 
@@ -535,23 +634,33 @@ class CensusRow:
     subrings: tuple[Subring, ...]
 
 
+def _bound(ctx: RingCtx, sh: Shape) -> tuple[int, int]:
+    """(base, exponent) of the census bound base^exponent for one shape."""
+    if ctx.kind == "field":
+        return ctx.coeff.q, e_bound(ctx.n, sh)
+    if ctx.coeff.N == 1:
+        # Z[x]/(p, x^n) is F_p[x]/x^n, with (i, 0) standing for exponent i
+        return ctx.coeff.p, e_bound(ctx.n, [i for i, _ in sh.elems])
+    return ctx.coeff.p, eps_bound(ctx.n, ctx.coeff.N, ctx.k, sh)
+
+
 def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
     """Group the subrings by exponent set: one row per realized shape,
-    with the count, the matching power bound, and the cotangent data."""
+    with the count, the matching power bound, and the cotangent data.
+
+    One pass: the cotangent dimensions are the ones the enumeration
+    carries (minimal_ext records them along the quotient chain), and each
+    shape is built and validated once per row.
+    """
     subs = enumerate_subrings(ctx, method)
     groups: dict = {}
     for S in subs:
-        groups.setdefault(exponent_set(S).elems, []).append(S)
+        groups.setdefault(_exponent_points(S), []).append(S)
     rows = []
-    for elems in sorted(groups):
-        members = groups[elems]
+    for pts in sorted(groups):
+        members = groups[pts]
         sh = exponent_set(members[0])
-        if ctx.kind == "field":
-            exp = e_bound(ctx.n, sh)
-            base = ctx.coeff.q
-        else:
-            exp = eps_bound(ctx.n, ctx.coeff.N, ctx.k, sh)
-            base = ctx.coeff.p
+        base, exp = _bound(ctx, sh)
         rows.append(
             CensusRow(
                 shape=sh,
@@ -560,7 +669,7 @@ def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
                 bound=base**exp,
                 equality=len(members) == base**exp,
                 d_shape=sh.generator_count(),
-                d_ring_values=tuple(sorted(cotangent_dim(S) for S in members)),
+                d_ring_values=tuple(sorted(S.cotangent for S in members)),
                 subrings=tuple(members),
             )
         )

@@ -52,6 +52,12 @@ def _domain(ctx: RingCtx):
     return GridDomain(ctx.n, ctx.coeff.N, ctx.k)
 
 
+def _generator_offset(ctx: RingCtx) -> int:
+    """Shape generators that no cotangent direction accounts for: the point
+    (0, 1), the valuation of p, when the grid has it (N >= 2)."""
+    return 1 if ctx.kind == "zpn" and ctx.coeff.N > 1 else 0
+
+
 def _nonzero_elements(ctx: RingCtx):
     if ctx.size > _EXHAUSTIVE_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} is too large for an exhaustive scan")
@@ -277,13 +283,13 @@ def check_exponent_set_scan(ctx: RingCtx) -> list[str]:
 
 
 def check_cotangent_bound(ctx: RingCtx) -> list[str]:
-    """cotangent_dim <= shape generator count (strictly fewer on the grid,
-    where p consumes one generator)."""
+    """cotangent_dim <= shape generator count (strictly fewer on a grid
+    with N >= 2, where p consumes one generator)."""
     bad = []
     for S in enumerate_subrings(ctx):
         d_ring = cotangent_dim(S)
         d_shape = exponent_set(S).generator_count()
-        limit = d_shape if ctx.kind == "field" else d_shape - 1
+        limit = d_shape - _generator_offset(ctx)
         if d_ring > limit:
             bad.append(f"{S!r}: cotangent {d_ring} exceeds {limit}")
     return bad
@@ -335,7 +341,7 @@ def check_cotangent_propagation(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    off = 0 if ctx.kind == "field" else 1
+    off = _generator_offset(ctx)
     bad = []
     for B in enumerate_subrings(dst_ctx):
         R = restricted_extension(B).src
@@ -373,7 +379,7 @@ def check_step_counts(ctx: RingCtx) -> list[str]:
         return []
     top = ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
     base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
-    off = 0 if ctx.kind == "field" else 1
+    off = _generator_offset(ctx)
     src_rows = {row.shape.elems: row for row in census(ctx)}
     dst_rows = {row.shape.elems: row for row in census(dst_ctx)}
     bad = []

@@ -69,6 +69,16 @@ class TestCensus:
             [[0, 0], [0, 1], [1, 1]],
         ]
 
+    def test_census_z_prime_coefficients(self, capsys):
+        # Z[x]/(2, x^3) is F_2[x]/x^3: the same rows, with i written as (i, 0)
+        code, out = run(capsys, "census-z", "--p", "2", "--N", "1", "--n", "3", "--k", "1")
+        assert code == 0
+        _, field_out = run(capsys, "census", "--q", "2", "--n", "3")
+        z_rows = json.loads(out)
+        for row in z_rows:
+            row["shape"] = [i for i, _ in row["shape"]]
+        assert z_rows == json.loads(field_out)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "census.json"
         code, out = run(capsys, "census", "--q", "2", "--n", "3", "--out", str(target))

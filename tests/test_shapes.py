@@ -8,6 +8,7 @@ import pytest
 from truncring import (
     GridDomain,
     IntervalDomain,
+    InvariantViolation,
     Shape,
     TooLarge,
     e_bound,
@@ -120,6 +121,11 @@ class TestMinimalGenerators:
     def test_full_grid(self):
         s = Shape.of(GridDomain(2, 2), {(0, 0), (0, 1), (1, 0), (1, 1)})
         assert s.minimal_generators() == ((0, 1), (1, 0))
+
+    def test_unclosed_set_is_an_invariant_violation(self):
+        # Shape() skips the validation of Shape.of; 2 + 2 = 4 is missing
+        with pytest.raises(InvariantViolation):
+            minimal_generators(Shape(IntervalDomain(5), (0, 2, 3)))
 
     def test_generate_recovers_family_shape(self):
         assert generate(IntervalDomain(18), (6, 7, 8, 17)) == FAMILY_E

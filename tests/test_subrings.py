@@ -2,6 +2,7 @@
 across one-step quotients, enumeration, censuses, and the generator-gap
 family."""
 
+import functools
 import itertools
 
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from truncring import (
     CtxMismatch,
     FieldCtx,
+    InvariantViolation,
     MinimalExtension,
     NotMinimal,
     OutOfFamily,
     Subring,
     TooLarge,
     canonicalize,
+    e_bound,
     census,
     closure,
     cotangent_dim,
@@ -509,3 +512,102 @@ class TestFamily:
     def test_small_parameters_rejected(self):
         with pytest.raises(OutOfFamily):
             counterexample_family(5, FieldCtx(2))
+
+
+# -- the one-pass census against independent oracles ---------------------------
+#
+# The quotient-chain enumerator carries cotangent dimensions and builds each
+# lift family by editing the kernel column of one tagged canonical basis.
+# These tests check it against oracles that take none of that path:
+# closure_bfs (adjoin elements and close), the direct cotangent_dim, and the
+# brute-force lift scan of verify's lift-counts.
+
+FIELD_ORACLE_RINGS = [(2, 6), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3)]
+# (p, N, n, k); closure_bfs scans the whole ring, so these stay within its
+# 4096-element guard.
+Z_ORACLE_RINGS = [
+    (2, 2, 4, 1),
+    (3, 2, 3, 1),
+    (5, 2, 2, 1),
+    (2, 3, 3, 2),
+    (2, 4, 3, 2),
+    (2, 2, 5, 2),
+]
+ORACLE_RINGS = [field_ring(q, n) for q, n in FIELD_ORACLE_RINGS] + [
+    zpn_ring(*t) for t in Z_ORACLE_RINGS
+]
+# Z[x]/(3^3, x^3) has 19,683 elements, beyond closure_bfs; the direct
+# cotangent oracle still covers it.
+COTANGENT_RINGS = ORACLE_RINGS + [zpn_ring(3, 3, 3, 3)]
+
+
+@functools.cache
+def bfs_subrings(ctx):
+    return enumerate_subrings(ctx, "closure_bfs")
+
+
+class TestOnePassCensus:
+    @pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=repr)
+    def test_minimal_ext_matches_closure_bfs(self, ctx):
+        subs = enumerate_subrings(ctx)
+        assert subs == bfs_subrings(ctx)
+        assert subs == sorted(subs, key=lambda S: (S.size, S.basis))
+
+    @pytest.mark.parametrize("ctx", COTANGENT_RINGS, ids=repr)
+    def test_census_cotangent_values_match_direct_computation(self, ctx):
+        for row in census(ctx):
+            assert row.d_ring_values == tuple(sorted(cotangent_dim(S) for S in row.subrings))
+
+    @pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=repr)
+    def test_lift_families_match_brute_force_scan(self, ctx):
+        dst = quotient_ctx(ctx)
+        z = kernel_generator(ctx)
+        base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
+        src_subs = bfs_subrings(ctx)
+        for B in enumerate_subrings(dst):
+            ext = restricted_extension(B)
+            fam = lift_isomorphic(ext)
+            oracle = sorted(
+                A for A in src_subs if not A.contains(z) and project_subring(A, dst) == B
+            )
+            assert list(fam.lifts) == oracle
+            assert fam.exists == (not ext.kernel_in_small)
+            assert fam.dim == cotangent_dim(B)
+            assert len(oracle) == (base**fam.dim if fam.exists else 0)
+            assert ext.src.cotangent == cotangent_dim(ext.src)
+
+    @pytest.mark.parametrize(
+        "dst,gens",
+        [(field_ring(2, 3), ["x^2"]), (field_ring(3, 4), ["x^3"]), (zpn_ring(2, 2, 2, 1), ["2x"])],
+        ids=repr,
+    )
+    def test_wrong_recorded_cotangent_is_an_invariant_violation(self, dst, gens):
+        B = closure(dst, [dst.parse(g) for g in gens])
+        ext = restricted_extension(Subring(dst, B.basis, cotangent=cotangent_dim(B) + 1))
+        assert not ext.kernel_in_small
+        with pytest.raises(InvariantViolation):
+            lift_isomorphic(ext)
+
+
+class TestPrimeCoefficientZRings:
+    """Z[x]/(p, x^n) is F_p[x]/x^n; its census is the field census under
+    i <-> (i, 0)."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_census_matches_field_census(self, p, n):
+        z_rows = census(zpn_ring(p, 1, n))
+        f_rows = census(field_ring(p, n))
+        assert [tuple(i for i, _ in r.shape.elems) for r in z_rows] == [
+            r.shape.elems for r in f_rows
+        ]
+        for zr, fr in zip(z_rows, f_rows):
+            assert (zr.count, zr.bound_exp, zr.bound, zr.equality) == (
+                fr.count,
+                fr.bound_exp,
+                fr.bound,
+                fr.equality,
+            )
+            assert (zr.d_shape, zr.d_ring_values) == (fr.d_shape, fr.d_ring_values)
+            assert [S.basis for S in zr.subrings] == [S.basis for S in fr.subrings]
+            assert zr.bound_exp == e_bound(n, fr.shape)

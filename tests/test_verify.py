@@ -18,6 +18,12 @@ class TestSuites:
             assert r.ok, f"{r.name}: {r.violations[:3]}"
             assert r.violations == ()
 
+    @pytest.mark.parametrize("ctx", [zpn_ring(2, 1, 4), zpn_ring(3, 1, 3)], ids=repr)
+    def test_prime_coefficient_z_rings_pass(self, ctx):
+        # N = 1: the grid has no point (0, 1), so no generator is set aside for p
+        for r in run_suite(ctx, "all"):
+            assert r.ok, f"{r.name}: {r.violations[:3]}"
+
     def test_single_suite_selection(self):
         results = run_suite(field_ring(2, 3), "valuation")
         assert [r.name for r in results] == [
