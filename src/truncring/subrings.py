@@ -149,9 +149,11 @@ def _pivot(row) -> tuple[int, int]:
     return col, row[col]
 
 
-def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
-    """Membership in the module with the given canonical basis, by greedy
-    reduction at the pivot columns."""
+def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
+    """v reduced against a canonical basis at its pivot columns: over a
+    field each pivot entry is cleared, over Z/p^N it is brought into
+    [0, pivot).  Members of the module reduce to zero, and on a canonical
+    basis all members of one coset reduce to the same element."""
     v = list(v)
     if ctx.kind == "field":
         K = ctx.coeff
@@ -161,20 +163,22 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
             if c:
                 for j in range(col, ctx.n):
                     v[j] = K.sub(v[j], K.mul(c, row[j]))
-        return not any(v)
-    p = ctx.coeff.p
+        return tuple(v)
     caps = ctx.caps
     v = [x % c for x, c in zip(v, caps)]
     for row in basis:
         col = _lead(row)
-        piv = row[col]
-        if v[col]:
-            if v[col] % piv:
-                return False
-            mfac = v[col] // piv
+        mfac = v[col] // row[col]
+        if mfac:
             for j in range(col, ctx.n):
                 v[j] = (v[j] - mfac * row[j]) % caps[j]
-    return not any(v)
+    return tuple(v)
+
+
+def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
+    """Membership in the module with the given canonical basis: v reduces
+    to zero."""
+    return not any(_reduce(ctx, basis, v))
 
 
 def _span_logsize(ctx, basis) -> int:
@@ -556,19 +560,22 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
 
 def _enumerate_closure_bfs(ctx) -> list[Subring]:
     """Grow subrings from the prime ring by adjoining one ambient element
-    at a time and closing; the reachable set is all of them."""
+    at a time and closing; the reachable set is all of them.  All members
+    of one coset of S close to the same subring, so S adjoins one reduced
+    representative per coset."""
     if ctx.size > _AMBIENT_LIMIT:
         raise TooLarge(f"ambient ring of size {ctx.size} exceeds the scan limit")
     prime = Subring.prime_ring(ctx)
     ambient = list(ctx.elements())
+    zero = ctx.zero()
     found = {prime}
     frontier = [prime]
     while frontier:
         S = frontier.pop()
-        for a in ambient:
-            if S.contains(a):
-                continue
-            T = closure(ctx, list(S.basis) + [a])
+        reps = {_reduce(ctx, S.basis, a) for a in ambient}
+        reps.discard(zero)
+        for r in reps:
+            T = closure(ctx, [*S.basis, r])
             if T not in found:
                 found.add(T)
                 frontier.append(T)

@@ -17,6 +17,7 @@ empty list means the law held everywhere.  Suites bundle the checks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import TooLarge
@@ -24,6 +25,7 @@ from .rings import RingCtx, kernel_generator, project, quotient_ctx
 from .shapes import GridDomain, IntervalDomain, enumerate_shapes, is_realizable_zshape
 from .subrings import (
     Subring,
+    _lift_row,
     canonicalize,
     census,
     cotangent_dim,
@@ -58,6 +60,32 @@ def _generator_offset(ctx: RingCtx) -> int:
     return 1 if ctx.kind == "zpn" and ctx.coeff.N > 1 else 0
 
 
+def _top(ctx: RingCtx):
+    """The top valuation point: the valuation of the quotient kernel."""
+    return ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
+
+
+def _base(ctx: RingCtx) -> int:
+    """The residue field size, the base of the census bounds."""
+    return ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
+
+
+# Each enumeration and census is computed once per run_suite call: the
+# checks share these memos, and run_suite clears them when it returns.
+# They reach enumerate_subrings and census through this module's globals
+# at call time, so a wrapper installed there sees every computation.
+
+
+@functools.cache
+def _subrings(ctx: RingCtx, method: str) -> tuple[Subring, ...]:
+    return tuple(enumerate_subrings(ctx, method))
+
+
+@functools.cache
+def _census(ctx: RingCtx) -> tuple:
+    return tuple(census(ctx))
+
+
 def _nonzero_elements(ctx: RingCtx):
     if ctx.size > _EXHAUSTIVE_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} is too large for an exhaustive scan")
@@ -75,8 +103,9 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
     elems = _nonzero_elements(ctx)
     vals = {a: ctx.nu(a) for a in elems}
     zero = ctx.zero()
-    for a in elems:
-        for b in elems:
+    # add and mul commute, so each unordered pair is tested once
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
             s = dom.add(vals[a], vals[b])
             if s is None:
                 continue
@@ -96,8 +125,8 @@ def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
     elems = _nonzero_elements(ctx)
     vals = {a: ctx.nu(a) for a in elems}
     zero = ctx.zero()
-    for a in elems:
-        for b in elems:
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
             s = ctx.add(a, b)
             if s == zero:
                 continue
@@ -142,7 +171,7 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
 def check_census_bound(ctx: RingCtx) -> list[str]:
     """Every census row satisfies count <= base^bound_exp."""
     bad = []
-    for row in census(ctx):
+    for row in _census(ctx):
         if row.count > row.bound:
             bad.append(f"shape {row.shape.elems}: count {row.count} > bound {row.bound}")
     return bad
@@ -152,7 +181,7 @@ def check_realized_shapes(ctx: RingCtx) -> list[str]:
     """The realized shapes are exactly the admissible ones: every shape for
     the field kind, the shapes containing the zero column for the grid."""
     bad = []
-    realized = {row.shape.elems for row in census(ctx)}
+    realized = {row.shape.elems for row in _census(ctx)}
     admissible = {s.elems for s in enumerate_shapes(_domain(ctx), realizable_only=True)}
     for extra in sorted(realized - admissible):
         bad.append(f"shape {extra} realized but not admissible")
@@ -167,7 +196,7 @@ def check_realized_shapes(ctx: RingCtx) -> list[str]:
 
 def check_bound_exponent_nonnegative(ctx: RingCtx) -> list[str]:
     bad = []
-    for row in census(ctx):
+    for row in _census(ctx):
         if row.bound_exp < 0:
             bad.append(f"shape {row.shape.elems}: bound exponent {row.bound_exp} < 0")
     return bad
@@ -181,8 +210,8 @@ def _lift_oracle(ctx: RingCtx):
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return None
-    src_subs = enumerate_subrings(ctx, "closure_bfs")
-    dst_subs = enumerate_subrings(dst_ctx, "closure_bfs")
+    src_subs = _subrings(ctx, "closure_bfs")
+    dst_subs = _subrings(dst_ctx, "closure_bfs")
     return dst_ctx, src_subs, dst_subs
 
 
@@ -195,7 +224,7 @@ def check_lift_counts(ctx: RingCtx) -> list[str]:
         return []
     dst_ctx, src_subs, dst_subs = data
     z = kernel_generator(ctx)
-    base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
+    base = _base(ctx)
     bad = []
     for B in dst_subs:
         ext = restricted_extension(B)
@@ -249,7 +278,7 @@ def check_kernel_minimality(ctx: RingCtx) -> list[str]:
         bad.append("x * kernel generator is nonzero")
     if ctx.kind == "zpn" and ctx.scalar_mul(ctx.coeff.p, z) != zero:
         bad.append("p * kernel generator is nonzero")
-    base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
+    base = _base(ctx)
     multiples = {ctx.scalar_mul(c, z) for c in range(base)}
     if len(multiples) != base:
         bad.append(f"kernel has {len(multiples)} residue multiples, expected {base}")
@@ -262,7 +291,7 @@ def check_kernel_minimality(ctx: RingCtx) -> list[str]:
 def check_dimension_law(ctx: RingCtx) -> list[str]:
     """Subring size is determined by its exponent set: q^|E| resp. p^|D|."""
     bad = []
-    for S in enumerate_subrings(ctx):
+    for S in _subrings(ctx, "minimal_ext"):
         sh = exponent_set(S)
         if S.log_size != len(sh.elems):
             bad.append(f"{S!r}: log size {S.log_size} != |shape| {len(sh.elems)}")
@@ -273,7 +302,7 @@ def check_exponent_set_scan(ctx: RingCtx) -> list[str]:
     """The pivot-derived exponent set equals the valuations of all members."""
     bad = []
     zero = ctx.zero()
-    for S in enumerate_subrings(ctx):
+    for S in _subrings(ctx, "minimal_ext"):
         if S.size > _EXHAUSTIVE_LIMIT:
             raise TooLarge("subring too large for a full member scan")
         seen = {ctx.nu(v) for v in S.elements() if v != zero}
@@ -286,7 +315,7 @@ def check_cotangent_bound(ctx: RingCtx) -> list[str]:
     """cotangent_dim <= shape generator count (strictly fewer on a grid
     with N >= 2, where p consumes one generator)."""
     bad = []
-    for S in enumerate_subrings(ctx):
+    for S in _subrings(ctx, "minimal_ext"):
         d_ring = cotangent_dim(S)
         d_shape = exponent_set(S).generator_count()
         limit = d_shape - _generator_offset(ctx)
@@ -302,7 +331,7 @@ def check_lift_equivalence(ctx: RingCtx) -> list[str]:
     if quotient_ctx(ctx) is None:
         return []
     bad = []
-    for B in enumerate_subrings(quotient_ctx(ctx)):
+    for B in _subrings(quotient_ctx(ctx), "minimal_ext"):
         ext = restricted_extension(B)
         fam = lift_isomorphic(ext)
         grows = cotangent_dim(ext.src) == cotangent_dim(B) + 1
@@ -316,18 +345,12 @@ def check_lift_equivalence(ctx: RingCtx) -> list[str]:
 def check_tail_membership(ctx: RingCtx) -> list[str]:
     """When the top valuation point lies in the shape but is not one of its
     generators, the corresponding tail element lies in m^2."""
+    if ctx.n < 2:
+        return []
+    top = _top(ctx)
+    tail = kernel_generator(ctx)
     bad = []
-    if ctx.kind == "field":
-        if ctx.n < 2:
-            return []
-        top = ctx.n - 1
-        tail = ctx.monomial(top)
-    else:
-        if ctx.n < 2:
-            return []
-        top = (ctx.n - 1, ctx.k - 1)
-        tail = kernel_generator(ctx)
-    for S in enumerate_subrings(ctx):
+    for S in _subrings(ctx, "minimal_ext"):
         sh = exponent_set(S)
         if top in sh.elems and top not in sh.minimal_generators():
             if not in_row_span(ctx, ideal_data(S).square, tail):
@@ -343,7 +366,7 @@ def check_cotangent_propagation(ctx: RingCtx) -> list[str]:
         return []
     off = _generator_offset(ctx)
     bad = []
-    for B in enumerate_subrings(dst_ctx):
+    for B in _subrings(dst_ctx, "minimal_ext"):
         R = restricted_extension(B).src
         dR, dB = cotangent_dim(R), cotangent_dim(B)
         eR = exponent_set(R).generator_count() - off
@@ -360,9 +383,9 @@ def check_projection_shape(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
+    top = _top(ctx)
     bad = []
-    for S in enumerate_subrings(ctx):
+    for S in _subrings(ctx, "minimal_ext"):
         got = set(exponent_set(project_subring(S, dst_ctx)).elems)
         want = set(exponent_set(S).elems) - {top}
         if got != want:
@@ -372,16 +395,16 @@ def check_projection_shape(ctx: RingCtx) -> list[str]:
 
 def check_step_counts(ctx: RingCtx) -> list[str]:
     """Counting across one quotient step: shapes containing the top point
-    biject with their truncations, and when every preimage gains a
-    cotangent dimension the fibers all have the full affine size."""
+    biject with their truncations, and when every preimage in a shape row
+    gains a cotangent dimension, each B of the row has base^d(B) lifts of
+    its shape."""
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
-    base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
-    off = _generator_offset(ctx)
-    src_rows = {row.shape.elems: row for row in census(ctx)}
-    dst_rows = {row.shape.elems: row for row in census(dst_ctx)}
+    top = _top(ctx)
+    base = _base(ctx)
+    src_rows = {row.shape.elems: row for row in _census(ctx)}
+    dst_rows = {row.shape.elems: row for row in _census(dst_ctx)}
     bad = []
     for elems, row in src_rows.items():
         if top in elems:
@@ -392,12 +415,13 @@ def check_step_counts(ctx: RingCtx) -> list[str]:
     for elems, row in dst_rows.items():
         if top in elems or elems not in src_rows:
             continue
+        dims = [cotangent_dim(B) for B in row.subrings]
         hyp = all(
-            cotangent_dim(restricted_extension(B).src) == cotangent_dim(B) + 1
-            for B in row.subrings
+            cotangent_dim(restricted_extension(B).src) == d + 1
+            for B, d in zip(row.subrings, dims)
         )
         if hyp:
-            want = row.count * base ** (row.d_shape - off)
+            want = sum(base**d for d in dims)
             if src_rows[elems].count != want:
                 bad.append(
                     f"shape {elems}: fiber hypothesis holds but {src_rows[elems].count} != {want}"
@@ -413,15 +437,13 @@ def check_ideal_correspondence(ctx: RingCtx) -> list[str]:
         return []
     z = kernel_generator(ctx)
     bad = []
-    for B in enumerate_subrings(dst_ctx):
+    for B in _subrings(dst_ctx, "minimal_ext"):
         ext = restricted_extension(B)
         m_src = ideal_data(ext.src).max_ideal
         m_dst = ideal_data(B).max_ideal
         image = canonicalize(dst_ctx, [project(ctx, dst_ctx, r) for r in m_src])
         if image != m_dst:
             bad.append(f"{B!r}: projected maximal ideal differs")
-        from .subrings import _lift_row  # local: avoids a public helper for one use
-
         pre = canonicalize(ctx, [_lift_row(ctx, r) for r in m_dst] + [z])
         if pre != m_src:
             bad.append(f"{B!r}: preimage of the maximal ideal differs")
@@ -434,10 +456,10 @@ def check_projection_disjointness(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
+    top = _top(ctx)
     seen: dict = {}
     bad = []
-    for row in census(ctx):
+    for row in _census(ctx):
         if top in row.shape.elems:
             continue
         for S in row.subrings:
@@ -450,12 +472,12 @@ def check_projection_disjointness(ctx: RingCtx) -> list[str]:
 
 def check_enumerator_agreement(ctx: RingCtx) -> list[str]:
     """The quotient-chain enumeration matches the brute-force scans."""
-    ref = enumerate_subrings(ctx, "minimal_ext")
+    ref = _subrings(ctx, "minimal_ext")
     bad = []
-    if enumerate_subrings(ctx, "closure_bfs") != ref:
+    if _subrings(ctx, "closure_bfs") != ref:
         bad.append("closure_bfs disagrees with minimal_ext")
     if ctx.kind == "field":
-        if enumerate_subrings(ctx, "subspace_scan") != ref:
+        if _subrings(ctx, "subspace_scan") != ref:
             bad.append("subspace_scan disagrees with minimal_ext")
     return bad
 
@@ -493,7 +515,8 @@ SUITES = {
 
 
 def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
-    """Run one named suite (or all of them) and collect the results."""
+    """Run one named suite (or all of them) and collect the results.
+    Each enumeration and census is computed once per call."""
     if suite == "all":
         names = [n for s in SUITES.values() for n in s]
     elif suite in SUITES:
@@ -501,7 +524,11 @@ def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
     else:
         raise ValueError(f"unknown suite {suite!r}")
     out = []
-    for name, fn in names:
-        violations = fn(ctx)
-        out.append(CheckResult(name=name, ok=not violations, violations=tuple(violations)))
+    try:
+        for name, fn in names:
+            violations = fn(ctx)
+            out.append(CheckResult(name=name, ok=not violations, violations=tuple(violations)))
+    finally:
+        _subrings.cache_clear()
+        _census.cache_clear()
     return out

@@ -4,6 +4,7 @@ family."""
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from truncring import (
     restricted_extension,
     zpn_ring,
 )
+from truncring.subrings import _reduce
 
 
 def module_span(ctx, rows):
@@ -611,3 +613,46 @@ class TestPrimeCoefficientZRings:
             assert (zr.d_shape, zr.d_ring_values) == (fr.d_shape, fr.d_ring_values)
             assert [S.basis for S in zr.subrings] == [S.basis for S in fr.subrings]
             assert zr.bound_exp == e_bound(n, fr.shape)
+
+
+# -- closure_bfs adjoins one representative per coset ---------------------------
+#
+# closure_bfs reduces each ambient element against the canonical basis of S
+# and closes S + r once per distinct reduction r.  These rings have non-unit
+# Howell pivots (p^a with a >= 1) in the subrings the reduction runs against.
+COSET_RINGS = [
+    field_ring(8, 3),
+    field_ring(9, 3),
+    zpn_ring(3, 2, 3, 1),
+    zpn_ring(2, 3, 3, 2),
+    zpn_ring(2, 3, 3, 1),
+]
+
+
+class TestCosetReduction:
+    @pytest.mark.parametrize("ctx", COSET_RINGS, ids=repr)
+    def test_closure_bfs_matches_minimal_ext(self, ctx):
+        assert bfs_subrings(ctx) == enumerate_subrings(ctx)
+
+    @pytest.mark.parametrize("ctx", COSET_RINGS, ids=repr)
+    def test_reduction_is_constant_on_cosets(self, ctx):
+        rng = random.Random(repr(ctx))
+        ambient = list(ctx.elements())
+        zero = ctx.zero()
+        for S in enumerate_subrings(ctx):
+            members = S.elements()
+            reps = {_reduce(ctx, S.basis, a) for a in ambient}
+            # one reduction per coset: exactly |R| / |S| distinct values
+            assert len(reps) * S.size == ctx.size
+            assert {_reduce(ctx, S.basis, s) for s in members} == {zero}
+            for a in rng.sample(ambient, 20):
+                r = _reduce(ctx, S.basis, a)
+                for s in rng.sample(members, min(5, len(members))):
+                    assert _reduce(ctx, S.basis, ctx.add(a, s)) == r
+
+    @pytest.mark.parametrize("ctx", COSET_RINGS, ids=repr)
+    def test_in_row_span_matches_member_scan(self, ctx):
+        ambient = list(ctx.elements())
+        for S in enumerate_subrings(ctx):
+            members = set(S.elements())
+            assert {a for a in ambient if in_row_span(ctx, S.basis, a)} == members

@@ -1,9 +1,11 @@
 """Invariant suites: every check passes on the reference rings and the
 suite plumbing behaves."""
 
+from collections import Counter
+
 import pytest
 
-from truncring import TooLarge, field_ring, run_suite, zpn_ring
+from truncring import TooLarge, field_ring, quotient_ctx, run_suite, verify, zpn_ring
 from truncring.verify import SUITES
 
 
@@ -50,3 +52,91 @@ class TestSuites:
         # no quotient step below F_q, so the lift checks pass vacuously
         for r in run_suite(field_ring(5, 1), "lifts"):
             assert r.ok
+
+
+# The three rings of the verify-desk benchmark, plus a wider Z ring.  On both
+# Z rings a step-counts row has d(B) = [2, 1], so its fiber holds 2^2 + 2^1 = 6
+# lifts; counting row.count * base^(d_shape - 1) = 8 was a false violation.
+DESK_RINGS = [field_ring(2, 7), field_ring(4, 4), zpn_ring(2, 2, 4, 1), zpn_ring(2, 2, 5, 1)]
+
+
+@pytest.mark.parametrize("ctx", DESK_RINGS, ids=repr)
+def test_desk_rings_pass_every_check(ctx):
+    results = run_suite(ctx, "all")
+    assert len(results) == 20
+    for r in results:
+        assert r.ok, f"{r.name}: {r.violations[:3]}"
+
+
+class TestMemo:
+    """Each enumeration and census is computed once per run_suite call,
+    and nothing is kept between calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+        inner_enum, inner_census = verify.enumerate_subrings, verify.census
+
+        def counting_enum(ctx, method="minimal_ext"):
+            seen[ctx, method] += 1
+            return inner_enum(ctx, method)
+
+        def counting_census(ctx):
+            seen[ctx, "census"] += 1
+            return inner_census(ctx)
+
+        monkeypatch.setattr(verify, "enumerate_subrings", counting_enum)
+        monkeypatch.setattr(verify, "census", counting_census)
+        return seen
+
+    def test_one_computation_per_ring_and_method(self, calls):
+        ctx = field_ring(2, 5)
+        dst = quotient_ctx(ctx)
+        run_suite(ctx, "all")
+        assert calls[ctx, "closure_bfs"] == 1
+        assert calls[dst, "closure_bfs"] == 1
+        assert set(calls.values()) == {1}
+        assert (ctx, "census") in calls and (dst, "census") in calls
+        run_suite(ctx, "all")
+        assert set(calls.values()) == {2}
+
+    def test_memo_is_cleared_when_a_check_raises(self, calls):
+        # dimension-law enumerates F2[x]/x^11, then exponent-set-scan refuses
+        # the 2048-element full ring
+        big = field_ring(2, 11)
+        with pytest.raises(TooLarge):
+            run_suite(big, "props")
+        assert calls[big, "minimal_ext"] == 1
+        assert verify._subrings.cache_info().currsize == 0
+        assert verify._census.cache_info().currsize == 0
+        ctx = field_ring(2, 5)
+        calls.clear()
+        run_suite(ctx, "lifts")
+        assert calls == {(ctx, "closure_bfs"): 1, (quotient_ctx(ctx), "closure_bfs"): 1}
+
+
+def _planted(ctx, elem, wrong):
+    """A copy of ctx whose nu misreports one element."""
+
+    class Planted(type(ctx)):
+        def nu(self, a):
+            return wrong if a == elem else super().nu(a)
+
+    return Planted(ctx.coeff, ctx.n) if ctx.kind == "field" else Planted(ctx.coeff, ctx.n, ctx.k)
+
+
+@pytest.mark.parametrize(
+    "ctx,elem,wrong",
+    [
+        (field_ring(2, 4), "x^2", 3),
+        (field_ring(3, 3), "x + x^2", 2),
+        (zpn_ring(2, 2, 3, 1), "2x", (1, 0)),
+    ],
+    ids=repr,
+)
+def test_unordered_pair_scans_report_a_planted_valuation(ctx, elem, wrong):
+    bad = _planted(ctx, ctx.parse(elem), wrong)
+    assert verify.check_valuation_strict(ctx) == []
+    assert verify.check_valuation_nonarchimedean(ctx) == []
+    assert verify.check_valuation_strict(bad)
+    assert verify.check_valuation_nonarchimedean(bad)
