@@ -10,8 +10,10 @@ Two families are supported:
 
 Elements are plain tuples of ints, index i holding the coefficient of
 x^i, so they hash and compare by value.  A context object carries the
-parameters and implements arithmetic, the valuation ``nu``, unit tests,
-and the polynomial string syntax::
+parameters and the facts the two families share (residue field size
+``base``, column caps ``caps_log``, the image ``p_image`` of p, the
+exponent ``domain``), and implements arithmetic, the valuation ``nu``,
+unit tests, and the polynomial string syntax::
 
     poly  := term ('+' term)* | '0'
     term  := coeff | coeff '*'? 'x' ('^' uint)? | 'x' ('^' uint)?
@@ -30,66 +32,26 @@ import re
 
 from .coefficients import FieldCtx, ZpNCtx, factor_prime_power
 from .errors import CtxMismatch, NotAQuotient, PolyParseError, UndefinedValuation
+from .shapes import GridDomain, IntervalDomain
 
 Element = tuple[int, ...]
 
 _TERM_RE = re.compile(r"^(?:\[(\d+(?:,\d+)*)\]|(\d+))?(?:\*?x(?:\^(\d+))?)?$")
 
 
-def _parse_poly(ctx, text: str) -> Element:
-    s = "".join(str(text).split())
-    if not s:
-        raise PolyParseError("empty polynomial")
-    coeffs = [0] * ctx.n
-    for term in s.split("+"):
-        m = _TERM_RE.match(term)
-        if not m or not term:
-            raise PolyParseError(f"bad term {term!r}")
-        bracket, plain, exp_s = m.groups()
-        has_x = "x" in term
-        if bracket is None and plain is None and not has_x:
-            raise PolyParseError(f"bad term {term!r}")
-        if bracket is not None:
-            c = ctx._coeff_from_vector([int(v) for v in bracket.split(",")])
-        elif plain is not None:
-            c = ctx._coeff_from_int(int(plain))
-        else:
-            c = 1
-        if has_x:
-            exp = int(exp_s) if exp_s is not None else 1
-        else:
-            exp = 0
-        if exp >= ctx.n:
-            raise PolyParseError(f"exponent {exp} out of range for x^{ctx.n} = 0")
-        coeffs[exp] = ctx._coeff_add(coeffs[exp], c)
-    return ctx._reduce(coeffs)
+class _TruncPolyCtx:
+    """What the two families share.  A subclass sets the family facts:
 
+    * ``base``     -- the residue field size, q over F_q and p over Z/p^N;
+    * ``caps_log`` -- per column, the exponent of its cap in powers of
+      ``base``: the coefficient of x^i lives in a group of size
+      ``base ** caps_log[i]``;
+    * ``p_image``  -- the image of the integer p in the coefficient ring;
+      it is 0 exactly when the coefficient ring is a field;
+    * ``domain``   -- the exponent domain holding the values of ``nu``.
+    """
 
-def _format_poly(ctx, a: Element) -> str:
-    terms = []
-    for i, c in enumerate(a):
-        if not c:
-            continue
-        cs = ctx._coeff_str(c)
-        if i == 0:
-            terms.append(cs)
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            terms.append(xs if c == 1 else cs + xs)
-    return "+".join(terms) if terms else "0"
-
-
-class FieldPolyCtx:
-    """The ring F_q[x]/x^n."""
-
-    kind = "field"
     __slots__ = ("coeff", "n")
-
-    def __init__(self, coeff: FieldCtx, n: int):
-        if n < 1:
-            raise ValueError(f"truncation order must be >= 1, got {n}")
-        self.coeff = coeff
-        self.n = n
 
     # -- constructors ------------------------------------------------------
 
@@ -102,13 +64,107 @@ class FieldPolyCtx:
     def monomial(self, i: int, c: int = 1) -> Element:
         if not 0 <= i < self.n:
             raise ValueError(f"exponent {i} out of range")
-        return tuple(c if j == i else 0 for j in range(self.n))
-
-    # -- arithmetic ----------------------------------------------------------
+        return self._reduce([c if j == i else 0 for j in range(self.n)])
 
     def _check(self, a: Element):
         if len(a) != self.n:
             raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
+
+    # -- enumeration ---------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        return self.base ** sum(self.caps_log)
+
+    def elements(self):
+        return itertools.product(*(range(self.base**c) for c in self.caps_log))
+
+    # -- string syntax -------------------------------------------------------
+
+    def parse(self, text: str) -> Element:
+        s = "".join(str(text).split())
+        if not s:
+            raise PolyParseError("empty polynomial")
+        coeffs = [0] * self.n
+        for term in s.split("+"):
+            m = _TERM_RE.match(term)
+            if not m or not term:
+                raise PolyParseError(f"bad term {term!r}")
+            bracket, plain, exp_s = m.groups()
+            has_x = "x" in term
+            if bracket is None and plain is None and not has_x:
+                raise PolyParseError(f"bad term {term!r}")
+            if bracket is not None:
+                c = self._coeff_from_vector([int(v) for v in bracket.split(",")])
+            elif plain is not None:
+                c = self._coeff_from_int(int(plain))
+            else:
+                c = 1
+            if has_x:
+                exp = int(exp_s) if exp_s is not None else 1
+            else:
+                exp = 0
+            if exp >= self.n:
+                raise PolyParseError(f"exponent {exp} out of range for x^{self.n} = 0")
+            coeffs[exp] = self.coeff.add(coeffs[exp], c)
+        return self._reduce(coeffs)
+
+    def format(self, a: Element) -> str:
+        self._check(a)
+        terms = []
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            cs = self._coeff_str(c)
+            if i == 0:
+                terms.append(cs)
+            else:
+                xs = "x" if i == 1 else f"x^{i}"
+                terms.append(xs if c == 1 else cs + xs)
+        return "+".join(terms) if terms else "0"
+
+    # -- identity --------------------------------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _TruncPolyCtx)
+            and self.coeff == other.coeff
+            and self.caps_log == other.caps_log
+        )
+
+    def __hash__(self):
+        return hash((self.coeff, self.caps_log))
+
+
+class FieldPolyCtx(_TruncPolyCtx):
+    """The ring F_q[x]/x^n."""
+
+    kind = "field"
+    __slots__ = ()
+    p_image = 0
+
+    def __init__(self, coeff: FieldCtx, n: int):
+        if n < 1:
+            raise ValueError(f"truncation order must be >= 1, got {n}")
+        self.coeff = coeff
+        self.n = n
+
+    @property
+    def base(self) -> int:
+        return self.coeff.q
+
+    @property
+    def caps_log(self) -> tuple[int, ...]:
+        return (1,) * self.n
+
+    def _sibling(self, n: int, k: int) -> "FieldPolyCtx":
+        return FieldPolyCtx(self.coeff, n)
+
+    @property
+    def domain(self) -> IntervalDomain:
+        return IntervalDomain(self.n)
+
+    # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
         self._check(a)
@@ -154,16 +210,7 @@ class FieldPolyCtx:
                 return i
         raise UndefinedValuation("nu(0) is undefined")
 
-    # -- enumeration ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.coeff.q**self.n
-
-    def elements(self):
-        return itertools.product(range(self.coeff.q), repeat=self.n)
-
-    # -- string syntax -------------------------------------------------------
+    # -- coefficients in the string syntax -----------------------------------
 
     def _coeff_from_int(self, v: int) -> int:
         return v % self.coeff.p
@@ -175,9 +222,6 @@ class FieldPolyCtx:
             raise PolyParseError(f"coefficient vector longer than degree {self.coeff.e}")
         return self.coeff.from_coeffs(vs)
 
-    def _coeff_add(self, a: int, b: int) -> int:
-        return self.coeff.add(a, b)
-
     def _coeff_str(self, c: int) -> str:
         if self.coeff.e > 1 and c >= self.coeff.p:
             return "[" + ",".join(str(v) for v in self.coeff.coeffs(c)) + "]"
@@ -186,30 +230,15 @@ class FieldPolyCtx:
     def _reduce(self, coeffs: list[int]) -> Element:
         return tuple(coeffs)
 
-    def parse(self, text: str) -> Element:
-        return _parse_poly(self, text)
-
-    def format(self, a: Element) -> str:
-        self._check(a)
-        return _format_poly(self, a)
-
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, FieldPolyCtx) and self.coeff == other.coeff and self.n == other.n
-
-    def __hash__(self):
-        return hash(("FieldPolyCtx", self.coeff, self.n))
-
     def __repr__(self):
         return f"F{self.coeff.q}[x]/x^{self.n}"
 
 
-class ZpNPolyCtx:
+class ZpNPolyCtx(_TruncPolyCtx):
     """The ring Z[x]/(p^N, x^n, p^k x^{n-1})."""
 
     kind = "zpn"
-    __slots__ = ("coeff", "n", "k", "caps")
+    __slots__ = ("k", "base", "caps_log", "caps", "p_image")
 
     def __init__(self, coeff: ZpNCtx, n: int, k: int):
         if n < 1:
@@ -218,29 +247,23 @@ class ZpNPolyCtx:
             raise ValueError(f"tail exponent k={k} must lie in [1, {coeff.N}]")
         if n == 1 and k != coeff.N:
             raise ValueError("for n = 1 the tail coefficient is the constant term, so k must equal N")
+        p = coeff.p
         self.coeff = coeff
         self.n = n
         self.k = k
-        self.caps = tuple(coeff.size if i < n - 1 else coeff.p**k for i in range(n))
+        self.base = p
+        self.caps_log = (coeff.N,) * (n - 1) + (k,)
+        self.caps = tuple(p**c for c in self.caps_log)
+        self.p_image = p % coeff.size
 
-    # -- constructors ------------------------------------------------------
+    def _sibling(self, n: int, k: int) -> "ZpNPolyCtx":
+        return ZpNPolyCtx(self.coeff, n, k)
 
-    def zero(self) -> Element:
-        return (0,) * self.n
-
-    def one(self) -> Element:
-        return self.monomial(0)
-
-    def monomial(self, i: int, c: int = 1) -> Element:
-        if not 0 <= i < self.n:
-            raise ValueError(f"exponent {i} out of range")
-        return tuple(c % self.caps[j] if j == i else 0 for j in range(self.n))
+    @property
+    def domain(self) -> GridDomain:
+        return GridDomain(self.n, self.coeff.N, self.k)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, a: Element):
-        if len(a) != self.n:
-            raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
 
     def add(self, a: Element, b: Element) -> Element:
         self._check(a)
@@ -284,19 +307,7 @@ class ZpNPolyCtx:
                 return (i, self.coeff.nu1(c))
         raise UndefinedValuation("nu(0) is undefined")
 
-    # -- enumeration ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for c in self.caps:
-            out *= c
-        return out
-
-    def elements(self):
-        return itertools.product(*(range(c) for c in self.caps))
-
-    # -- string syntax -------------------------------------------------------
+    # -- coefficients in the string syntax -----------------------------------
 
     def _coeff_from_int(self, v: int) -> int:
         return v % self.coeff.size
@@ -304,34 +315,11 @@ class ZpNPolyCtx:
     def _coeff_from_vector(self, vs):
         raise PolyParseError("bracketed coefficients require an extension field")
 
-    def _coeff_add(self, a: int, b: int) -> int:
-        return (a + b) % self.coeff.size
-
     def _coeff_str(self, c: int) -> str:
         return str(c)
 
     def _reduce(self, coeffs: list[int]) -> Element:
         return tuple(v % c for v, c in zip(coeffs, self.caps))
-
-    def parse(self, text: str) -> Element:
-        return _parse_poly(self, text)
-
-    def format(self, a: Element) -> str:
-        self._check(a)
-        return _format_poly(self, a)
-
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZpNPolyCtx)
-            and self.coeff == other.coeff
-            and self.n == other.n
-            and self.k == other.k
-        )
-
-    def __hash__(self):
-        return hash(("ZpNPolyCtx", self.coeff, self.n, self.k))
 
     def __repr__(self):
         p, N = self.coeff.p, self.coeff.N
@@ -366,39 +354,38 @@ def zpn_ring(p: int, N: int, n: int, k: int | None = None) -> ZpNPolyCtx:
 
 
 # -- the quotient chain ----------------------------------------------------
+#
+# Within its family a ring is fixed by its truncation order n and its tail
+# exponent k = caps_log[-1]; the full cap exponent is caps_log[0].  One
+# quotient step lowers k by one, or at k = 1 drops the top column, leaving a
+# new top column with the full cap.  Over a field every cap exponent is 1,
+# so each step drops a column.
 
 
 def quotient_ctx(ctx: RingCtx):
     """The target of the next one-step quotient, or None at the base ring."""
-    if ctx.kind == "field":
-        if ctx.n == 1:
-            return None
-        return FieldPolyCtx(ctx.coeff, ctx.n - 1)
     if ctx.n == 1:
         return None
-    if ctx.k > 1:
-        return ZpNPolyCtx(ctx.coeff, ctx.n, ctx.k - 1)
-    return ZpNPolyCtx(ctx.coeff, ctx.n - 1, ctx.coeff.N)
+    k = ctx.caps_log[-1]
+    if k > 1:
+        return ctx._sibling(ctx.n, k - 1)
+    return ctx._sibling(ctx.n - 1, ctx.caps_log[0])
 
 
 def extension_ctx(ctx: RingCtx) -> RingCtx:
     """The source of the one-step quotient onto ctx (inverse of quotient_ctx)."""
-    if ctx.kind == "field":
-        return FieldPolyCtx(ctx.coeff, ctx.n + 1)
-    if ctx.k < ctx.coeff.N:
-        return ZpNPolyCtx(ctx.coeff, ctx.n, ctx.k + 1)
-    return ZpNPolyCtx(ctx.coeff, ctx.n + 1, 1)
+    k = ctx.caps_log[-1]
+    if k < ctx.caps_log[0]:
+        return ctx._sibling(ctx.n, k + 1)
+    return ctx._sibling(ctx.n + 1, 1)
 
 
 def kernel_generator(src: RingCtx) -> Element:
-    """Generator of the kernel of the one-step quotient out of src."""
-    if src.kind == "field":
-        if src.n == 1:
-            raise NotAQuotient("the base ring has no quotient step")
-        return src.monomial(src.n - 1)
+    """Generator of the kernel of the one-step quotient out of src: the top
+    monomial times p^(k-1)."""
     if src.n == 1:
         raise NotAQuotient("the base ring has no quotient step")
-    return src.monomial(src.n - 1, src.coeff.p ** (src.k - 1))
+    return src.monomial(src.n - 1, src.coeff.p ** (src.caps_log[-1] - 1))
 
 
 def project(src: RingCtx, dst: RingCtx, a: Element) -> Element:
@@ -406,6 +393,4 @@ def project(src: RingCtx, dst: RingCtx, a: Element) -> Element:
     if quotient_ctx(src) != dst:
         raise NotAQuotient(f"{dst!r} is not the one-step quotient of {src!r}")
     src._check(a)
-    if src.kind == "field" or src.k == 1:
-        return a[:-1]
-    return a[:-1] + (a[-1] % dst.caps[-1],)
+    return dst._reduce(a[: dst.n])

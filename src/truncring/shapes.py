@@ -199,21 +199,30 @@ def _shape_points(s) -> frozenset:
     return frozenset(s.elems) if isinstance(s, Shape) else frozenset(s)
 
 
+def chain_bound(shape: Shape, tops, offset: int) -> int:
+    """Census bound exponent along a quotient chain whose steps drop the
+    points tops, in order: a step whose top point lies in the shape strips
+    it, any other step adds the shape's current generator count less
+    offset, the generators that no step accounts for."""
+    nz = {pt for pt in shape.elems if pt != shape.domain.zero}
+    total = 0
+    for top in tops:
+        if top in nz:
+            nz.discard(top)
+        else:
+            total += sum(1 for g in nz if _indecomposable(nz, g)) - offset
+    return total
+
+
 def e_bound(n: int, s) -> int:
     """Census bound exponent for interval shapes: count, over the quotient
     steps n -> n-1 -> ... -> 1, the generator number of the current shape
     whenever the dropped top exponent is absent from it."""
     pts = _shape_points(s)
-    if not is_shape(IntervalDomain(n), pts):
+    domain = IntervalDomain(n)
+    if not is_shape(domain, pts):
         raise ValueError(f"{sorted(pts)} is not a shape of [0, {n - 1}]")
-    nz = {pt for pt in pts if pt != 0}
-    total = 0
-    for m in range(n, 1, -1):
-        if m - 1 in nz:
-            nz.discard(m - 1)
-        else:
-            total += sum(1 for g in nz if _indecomposable(nz, g))
-    return total
+    return chain_bound(Shape(domain, tuple(sorted(pts))), range(n - 1, 0, -1), 0)
 
 
 def eps_bound(n: int, N: int, k: int, s) -> int:
@@ -237,17 +246,8 @@ def eps_bound(n: int, N: int, k: int, s) -> int:
     shape = Shape(domain, tuple(sorted(pts)))
     if not is_realizable_zshape(shape):
         raise ValueError(f"{sorted(pts)} misses part of the zero column")
-    nz = {pt for pt in pts if pt != (0, 0)}
-    total = 0
-    while n > 1:
-        for j in range(k - 1, -1, -1):
-            if (n - 1, j) in nz:
-                nz.discard((n - 1, j))
-            else:
-                total += sum(1 for g in nz if _indecomposable(nz, g)) - 1
-        n -= 1
-        k = N
-    return total
+    tops = [(i, j) for i in range(n - 1, 0, -1) for j in range(k if i == n - 1 else N)[::-1]]
+    return chain_bound(shape, tops, 1)
 
 
 def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[Shape]:

@@ -6,6 +6,11 @@ a field the reduced row echelon form, over Z/p^N a Howell-style normal
 form adapted to the per-degree coefficient caps (the x^{n-1} column lives
 mod p^k).  Rows are coefficient vectors with columns ordered by degree,
 and the set of row valuations can be read straight off the pivots.
+
+Both families run one code path.  Where the two differ, the ring's own
+p_image decides: p = 0 in the ring exactly when the coefficients form a
+field, F_q or Z/p.  Over Z/p the Howell form is the echelon form, so
+Z[x]/(p, x^n) takes the field path.
 """
 
 from __future__ import annotations
@@ -23,21 +28,13 @@ from .rings import (
     project,
     quotient_ctx,
 )
-from .shapes import GridDomain, IntervalDomain, Shape, e_bound, eps_bound, minimal_generators
+from .shapes import Shape, chain_bound, minimal_generators
 
 _AMBIENT_LIMIT = 4096
 _SUBSPACE_LIMIT = 200_000
 
 
 # -- canonical row bases -----------------------------------------------------
-
-
-def _val_p(p: int, v: int) -> int:
-    m = 0
-    while v % p == 0:
-        v //= p
-        m += 1
-    return m
 
 
 def _rref(K, rows, ncols: int):
@@ -65,8 +62,9 @@ def _rref(K, rows, ncols: int):
     return tuple(tuple(r) for r in out)
 
 
-def _howell(p: int, caps_log, rows):
-    """Howell-style normal form over Z/p^N with per-column caps p^caps_log[j].
+def _howell(K, caps_log, rows):
+    """Howell-style normal form over K = Z/p^N with per-column caps
+    p^caps_log[j].
 
     Column by column: the entry of least p-valuation becomes the pivot and
     is normalized to an exact power of p; other rows are cleared below it;
@@ -74,6 +72,7 @@ def _howell(p: int, caps_log, rows):
     every span element with leading column c is reachable from pivots >= c.
     Finally entries above each pivot are reduced into [0, pivot).
     """
+    p, nu1 = K.p, K.nu1
     ncols = len(caps_log)
     caps = [p**c for c in caps_log]
     work = [[x % c for x, c in zip(r, caps)] for r in rows]
@@ -85,14 +84,14 @@ def _howell(p: int, caps_log, rows):
         picka = None
         for idx, r in enumerate(work):
             if r[col]:
-                a = _val_p(p, r[col])
+                a = nu1(r[col])
                 if pick is None or a < picka:
                     pick, picka = idx, a
         if pick is None:
             continue
         row = work.pop(pick)
         a = picka
-        uinv = pow(row[col] // p**a, -1, p ** max(caps_log))
+        uinv = pow(row[col] // p**a, -1, K.size)
         row = [(x * uinv) % c for x, c in zip(row, caps)]
         piv = p**a
         for r in work:
@@ -117,17 +116,12 @@ def _howell(p: int, caps_log, rows):
     return tuple(tuple(r) for r in out)
 
 
-def _caps_log(ctx) -> list[int]:
-    N = ctx.coeff.N
-    return [N] * (ctx.n - 1) + [ctx.k]
-
-
 def _echelon(ctx: RingCtx, rows, tags: int = 0):
     """Canonical basis of rows that carry `tags` extra columns after the n
     ring columns; a tag column is capped at p on the Howell path."""
-    if ctx.kind == "field":
+    if not ctx.p_image:
         return _rref(ctx.coeff, rows, ctx.n + tags)
-    return _howell(ctx.coeff.p, _caps_log(ctx) + [1] * tags, rows)
+    return _howell(ctx.coeff, ctx.caps_log + (1,) * tags, rows)
 
 
 def canonicalize(ctx: RingCtx, rows):
@@ -155,7 +149,7 @@ def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
     [0, pivot).  Members of the module reduce to zero, and on a canonical
     basis all members of one coset reduce to the same element."""
     v = list(v)
-    if ctx.kind == "field":
+    if not ctx.p_image:
         K = ctx.coeff
         for row in basis:
             col = _lead(row)
@@ -182,13 +176,17 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
 
 
 def _span_logsize(ctx, basis) -> int:
-    """log_p of the span size, from the pivot valuations (canonical basis)."""
-    p = ctx.coeff.p
-    logs = _caps_log(ctx)
+    """log_base of the span size, from the pivots of a canonical basis:
+    each row adds the cap exponent of its pivot column less the pivot's
+    valuation, which is 0 over a field."""
+    if not ctx.p_image:
+        return len(basis)
+    nu1 = ctx.coeff.nu1
+    logs = ctx.caps_log
     total = 0
     for row in basis:
         col = _lead(row)
-        total += logs[col] - _val_p(p, row[col])
+        total += logs[col] - nu1(row[col])
     return total
 
 
@@ -224,41 +222,26 @@ class Subring:
 
     @property
     def dim(self) -> int:
-        if self.ctx.kind != "field":
+        if self.ctx.p_image:
             raise CtxMismatch("dim is the coefficient-field rank; use log_size")
         return len(self.basis)
 
     @property
     def log_size(self) -> int:
-        if self.ctx.kind == "field":
-            return len(self.basis)
         return _span_logsize(self.ctx, self.basis)
 
     @property
     def size(self) -> int:
-        if self.ctx.kind == "field":
-            return self.ctx.coeff.q ** len(self.basis)
-        return self.ctx.coeff.p**self.log_size
+        return self.ctx.base**self.log_size
 
     def elements(self) -> list[Element]:
-        """Every member, by closing the basis additively."""
+        """Every member: the sums of one scalar multiple of each row."""
         ctx = self.ctx
-        if ctx.kind == "field":
-            out = {ctx.zero()}
-            for row in self.basis:
-                scaled = [ctx.scalar_mul(c, row) for c in range(ctx.coeff.q)]
-                out = {ctx.add(v, s) for v in out for s in scaled}
-            return sorted(out)
-        seen = {ctx.zero()}
-        frontier = [ctx.zero()]
-        while frontier:
-            v = frontier.pop()
-            for row in self.basis:
-                w = ctx.add(v, row)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return sorted(seen)
+        out = {ctx.zero()}
+        for row in self.basis:
+            scaled = {ctx.scalar_mul(c, row) for c in ctx.coeff.elements()}
+            out = {ctx.add(v, s) for v in out for s in scaled}
+        return sorted(out)
 
     @property
     def cotangent(self) -> int:
@@ -302,16 +285,15 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
 
 
 def _exponent_points(S: Subring) -> tuple:
-    """The sorted valuation points read off the canonical basis."""
+    """The sorted valuation points read off the canonical basis: each row
+    contributes its own valuation and, when p != 0, those of its multiples
+    by powers of p that keep the pivot."""
     ctx = S.ctx
-    if ctx.kind == "field":
-        return tuple(sorted(_lead(row) for row in S.basis))
-    p = ctx.coeff.p
-    logs = _caps_log(ctx)
-    pts = []
-    for row in S.basis:
-        col = _lead(row)
-        pts.extend((col, b) for b in range(_val_p(p, row[col]), logs[col]))
+    nu = ctx.nu
+    pts = [nu(row) for row in S.basis]
+    if ctx.p_image:
+        logs = ctx.caps_log
+        pts += [(c, b) for c, a in pts for b in range(a + 1, logs[c])]
     return tuple(sorted(pts))
 
 
@@ -322,12 +304,7 @@ def exponent_set(S: Subring) -> Shape:
     with pivot p^a in column c contributes the points (c, a), ..., up to
     the cap of that column.
     """
-    ctx = S.ctx
-    if ctx.kind == "field":
-        domain = IntervalDomain(ctx.n)
-    else:
-        domain = GridDomain(ctx.n, ctx.coeff.N, ctx.k)
-    return Shape.of(domain, _exponent_points(S))
+    return Shape.of(S.ctx.domain, _exponent_points(S))
 
 
 # -- ideals and cotangent data ------------------------------------------------
@@ -348,11 +325,11 @@ def ideal_data(S: Subring) -> IdealData:
     ctx = S.ctx
     rows = S.basis
     # row 0 is the unique row with pivot in the constant column
-    if ctx.kind == "field":
+    p = ctx.p_image
+    if not p:
         m = rows[1:]
         sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
         return IdealData(m, sq, sq)
-    p = ctx.coeff.p
     m = canonicalize(ctx, [ctx.scalar_mul(p, rows[0]), *rows[1:]])
     sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
     small = canonicalize(ctx, list(sq) + [ctx.scalar_mul(p, r) for r in rows])
@@ -360,8 +337,6 @@ def ideal_data(S: Subring) -> IdealData:
 
 
 def _cotangent_of(ctx: RingCtx, data: IdealData) -> int:
-    if ctx.kind == "field":
-        return len(data.max_ideal) - len(data.square)
     return _span_logsize(ctx, data.max_ideal) - _span_logsize(ctx, data.small)
 
 
@@ -442,8 +417,7 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
     rows = [row[:n] for row in basis]
     tags = [(i, row[n:]) for i, row in enumerate(basis) if any(row[n:])]
     top = z[n - 1]
-    if ctx.kind == "field":
-        scalars = range(K.q)
+    if not ctx.p_image:
 
         def edited(x, lam, t):
             f = 0
@@ -452,7 +426,6 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
             return K.sub(x, K.mul(f, top)) if f else x
 
     else:
-        scalars = range(K.p)
         cap = ctx.caps[-1]
 
         def edited(x, lam, t):
@@ -460,7 +433,7 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
             return (x - f * top) % cap if f else x
 
     out = []
-    for lam in itertools.product(scalars, repeat=d):
+    for lam in itertools.product(range(ctx.base), repeat=d):
         lift = list(rows)
         for i, t in tags:
             r = rows[i]
@@ -524,9 +497,9 @@ def _gaussian_subspace_count(q: int, n: int) -> int:
 def _enumerate_subspace_scan(ctx) -> list[Subring]:
     """Filter every coefficient subspace for closure: echelon bases are
     generated directly from pivot sets and free entries."""
-    if ctx.kind != "field":
+    if ctx.p_image:
         raise CtxMismatch("the subspace scan needs a field coefficient ring")
-    q, n = ctx.coeff.q, ctx.n
+    q, n = ctx.base, ctx.n
     if _gaussian_subspace_count(q, n) > _SUBSPACE_LIMIT:
         raise TooLarge("too many subspaces to scan")
     one = ctx.one()
@@ -582,17 +555,21 @@ def _enumerate_closure_bfs(ctx) -> list[Subring]:
     return sorted(found, key=Subring.sort_key)
 
 
+def _quotient_chain(ctx: RingCtx) -> list:
+    """ctx and its iterated one-step quotients, down to the base ring."""
+    chain = [ctx]
+    while (below := quotient_ctx(chain[-1])) is not None:
+        chain.append(below)
+    return chain
+
+
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
     """Walk the quotient chain from the base coefficient ring upward; at
     each step every subring of the quotient contributes its preimage plus
     its isomorphic lifts, which together exhaust the next level."""
     if ctx.size > 1 << 20:
         raise TooLarge("ambient ring too large")
-    chain = [ctx]
-    cur = ctx
-    while (below := quotient_ctx(cur)) is not None:
-        chain.append(below)
-        cur = below
+    chain = _quotient_chain(ctx)
     chain.reverse()
     subs = [Subring.prime_ring(chain[0])]
     for step_ctx in chain[1:]:
@@ -615,7 +592,7 @@ def enumerate_subrings(ctx: RingCtx, method: str = "minimal_ext") -> list[Subrin
 
     Methods: "minimal_ext" (recursion along the quotient chain),
     "closure_bfs" (generator adjunction from the prime ring), and
-    "subspace_scan" (filter all subspaces; field kind only).
+    "subspace_scan" (filter all subspaces; field coefficients only).
     """
     if method == "minimal_ext":
         return _enumerate_minimal_ext(ctx)
@@ -641,16 +618,6 @@ class CensusRow:
     subrings: tuple[Subring, ...]
 
 
-def _bound(ctx: RingCtx, sh: Shape) -> tuple[int, int]:
-    """(base, exponent) of the census bound base^exponent for one shape."""
-    if ctx.kind == "field":
-        return ctx.coeff.q, e_bound(ctx.n, sh)
-    if ctx.coeff.N == 1:
-        # Z[x]/(p, x^n) is F_p[x]/x^n, with (i, 0) standing for exponent i
-        return ctx.coeff.p, e_bound(ctx.n, [i for i, _ in sh.elems])
-    return ctx.coeff.p, eps_bound(ctx.n, ctx.coeff.N, ctx.k, sh)
-
-
 def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
     """Group the subrings by exponent set: one row per realized shape,
     with the count, the matching power bound, and the cotangent data.
@@ -660,6 +627,11 @@ def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
     shape is built and validated once per row.
     """
     subs = enumerate_subrings(ctx, method)
+    base = ctx.base
+    # the bound walks the quotient chain, each step dropping the valuation
+    # of its kernel; p, when nonzero, takes one generator no step accounts for
+    tops = [c.nu(kernel_generator(c)) for c in _quotient_chain(ctx)[:-1]]
+    offset = 1 if ctx.p_image else 0
     groups: dict = {}
     for S in subs:
         groups.setdefault(_exponent_points(S), []).append(S)
@@ -667,7 +639,7 @@ def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
     for pts in sorted(groups):
         members = groups[pts]
         sh = exponent_set(members[0])
-        base, exp = _bound(ctx, sh)
+        exp = chain_bound(sh, tops, offset)
         rows.append(
             CensusRow(
                 shape=sh,

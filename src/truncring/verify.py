@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .rings import RingCtx, kernel_generator, project, quotient_ctx
-from .shapes import GridDomain, IntervalDomain, enumerate_shapes, is_realizable_zshape
+from .shapes import enumerate_shapes
 from .subrings import (
     Subring,
     _lift_row,
@@ -46,28 +46,6 @@ class CheckResult:
     name: str
     ok: bool
     violations: tuple[str, ...]
-
-
-def _domain(ctx: RingCtx):
-    if ctx.kind == "field":
-        return IntervalDomain(ctx.n)
-    return GridDomain(ctx.n, ctx.coeff.N, ctx.k)
-
-
-def _generator_offset(ctx: RingCtx) -> int:
-    """Shape generators that no cotangent direction accounts for: the point
-    (0, 1), the valuation of p, when the grid has it (N >= 2)."""
-    return 1 if ctx.kind == "zpn" and ctx.coeff.N > 1 else 0
-
-
-def _top(ctx: RingCtx):
-    """The top valuation point: the valuation of the quotient kernel."""
-    return ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
-
-
-def _base(ctx: RingCtx) -> int:
-    """The residue field size, the base of the census bounds."""
-    return ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
 
 
 # Each enumeration and census is computed once per run_suite call: the
@@ -99,7 +77,7 @@ def _nonzero_elements(ctx: RingCtx):
 def check_valuation_strict(ctx: RingCtx) -> list[str]:
     """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
     bad = []
-    dom = _domain(ctx)
+    dom = ctx.domain
     elems = _nonzero_elements(ctx)
     vals = {a: ctx.nu(a) for a in elems}
     zero = ctx.zero()
@@ -149,9 +127,10 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     for a in elems:
         buckets.setdefault(ctx.nu(a), []).append(a)
     zero = ctx.zero()
+    # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once
     for val, bucket in buckets.items():
-        for a in bucket:
-            for b in bucket:
+        for i, a in enumerate(bucket):
+            for b in bucket[i:]:
                 ok = False
                 for u in units:
                     diff = ctx.sub(a, ctx.scalar_mul(u, b))
@@ -178,19 +157,21 @@ def check_census_bound(ctx: RingCtx) -> list[str]:
 
 
 def check_realized_shapes(ctx: RingCtx) -> list[str]:
-    """The realized shapes are exactly the admissible ones: every shape for
-    the field kind, the shapes containing the zero column for the grid."""
+    """The realized shapes are exactly the admissible ones: every shape on
+    an interval, the shapes containing the zero column on a grid.  The
+    census also realizes exactly the shapes that contain the valuations of
+    the prime ring."""
     bad = []
     realized = {row.shape.elems for row in _census(ctx)}
-    admissible = {s.elems for s in enumerate_shapes(_domain(ctx), realizable_only=True)}
+    admissible = {s.elems for s in enumerate_shapes(ctx.domain, realizable_only=True)}
     for extra in sorted(realized - admissible):
         bad.append(f"shape {extra} realized but not admissible")
     for missing in sorted(admissible - realized):
         bad.append(f"shape {missing} admissible but never realized")
-    if ctx.kind == "zpn":
-        for s in enumerate_shapes(_domain(ctx)):
-            if (s.elems in realized) != is_realizable_zshape(s):
-                bad.append(f"realizability test disagrees with the census on {s.elems}")
+    prime = set(exponent_set(Subring.prime_ring(ctx)).elems)
+    for s in enumerate_shapes(ctx.domain):
+        if (s.elems in realized) != prime.issubset(s.elems):
+            bad.append(f"prime-ring containment disagrees with the census on {s.elems}")
     return bad
 
 
@@ -224,7 +205,7 @@ def check_lift_counts(ctx: RingCtx) -> list[str]:
         return []
     dst_ctx, src_subs, dst_subs = data
     z = kernel_generator(ctx)
-    base = _base(ctx)
+    base = ctx.base
     bad = []
     for B in dst_subs:
         ext = restricted_extension(B)
@@ -276,9 +257,9 @@ def check_kernel_minimality(ctx: RingCtx) -> list[str]:
     zero = ctx.zero()
     if ctx.mul(ctx.monomial(1) if ctx.n > 1 else zero, z) != zero:
         bad.append("x * kernel generator is nonzero")
-    if ctx.kind == "zpn" and ctx.scalar_mul(ctx.coeff.p, z) != zero:
+    if ctx.scalar_mul(ctx.p_image, z) != zero:
         bad.append("p * kernel generator is nonzero")
-    base = _base(ctx)
+    base = ctx.base
     multiples = {ctx.scalar_mul(c, z) for c in range(base)}
     if len(multiples) != base:
         bad.append(f"kernel has {len(multiples)} residue multiples, expected {base}")
@@ -312,13 +293,13 @@ def check_exponent_set_scan(ctx: RingCtx) -> list[str]:
 
 
 def check_cotangent_bound(ctx: RingCtx) -> list[str]:
-    """cotangent_dim <= shape generator count (strictly fewer on a grid
-    with N >= 2, where p consumes one generator)."""
+    """cotangent_dim <= shape generator count (strictly fewer when p != 0
+    in the ring, where p consumes one generator)."""
     bad = []
     for S in _subrings(ctx, "minimal_ext"):
         d_ring = cotangent_dim(S)
         d_shape = exponent_set(S).generator_count()
-        limit = d_shape - _generator_offset(ctx)
+        limit = d_shape - (1 if ctx.p_image else 0)
         if d_ring > limit:
             bad.append(f"{S!r}: cotangent {d_ring} exceeds {limit}")
     return bad
@@ -347,8 +328,8 @@ def check_tail_membership(ctx: RingCtx) -> list[str]:
     generators, the corresponding tail element lies in m^2."""
     if ctx.n < 2:
         return []
-    top = _top(ctx)
     tail = kernel_generator(ctx)
+    top = ctx.nu(tail)
     bad = []
     for S in _subrings(ctx, "minimal_ext"):
         sh = exponent_set(S)
@@ -364,7 +345,7 @@ def check_cotangent_propagation(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    off = _generator_offset(ctx)
+    off = 1 if ctx.p_image else 0
     bad = []
     for B in _subrings(dst_ctx, "minimal_ext"):
         R = restricted_extension(B).src
@@ -383,7 +364,7 @@ def check_projection_shape(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = _top(ctx)
+    top = ctx.nu(kernel_generator(ctx))
     bad = []
     for S in _subrings(ctx, "minimal_ext"):
         got = set(exponent_set(project_subring(S, dst_ctx)).elems)
@@ -401,8 +382,8 @@ def check_step_counts(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = _top(ctx)
-    base = _base(ctx)
+    top = ctx.nu(kernel_generator(ctx))
+    base = ctx.base
     src_rows = {row.shape.elems: row for row in _census(ctx)}
     dst_rows = {row.shape.elems: row for row in _census(dst_ctx)}
     bad = []
@@ -456,7 +437,7 @@ def check_projection_disjointness(ctx: RingCtx) -> list[str]:
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return []
-    top = _top(ctx)
+    top = ctx.nu(kernel_generator(ctx))
     seen: dict = {}
     bad = []
     for row in _census(ctx):
@@ -476,9 +457,8 @@ def check_enumerator_agreement(ctx: RingCtx) -> list[str]:
     bad = []
     if _subrings(ctx, "closure_bfs") != ref:
         bad.append("closure_bfs disagrees with minimal_ext")
-    if ctx.kind == "field":
-        if _subrings(ctx, "subspace_scan") != ref:
-            bad.append("subspace_scan disagrees with minimal_ext")
+    if not ctx.p_image and _subrings(ctx, "subspace_scan") != ref:
+        bad.append("subspace_scan disagrees with minimal_ext")
     return bad
 
 

@@ -27,7 +27,6 @@ from truncring import (
     run_suite,
     zpn_ring,
 )
-from truncring.verify import _domain
 
 FIELD_PARAMS = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 3)]
 Z_PARAMS = [
@@ -164,7 +163,7 @@ def test_criterion_6_z_family_censuses(z_censuses):
                 bad.append(f"{ctx!r} shape {row.shape.elems}: {row.count} > {row.bound}")
         realized = {row.shape.elems for row in rows}
         admissible = {
-            s.elems for s in enumerate_shapes(_domain(ctx)) if is_realizable_zshape(s)
+            s.elems for s in enumerate_shapes(ctx.domain) if is_realizable_zshape(s)
         }
         if realized != admissible:
             bad.append(f"{ctx!r}: realized {sorted(realized ^ admissible)} mismatch")

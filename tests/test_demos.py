@@ -1,6 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with and without python -O."""
 
+import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,15 +19,33 @@ def test_all_demos_found():
     assert DEMOS, "no demo scripts found"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_cleanly(demo):
+@functools.cache
+def _run(demo, *flags):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
+    return subprocess.run(
+        [sys.executable, *flags, str(demo)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_cleanly(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_output_unchanged_under_optimization(demo):
+    # python -O strips assert statements; the library must not depend on them
+    proc = _run(demo, "-O")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert _untimed(proc.stdout) == _untimed(_run(demo).stdout)
+
+
+def _untimed(stdout: str) -> str:
+    # wall-clock readings differ from run to run
+    return re.sub(r"\d+(\.\d+)? ms\b", "<t> ms", stdout)

@@ -251,6 +251,47 @@ class TestQuotientChain:
         assert {a for a in src.elements() if project(src, dst, a) in nonunits_dst} == nonunits_src
 
 
+# Small rings of both families: prime and extension fields, and Z rings
+# with N = 1, with k < N and with k = N.
+FACT_RINGS = [field_ring(q, n) for q, n in [(2, 4), (3, 3), (4, 3), (8, 2), (9, 2)]] + [
+    zpn_ring(2, 1, 4),
+    zpn_ring(3, 1, 3),
+    zpn_ring(2, 2, 1),
+    zpn_ring(2, 2, 3),
+    zpn_ring(2, 2, 3, 1),
+    zpn_ring(2, 3, 2, 2),
+    zpn_ring(3, 2, 2, 1),
+]
+
+
+class TestFamilyFacts:
+    """The facts each ring context carries, against oracles built from the
+    ring's parameters and its elements."""
+
+    @pytest.mark.parametrize("R", FACT_RINGS, ids=repr)
+    def test_caps_measure_the_ring(self, R):
+        if R.kind == "field":
+            base, size = R.coeff.q, R.coeff.q**R.n
+        else:
+            base, size = R.coeff.p, R.coeff.p ** (R.coeff.N * (R.n - 1) + R.k)
+        assert R.base == base
+        assert R.base ** sum(R.caps_log) == size
+        assert R.size == size == len(set(R.elements()))
+
+    @pytest.mark.parametrize("R", FACT_RINGS, ids=repr)
+    def test_domain_points_are_the_valuations(self, R):
+        zero = R.zero()
+        assert set(R.domain.points) == {R.nu(a) for a in R.elements() if a != zero}
+
+    @pytest.mark.parametrize("R", FACT_RINGS, ids=repr)
+    def test_p_image_is_p_times_one(self, R):
+        p_one = R.zero()
+        for _ in range(R.coeff.p):
+            p_one = R.add(p_one, R.one())
+        assert (R.p_image != 0) == (p_one != R.zero())
+        assert p_one == R.monomial(0, R.p_image)
+
+
 class TestStringGrammar:
     def test_parse_basic(self):
         R = field_ring(2, 4)

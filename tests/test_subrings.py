@@ -4,11 +4,16 @@ family."""
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import truncring
 from truncring import (
     CtxMismatch,
     FieldCtx,
@@ -590,6 +595,35 @@ class TestOnePassCensus:
         with pytest.raises(InvariantViolation):
             lift_isomorphic(ext)
 
+    def test_wrong_recorded_cotangent_raises_under_optimization(self):
+        # the invariant must not hang on assert, which python -O strips
+        script = """
+import sys
+from truncring import (InvariantViolation, Subring, closure, cotangent_dim,
+                       field_ring, lift_isomorphic, restricted_extension, zpn_ring)
+if __debug__:
+    sys.exit("not running under -O")
+cases = [(field_ring(2, 3), "x^2"), (field_ring(3, 4), "x^3"), (zpn_ring(2, 2, 2, 1), "2x")]
+for dst, gen in cases:
+    B = closure(dst, [dst.parse(gen)])
+    ext = restricted_extension(Subring(dst, B.basis, cotangent=cotangent_dim(B) + 1))
+    try:
+        lift_isomorphic(ext)
+    except InvariantViolation:
+        continue
+    sys.exit(f"no InvariantViolation on {dst!r}")
+"""
+        src = str(Path(truncring.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
 
 class TestPrimeCoefficientZRings:
     """Z[x]/(p, x^n) is F_p[x]/x^n; its census is the field census under
@@ -613,6 +647,22 @@ class TestPrimeCoefficientZRings:
             assert (zr.d_shape, zr.d_ring_values) == (fr.d_shape, fr.d_ring_values)
             assert [S.basis for S in zr.subrings] == [S.basis for S in fr.subrings]
             assert zr.bound_exp == e_bound(n, fr.shape)
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
+    def test_bases_and_cotangents_match_field_ring(self, p, n):
+        z_subs = enumerate_subrings(zpn_ring(p, 1, n))
+        f_subs = enumerate_subrings(field_ring(p, n))
+        assert [S.basis for S in z_subs] == [S.basis for S in f_subs]
+        assert [cotangent_dim(S) for S in z_subs] == [cotangent_dim(S) for S in f_subs]
+        assert [S.cotangent for S in z_subs] == [S.cotangent for S in f_subs]
+        assert [exponent_set(S).elems for S in z_subs] == [
+            tuple((i, 0) for i in exponent_set(S).elems) for S in f_subs
+        ]
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
+    def test_subspace_scan_matches_minimal_ext(self, p, n):
+        ctx = zpn_ring(p, 1, n)
+        assert enumerate_subrings(ctx, "subspace_scan") == enumerate_subrings(ctx)
 
 
 # -- closure_bfs adjoins one representative per coset ---------------------------

@@ -140,3 +140,5 @@ def test_unordered_pair_scans_report_a_planted_valuation(ctx, elem, wrong):
     assert verify.check_valuation_nonarchimedean(ctx) == []
     assert verify.check_valuation_strict(bad)
     assert verify.check_valuation_nonarchimedean(bad)
+    assert verify.check_valuation_monomial_like(ctx) == []
+    assert verify.check_valuation_monomial_like(bad)
