@@ -3,8 +3,6 @@
 Run:  python3 demos/03_field_census.py
 """
 
-import time
-
 from truncring import census, enumerate_subrings, exponent_set, field_ring
 
 
@@ -44,8 +42,8 @@ for q, n in [(2, 5), (2, 6), (3, 4), (4, 3)]:
 banner("independent enumeration strategies agree")
 
 ctx = field_ring(3, 5)
-for method in ("minimal_ext", "closure_bfs", "subspace_scan"):
-    t0 = time.perf_counter()
+ref = enumerate_subrings(ctx, "minimal_ext")
+print(f"  {'minimal_ext':14} -> {len(ref)} subrings")
+for method in ("closure_bfs", "subspace_scan"):
     subs = enumerate_subrings(ctx, method)
-    dt = time.perf_counter() - t0
-    print(f"  {method:14} -> {len(subs)} subrings in {dt * 1000:7.1f} ms")
+    print(f"  {method:14} -> {len(subs)} subrings, the same list: {subs == ref}")

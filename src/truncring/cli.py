@@ -27,6 +27,7 @@ from .subrings import (
     closure,
     cotangent_dim,
     counterexample_family,
+    enumerate_subrings,
     exponent_set,
     lift_isomorphic,
     restricted_extension,
@@ -128,7 +129,8 @@ def _parse_generators(ctx, text: str):
 
 
 def _cmd_census(args) -> int:
-    rows = census(_ring_from_args(args))
+    ctx = _ring_from_args(args)
+    rows = census(ctx, enumerate_subrings(ctx) if args.emit_bases else None)
     if args.format == "csv":
         _emit(_census_csv(rows), args.out)
     else:

@@ -49,9 +49,13 @@ class _TruncPolyCtx:
     * ``p_image``  -- the image of the integer p in the coefficient ring;
       it is 0 exactly when the coefficient ring is a field;
     * ``domain``   -- the exponent domain holding the values of ``nu``.
+
+    ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
+    once quotient_ctx or extension_ctx has built them, so every subring of
+    one level shares one context.
     """
 
-    __slots__ = ("coeff", "n")
+    __slots__ = ("coeff", "n", "_down", "_up")
 
     # -- constructors ------------------------------------------------------
 
@@ -139,7 +143,6 @@ class _TruncPolyCtx:
 class FieldPolyCtx(_TruncPolyCtx):
     """The ring F_q[x]/x^n."""
 
-    kind = "field"
     __slots__ = ()
     p_image = 0
 
@@ -148,6 +151,7 @@ class FieldPolyCtx(_TruncPolyCtx):
             raise ValueError(f"truncation order must be >= 1, got {n}")
         self.coeff = coeff
         self.n = n
+        self._down = self._up = None
 
     @property
     def base(self) -> int:
@@ -237,7 +241,6 @@ class FieldPolyCtx(_TruncPolyCtx):
 class ZpNPolyCtx(_TruncPolyCtx):
     """The ring Z[x]/(p^N, x^n, p^k x^{n-1})."""
 
-    kind = "zpn"
     __slots__ = ("k", "base", "caps_log", "caps", "p_image")
 
     def __init__(self, coeff: ZpNCtx, n: int, k: int):
@@ -255,6 +258,7 @@ class ZpNPolyCtx(_TruncPolyCtx):
         self.caps_log = (coeff.N,) * (n - 1) + (k,)
         self.caps = tuple(p**c for c in self.caps_log)
         self.p_image = p % coeff.size
+        self._down = self._up = None
 
     def _sibling(self, n: int, k: int) -> "ZpNPolyCtx":
         return ZpNPolyCtx(self.coeff, n, k)
@@ -363,21 +367,31 @@ def zpn_ring(p: int, N: int, n: int, k: int | None = None) -> ZpNPolyCtx:
 
 
 def quotient_ctx(ctx: RingCtx):
-    """The target of the next one-step quotient, or None at the base ring."""
+    """The target of the next one-step quotient, or None at the base ring.
+    Built once per context; its extension_ctx is ctx itself."""
     if ctx.n == 1:
         return None
-    k = ctx.caps_log[-1]
-    if k > 1:
-        return ctx._sibling(ctx.n, k - 1)
-    return ctx._sibling(ctx.n - 1, ctx.caps_log[0])
+    if ctx._down is None:
+        k = ctx.caps_log[-1]
+        if k > 1:
+            below = ctx._sibling(ctx.n, k - 1)
+        else:
+            below = ctx._sibling(ctx.n - 1, ctx.caps_log[0])
+        ctx._down, below._up = below, ctx
+    return ctx._down
 
 
 def extension_ctx(ctx: RingCtx) -> RingCtx:
-    """The source of the one-step quotient onto ctx (inverse of quotient_ctx)."""
-    k = ctx.caps_log[-1]
-    if k < ctx.caps_log[0]:
-        return ctx._sibling(ctx.n, k + 1)
-    return ctx._sibling(ctx.n + 1, 1)
+    """The source of the one-step quotient onto ctx (inverse of quotient_ctx).
+    Built once per context; its quotient_ctx is ctx itself."""
+    if ctx._up is None:
+        k = ctx.caps_log[-1]
+        if k < ctx.caps_log[0]:
+            above = ctx._sibling(ctx.n, k + 1)
+        else:
+            above = ctx._sibling(ctx.n + 1, 1)
+        ctx._up, above._down = above, ctx
+    return ctx._up
 
 
 def kernel_generator(src: RingCtx) -> Element:

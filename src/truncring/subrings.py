@@ -16,6 +16,7 @@ Z[x]/(p, x^n) takes the field path.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import CtxMismatch, InvariantViolation, NotMinimal, OutOfFamily, TooLarge
@@ -618,41 +619,98 @@ class CensusRow:
     subrings: tuple[Subring, ...]
 
 
-def census(ctx: RingCtx, method: str = "minimal_ext") -> list[CensusRow]:
-    """Group the subrings by exponent set: one row per realized shape,
-    with the count, the matching power bound, and the cotangent data.
+def _census_walk(ctx: RingCtx) -> dict:
+    """Exponent points -> Counter of cotangent dimensions over the subrings
+    of ctx, walking the quotient tree depth first.
 
-    One pass: the cotangent dimensions are the ones the enumeration
-    carries (minimal_ext records them along the quotient chain), and each
-    shape is built and validated once per row.
+    Every subring of a level has one parent, its image B one level down:
+    it is B's preimage or one of B's lifts.  Below the top level each B
+    yields its preimage and lifts, which the walk then visits.  The top
+    level is counted from its parents, not built: the preimage R counts
+    once with d(R), and an unobstructed B has base^d(B) lifts, each with
+    B's exponent points and d(B).
     """
-    subs = enumerate_subrings(ctx, method)
+    if ctx.size > 1 << 20:
+        raise TooLarge("ambient ring too large")
+    chain = _quotient_chain(ctx)
+    chain.reverse()
+    top = len(chain) - 1
+    base = ctx.base
+    rows = defaultdict(Counter)
+
+    def visit(B: Subring, level: int) -> None:
+        step_ctx = chain[level + 1]
+        ext = restricted_extension(B)
+        if ext.src.ctx != step_ctx:
+            raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {step_ctx!r}")
+        R = ext.src
+        if level + 1 < top:
+            visit(R, level + 1)
+            for L in lift_isomorphic(ext).lifts:
+                visit(L, level + 1)
+            return
+        rows[_exponent_points(R)][R.cotangent] += 1
+        if not ext.kernel_in_small:
+            d = B.cotangent
+            # lift_isomorphic's complement of size d, counted
+            if R.cotangent != d + 1:
+                raise InvariantViolation(
+                    f"preimage cotangent dimension {R.cotangent} for parent dimension {d}"
+                )
+            rows[_exponent_points(B)][d] += base**d
+
+    prime = Subring.prime_ring(chain[0])
+    if top:
+        visit(prime, 0)
+    else:
+        rows[_exponent_points(prime)][prime.cotangent] += 1
+    return rows
+
+
+def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
+    """One row per realized shape, with the count, the matching power
+    bound, and the cotangent data.
+
+    Without subrings the census walks the quotient tree and counts its top
+    level (see _census_walk), and each row's subrings is ().  Given an
+    enumeration of ctx, it groups those subrings instead and keeps them in
+    their rows.  Either way the cotangent dimensions are the ones the
+    quotient-chain recursion carries.
+    """
+    if subrings is None:
+        rows, members = _census_walk(ctx), {}
+    else:
+        rows, members = defaultdict(Counter), defaultdict(list)
+        for S in subrings:
+            if S.ctx != ctx:
+                raise CtxMismatch(f"a subring of {S.ctx!r} in the census of {ctx!r}")
+            pts = _exponent_points(S)
+            members[pts].append(S)
+            rows[pts][S.cotangent] += 1
     base = ctx.base
     # the bound walks the quotient chain, each step dropping the valuation
     # of its kernel; p, when nonzero, takes one generator no step accounts for
     tops = [c.nu(kernel_generator(c)) for c in _quotient_chain(ctx)[:-1]]
     offset = 1 if ctx.p_image else 0
-    groups: dict = {}
-    for S in subs:
-        groups.setdefault(_exponent_points(S), []).append(S)
-    rows = []
-    for pts in sorted(groups):
-        members = groups[pts]
-        sh = exponent_set(members[0])
+    out = []
+    for pts in sorted(rows):
+        dims = rows[pts]
+        count = sum(dims.values())
+        sh = Shape.of(ctx.domain, pts)
         exp = chain_bound(sh, tops, offset)
-        rows.append(
+        out.append(
             CensusRow(
                 shape=sh,
-                count=len(members),
+                count=count,
                 bound_exp=exp,
                 bound=base**exp,
-                equality=len(members) == base**exp,
+                equality=count == base**exp,
                 d_shape=sh.generator_count(),
-                d_ring_values=tuple(sorted(S.cotangent for S in members)),
-                subrings=tuple(members),
+                d_ring_values=tuple(sorted(dims.elements())),
+                subrings=tuple(members.get(pts, ())),
             )
         )
-    return rows
+    return out
 
 
 # -- the generator-gap family ----------------------------------------------------

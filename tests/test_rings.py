@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from truncring import (
     CtxMismatch,
+    FieldPolyCtx,
     GridDomain,
     NotAQuotient,
     PolyParseError,
@@ -95,7 +96,7 @@ class TestValuation:
         return [a for a in R.elements() if a != zero]
 
     def _domain(self, R):
-        if R.kind == "field":
+        if isinstance(R, FieldPolyCtx):
             from truncring import IntervalDomain
 
             return IntervalDomain(R.n)
@@ -193,6 +194,16 @@ class TestQuotientChain:
         with pytest.raises(NotAQuotient):
             kernel_generator(field_ring(2, 1))
 
+    @pytest.mark.parametrize("R", [field_ring(2, 4), zpn_ring(2, 2, 3, 1), zpn_ring(3, 2, 2, 2)], ids=repr)
+    def test_neighbours_are_built_once(self, R):
+        # one context per level of the chain, shared in both directions
+        below = quotient_ctx(R)
+        assert quotient_ctx(R) is below
+        assert extension_ctx(below) is R
+        above = extension_ctx(R)
+        assert extension_ctx(R) is above
+        assert quotient_ctx(above) is R
+
     def test_k_zero_is_the_shorter_ring(self):
         assert zpn_ring(2, 2, 3, 0) == zpn_ring(2, 2, 2)
         with pytest.raises(ValueError):
@@ -240,7 +251,7 @@ class TestQuotientChain:
         assert image == set(dst.elements())
         z = kernel_generator(src)
         kernel = {a for a in els if project(src, dst, a) == dst.zero()}
-        base = src.coeff.q if src.kind == "field" else src.coeff.p
+        base = src.base
         assert kernel == {src.scalar_mul(c, z) for c in range(base)}
 
     def test_projection_matches_maximal_ideals(self):
@@ -270,7 +281,7 @@ class TestFamilyFacts:
 
     @pytest.mark.parametrize("R", FACT_RINGS, ids=repr)
     def test_caps_measure_the_ring(self, R):
-        if R.kind == "field":
+        if isinstance(R, FieldPolyCtx):
             base, size = R.coeff.q, R.coeff.q**R.n
         else:
             base, size = R.coeff.p, R.coeff.p ** (R.coeff.N * (R.n - 1) + R.k)

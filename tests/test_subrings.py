@@ -2,6 +2,7 @@
 across one-step quotients, enumeration, censuses, and the generator-gap
 family."""
 
+import dataclasses
 import functools
 import itertools
 import os
@@ -17,6 +18,7 @@ import truncring
 from truncring import (
     CtxMismatch,
     FieldCtx,
+    FieldPolyCtx,
     InvariantViolation,
     MinimalExtension,
     NotMinimal,
@@ -41,12 +43,13 @@ from truncring import (
     restricted_extension,
     zpn_ring,
 )
+from truncring import subrings
 from truncring.subrings import _reduce
 
 
 def module_span(ctx, rows):
     """Oracle: the additive span of all coefficient multiples of the rows."""
-    if ctx.kind == "field":
+    if isinstance(ctx, FieldPolyCtx):
         gens = [ctx.scalar_mul(c, r) for r in rows for c in range(ctx.coeff.q)]
     else:
         gens = list(rows)
@@ -64,7 +67,7 @@ def module_span(ctx, rows):
 
 def random_rows(ctx, data):
     k = data.draw(st.integers(1, 3))
-    if ctx.kind == "field":
+    if isinstance(ctx, FieldPolyCtx):
         el = st.tuples(*(st.integers(0, ctx.coeff.q - 1) for _ in range(ctx.n)))
     else:
         el = st.tuples(*(st.integers(0, c - 1) for c in ctx.caps))
@@ -305,7 +308,7 @@ class TestExtensionsAndLifts:
     )
     def test_lift_family_contract(self, dst):
         # counts, projection fidelity, kernel avoidance, and obstruction containment
-        base = dst.coeff.q if dst.kind == "field" else dst.coeff.p
+        base = dst.base
         for B in enumerate_subrings(dst):
             ext = restricted_extension(B)
             fam = lift_isomorphic(ext)
@@ -444,7 +447,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("ctx", [field_ring(2, 5), zpn_ring(2, 2, 3, 2)], ids=repr)
     def test_counts_stay_within_bounds(self, ctx):
-        for row in census(ctx):
+        for row in census(ctx, enumerate_subrings(ctx)):
             assert 1 <= row.count <= row.bound
             assert row.equality == (row.count == row.bound)
             assert len(row.subrings) == row.count == len(row.d_ring_values)
@@ -453,9 +456,9 @@ class TestCensus:
     def test_distinct_low_shapes_project_apart(self, ctx):
         # fibers over different shapes that omit the top point never meet
         dst = quotient_ctx(ctx)
-        top = ctx.n - 1 if ctx.kind == "field" else (ctx.n - 1, ctx.k - 1)
+        top = ctx.n - 1 if isinstance(ctx, FieldPolyCtx) else (ctx.n - 1, ctx.k - 1)
         seen = {}
-        for row in census(ctx):
+        for row in census(ctx, enumerate_subrings(ctx)):
             if top in row.shape.elems:
                 continue
             for S in row.subrings:
@@ -562,14 +565,14 @@ class TestOnePassCensus:
 
     @pytest.mark.parametrize("ctx", COTANGENT_RINGS, ids=repr)
     def test_census_cotangent_values_match_direct_computation(self, ctx):
-        for row in census(ctx):
+        for row in census(ctx, enumerate_subrings(ctx)):
             assert row.d_ring_values == tuple(sorted(cotangent_dim(S) for S in row.subrings))
 
     @pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=repr)
     def test_lift_families_match_brute_force_scan(self, ctx):
         dst = quotient_ctx(ctx)
         z = kernel_generator(ctx)
-        base = ctx.coeff.q if ctx.kind == "field" else ctx.coeff.p
+        base = ctx.base
         src_subs = bfs_subrings(ctx)
         for B in enumerate_subrings(dst):
             ext = restricted_extension(B)
@@ -632,8 +635,9 @@ class TestPrimeCoefficientZRings:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_census_matches_field_census(self, p, n):
-        z_rows = census(zpn_ring(p, 1, n))
-        f_rows = census(field_ring(p, n))
+        z_ring, f_ring = zpn_ring(p, 1, n), field_ring(p, n)
+        z_rows = census(z_ring, enumerate_subrings(z_ring))
+        f_rows = census(f_ring, enumerate_subrings(f_ring))
         assert [tuple(i for i, _ in r.shape.elems) for r in z_rows] == [
             r.shape.elems for r in f_rows
         ]
@@ -663,6 +667,172 @@ class TestPrimeCoefficientZRings:
     def test_subspace_scan_matches_minimal_ext(self, p, n):
         ctx = zpn_ring(p, 1, n)
         assert enumerate_subrings(ctx, "subspace_scan") == enumerate_subrings(ctx)
+
+
+# -- the census walk against the grouped enumeration ----------------------------
+#
+# census(ctx) walks the quotient tree and counts the top level from its
+# parents; census(ctx, enumerate_subrings(ctx)) groups the materialised
+# subrings.  Every row field but subrings must agree.
+
+WALK_RINGS = COTANGENT_RINGS + [
+    *(zpn_ring(p, 1, n) for p in (2, 3) for n in range(1, 6)),
+    field_ring(2, 1),
+    zpn_ring(2, 3, 1),
+]
+
+
+def assert_walk_matches_grouped(ctx):
+    walked = census(ctx)
+    grouped = census(ctx, enumerate_subrings(ctx))
+    assert all(row.subrings == () for row in walked)
+    assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
+    assert all(row.count <= row.bound for row in walked)
+
+
+@st.composite
+def field_params(draw):
+    # (q, n) with at most 1024 elements
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    n = draw(st.integers(1, max(n for n in range(1, 11) if q**n <= 1024)))
+    return q, n
+
+
+@st.composite
+def z_params(draw):
+    # (p, N, n, k) with N = 1 and k < N included, at most 2048 elements
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if p ** (N * (n - 1) + 1) <= 2048)))
+    if n == 1:
+        return p, N, n, N
+    k = draw(st.integers(1, max(k for k in range(1, N + 1) if p ** (N * (n - 1) + k) <= 2048)))
+    return p, N, n, k
+
+
+def _plant_parent_cotangent(monkeypatch, ctx):
+    """Make restricted_extension record d + 1 on every preimage one level
+    below ctx, the parents of ctx's top level; returns the planted list."""
+    parent_ctx = quotient_ctx(ctx)
+    inner = subrings.restricted_extension
+    planted = []
+
+    def planting(B):
+        ext = inner(B)
+        if ext.src.ctx == parent_ctx:
+            ext.src._cotangent = ext.src.cotangent + 1
+            planted.append(ext.src)
+        return ext
+
+    monkeypatch.setattr(subrings, "restricted_extension", planting)
+    return planted
+
+
+# Their top steps add a column.  On a k-step the kernel generator is p times
+# the one below, so it lies in every parent preimage's obstruction module:
+# those parents are all obstructed and the walk never reads their plant.
+PLANT_RINGS = [field_ring(2, 4), field_ring(3, 4), zpn_ring(2, 2, 3, 1), zpn_ring(3, 2, 3, 1)]
+
+
+class TestCensusWalk:
+    @pytest.mark.parametrize("ctx", WALK_RINGS, ids=repr)
+    def test_walk_matches_grouped_census(self, ctx):
+        assert_walk_matches_grouped(ctx)
+
+    @given(field_params())
+    @settings(max_examples=30, deadline=None)
+    def test_walk_matches_grouped_census_on_fields(self, params):
+        assert_walk_matches_grouped(field_ring(*params))
+
+    @given(z_params())
+    @settings(max_examples=30, deadline=None)
+    def test_walk_matches_grouped_census_on_z_rings(self, params):
+        assert_walk_matches_grouped(zpn_ring(*params))
+
+    def test_grouped_census_rejects_foreign_subrings(self):
+        with pytest.raises(CtxMismatch):
+            census(field_ring(2, 4), enumerate_subrings(field_ring(2, 3)))
+
+    def test_subrings_of_one_level_share_one_context(self):
+        R = field_ring(2, 11)
+        subs = enumerate_subrings(R)
+        assert len({id(S.ctx) for S in subs}) == 1
+        assert subs[0].ctx is R
+
+    @pytest.mark.parametrize("ctx", PLANT_RINGS, ids=repr)
+    def test_wrong_parent_cotangent_is_an_invariant_violation(self, ctx, monkeypatch):
+        census(ctx)
+        planted = _plant_parent_cotangent(monkeypatch, ctx)
+        with pytest.raises(InvariantViolation):
+            census(ctx)
+        assert planted
+
+    def test_wrong_parent_cotangent_raises_under_optimization(self):
+        # the counted-top check must not hang on assert, which python -O strips
+        script = """
+import sys
+from truncring import InvariantViolation, census, field_ring, quotient_ctx, subrings, zpn_ring
+if __debug__:
+    sys.exit("not running under -O")
+inner = subrings.restricted_extension
+for ctx in [field_ring(2, 4), field_ring(3, 4), zpn_ring(2, 2, 3, 1), zpn_ring(3, 2, 3, 1)]:
+    parent_ctx = quotient_ctx(ctx)
+
+    def planting(B):
+        ext = inner(B)
+        if ext.src.ctx == parent_ctx:
+            ext.src._cotangent = ext.src.cotangent + 1
+        return ext
+
+    subrings.restricted_extension = planting
+    try:
+        census(ctx)
+    except InvariantViolation:
+        continue
+    finally:
+        subrings.restricted_extension = inner
+    sys.exit(f"no InvariantViolation on {ctx!r}")
+"""
+        src = str(Path(truncring.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _moduli(p, e):
+    """Every modulus FieldCtx accepts for F_(p^e), by trying each monic
+    polynomial of degree e."""
+    out = []
+    for tail in itertools.product(range(p), repeat=e):
+        try:
+            FieldCtx(p, e, tail + (1,))
+        except ValueError:
+            continue
+        out.append(tail + (1,))
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_is_independent_of_the_modulus(p, e, n):
+    moduli = _moduli(p, e)
+    # (p^e - p) / e monic irreducibles of prime degree e
+    assert len(moduli) == (p**e - p) // e
+
+    def rows(modulus):
+        return [
+            (r.shape.elems, r.count, r.bound, r.d_ring_values)
+            for r in census(field_ring(p**e, n, modulus))
+        ]
+
+    ref = rows(None)
+    assert all(rows(mod) == ref for mod in moduli)
 
 
 # -- closure_bfs adjoins one representative per coset ---------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from truncring import TooLarge, field_ring, quotient_ctx, run_suite, verify, zpn_ring
+from truncring import FieldPolyCtx, TooLarge, field_ring, quotient_ctx, run_suite, verify, zpn_ring
 from truncring.verify import SUITES
 
 
@@ -81,9 +81,9 @@ class TestMemo:
             seen[ctx, method] += 1
             return inner_enum(ctx, method)
 
-        def counting_census(ctx):
+        def counting_census(ctx, subrings=None):
             seen[ctx, "census"] += 1
-            return inner_census(ctx)
+            return inner_census(ctx, subrings)
 
         monkeypatch.setattr(verify, "enumerate_subrings", counting_enum)
         monkeypatch.setattr(verify, "census", counting_census)
@@ -122,7 +122,9 @@ def _planted(ctx, elem, wrong):
         def nu(self, a):
             return wrong if a == elem else super().nu(a)
 
-    return Planted(ctx.coeff, ctx.n) if ctx.kind == "field" else Planted(ctx.coeff, ctx.n, ctx.k)
+    if isinstance(ctx, FieldPolyCtx):
+        return Planted(ctx.coeff, ctx.n)
+    return Planted(ctx.coeff, ctx.n, ctx.k)
 
 
 @pytest.mark.parametrize(
