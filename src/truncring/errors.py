@@ -29,6 +29,15 @@ class TooLarge(ValueError):
     """Requested computation exceeds the supported desk scale."""
 
 
+class SkippedChecks(TooLarge):
+    """A verify suite ran, but some checks exceeded the desk scale.
+    results holds every check's result, the skipped ones marked."""
+
+    def __init__(self, message: str, results):
+        super().__init__(message)
+        self.results = results
+
+
 class OutOfFamily(ValueError):
     """Parameter lies outside the range covered by the construction."""
 

@@ -11,6 +11,14 @@ Both families run one code path.  Where the two differ, the ring's own
 p_image decides: p = 0 in the ring exactly when the coefficients form a
 field, F_q or Z/p.  Over Z/p the Howell form is the echelon form, so
 Z[x]/(p, x^n) takes the field path.
+
+Subrings of F_2[x]/x^n keep their canonical rows packed into ints, and the
+quotient-chain code (restricted_extension, ideal_data, lift_isomorphic,
+the census walk) runs on those rows: echelon form by XOR on the pivot bit,
+ring products by shift-and-XOR.  Tuples appear only at the API boundary:
+Subring.basis, the IdealData fields and canonicalize return tuples, built
+when read.  The tuple kernels stay the reference the packed ones are
+tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .shapes import Shape, chain_bound, minimal_generators
 
 _AMBIENT_LIMIT = 4096
 _SUBSPACE_LIMIT = 200_000
+# ambient size up to which the quotient chain is walked
+_CHAIN_LIMIT = 1 << 20
 
 
 # -- canonical row bases -----------------------------------------------------
@@ -191,23 +201,127 @@ def _span_logsize(ctx, basis) -> int:
     return total
 
 
+# -- packed F_2 rows -----------------------------------------------------------
+#
+# A 0/1 row of width w packs into an int with column 0 as its most
+# significant bit.  Int order is then tuple order, a row's pivot column is
+# w - bit_length(), tag columns appended after the ring columns are the low
+# bits, and truncating a product to n columns is a right shift.
+
+
+def _packs(ctx: RingCtx) -> bool:
+    """Whether subrings of ctx keep packed rows: exactly over F_2[x]/x^n.
+    The Z family keeps tuple rows, Z[x]/(2, x^n) included."""
+    return isinstance(ctx, FieldPolyCtx) and ctx.coeff.q == 2
+
+
+def _pack(row) -> int:
+    v = 0
+    for x in row:
+        v = v << 1 | x
+    return v
+
+
+def _unpack(v: int, width: int) -> Element:
+    return tuple(map(int, format(v, f"0{width}b")))
+
+
+def _xor_echelon(rows) -> tuple[int, ...]:
+    """The packed _rref: reduced echelon form over F_2, zero rows dropped,
+    rows in decreasing order (increasing pivot column)."""
+    lead = {}
+    for r in rows:
+        while r:
+            b = r.bit_length()
+            s = lead.get(b)
+            if s is None:
+                lead[b] = r
+                break
+            r ^= s
+    out = []
+    for b in sorted(lead):
+        r = lead[b]
+        # the rows in out have lower pivots and are reduced: XOR with one
+        # clears its pivot bit in r and sets no other pivot bit
+        for s in out:
+            r = min(r, r ^ s)
+        out.append(r)
+    out.reverse()
+    return tuple(out)
+
+
+def _xor_reduce(rows, v: int) -> int:
+    """The packed _reduce: v with every pivot bit of the canonical rows
+    cleared."""
+    for r in rows:
+        v = min(v, v ^ r)
+    return v
+
+
+def _xor_mul(a: int, b: int, n: int) -> int:
+    """The packed product in F_2[x]/x^n: a carry-less product by shift and
+    XOR, then the right shift that drops the columns at or past n."""
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low
+        b ^= low
+    return out >> (n - 1)
+
+
+def _xor_lift_bases(n: int, w, small) -> list:
+    """The packed _lift_bases over F_2, where z = x^(n-1) is the row 1: the
+    tag of w_i is bit d-1-i, so the scalar tuple c read as a d-bit int
+    flips column n-1 of a row by the parity of c & (its tags)."""
+    d = len(w)
+    tagged = [1 << (n - 1 + d)]
+    tagged += [wi << d | 1 << (d - 1 - i) for i, wi in enumerate(w)]
+    tagged += [s << d for s in small]
+    basis = _xor_echelon(tagged)
+    if any(row.bit_length() <= d + 1 for row in basis):
+        raise InvariantViolation("the kernel column of a lift family carries a pivot")
+    mask = (1 << d) - 1
+    rows = tuple(row >> d for row in basis)
+    tags = [(i, row & mask) for i, row in enumerate(basis) if row & mask]
+    out = []
+    for c in range(1 << d):
+        lift = list(rows)
+        for i, t in tags:
+            if (c & t).bit_count() & 1:
+                lift[i] ^= 1
+        out.append(tuple(lift))
+    return out
+
+
 # -- subrings ----------------------------------------------------------------
 
 
 class Subring:
     """A unital, multiplicatively closed module, held by canonical basis.
 
+    _rows is the canonical basis as the kernels hold it: packed ints when
+    _packs(ctx), the basis tuples otherwise.  basis gives the tuples; for
+    packed rows they are unpacked on first read.
+
     The cotangent dimension is memoised: the quotient-chain enumeration
     records it when it makes the subring, and any other subring computes
     it with cotangent_dim on first use.
     """
 
-    __slots__ = ("ctx", "basis", "_cotangent")
+    __slots__ = ("ctx", "_rows", "_basis", "_cotangent")
 
     def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None):
         self.ctx = ctx
-        self.basis = tuple(tuple(r) for r in basis)
+        self._basis = tuple(tuple(r) for r in basis)
+        self._rows = tuple(map(_pack, self._basis)) if _packs(ctx) else self._basis
         self._cotangent = cotangent
+
+    @classmethod
+    def _from_packed(cls, ctx: RingCtx, rows: tuple[int, ...], cotangent: int | None = None):
+        """The subring of an F_2 ring with these canonical packed rows."""
+        S = cls.__new__(cls)
+        S.ctx, S._rows, S._basis, S._cotangent = ctx, rows, None, cotangent
+        return S
 
     @classmethod
     def from_rows(cls, ctx: RingCtx, rows) -> "Subring":
@@ -216,20 +330,32 @@ class Subring:
     @classmethod
     def prime_ring(cls, ctx: RingCtx) -> "Subring":
         """The span of 1: the image of the prime coefficient ring."""
+        if _packs(ctx):
+            return cls._from_packed(ctx, (1 << ctx.n - 1,))
         return cls.from_rows(ctx, [ctx.one()])
 
+    @property
+    def basis(self) -> tuple[Element, ...]:
+        if self._basis is None:
+            n = self.ctx.n
+            self._basis = tuple(_unpack(r, n) for r in self._rows)
+        return self._basis
+
     def contains(self, v: Element) -> bool:
+        if _packs(self.ctx):
+            self.ctx._check(v)
+            return not _xor_reduce(self._rows, _pack(v))
         return in_row_span(self.ctx, self.basis, v)
 
     @property
     def dim(self) -> int:
         if self.ctx.p_image:
             raise CtxMismatch("dim is the coefficient-field rank; use log_size")
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def log_size(self) -> int:
-        return _span_logsize(self.ctx, self.basis)
+        return _span_logsize(self.ctx, self._rows)
 
     @property
     def size(self) -> int:
@@ -255,14 +381,19 @@ class Subring:
         """(log size, basis): the same order as (size, basis)."""
         return (self.log_size, self.basis)
 
+    def _key(self):
+        """sort_key's order without the tuples: packed rows order as
+        their tuples do."""
+        return (self.log_size, self._rows)
+
     def __eq__(self, other):
-        return isinstance(other, Subring) and self.ctx == other.ctx and self.basis == other.basis
+        return isinstance(other, Subring) and self.ctx == other.ctx and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.ctx, self.basis))
+        return hash((self.ctx, self._rows))
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key() < other._key()
 
     def __repr__(self):
         polys = ", ".join(self.ctx.format(r) for r in self.basis)
@@ -290,6 +421,9 @@ def _exponent_points(S: Subring) -> tuple:
     contributes its own valuation and, when p != 0, those of its multiples
     by powers of p that keep the pivot."""
     ctx = S.ctx
+    if _packs(ctx):
+        n = ctx.n
+        return tuple(sorted(n - r.bit_length() for r in S._rows))
     nu = ctx.nu
     pts = [nu(row) for row in S.basis]
     if ctx.p_image:
@@ -315,30 +449,53 @@ def exponent_set(S: Subring) -> Shape:
 class IdealData:
     """Canonical bases for the maximal ideal m, its square, and the
     obstruction module (m^2 over a field, m^2 + pR in mixed
-    characteristic)."""
+    characteristic), held as the kernels of ctx hold rows (see Subring);
+    max_ideal, square and small give them as tuples."""
 
-    max_ideal: tuple[Element, ...]
-    square: tuple[Element, ...]
-    small: tuple[Element, ...]
+    ctx: RingCtx
+    max_rows: tuple
+    square_rows: tuple
+    small_rows: tuple
+
+    def _tuples(self, rows) -> tuple[Element, ...]:
+        if _packs(self.ctx):
+            return tuple(_unpack(r, self.ctx.n) for r in rows)
+        return rows
+
+    @property
+    def max_ideal(self) -> tuple[Element, ...]:
+        return self._tuples(self.max_rows)
+
+    @property
+    def square(self) -> tuple[Element, ...]:
+        return self._tuples(self.square_rows)
+
+    @property
+    def small(self) -> tuple[Element, ...]:
+        return self._tuples(self.small_rows)
 
 
 def ideal_data(S: Subring) -> IdealData:
     ctx = S.ctx
-    rows = S.basis
+    rows = S._rows
     # row 0 is the unique row with pivot in the constant column
     p = ctx.p_image
     if not p:
         m = rows[1:]
-        sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
-        return IdealData(m, sq, sq)
+        if _packs(ctx):
+            n = ctx.n
+            sq = _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
+        else:
+            sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+        return IdealData(ctx, m, sq, sq)
     m = canonicalize(ctx, [ctx.scalar_mul(p, rows[0]), *rows[1:]])
     sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
     small = canonicalize(ctx, list(sq) + [ctx.scalar_mul(p, r) for r in rows])
-    return IdealData(m, sq, small)
+    return IdealData(ctx, m, sq, small)
 
 
 def _cotangent_of(ctx: RingCtx, data: IdealData) -> int:
-    return _span_logsize(ctx, data.max_ideal) - _span_logsize(ctx, data.small)
+    return _span_logsize(ctx, data.max_rows) - _span_logsize(ctx, data.small_rows)
 
 
 def cotangent_dim(S: Subring) -> int:
@@ -377,11 +534,18 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     read off the ideal data computed here."""
     src_ctx = extension_ctx(B.ctx)
     z = kernel_generator(src_ctx)
-    rows = [_lift_row(src_ctx, r) for r in B.basis] + [z]
-    R = Subring.from_rows(src_ctx, rows)
-    data = ideal_data(R)
+    if _packs(src_ctx):
+        # over a field each step adds the column n-1, where z = x^(n-1) is
+        # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
+        R = Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,))
+        data = ideal_data(R)
+        in_small = not _xor_reduce(data.small_rows, 1)
+    else:
+        rows = [_lift_row(src_ctx, r) for r in B.basis] + [z]
+        R = Subring.from_rows(src_ctx, rows)
+        data = ideal_data(R)
+        in_small = in_row_span(src_ctx, data.small, z)
     R._cotangent = _cotangent_of(src_ctx, data)
-    in_small = in_row_span(src_ctx, data.small, z)
     return MinimalExtension(R, B, z, True, in_small, data)
 
 
@@ -464,20 +628,27 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     ctx = ext.src.ctx
     z = ext.kernel_gen
     data = ideal_data(ext.src) if ext.src_ideal is None else ext.src_ideal
-    small = data.small
+    small = data.small_rows
     # m / (small + z) is a vector space over the residue field, so the rows
     # of m's canonical basis whose pivot is not one of (small + z)'s pivots
     # form a complement.
-    grown = {_pivot(r) for r in canonicalize(ctx, [*small, z])}
-    w = [r for r in data.max_ideal if _pivot(r) not in grown]
+    if _packs(ctx):
+        grown = {r.bit_length() for r in _xor_echelon([*small, 1])}
+        w = [r for r in data.max_rows if r.bit_length() not in grown]
+    else:
+        grown = {_pivot(r) for r in canonicalize(ctx, [*small, z])}
+        w = [r for r in data.max_rows if _pivot(r) not in grown]
     if len(w) != d:
         raise InvariantViolation(
             f"complement of size {len(w)} for target cotangent dimension {d}"
         )
-    lifts = [Subring(ctx, b, cotangent=d) for b in _lift_bases(ctx, z, w, small)]
-    if len({L.basis for L in lifts}) != len(lifts):
+    if _packs(ctx):
+        lifts = [Subring._from_packed(ctx, b, d) for b in _xor_lift_bases(ctx.n, w, small)]
+    else:
+        lifts = [Subring(ctx, b, cotangent=d) for b in _lift_bases(ctx, z, w, small)]
+    if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
-    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=Subring.sort_key)))
+    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=Subring._key)))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -529,7 +700,7 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
                     for j in range(i, dim)
                 ):
                     found.append(S)
-    return sorted(found, key=Subring.sort_key)
+    return sorted(found, key=Subring._key)
 
 
 def _enumerate_closure_bfs(ctx) -> list[Subring]:
@@ -553,7 +724,7 @@ def _enumerate_closure_bfs(ctx) -> list[Subring]:
             if T not in found:
                 found.add(T)
                 frontier.append(T)
-    return sorted(found, key=Subring.sort_key)
+    return sorted(found, key=Subring._key)
 
 
 def _quotient_chain(ctx: RingCtx) -> list:
@@ -568,7 +739,7 @@ def _enumerate_minimal_ext(ctx) -> list[Subring]:
     """Walk the quotient chain from the base coefficient ring upward; at
     each step every subring of the quotient contributes its preimage plus
     its isomorphic lifts, which together exhaust the next level."""
-    if ctx.size > 1 << 20:
+    if ctx.size > _CHAIN_LIMIT:
         raise TooLarge("ambient ring too large")
     chain = _quotient_chain(ctx)
     chain.reverse()
@@ -581,9 +752,9 @@ def _enumerate_minimal_ext(ctx) -> list[Subring]:
                 raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {step_ctx!r}")
             nxt.append(ext.src)
             nxt.extend(lift_isomorphic(ext).lifts)
-        if len({S.basis for S in nxt}) != len(nxt):
+        if len({S._rows for S in nxt}) != len(nxt):
             raise InvariantViolation("preimages and lifts must not collide")
-        subs = sorted(nxt, key=Subring.sort_key)
+        subs = sorted(nxt, key=Subring._key)
     return subs
 
 
@@ -630,7 +801,7 @@ def _census_walk(ctx: RingCtx) -> dict:
     once with d(R), and an unobstructed B has base^d(B) lifts, each with
     B's exponent points and d(B).
     """
-    if ctx.size > 1 << 20:
+    if ctx.size > _CHAIN_LIMIT:
         raise TooLarge("ambient ring too large")
     chain = _quotient_chain(ctx)
     chain.reverse()

@@ -13,6 +13,10 @@ empty list means the law held everywhere.  Suites bundle the checks:
 * ``props``     -- dimension/size laws, cotangent bounds, the lifting
   equivalence, tail membership, quotient-step counting, and ideal
   correspondence under projection.
+
+A check that cannot run at the ring's scale raises TooLarge.  run_suite
+then records it as skipped and goes on with the next check; when any was
+skipped it raises SkippedChecks, which carries every result.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import TooLarge
+from .errors import SkippedChecks, TooLarge
 from .rings import RingCtx, kernel_generator, project, quotient_ctx
 from .shapes import enumerate_shapes
 from .subrings import (
@@ -43,9 +47,13 @@ _EXHAUSTIVE_LIMIT = 1024
 
 @dataclass(frozen=True)
 class CheckResult:
+    """ok: no violation found.  skipped: None when the check ran, else
+    why it could not run; a skipped check has ok True and no violations."""
+
     name: str
     ok: bool
     violations: tuple[str, ...]
+    skipped: str | None = None
 
 
 # Each enumeration and census is computed once per run_suite call: the
@@ -457,10 +465,11 @@ def check_enumerator_agreement(ctx: RingCtx) -> list[str]:
     """The quotient-chain enumeration matches the brute-force scans."""
     ref = _subrings(ctx, "minimal_ext")
     bad = []
-    if _subrings(ctx, "closure_bfs") != ref:
-        bad.append("closure_bfs disagrees with minimal_ext")
+    # the subspace scan's guard is the cheap one, so it refuses first
     if not ctx.p_image and _subrings(ctx, "subspace_scan") != ref:
         bad.append("subspace_scan disagrees with minimal_ext")
+    if _subrings(ctx, "closure_bfs") != ref:
+        bad.append("closure_bfs disagrees with minimal_ext")
     return bad
 
 
@@ -497,8 +506,14 @@ SUITES = {
 
 
 def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
-    """Run one named suite (or all of them) and collect the results.
-    Each enumeration and census is computed once per call."""
+    """Run one named suite (or all of them) and return the results.
+    Each enumeration and census is computed once per call.
+
+    A check that raises TooLarge is recorded as skipped, with the reason,
+    and the suite goes on.  If any check was skipped, run_suite raises
+    SkippedChecks with every result once the suite is done, so a caller
+    that reads only the returned list never takes a partial run for a
+    pass."""
     if suite == "all":
         names = [n for s in SUITES.values() for n in s]
     elif suite in SUITES:
@@ -508,9 +523,16 @@ def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
     out = []
     try:
         for name, fn in names:
-            violations = fn(ctx)
+            try:
+                violations = fn(ctx)
+            except TooLarge as exc:
+                out.append(CheckResult(name, True, (), skipped=str(exc)))
+                continue
             out.append(CheckResult(name=name, ok=not violations, violations=tuple(violations)))
     finally:
         _subrings.cache_clear()
         _census.cache_clear()
+    skipped = [r.name for r in out if r.skipped is not None]
+    if skipped:
+        raise SkippedChecks(f"skipped {', '.join(skipped)} on {ctx!r}", out)
     return out

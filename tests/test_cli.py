@@ -49,6 +49,25 @@ class TestCensus:
         assert len(table) == 6
         assert table[3] == ["[0,2]", "2", "1", "2", "True", "1"]
 
+    @pytest.mark.parametrize("ring", [["--q", "2", "--n", "6"], ["--q", "3", "--n", "4"]])
+    def test_csv_ignores_emit_bases(self, capsys, monkeypatch, ring):
+        # the CSV has no bases, so --emit-bases must not enumerate for it
+        import truncring.cli as cli
+
+        inner, calls = cli.enumerate_subrings, []
+
+        def counting(ctx, *args):
+            calls.append(ctx)
+            return inner(ctx, *args)
+
+        monkeypatch.setattr(cli, "enumerate_subrings", counting)
+        _, plain = run(capsys, "census", *ring, "--format", "csv")
+        _, emitted = run(capsys, "census", *ring, "--format", "csv", "--emit-bases")
+        assert emitted == plain
+        assert calls == []
+        run(capsys, "census", *ring, "--emit-bases")
+        assert len(calls) == 1
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "census", "--q", "3", "--n", "4", "--emit-bases")
         _, second = run(capsys, "census", "--q", "3", "--n", "4", "--emit-bases")
@@ -182,6 +201,38 @@ class TestVerify:
         assert code == 1
         d = json.loads(out)
         assert d["ok"] is False and d["checks"][0]["violations"] == ["witness"]
+
+
+    def test_skipped_checks_are_reported(self, capsys):
+        # F2[x]/x^8 has too many subspaces for the subspace scan
+        code = main(["verify", "--suite", "all", "--q", "2", "--n", "8"])
+        captured = capsys.readouterr()
+        assert code == 0
+        d = json.loads(captured.out)
+        assert d["ok"] is True
+        assert [c["name"] for c in d["checks"] if c["skipped"]] == ["enumerator-agreement"]
+        assert len(d["checks"]) == 20
+        assert all(c["ok"] and c["violations"] == [] for c in d["checks"])
+        assert "skipped enumerator-agreement: too many subspaces to scan" in captured.err
+
+    def test_violation_after_a_skip_exits_nonzero(self, capsys, monkeypatch):
+        # on F2[x]/x^13 the two scan checks of the lifts suite are too large;
+        # a planted kernel generator makes the third report a violation
+        import truncring.verify as verify
+
+        monkeypatch.setattr(verify, "kernel_generator", lambda ctx: ctx.monomial(1))
+        code = main(["verify", "--suite", "lifts", "--q", "2", "--n", "13"])
+        captured = capsys.readouterr()
+        assert code == 1
+        d = json.loads(captured.out)
+        assert d["ok"] is False
+        assert [(c["name"], bool(c["skipped"]), c["ok"]) for c in d["checks"]] == [
+            ("lift-counts", True, True),
+            ("lift-containment", True, True),
+            ("kernel-minimality", False, False),
+        ]
+        assert d["checks"][2]["violations"] == ["x * kernel generator is nonzero"]
+        assert captured.err.count("skipped lift-") == 2
 
 
 class TestUsageErrors:

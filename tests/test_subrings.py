@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -876,3 +877,151 @@ class TestCosetReduction:
         for S in enumerate_subrings(ctx):
             members = set(S.elements())
             assert {a for a in ambient if in_row_span(ctx, S.basis, a)} == members
+
+
+# -- packed F_2 rows against the tuple kernels -----------------------------------
+#
+# Subrings of F_2[x]/x^n keep packed int rows.  The tuple kernels (_rref,
+# FieldPolyCtx.mul, _reduce, _lift_bases) are the reference, and so is the
+# whole tuple path, reached by making _packs refuse every ring.
+
+F2 = FieldCtx(2)
+
+
+def f2_row(width):
+    return st.tuples(*(st.integers(0, 1) for _ in range(width)))
+
+
+def packed_rows(rows):
+    return tuple(map(subrings._pack, rows))
+
+
+def unpacked_rows(rows, width):
+    return tuple(subrings._unpack(r, width) for r in rows)
+
+
+class TestPackedKernels:
+    @given(st.integers(1, 12).flatmap(lambda w: st.tuples(f2_row(w), f2_row(w))))
+    def test_packing_keeps_rows_and_their_order(self, pair):
+        a, b = pair
+        pa, pb = subrings._pack(a), subrings._pack(b)
+        assert subrings._unpack(pa, len(a)) == a
+        assert (pa < pb) == (a < b)
+
+    @given(st.data())
+    def test_echelon_matches_rref_with_tag_columns(self, data):
+        n = data.draw(st.integers(1, 10))
+        d = data.draw(st.integers(0, 4))
+        rows = data.draw(st.lists(f2_row(n + d), max_size=8))
+        got = subrings._xor_echelon(packed_rows(rows))
+        assert unpacked_rows(got, n + d) == subrings._rref(F2, rows, n + d)
+        assert got == tuple(sorted(got, reverse=True))
+
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(f2_row(n), f2_row(n))))
+    def test_mul_matches_ring_mul(self, pair):
+        a, b = pair
+        n = len(a)
+        got = subrings._xor_mul(subrings._pack(a), subrings._pack(b), n)
+        assert subrings._unpack(got, n) == field_ring(2, n).mul(a, b)
+
+    @given(st.data())
+    def test_reduce_matches_tuple_reduce(self, data):
+        n = data.draw(st.integers(1, 12))
+        ctx = field_ring(2, n)
+        basis = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=8)), n)
+        v = data.draw(f2_row(n))
+        got = subrings._xor_reduce(packed_rows(basis), subrings._pack(v))
+        assert subrings._unpack(got, n) == _reduce(ctx, basis, v)
+
+    @given(st.data())
+    def test_lift_bases_match_tuple_lift_bases(self, data):
+        n = data.draw(st.integers(2, 9))
+        ctx = field_ring(2, n)
+        w = data.draw(st.lists(f2_row(n), max_size=4))
+        small = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=5)), n)
+        try:
+            want = subrings._lift_bases(ctx, kernel_generator(ctx), w, small)
+        except InvariantViolation:
+            with pytest.raises(InvariantViolation):
+                subrings._xor_lift_bases(n, packed_rows(w), packed_rows(small))
+            return
+        got = subrings._xor_lift_bases(n, packed_rows(w), packed_rows(small))
+        assert [unpacked_rows(b, n) for b in got] == want
+
+
+    def test_kernel_column_pivot_raises_under_optimization(self):
+        # w = x^2 in F2[x]/x^3 is the kernel generator itself
+        script = """
+import sys
+from truncring import InvariantViolation
+from truncring.subrings import _xor_lift_bases
+if __debug__:
+    sys.exit("not running under -O")
+try:
+    _xor_lift_bases(3, [0b001], [])
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("no InvariantViolation")
+"""
+        src = str(Path(truncring.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def subring_view(S):
+    """What the public API says about S."""
+    data = ideal_data(S)
+    return (
+        S.basis,
+        S.sort_key(),
+        exponent_set(S).elems,
+        S.cotangent,
+        cotangent_dim(S),
+        (data.max_ideal, data.square, data.small),
+    )
+
+
+class TestPackedPaths:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_subring_matches_the_tuple_path(self, n, monkeypatch):
+        ctx = field_ring(2, n)
+        packed = enumerate_subrings(ctx)
+        assert all(isinstance(r, int) for S in packed for r in S._rows)
+        packed_view = [subring_view(S) for S in packed]
+        packed_census = census(ctx)
+        monkeypatch.setattr(subrings, "_packs", lambda ctx: False)
+        ctx = field_ring(2, n)
+        plain = enumerate_subrings(ctx)
+        assert all(S._rows == S.basis for S in plain)
+        assert [subring_view(S) for S in plain] == packed_view
+        assert census(ctx) == packed_census
+
+    def test_census_walk_builds_no_tuples(self, monkeypatch):
+        counts = Counter()
+        inner_mul, inner_basis = FieldPolyCtx.mul, Subring.basis
+
+        def counting_mul(self, a, b):
+            counts["mul"] += 1
+            return inner_mul(self, a, b)
+
+        def counting_basis(self):
+            counts["basis"] += 1
+            return inner_basis.fget(self)
+
+        monkeypatch.setattr(FieldPolyCtx, "mul", counting_mul)
+        monkeypatch.setattr(Subring, "basis", property(counting_basis))
+        rows = census(field_ring(2, 11))
+        assert sum(r.count for r in rows) == 1127
+        assert counts == {}
+        # the counters do count
+        small = field_ring(2, 4)
+        enumerate_subrings(small)[-1].basis
+        closure(small, [small.parse("x")])
+        assert counts["basis"] == 1 and counts["mul"]

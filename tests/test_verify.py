@@ -5,7 +5,16 @@ from collections import Counter
 
 import pytest
 
-from truncring import FieldPolyCtx, TooLarge, field_ring, quotient_ctx, run_suite, verify, zpn_ring
+from truncring import (
+    FieldPolyCtx,
+    SkippedChecks,
+    TooLarge,
+    field_ring,
+    quotient_ctx,
+    run_suite,
+    verify,
+    zpn_ring,
+)
 from truncring.verify import SUITES
 
 
@@ -144,3 +153,28 @@ def test_unordered_pair_scans_report_a_planted_valuation(ctx, elem, wrong):
     assert verify.check_valuation_nonarchimedean(bad)
     assert verify.check_valuation_monomial_like(ctx) == []
     assert verify.check_valuation_monomial_like(bad)
+
+
+class TestSkippedChecks:
+    """A check too large for the ring is skipped, the suite goes on, and
+    run_suite raises SkippedChecks with every result at the end."""
+
+    def test_skip_does_not_hide_a_later_violation(self, monkeypatch):
+        # lift-counts and lift-containment refuse the 8192-element ring; a
+        # planted kernel generator makes kernel-minimality report
+        monkeypatch.setattr(verify, "kernel_generator", lambda ctx: ctx.monomial(1))
+        with pytest.raises(SkippedChecks) as info:
+            run_suite(field_ring(2, 13), "lifts")
+        results = info.value.results
+        assert [r.name for r in results] == ["lift-counts", "lift-containment", "kernel-minimality"]
+        for r in results[:2]:
+            assert r.ok and r.violations == ()
+            assert "exceeds the scan limit" in r.skipped
+        assert results[2].skipped is None
+        assert not results[2].ok
+        assert results[2].violations == ("x * kernel generator is nonzero",)
+        assert verify._subrings.cache_info().currsize == 0
+
+    def test_no_skips_return_plain_results(self):
+        results = run_suite(field_ring(2, 4), "all")
+        assert all(r.skipped is None for r in results)
