@@ -90,21 +90,10 @@ def is_irreducible(p: int, poly: tuple[int, ...]) -> bool:
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """The first irreducible monic polynomial of degree e over F_p.
-
-    Candidates are ordered by the value of their non-leading coefficient
-    vector read as a base-p integer, so the choice is deterministic.
-    """
-    for value in range(p**e):
-        tail = []
-        v = value
-        for _ in range(e):
-            tail.append(v % p)
-            v //= p
-        cand = tuple(tail) + (1,)
-        if is_irreducible(p, cand):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    """The first irreducible monic polynomial of degree e over F_p, in
+    _monic_polys order: by the value of the non-leading coefficient vector
+    read as a base-p integer, so the choice is deterministic."""
+    return next(cand for cand in _monic_polys(p, e) if is_irreducible(p, cand))
 
 
 class FieldCtx:

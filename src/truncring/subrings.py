@@ -12,9 +12,13 @@ p_image decides: p = 0 in the ring exactly when the coefficients form a
 field, F_q or Z/p.  Over Z/p the Howell form is the echelon form, so
 Z[x]/(p, x^n) takes the field path.
 
+Each subring is the preimage or a lift of its image one quotient step
+down.  enumerate_subrings and census share one depth-first walk of that
+quotient tree: the enumeration builds its top level, the census counts it.
+
 Subrings of F_2[x]/x^n keep their canonical rows packed into ints, and the
 quotient-chain code (restricted_extension, ideal_data, lift_isomorphic,
-the census walk) runs on those rows: echelon form by XOR on the pivot bit,
+the tree walk) runs on those rows: echelon form by XOR on the pivot bit,
 ring products by shift-and-XOR.  Tuples appear only at the API boundary:
 Subring.basis, the IdealData fields and canonicalize return tuples, built
 when read.  The tuple kernels stay the reference the packed ones are
@@ -735,35 +739,54 @@ def _quotient_chain(ctx: RingCtx) -> list:
     return chain
 
 
-def _enumerate_minimal_ext(ctx) -> list[Subring]:
-    """Walk the quotient chain from the base coefficient ring upward; at
-    each step every subring of the quotient contributes its preimage plus
-    its isomorphic lifts, which together exhaust the next level."""
+def _top_extensions(ctx: RingCtx):
+    """Yield restricted_extension(B) for every subring B one level below
+    ctx, walking the quotient tree depth first; nothing for the base ring.
+
+    Every subring of a level has one parent, its image B one level down:
+    it is B's preimage or one of B's lifts.  Below the top the walk visits
+    each B's preimage and lifts; the top level is left to the caller, which
+    builds it (enumeration) or counts it (census).
+    """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge("ambient ring too large")
     chain = _quotient_chain(ctx)
     chain.reverse()
-    subs = [Subring.prime_ring(chain[0])]
-    for step_ctx in chain[1:]:
-        nxt = []
-        for B in subs:
-            ext = restricted_extension(B)
-            if ext.src.ctx != step_ctx:
-                raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {step_ctx!r}")
-            nxt.append(ext.src)
-            nxt.extend(lift_isomorphic(ext).lifts)
-        if len({S._rows for S in nxt}) != len(nxt):
-            raise InvariantViolation("preimages and lifts must not collide")
-        subs = sorted(nxt, key=Subring._key)
-    return subs
+    top = len(chain) - 1
+    stack = [(Subring.prime_ring(chain[0]), 0)] if top else []
+    while stack:
+        B, level = stack.pop()
+        ext = restricted_extension(B)
+        level += 1
+        # one context per level, so identity is the check
+        if ext.src.ctx is not chain[level]:
+            raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {chain[level]!r}")
+        if level == top:
+            yield ext
+        else:
+            stack.append((ext.src, level))
+            stack.extend((L, level) for L in lift_isomorphic(ext).lifts)
+
+
+def _enumerate_minimal_ext(ctx) -> list[Subring]:
+    """Each top extension contributes its preimage and its lifts.  A
+    collision at any level duplicates a subtree, and every subring has a
+    descendant at the top, so the one check there finds it."""
+    subs = []
+    for ext in _top_extensions(ctx):
+        subs.append(ext.src)
+        subs.extend(lift_isomorphic(ext).lifts)
+    if len({S._rows for S in subs}) != len(subs):
+        raise InvariantViolation("preimages and lifts must not collide")
+    return sorted(subs, key=Subring._key) or [Subring.prime_ring(ctx)]
 
 
 def enumerate_subrings(ctx: RingCtx, method: str = "minimal_ext") -> list[Subring]:
     """All unital subrings sharing the coefficient prime ring, sorted by
     (size, canonical basis).
 
-    Methods: "minimal_ext" (recursion along the quotient chain),
-    "closure_bfs" (generator adjunction from the prime ring), and
+    Methods: "minimal_ext" (the quotient-tree walk that census also runs;
+    here it builds the top level), "closure_bfs" (generator adjunction from the prime ring), and
     "subspace_scan" (filter all subspaces; field coefficients only).
     """
     if method == "minimal_ext":
@@ -792,36 +815,16 @@ class CensusRow:
 
 def _census_walk(ctx: RingCtx) -> dict:
     """Exponent points -> Counter of cotangent dimensions over the subrings
-    of ctx, walking the quotient tree depth first.
-
-    Every subring of a level has one parent, its image B one level down:
-    it is B's preimage or one of B's lifts.  Below the top level each B
-    yields its preimage and lifts, which the walk then visits.  The top
-    level is counted from its parents, not built: the preimage R counts
+    of ctx, counted from _top_extensions, not built: each preimage R counts
     once with d(R), and an unobstructed B has base^d(B) lifts, each with
-    B's exponent points and d(B).
-    """
-    if ctx.size > _CHAIN_LIMIT:
-        raise TooLarge("ambient ring too large")
-    chain = _quotient_chain(ctx)
-    chain.reverse()
-    top = len(chain) - 1
+    B's exponent points and d(B)."""
     base = ctx.base
     rows = defaultdict(Counter)
-
-    def visit(B: Subring, level: int) -> None:
-        step_ctx = chain[level + 1]
-        ext = restricted_extension(B)
-        if ext.src.ctx != step_ctx:
-            raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {step_ctx!r}")
+    for ext in _top_extensions(ctx):
         R = ext.src
-        if level + 1 < top:
-            visit(R, level + 1)
-            for L in lift_isomorphic(ext).lifts:
-                visit(L, level + 1)
-            return
         rows[_exponent_points(R)][R.cotangent] += 1
         if not ext.kernel_in_small:
+            B = ext.dst
             d = B.cotangent
             # lift_isomorphic's complement of size d, counted
             if R.cotangent != d + 1:
@@ -829,11 +832,8 @@ def _census_walk(ctx: RingCtx) -> dict:
                     f"preimage cotangent dimension {R.cotangent} for parent dimension {d}"
                 )
             rows[_exponent_points(B)][d] += base**d
-
-    prime = Subring.prime_ring(chain[0])
-    if top:
-        visit(prime, 0)
-    else:
+    if not rows:  # the base ring
+        prime = Subring.prime_ring(ctx)
         rows[_exponent_points(prime)][prime.cotangent] += 1
     return rows
 
@@ -842,8 +842,9 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
     """One row per realized shape, with the count, the matching power
     bound, and the cotangent data.
 
-    Without subrings the census walks the quotient tree and counts its top
-    level (see _census_walk), and each row's subrings is ().  Given an
+    Without subrings the census runs the quotient-tree walk of
+    enumerate_subrings but counts its top level instead of building it (see
+    _census_walk), and each row's subrings is ().  Given an
     enumeration of ctx, it groups those subrings instead and keeps them in
     their rows.  Either way the cotangent dimensions are the ones the
     quotient-chain recursion carries.

@@ -56,8 +56,9 @@ class CheckResult:
     skipped: str | None = None
 
 
-# Each enumeration and census is computed once per run_suite call: the
-# checks share these memos, and run_suite clears them when it returns.
+# Each enumeration, census and lift oracle is computed once per run_suite
+# call: the checks share these memos, and run_suite clears them when it
+# returns.
 # They reach enumerate_subrings and census through this module's globals
 # at call time, so a wrapper installed there sees every computation.
 
@@ -196,14 +197,23 @@ def check_bound_exponent_nonnegative(ctx: RingCtx) -> list[str]:
 # -- lifts suite ------------------------------------------------------------------
 
 
+@functools.cache
 def _lift_oracle(ctx: RingCtx):
-    """Brute-force lift data: subrings of ctx and of its one-step quotient."""
+    """Brute-force lift data: the subrings of the one-step quotient, and
+    the subrings of ctx that avoid the kernel grouped by their projection,
+    each group in enumeration order."""
     dst_ctx = quotient_ctx(ctx)
     if dst_ctx is None:
         return None
+    # ctx first: a ring too large for the scan is refused before its quotient is scanned
     src_subs = _subrings(ctx, "closure_bfs")
     dst_subs = _subrings(dst_ctx, "closure_bfs")
-    return dst_ctx, src_subs, dst_subs
+    z = kernel_generator(ctx)
+    lifts_of = {}
+    for A in src_subs:
+        if not A.contains(z):
+            lifts_of.setdefault(project_subring(A, dst_ctx), []).append(A)
+    return dst_subs, lifts_of
 
 
 def check_lift_counts(ctx: RingCtx) -> list[str]:
@@ -213,16 +223,13 @@ def check_lift_counts(ctx: RingCtx) -> list[str]:
     data = _lift_oracle(ctx)
     if data is None:
         return []
-    dst_ctx, src_subs, dst_subs = data
-    z = kernel_generator(ctx)
+    dst_subs, lifts_of = data
     base = ctx.base
     bad = []
     for B in dst_subs:
         ext = restricted_extension(B)
         fam = lift_isomorphic(ext)
-        oracle = sorted(
-            A for A in src_subs if not A.contains(z) and project_subring(A, dst_ctx) == B
-        )
+        oracle = lifts_of.get(B, [])
         if ext.kernel_in_small:
             if fam.exists or oracle:
                 bad.append(f"{B!r}: kernel in obstruction but {len(oracle)} lifts found")
@@ -242,15 +249,12 @@ def check_lift_containment(ctx: RingCtx) -> list[str]:
     data = _lift_oracle(ctx)
     if data is None:
         return []
-    dst_ctx, src_subs, dst_subs = data
-    z = kernel_generator(ctx)
+    dst_subs, lifts_of = data
     bad = []
     for B in dst_subs:
         ext = restricted_extension(B)
         small = ideal_data(ext.src).small
-        for A in src_subs:
-            if A.contains(z) or project_subring(A, dst_ctx) != B:
-                continue
+        for A in lifts_of.get(B, ()):
             for r in small:
                 if not A.contains(r):
                     bad.append(f"lift {A!r} of {B!r} misses obstruction row {ctx.format(r)}")
@@ -532,6 +536,7 @@ def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
     finally:
         _subrings.cache_clear()
         _census.cache_clear()
+        _lift_oracle.cache_clear()
     skipped = [r.name for r in out if r.skipped is not None]
     if skipped:
         raise SkippedChecks(f"skipped {', '.join(skipped)} on {ctx!r}", out)

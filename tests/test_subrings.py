@@ -692,22 +692,22 @@ def assert_walk_matches_grouped(ctx):
 
 
 @st.composite
-def field_params(draw):
-    # (q, n) with at most 1024 elements
+def field_params(draw, limit=1024):
+    # (q, n) with at most `limit` elements
     q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
-    n = draw(st.integers(1, max(n for n in range(1, 11) if q**n <= 1024)))
+    n = draw(st.integers(1, max(n for n in range(1, 11) if q**n <= limit)))
     return q, n
 
 
 @st.composite
-def z_params(draw):
-    # (p, N, n, k) with N = 1 and k < N included, at most 2048 elements
+def z_params(draw, limit=2048):
+    # (p, N, n, k) with N = 1 and k < N included, at most `limit` elements
     p = draw(st.sampled_from([2, 3, 5]))
     N = draw(st.integers(1, 3))
-    n = draw(st.integers(1, max(n for n in range(1, 12) if p ** (N * (n - 1) + 1) <= 2048)))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if p ** (N * (n - 1) + 1) <= limit)))
     if n == 1:
         return p, N, n, N
-    k = draw(st.integers(1, max(k for k in range(1, N + 1) if p ** (N * (n - 1) + k) <= 2048)))
+    k = draw(st.integers(1, max(k for k in range(1, N + 1) if p ** (N * (n - 1) + k) <= limit)))
     return p, N, n, k
 
 
@@ -804,6 +804,65 @@ for ctx in [field_ring(2, 4), field_ring(3, 4), zpn_ring(2, 2, 3, 1), zpn_ring(3
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class TestEnumeratorAgreement:
+    # closure_bfs costs far more per ring than the quotient-tree walk
+    # (about 1 s on F2[x]/x^8), so these draws stop at 128 elements
+    @given(field_params(128))
+    @settings(max_examples=25, deadline=None)
+    def test_closure_bfs_matches_minimal_ext_on_fields(self, params):
+        ctx = field_ring(*params)
+        assert enumerate_subrings(ctx) == enumerate_subrings(ctx, "closure_bfs")
+
+    @given(z_params(128))
+    @settings(max_examples=25, deadline=None)
+    def test_closure_bfs_matches_minimal_ext_on_z_rings(self, params):
+        ctx = zpn_ring(*params)
+        assert enumerate_subrings(ctx) == enumerate_subrings(ctx, "closure_bfs")
+
+
+def _plant_collision(monkeypatch, ctx, depth):
+    """Make lift_isomorphic add the preimage to its own lifts on the level
+    `depth` quotient steps below ctx, so that level holds a subring twice;
+    returns the planted list."""
+    level_ctx = ctx
+    for _ in range(depth):
+        level_ctx = quotient_ctx(level_ctx)
+    inner = subrings.lift_isomorphic
+    planted = []
+
+    def planting(ext):
+        fam = inner(ext)
+        if ext.src.ctx == level_ctx:
+            planted.append(ext.src)
+            return dataclasses.replace(fam, lifts=fam.lifts + (ext.src,))
+        return fam
+
+    monkeypatch.setattr(subrings, "lift_isomorphic", planting)
+    return planted
+
+
+COLLISION_RINGS = [field_ring(2, 5), field_ring(3, 4), zpn_ring(2, 2, 3, 1)]
+
+
+class TestCollisionCheck:
+    # depth 0 is the top level, 1 the parents of the top, 2 one level
+    # below the parents: the walk checks for collisions at the top only
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("ctx", COLLISION_RINGS, ids=repr)
+    def test_planted_collision_is_an_invariant_violation(self, ctx, depth, monkeypatch):
+        enumerate_subrings(ctx)
+        planted = _plant_collision(monkeypatch, ctx, depth)
+        with pytest.raises(InvariantViolation):
+            enumerate_subrings(ctx)
+        assert planted
+
+
+@pytest.mark.parametrize("p,N,n", [(2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3)])
+def test_dead_top_coefficient_keeps_the_census(p, N, n):
+    # k = 0 kills the x^(n-1) column, leaving the ring of truncation order n-1
+    assert census(zpn_ring(p, N, n, 0)) == census(zpn_ring(p, N, n - 1))
 
 
 def _moduli(p, e):
