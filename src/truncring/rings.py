@@ -52,10 +52,11 @@ class _TruncPolyCtx:
 
     ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
     once quotient_ctx or extension_ctx has built them, so every subring of
-    one level shares one context.
+    one level shares one context; ``_kernel`` holds kernel_generator's
+    element once built.
     """
 
-    __slots__ = ("coeff", "n", "_down", "_up")
+    __slots__ = ("coeff", "n", "_down", "_up", "_kernel")
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +152,7 @@ class FieldPolyCtx(_TruncPolyCtx):
             raise ValueError(f"truncation order must be >= 1, got {n}")
         self.coeff = coeff
         self.n = n
-        self._down = self._up = None
+        self._down = self._up = self._kernel = None
 
     @property
     def base(self) -> int:
@@ -258,7 +259,7 @@ class ZpNPolyCtx(_TruncPolyCtx):
         self.caps_log = (coeff.N,) * (n - 1) + (k,)
         self.caps = tuple(p**c for c in self.caps_log)
         self.p_image = p % coeff.size
-        self._down = self._up = None
+        self._down = self._up = self._kernel = None
 
     def _sibling(self, n: int, k: int) -> "ZpNPolyCtx":
         return ZpNPolyCtx(self.coeff, n, k)
@@ -396,10 +397,12 @@ def extension_ctx(ctx: RingCtx) -> RingCtx:
 
 def kernel_generator(src: RingCtx) -> Element:
     """Generator of the kernel of the one-step quotient out of src: the top
-    monomial times p^(k-1)."""
+    monomial times p^(k-1).  Built once per context."""
     if src.n == 1:
         raise NotAQuotient("the base ring has no quotient step")
-    return src.monomial(src.n - 1, src.coeff.p ** (src.caps_log[-1] - 1))
+    if src._kernel is None:
+        src._kernel = src.monomial(src.n - 1, src.coeff.p ** (src.caps_log[-1] - 1))
+    return src._kernel
 
 
 def project(src: RingCtx, dst: RingCtx, a: Element) -> Element:

@@ -23,6 +23,16 @@ ring products by shift-and-XOR.  Tuples appear only at the API boundary:
 Subring.basis, the IdealData fields and canonicalize return tuples, built
 when read.  The tuple kernels stay the reference the packed ones are
 tested against.
+
+On both families a quotient step reads what it can off the parent, with
+no echelon pass: the preimage of B has B's rows lifted, then the kernel
+generator, as its canonical basis (the generator is left out on a k-step
+where B already has a pivot in the top column), and the maximal ideal m
+has R's rows with the first, 1, replaced by p (dropped over a field).
+Over Z/p^N the products that span m^2 are formed by Kronecker
+substitution, one int multiply each on rows packed with a field wide
+enough for any product coefficient; ZpNPolyCtx.mul and canonicalize stay
+the reference.
 """
 
 from __future__ import annotations
@@ -219,10 +229,11 @@ def _packs(ctx: RingCtx) -> bool:
     return isinstance(ctx, FieldPolyCtx) and ctx.coeff.q == 2
 
 
-def _pack(row) -> int:
+def _pack(row, w: int = 1) -> int:
+    """The row as an int with w bits per column, column 0 most significant."""
     v = 0
     for x in row:
-        v = v << 1 | x
+        v = v << w | x
     return v
 
 
@@ -295,6 +306,29 @@ def _xor_lift_bases(n: int, w, small) -> list:
                 lift[i] ^= 1
         out.append(tuple(lift))
     return out
+
+
+# -- Kronecker rows over Z/p^N ------------------------------------------------
+#
+# A row over Z/p^N packs (_pack) into an int with w bits per column, as the
+# F_2 rows do with w = 1.  With w = bit_length(n (p^N - 1)^2) no coefficient
+# of a product of two packed rows overflows its field, so one int multiply
+# forms every coefficient (Kronecker substitution), and the right shift by
+# w (n - 1) drops the degrees at or past n.
+
+
+def _kron_width(ctx: RingCtx) -> int:
+    return (ctx.n * (ctx.coeff.size - 1) ** 2).bit_length()
+
+
+def _kron_unpack(v: int, w: int, caps) -> Element:
+    """The row of a packed product, each field reduced by its column cap."""
+    mask = (1 << w) - 1
+    out = []
+    for c in reversed(caps):
+        out.append((v & mask) % c)
+        v >>= w
+    return tuple(reversed(out))
 
 
 # -- subrings ----------------------------------------------------------------
@@ -492,8 +526,15 @@ def ideal_data(S: Subring) -> IdealData:
         else:
             sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
         return IdealData(ctx, m, sq, sq)
-    m = canonicalize(ctx, [ctx.scalar_mul(p, rows[0]), *rows[1:]])
-    sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+    # rows[0] is 1, the reduced member of 1 + span(rows[1:]), so m is
+    # span(p, rows[1:]).  The row p is reduced against the others, and a
+    # multiple of it that clears column 0 is zero, so this basis is in
+    # Howell form with no echelon pass
+    m = (ctx.monomial(0, p),) + rows[1:]
+    n, w = ctx.n, _kron_width(ctx)
+    packed = [_pack(r, w) for r in m]
+    prods = [a * b >> w * (n - 1) for i, a in enumerate(packed) for b in packed[i:]]
+    sq = _howell(ctx.coeff, ctx.caps_log, [_kron_unpack(v, w, ctx.caps) for v in prods if v])
     small = canonicalize(ctx, list(sq) + [ctx.scalar_mul(p, r) for r in rows])
     return IdealData(ctx, m, sq, small)
 
@@ -545,8 +586,14 @@ def restricted_extension(B: Subring) -> MinimalExtension:
         data = ideal_data(R)
         in_small = not _xor_reduce(data.small_rows, 1)
     else:
-        rows = [_lift_row(src_ctx, r) for r in B.basis] + [z]
-        R = Subring.from_rows(src_ctx, rows)
+        # R contains the kernel span(z), and the top-column entries of B's
+        # rows already lie in [0, pivot), so B's rows lifted, then z, are
+        # R's canonical basis.  Only on a k-step where B has a pivot in the
+        # top column is z a multiple of that row, and left out.
+        rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
+        if _lead(rows[-1]) < src_ctx.n - 1:
+            rows += (z,)
+        R = Subring(src_ctx, rows)
         data = ideal_data(R)
         in_small = in_row_span(src_ctx, data.small, z)
     R._cotangent = _cotangent_of(src_ctx, data)

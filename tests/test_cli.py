@@ -1,8 +1,10 @@
 """Command-line interface: payload shapes, determinism, exit codes."""
 
 import csv
+import gzip
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +106,18 @@ class TestCensus:
         assert code == 0 and out == ""
         _, direct = run(capsys, "census", "--q", "2", "--n", "3")
         assert target.read_text() == direct
+
+    # the benchmark's recorded census-z outputs, read and never written here
+    @pytest.mark.parametrize("ring", [(2, 3, 5, 3), (3, 2, 5, 2)], ids=str)
+    def test_census_z_matches_recorded_reference(self, capsys, tmp_path, ring):
+        p, N, n, k = ring
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+        want = gzip.decompress((ref / f"census-z-p{p}-N{N}-n{n}-k{k}.json.gz").read_bytes())
+        target = tmp_path / "census.json"
+        flags = [f"--p={p}", f"--N={N}", f"--n={n}", f"--k={k}"]
+        code, _ = run(capsys, "census-z", *flags, "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == want
 
 
 class TestLiftsAndShape:

@@ -26,6 +26,7 @@ from truncring import (
     OutOfFamily,
     Subring,
     TooLarge,
+    ZpNPolyCtx,
     canonicalize,
     e_bound,
     census,
@@ -34,6 +35,7 @@ from truncring import (
     counterexample_family,
     enumerate_subrings,
     exponent_set,
+    extension_ctx,
     field_ring,
     ideal_data,
     in_row_span,
@@ -700,10 +702,10 @@ def field_params(draw, limit=1024):
 
 
 @st.composite
-def z_params(draw, limit=2048):
+def z_params(draw, limit=2048, max_N=3):
     # (p, N, n, k) with N = 1 and k < N included, at most `limit` elements
     p = draw(st.sampled_from([2, 3, 5]))
-    N = draw(st.integers(1, 3))
+    N = draw(st.integers(1, max_N))
     n = draw(st.integers(1, max(n for n in range(1, 12) if p ** (N * (n - 1) + 1) <= limit)))
     if n == 1:
         return p, N, n, N
@@ -1084,3 +1086,150 @@ class TestPackedPaths:
         enumerate_subrings(small)[-1].basis
         closure(small, [small.parse("x")])
         assert counts["basis"] == 1 and counts["mul"]
+
+
+# -- quotient steps read off the parent, against canonicalize and ring mul -------
+#
+# restricted_extension writes a preimage's basis down from B's rows, and
+# ideal_data writes m down from R's rows and forms m^2 by Kronecker
+# substitution over Z/p^N.  canonicalize and ZpNPolyCtx.mul are the reference.
+
+
+def step_kind(B):
+    """'n' for a step that adds a column, 'top' for a k-step where B has a
+    pivot in the top column, 'k' for any other k-step."""
+    n = B.ctx.n
+    if extension_ctx(B.ctx).n > n:
+        return "n"
+    return "top" if subrings._lead(B.basis[-1]) == n - 1 else "k"
+
+
+def check_ideal_data(S):
+    ctx, rows = S.ctx, S.basis
+    data = ideal_data(S)
+    p = ctx.p_image
+    # the reduced member of 1 + span(rows[1:]), which m's basis relies on
+    assert rows[0] == ctx.one()
+    if p:
+        assert data.max_ideal == canonicalize(ctx, [ctx.scalar_mul(p, rows[0]), *rows[1:]])
+    m = data.max_ideal
+    assert data.square == canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+
+
+def checked_census_walk(ctx):
+    """Census ctx with every restricted_extension checked against the
+    reference; returns the Counter of step kinds met."""
+    inner, kinds = subrings.restricted_extension, Counter()
+
+    def checking(B):
+        ext = inner(B)
+        src = ext.src.ctx
+        lifted = [r + (0,) * (src.n - len(r)) for r in B.basis]
+        assert ext.src.basis == canonicalize(src, lifted + [kernel_generator(src)])
+        assert ext.src_ideal == ideal_data(ext.src)
+        check_ideal_data(B)
+        check_ideal_data(ext.src)
+        kinds[step_kind(B)] += 1
+        return ext
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subrings, "restricted_extension", checking)
+        census(ctx)
+    return kinds
+
+
+def has_k_step(p, N, n, k):
+    """Whether the quotient chain up to Z[x]/(p^N, x^n, p^k x^(n-1)) has a
+    step that keeps n: one into a tail exponent of 2 or more."""
+    return N >= 2 and (n >= 3 or (n == 2 and k >= 2))
+
+
+def kron_row(ctx):
+    return st.tuples(*(st.integers(0, c - 1) for c in ctx.caps))
+
+
+class TestQuotientStepsFromParent:
+    @pytest.mark.parametrize(
+        "params, kinds",
+        [
+            ((3, 3, 4, 2), {"n", "k", "top"}),
+            ((5, 2, 4, 1), {"n", "k", "top"}),
+            ((2, 4, 4, 2), {"n", "k", "top"}),
+            ((2, 2, 5, 1), {"n", "k", "top"}),
+            ((2, 2, 2, 1), {"n"}),
+        ],
+        ids=str,
+    )
+    def test_every_z_step_matches_canonicalize(self, params, kinds):
+        assert set(checked_census_walk(zpn_ring(*params))) == kinds
+
+    @pytest.mark.parametrize("q, n", [(3, 6), (4, 5), (5, 4), (9, 3)])
+    def test_every_field_step_matches_canonicalize(self, q, n):
+        assert set(checked_census_walk(field_ring(q, n))) == {"n"}
+
+    @given(z_params(limit=5**5, max_N=4))
+    @settings(max_examples=30, deadline=None)
+    def test_z_steps_match_canonicalize_on_draws(self, params):
+        kinds = checked_census_walk(zpn_ring(*params))
+        # every k-step has B = the prime ring (no top pivot) and B = the
+        # whole ring below (a top pivot) among its parents
+        assert ({"k", "top"} <= set(kinds)) == has_k_step(*params)
+
+    @given(st.sampled_from([3, 4, 9]), st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_field_steps_match_canonicalize_on_draws(self, q, n):
+        assert set(checked_census_walk(field_ring(q, n))) <= {"n"}
+
+    @given(st.data())
+    def test_kronecker_products_match_ring_mul(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        N = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 8))
+        ctx = zpn_ring(p, N, n, data.draw(st.integers(1, N)) if n > 1 else N)
+        a, b = data.draw(kron_row(ctx)), data.draw(kron_row(ctx))
+        w = subrings._kron_width(ctx)
+        got = subrings._pack(a, w) * subrings._pack(b, w) >> w * (n - 1)
+        assert subrings._kron_unpack(got, w, ctx.caps) == ctx.mul(a, b)
+
+    @pytest.mark.parametrize("p, N, n", [(2, 1, 1), (2, 4, 8), (3, 3, 7), (7, 4, 8), (7, 1, 2)])
+    def test_kronecker_width_holds_the_largest_products(self, p, N, n):
+        # every coefficient p^N - 1: the x^(n-1) coefficient of a^2 is then
+        # n (p^N - 1)^2 before reduction, the largest a field has to hold
+        ctx = zpn_ring(p, N, n)
+        a = tuple(c - 1 for c in ctx.caps)
+        w = subrings._kron_width(ctx)
+        packed = subrings._pack(a, w)
+        got = subrings._kron_unpack(packed * packed >> w * (n - 1), w, ctx.caps)
+        assert got == ctx.mul(a, a)
+
+    def test_z_census_makes_no_ring_products(self, monkeypatch):
+        counts, per_parent = Counter(), []
+        inner_mul, inner_canon = ZpNPolyCtx.mul, subrings.canonicalize
+        inner_ext = subrings.restricted_extension
+
+        def counting_mul(self, a, b):
+            counts["mul"] += 1
+            return inner_mul(self, a, b)
+
+        def counting_canon(ctx, rows):
+            counts["canonicalize"] += 1
+            return inner_canon(ctx, rows)
+
+        def counting_ext(B):
+            before = counts["canonicalize"]
+            ext = inner_ext(B)
+            per_parent.append(counts["canonicalize"] - before)
+            return ext
+
+        monkeypatch.setattr(ZpNPolyCtx, "mul", counting_mul)
+        monkeypatch.setattr(subrings, "canonicalize", counting_canon)
+        monkeypatch.setattr(subrings, "restricted_extension", counting_ext)
+        rows = census(zpn_ring(2, 2, 5, 1))
+        assert sum(r.count for r in rows) == 138
+        assert counts["mul"] == 0
+        # the one call per parent is m^2 + pR's
+        assert per_parent and max(per_parent) <= 1
+        # the counters do count
+        small = zpn_ring(2, 2, 2)
+        closure(small, [small.parse("x")])
+        assert counts["mul"] and counts["canonicalize"]
