@@ -29,10 +29,16 @@ no echelon pass: the preimage of B has B's rows lifted, then the kernel
 generator, as its canonical basis (the generator is left out on a k-step
 where B already has a pivot in the top column), and the maximal ideal m
 has R's rows with the first, 1, replaced by p (dropped over a field).
-Over Z/p^N the products that span m^2 are formed by Kronecker
+Over Z/p^N and F_p the products that span m^2 are formed by Kronecker
 substitution, one int multiply each on rows packed with a field wide
-enough for any product coefficient; ZpNPolyCtx.mul and canonicalize stay
-the reference.
+enough for any product coefficient; F_q with q = p^e, e > 1, keeps ring
+mul.  m^2's canonical basis is the one echelon pass of a step, and the
+rest is read off it.  The obstruction module m^2 + pR is m^2 + (p), as p
+times a row of m lies in m^2, and its Howell form is the row p, then
+m^2's rows that are 0 in column 0.  The kernel generator lies in it iff
+it has a pivot in the top column, and when it does not, the lift
+complement follows from its pivots and the kernel's.  Ring mul,
+canonicalize and in_row_span stay the reference.
 """
 
 from __future__ import annotations
@@ -158,8 +164,9 @@ def canonicalize(ctx: RingCtx, rows):
 
 
 def _lead(row) -> int:
-    """Pivot column of a canonical row."""
-    return next(i for i, x in enumerate(row) if x)
+    """Pivot column of a canonical row: where its first nonzero entry
+    first occurs, both found at C level."""
+    return row.index(next(filter(None, row)))
 
 
 def _pivot(row) -> tuple[int, int]:
@@ -198,6 +205,16 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     """Membership in the module with the given canonical basis: v reduces
     to zero."""
     return not any(_reduce(ctx, basis, v))
+
+
+def _has_top_pivot(ctx: RingCtx, rows) -> bool:
+    """Whether a canonical basis has a pivot in the top column n-1: its
+    last row's, which over F_2 packs to the int 1."""
+    if not rows:
+        return False
+    if _packs(ctx):
+        return rows[-1] == 1
+    return _lead(rows[-1]) == ctx.n - 1
 
 
 def _span_logsize(ctx, basis) -> int:
@@ -308,17 +325,28 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- Kronecker rows over Z/p^N ------------------------------------------------
+# -- Kronecker rows over Z/p^N and F_p ------------------------------------------
 #
-# A row over Z/p^N packs (_pack) into an int with w bits per column, as the
-# F_2 rows do with w = 1.  With w = bit_length(n (p^N - 1)^2) no coefficient
-# of a product of two packed rows overflows its field, so one int multiply
-# forms every coefficient (Kronecker substitution), and the right shift by
-# w (n - 1) drops the degrees at or past n.
+# A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
+# with w bits per column, as the F_2 rows do with w = 1.  With
+# w = bit_length(n (c - 1)^2), c the largest column cap, no coefficient of a
+# product of two packed rows overflows its field, so one int multiply forms
+# every coefficient (Kronecker substitution), and the right shift by w (n - 1)
+# drops the degrees at or past n.
 
 
-def _kron_width(ctx: RingCtx) -> int:
-    return (ctx.n * (ctx.coeff.size - 1) ** 2).bit_length()
+def _kron_caps(ctx: RingCtx):
+    """The column moduli when the coefficients are plain residues: ctx.caps
+    over Z/p^N, p in every column over F_p; None over F_q with q = p^e,
+    e > 1, whose products are not residue products."""
+    if not isinstance(ctx, FieldPolyCtx):
+        return ctx.caps
+    K = ctx.coeff
+    return (K.p,) * ctx.n if K.e == 1 else None
+
+
+def _kron_width(n: int, caps) -> int:
+    return (n * (caps[0] - 1) ** 2).bit_length()
 
 
 def _kron_unpack(v: int, w: int, caps) -> Element:
@@ -329,6 +357,15 @@ def _kron_unpack(v: int, w: int, caps) -> Element:
         out.append((v & mask) % c)
         v >>= w
     return tuple(reversed(out))
+
+
+def _kron_products(ctx: RingCtx, caps, m) -> list:
+    """The nonzero products a b, a before or at b, of the rows of m."""
+    w = _kron_width(ctx.n, caps)
+    shift = w * (ctx.n - 1)
+    packed = [_pack(r, w) for r in m]
+    prods = (a * b >> shift for i, a in enumerate(packed) for b in packed[i:])
+    return [_kron_unpack(v, w, caps) for v in prods if v]
 
 
 # -- subrings ----------------------------------------------------------------
@@ -486,7 +523,7 @@ def exponent_set(S: Subring) -> Shape:
 @dataclass(frozen=True)
 class IdealData:
     """Canonical bases for the maximal ideal m, its square, and the
-    obstruction module (m^2 over a field, m^2 + pR in mixed
+    obstruction module (m^2 over a field, m^2 + pR = m^2 + (p) in mixed
     characteristic), held as the kernels of ctx hold rows (see Subring);
     max_ideal, square and small give them as tuples."""
 
@@ -517,25 +554,29 @@ def ideal_data(S: Subring) -> IdealData:
     ctx = S.ctx
     rows = S._rows
     # row 0 is the unique row with pivot in the constant column
-    p = ctx.p_image
-    if not p:
+    if _packs(ctx):
         m = rows[1:]
-        if _packs(ctx):
-            n = ctx.n
-            sq = _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
-        else:
-            sq = canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+        n = ctx.n
+        sq = _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
         return IdealData(ctx, m, sq, sq)
     # rows[0] is 1, the reduced member of 1 + span(rows[1:]), so m is
-    # span(p, rows[1:]).  The row p is reduced against the others, and a
-    # multiple of it that clears column 0 is zero, so this basis is in
-    # Howell form with no echelon pass
-    m = (ctx.monomial(0, p),) + rows[1:]
-    n, w = ctx.n, _kron_width(ctx)
-    packed = [_pack(r, w) for r in m]
-    prods = [a * b >> w * (n - 1) for i, a in enumerate(packed) for b in packed[i:]]
-    sq = _howell(ctx.coeff, ctx.caps_log, [_kron_unpack(v, w, ctx.caps) for v in prods if v])
-    small = canonicalize(ctx, list(sq) + [ctx.scalar_mul(p, r) for r in rows])
+    # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
+    # reduced against the others, and a multiple of it that clears column 0
+    # is zero, so this basis is in Howell form with no echelon pass
+    p = ctx.p_image
+    m = ((ctx.monomial(0, p),) if p else ()) + rows[1:]
+    caps = _kron_caps(ctx)
+    if caps is None:
+        prods = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
+    else:
+        prods = _kron_products(ctx, caps, m)
+    sq = _echelon(ctx, prods)
+    if not p:
+        return IdealData(ctx, m, sq, sq)
+    # m^2 + pR = m^2 + (p), since p rows[i] lies in m^2 for i >= 1.  Column
+    # 0 of m^2 holds multiples of p^2 only, so the row p, then the rows of
+    # m^2 that are 0 there, is the Howell form of m^2 + (p)
+    small = (m[0],) + tuple(r for r in sq if not r[0])
     return IdealData(ctx, m, sq, small)
 
 
@@ -583,19 +624,20 @@ def restricted_extension(B: Subring) -> MinimalExtension:
         # over a field each step adds the column n-1, where z = x^(n-1) is
         # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
         R = Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,))
-        data = ideal_data(R)
-        in_small = not _xor_reduce(data.small_rows, 1)
     else:
         # R contains the kernel span(z), and the top-column entries of B's
         # rows already lie in [0, pivot), so B's rows lifted, then z, are
         # R's canonical basis.  Only on a k-step where B has a pivot in the
         # top column is z a multiple of that row, and left out.
         rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
-        if _lead(rows[-1]) < src_ctx.n - 1:
+        if not _has_top_pivot(src_ctx, rows):
             rows += (z,)
         R = Subring(src_ctx, rows)
-        data = ideal_data(R)
-        in_small = in_row_span(src_ctx, data.small, z)
+    data = ideal_data(R)
+    # z = p^(k-1) x^(n-1) (x^(n-1) over a field) is a multiple of every
+    # nonzero element with column n-1 alone, so the obstruction module holds
+    # z iff it has a member led by column n-1, iff it has a pivot there
+    in_small = _has_top_pivot(src_ctx, data.small_rows)
     R._cotangent = _cotangent_of(src_ctx, data)
     return MinimalExtension(R, B, z, True, in_small, data)
 
@@ -660,6 +702,20 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
     return out
 
 
+def _lift_complement(ctx: RingCtx, data: IdealData, z: Element) -> list:
+    """Rows of m's canonical basis spanning a complement of (small + z) in m,
+    for z outside small.  m / (small + z) is a vector space over the residue
+    field, so the rows whose pivot is not one of (small + z)'s pivots form a
+    complement.  With z outside small, small has no pivot in the top column
+    (see restricted_extension), so adding z adds z's pivot there and changes
+    no other."""
+    if _packs(ctx):
+        grown = {r.bit_length() for r in data.small_rows} | {1}
+        return [r for r in data.max_rows if r.bit_length() not in grown]
+    grown = {_pivot(r) for r in data.small_rows} | {_pivot(z)}
+    return [r for r in data.max_rows if _pivot(r) not in grown]
+
+
 def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     """Compute the lift family of a minimal one-step extension.
 
@@ -680,15 +736,7 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     z = ext.kernel_gen
     data = ideal_data(ext.src) if ext.src_ideal is None else ext.src_ideal
     small = data.small_rows
-    # m / (small + z) is a vector space over the residue field, so the rows
-    # of m's canonical basis whose pivot is not one of (small + z)'s pivots
-    # form a complement.
-    if _packs(ctx):
-        grown = {r.bit_length() for r in _xor_echelon([*small, 1])}
-        w = [r for r in data.max_rows if r.bit_length() not in grown]
-    else:
-        grown = {_pivot(r) for r in canonicalize(ctx, [*small, z])}
-        w = [r for r in data.max_rows if _pivot(r) not in grown]
+    w = _lift_complement(ctx, data, z)
     if len(w) != d:
         raise InvariantViolation(
             f"complement of size {len(w)} for target cotangent dimension {d}"

@@ -108,7 +108,7 @@ class TestCensus:
         assert target.read_text() == direct
 
     # the benchmark's recorded census-z outputs, read and never written here
-    @pytest.mark.parametrize("ring", [(2, 3, 5, 3), (3, 2, 5, 2)], ids=str)
+    @pytest.mark.parametrize("ring", [(2, 2, 7, 1), (2, 3, 5, 3), (3, 2, 5, 2)], ids=str)
     def test_census_z_matches_recorded_reference(self, capsys, tmp_path, ring):
         p, N, n, k = ring
         ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref"

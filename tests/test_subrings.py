@@ -1091,8 +1091,10 @@ class TestPackedPaths:
 # -- quotient steps read off the parent, against canonicalize and ring mul -------
 #
 # restricted_extension writes a preimage's basis down from B's rows, and
-# ideal_data writes m down from R's rows and forms m^2 by Kronecker
-# substitution over Z/p^N.  canonicalize and ZpNPolyCtx.mul are the reference.
+# ideal_data writes m down from R's rows, forms m^2 by Kronecker substitution
+# over Z/p^N and F_p, and reads the obstruction module m^2 + pR, the kernel
+# test and the lift complement off m^2's canonical basis.  canonicalize,
+# in_row_span and ring mul are the reference.
 
 
 def step_kind(B):
@@ -1113,7 +1115,22 @@ def check_ideal_data(S):
     if p:
         assert data.max_ideal == canonicalize(ctx, [ctx.scalar_mul(p, rows[0]), *rows[1:]])
     m = data.max_ideal
-    assert data.square == canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+    prods = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
+    assert data.square == canonicalize(ctx, prods)
+    if p:
+        assert data.small == canonicalize(ctx, prods + [ctx.scalar_mul(p, r) for r in rows])
+    else:
+        assert data.small == data.square
+
+
+def check_kernel_and_complement(ext):
+    """The kernel test and the lift complement against canonicalize."""
+    ctx, data, z = ext.src.ctx, ext.src_ideal, ext.kernel_gen
+    assert ext.kernel_in_small == in_row_span(ctx, data.small, z)
+    if not ext.kernel_in_small:
+        grown = {subrings._pivot(r) for r in canonicalize(ctx, [*data.small, z])}
+        want = [r for r in data.max_ideal if subrings._pivot(r) not in grown]
+        assert list(data._tuples(subrings._lift_complement(ctx, data, z))) == want
 
 
 def checked_census_walk(ctx):
@@ -1129,6 +1146,7 @@ def checked_census_walk(ctx):
         assert ext.src_ideal == ideal_data(ext.src)
         check_ideal_data(B)
         check_ideal_data(ext.src)
+        check_kernel_and_complement(ext)
         kinds[step_kind(B)] += 1
         return ext
 
@@ -1163,9 +1181,13 @@ class TestQuotientStepsFromParent:
     def test_every_z_step_matches_canonicalize(self, params, kinds):
         assert set(checked_census_walk(zpn_ring(*params))) == kinds
 
-    @pytest.mark.parametrize("q, n", [(3, 6), (4, 5), (5, 4), (9, 3)])
+    @pytest.mark.parametrize("q, n", [(2, 8), (3, 6), (4, 5), (5, 4), (9, 3)])
     def test_every_field_step_matches_canonicalize(self, q, n):
         assert set(checked_census_walk(field_ring(q, n))) == {"n"}
+
+    @pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 4)])
+    def test_every_prime_coefficient_step_matches_canonicalize(self, p, n):
+        assert set(checked_census_walk(zpn_ring(p, 1, n))) == {"n"}
 
     @given(z_params(limit=5**5, max_N=4))
     @settings(max_examples=30, deadline=None)
@@ -1187,9 +1209,22 @@ class TestQuotientStepsFromParent:
         n = data.draw(st.integers(1, 8))
         ctx = zpn_ring(p, N, n, data.draw(st.integers(1, N)) if n > 1 else N)
         a, b = data.draw(kron_row(ctx)), data.draw(kron_row(ctx))
-        w = subrings._kron_width(ctx)
+        w = subrings._kron_width(n, ctx.caps)
         got = subrings._pack(a, w) * subrings._pack(b, w) >> w * (n - 1)
         assert subrings._kron_unpack(got, w, ctx.caps) == ctx.mul(a, b)
+
+    @given(st.data())
+    def test_kronecker_products_match_prime_field_mul(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 8))
+        ctx = data.draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
+        m = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
+        want = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
+        got = subrings._kron_products(ctx, subrings._kron_caps(ctx), m)
+        assert got == [v for v in want if any(v)]
+
+    def test_extension_fields_keep_ring_mul(self):
+        assert all(subrings._kron_caps(field_ring(q, 3)) is None for q in (4, 8, 9))
 
     @pytest.mark.parametrize("p, N, n", [(2, 1, 1), (2, 4, 8), (3, 3, 7), (7, 4, 8), (7, 1, 2)])
     def test_kronecker_width_holds_the_largest_products(self, p, N, n):
@@ -1197,7 +1232,7 @@ class TestQuotientStepsFromParent:
         # n (p^N - 1)^2 before reduction, the largest a field has to hold
         ctx = zpn_ring(p, N, n)
         a = tuple(c - 1 for c in ctx.caps)
-        w = subrings._kron_width(ctx)
+        w = subrings._kron_width(n, ctx.caps)
         packed = subrings._pack(a, w)
         got = subrings._kron_unpack(packed * packed >> w * (n - 1), w, ctx.caps)
         assert got == ctx.mul(a, a)
@@ -1227,9 +1262,31 @@ class TestQuotientStepsFromParent:
         rows = census(zpn_ring(2, 2, 5, 1))
         assert sum(r.count for r in rows) == 138
         assert counts["mul"] == 0
-        # the one call per parent is m^2 + pR's
-        assert per_parent and max(per_parent) <= 1
+        # m^2 + pR, the kernel test and the complement are read off m^2
+        assert per_parent and max(per_parent) == 0
+        # the one call is the prime ring's, at the base of the chain
+        assert counts["canonicalize"] == 1
         # the counters do count
         small = zpn_ring(2, 2, 2)
         closure(small, [small.parse("x")])
         assert counts["mul"] and counts["canonicalize"]
+
+    @pytest.mark.parametrize(
+        "ctx, total",
+        [(zpn_ring(2, 1, 11), 1127), (zpn_ring(3, 1, 7), 64), (field_ring(3, 7), 64)],
+        ids=repr,
+    )
+    def test_prime_coefficient_census_makes_no_ring_products(self, ctx, total, monkeypatch):
+        counts = Counter()
+        for cls in (ZpNPolyCtx, FieldPolyCtx):
+
+            def counting_mul(self, a, b, inner=cls.mul):
+                counts["mul"] += 1
+                return inner(self, a, b)
+
+            monkeypatch.setattr(cls, "mul", counting_mul)
+        assert sum(r.count for r in census(ctx)) == total
+        assert counts["mul"] == 0
+        # the counters do count
+        closure(ctx, [ctx.parse("x")])
+        assert counts["mul"]
