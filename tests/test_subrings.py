@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -537,7 +538,7 @@ class TestFamily:
 
 FIELD_ORACLE_RINGS = [(2, 6), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3)]
 # (p, N, n, k); closure_bfs scans the whole ring, so these stay within its
-# 4096-element guard.
+# guard.
 Z_ORACLE_RINGS = [
     (2, 2, 4, 1),
     (3, 2, 3, 1),
@@ -822,6 +823,105 @@ class TestEnumeratorAgreement:
     def test_closure_bfs_matches_minimal_ext_on_z_rings(self, params):
         ctx = zpn_ring(*params)
         assert enumerate_subrings(ctx) == enumerate_subrings(ctx, "closure_bfs")
+
+
+# -- the orderly subspace scan ---------------------------------------------------
+#
+# subspace_scan builds the subrings of a field ring top down, one echelon row
+# at a time, with ring mul and _reduce only.  Most of these rings are beyond
+# closure_bfs.
+
+SCAN_RINGS = [
+    field_ring(2, 12),
+    field_ring(3, 9),
+    field_ring(4, 7),
+    field_ring(5, 6),
+    field_ring(9, 5),
+    zpn_ring(2, 1, 10),
+    zpn_ring(3, 1, 8),
+    zpn_ring(5, 1, 6),
+]
+
+
+class TestSubspaceScan:
+    @pytest.mark.parametrize("ctx", SCAN_RINGS, ids=repr)
+    def test_matches_minimal_ext(self, ctx):
+        assert enumerate_subrings(ctx, "subspace_scan") == enumerate_subrings(ctx)
+
+    @given(field_params(4096))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_minimal_ext_on_draws(self, params):
+        ctx = field_ring(*params)
+        assert enumerate_subrings(ctx, "subspace_scan") == enumerate_subrings(ctx)
+
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(2, 9), field_ring(3, 6), field_ring(4, 5), field_ring(8, 4), zpn_ring(3, 1, 6)],
+        ids=repr,
+    )
+    def test_every_result_is_a_canonical_unital_closed_subring(self, ctx):
+        subs = enumerate_subrings(ctx, "subspace_scan")
+        assert len(set(subs)) == len(subs)
+        assert subs == sorted(subs)
+        for S in subs:
+            assert S.basis == canonicalize(ctx, S.basis)
+            assert S.contains(ctx.one())
+            for i, a in enumerate(S.basis):
+                for b in S.basis[i:]:
+                    assert S.contains(ctx.mul(a, b))
+
+    def test_guard_is_the_summed_census_bound(self):
+        # the summed Gaussian binomials of F2[x]/x^10, the old guard, are
+        # far over any budget; its summed census bound is 596, its count
+        assert len(enumerate_subrings(field_ring(2, 10), "subspace_scan")) == 596
+        t0 = time.perf_counter()
+        # F2[x]/x^15: a bound of 91,347 subrings; F2[x]/x^25: too many shapes
+        for n in (15, 25):
+            with pytest.raises(TooLarge):
+                enumerate_subrings(field_ring(2, n), "subspace_scan")
+        assert time.perf_counter() - t0 < 1
+
+    def test_uses_ring_mul_and_reduce_only(self, monkeypatch):
+        # every node is canonical by construction, and the scan shares no
+        # kernel with the quotient-tree walk
+        rings = [field_ring(2, 8), field_ring(3, 5), zpn_ring(2, 1, 6)]
+        refs = [enumerate_subrings(ctx) for ctx in rings]
+
+        def refuse(*args):
+            raise AssertionError("the scan reached a walk kernel or an echelon pass")
+
+        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_xor_reduce", "_kron_products"):
+            monkeypatch.setattr(subrings, name, refuse)
+        for ctx, ref in zip(rings, refs):
+            assert [S.basis for S in enumerate_subrings(ctx, "subspace_scan")] == [
+                S.basis for S in ref
+            ]
+
+
+class TestClosureGuard:
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(2, 6), field_ring(4, 3), zpn_ring(2, 2, 4, 1), zpn_ring(3, 2, 3, 1)], ids=repr
+    )
+    def test_bound_covers_the_closures_made(self, ctx, monkeypatch):
+        made = Counter()
+        inner = subrings.closure
+
+        def counting(ctx, gens):
+            made["closure"] += 1
+            return inner(ctx, gens)
+
+        monkeypatch.setattr(subrings, "closure", counting)
+        enumerate_subrings(ctx, "closure_bfs")
+        points = len(ctx.domain.points)
+        bound = sum(ctx.base ** (e + points - len(sh)) for sh, e in subrings._shape_bounds(ctx))
+        assert 0 < made["closure"] <= bound
+
+    def test_refuses_before_scanning(self):
+        # F2[x]/x^11 has 2,048 elements but a bound of 146,487 closures (it
+        # makes 145,360); F4[x]/x^6, with 4,096 elements, makes 8,787
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="exceeds the scan limit"):
+            enumerate_subrings(field_ring(2, 11), "closure_bfs")
+        assert time.perf_counter() - t0 < 1
 
 
 def _plant_collision(monkeypatch, ctx, depth):

@@ -9,6 +9,7 @@ from truncring import (
     FieldPolyCtx,
     SkippedChecks,
     TooLarge,
+    enumerate_subrings,
     field_ring,
     quotient_ctx,
     run_suite,
@@ -178,3 +179,41 @@ class TestSkippedChecks:
     def test_no_skips_return_plain_results(self):
         results = run_suite(field_ring(2, 4), "all")
         assert all(r.skipped is None for r in results)
+
+
+class TestRefusalsKeepViolations:
+    """A check that runs on part of a ring reports the violations found
+    there, and refuses only when that part was clean."""
+
+    @pytest.fixture(autouse=True)
+    def clear_memo(self):
+        yield
+        verify._subrings.cache_clear()
+
+    def test_scan_disagreement_survives_a_closure_refusal(self, monkeypatch):
+        # the subspace scan runs on the 8192-element ring; closure_bfs refuses it
+        ctx = field_ring(2, 13)
+        with pytest.raises(TooLarge, match="exceeds the scan limit"):
+            verify.check_enumerator_agreement(ctx)
+        verify._subrings.cache_clear()
+        inner = verify.enumerate_subrings
+
+        def planted(ctx, method="minimal_ext"):
+            subs = inner(ctx, method)
+            return subs[:-1] if method == "subspace_scan" else subs
+
+        monkeypatch.setattr(verify, "enumerate_subrings", planted)
+        assert verify.check_enumerator_agreement(ctx) == ["subspace_scan disagrees with minimal_ext"]
+
+    def test_member_scan_violations_survive_a_large_subring(self):
+        # only the full ring, 2048 elements, is too large for a member scan
+        ctx = field_ring(2, 11)
+        with pytest.raises(TooLarge, match="1 of 1127 subrings"):
+            verify.check_exponent_set_scan(ctx)
+        verify._subrings.cache_clear()
+        # nu reports x^10 at 9, so every scanned subring holding x^10 is caught
+        x10 = ctx.monomial(10)
+        bad = verify.check_exponent_set_scan(_planted(ctx, x10, 9))
+        small = [S for S in enumerate_subrings(ctx) if S.size <= verify._EXHAUSTIVE_LIMIT]
+        holding = [S for S in small if S.contains(x10)]
+        assert len(bad) == len(holding) > 0
