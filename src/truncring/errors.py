@@ -21,10 +21,6 @@ class NotAQuotient(ValueError):
     """The two contexts are not related by a one-step quotient map."""
 
 
-class NotMinimal(ValueError):
-    """Operation requires a minimal extension."""
-
-
 class TooLarge(ValueError):
     """Requested computation exceeds the supported desk scale."""
 

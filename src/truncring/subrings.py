@@ -39,15 +39,21 @@ m^2's rows that are 0 in column 0.  The kernel generator lies in it iff
 it has a pivot in the top column, and when it does not, the lift
 complement follows from its pivots and the kernel's.  Ring mul,
 canonicalize and in_row_span stay the reference.
+
+Cotangent dimensions are carried down the walk, not computed: the prime
+ring has d = 0, a preimage R of B has d(R) = d(B) + [z not in m_R^2 + pR]
+(the proof is in restricted_extension), and a lift has d(B).  So neither
+the census nor the enumeration calls cotangent_dim, which stays the one
+direct computation and the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CtxMismatch, InvariantViolation, NotMinimal, OutOfFamily, TooLarge
+from .errors import CtxMismatch, InvariantViolation, OutOfFamily, TooLarge
 from .rings import (
     Element,
     FieldPolyCtx,
@@ -380,9 +386,9 @@ class Subring:
     _packs(ctx), the basis tuples otherwise.  basis gives the tuples; for
     packed rows they are unpacked on first read.
 
-    The cotangent dimension is memoised: the quotient-chain enumeration
-    records it when it makes the subring, and any other subring computes
-    it with cotangent_dim on first use.
+    The cotangent dimension is memoised: the prime ring and every subring
+    the quotient-chain walk makes carry it (see restricted_extension), and
+    any other subring computes it with cotangent_dim on first use.
     """
 
     __slots__ = ("ctx", "_rows", "_basis", "_cotangent")
@@ -406,10 +412,9 @@ class Subring:
 
     @classmethod
     def prime_ring(cls, ctx: RingCtx) -> "Subring":
-        """The span of 1: the image of the prime coefficient ring."""
-        if _packs(ctx):
-            return cls._from_packed(ctx, (1 << ctx.n - 1,))
-        return cls.from_rows(ctx, [ctx.one()])
+        """The span of 1: the image of the prime coefficient ring.  (1,) is
+        its canonical basis, and its m/(m^2 + pR) is 0."""
+        return cls(ctx, (ctx.one(),), 0)
 
     @property
     def basis(self) -> tuple[Element, ...]:
@@ -582,15 +587,12 @@ def ideal_data(S: Subring) -> IdealData:
     return IdealData(ctx, m, sq, small)
 
 
-def _cotangent_of(ctx: RingCtx, data: IdealData) -> int:
-    return _span_logsize(ctx, data.max_rows) - _span_logsize(ctx, data.small_rows)
-
-
 def cotangent_dim(S: Subring) -> int:
     """Dimension of m/m^2 over the residue field (of m/(m^2 + pR) over F_p
     in mixed characteristic), computed directly from ideal_data(S).
     Subring.cotangent memoises it."""
-    return _cotangent_of(S.ctx, ideal_data(S))
+    data = ideal_data(S)
+    return _span_logsize(S.ctx, data.max_rows) - _span_logsize(S.ctx, data.small_rows)
 
 
 # -- one-step extensions and lifting ------------------------------------------
@@ -599,15 +601,14 @@ def cotangent_dim(S: Subring) -> int:
 @dataclass(frozen=True)
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
-    with the kernel generated by kernel_gen.  src_ideal caches
-    ideal_data(src) when the builder already has it."""
+    with the kernel generated by kernel_gen; src_ideal is ideal_data(src).
+    restricted_extension builds it."""
 
     src: Subring
     dst: Subring
     kernel_gen: Element
-    is_minimal: bool
     kernel_in_small: bool
-    src_ideal: IdealData | None = field(default=None, compare=False, repr=False)
+    src_ideal: IdealData
 
 
 def _lift_row(src_ctx: RingCtx, row) -> Element:
@@ -618,8 +619,16 @@ def _lift_row(src_ctx: RingCtx, row) -> Element:
 
 def restricted_extension(B: Subring) -> MinimalExtension:
     """The preimage R of B under the one-step quotient onto B's ring,
-    packaged as the extension R -> B.  R carries its cotangent dimension,
-    read off the ideal data computed here."""
+    packaged as the extension R -> B.
+
+    R carries its cotangent dimension d(R) = d(B) + [z not in m_R^2 + pR],
+    the bit being the kernel test made here.  Proof: R -> B is onto with
+    kernel span(z), and it maps m_R onto m_B, m_R^2 onto m_B^2 and pR onto
+    pB, so it induces a surjection m_R/(m_R^2 + pR) -> m_B/(m_B^2 + pB).
+    An element of m_R maps into m_B^2 + pB iff it lies in
+    m_R^2 + pR + span(z), so the kernel is the image of span(z): 0 when z
+    lies in m_R^2 + pR, else one-dimensional, as m z = 0.
+    """
     src_ctx = extension_ctx(B.ctx)
     z = kernel_generator(src_ctx)
     if _packs(src_ctx):
@@ -640,8 +649,8 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     # nonzero element with column n-1 alone, so the obstruction module holds
     # z iff it has a member led by column n-1, iff it has a pivot there
     in_small = _has_top_pivot(src_ctx, data.small_rows)
-    R._cotangent = _cotangent_of(src_ctx, data)
-    return MinimalExtension(R, B, z, True, in_small, data)
+    R._cotangent = B.cotangent + (not in_small)
+    return MinimalExtension(R, B, z, in_small, data)
 
 
 @dataclass(frozen=True)
@@ -729,14 +738,12 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     module.  Every lift is isomorphic to dst and carries its cotangent
     dimension.
     """
-    if not ext.is_minimal:
-        raise NotMinimal("lifting requires a minimal extension")
     d = ext.dst.cotangent
     if ext.kernel_in_small:
         return LiftFamily(ext, False, d, ())
     ctx = ext.src.ctx
     z = ext.kernel_gen
-    data = ideal_data(ext.src) if ext.src_ideal is None else ext.src_ideal
+    data = ext.src_ideal
     small = data.small_rows
     w = _lift_complement(ctx, data, z)
     if len(w) != d:
@@ -749,7 +756,8 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
         lifts = [Subring(ctx, b, cotangent=d) for b in _lift_bases(ctx, z, w, small)]
     if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
-    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=Subring._key)))
+    # the lifts all have B's size, so their rows alone give Subring order
+    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=lambda L: L._rows)))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -973,11 +981,6 @@ def _census_walk(ctx: RingCtx) -> dict:
         if not ext.kernel_in_small:
             B = ext.dst
             d = B.cotangent
-            # lift_isomorphic's complement of size d, counted
-            if R.cotangent != d + 1:
-                raise InvariantViolation(
-                    f"preimage cotangent dimension {R.cotangent} for parent dimension {d}"
-                )
             rows[_exponent_points(B)][d] += base**d
     if not rows:  # the base ring
         prime = Subring.prime_ring(ctx)

@@ -253,7 +253,7 @@ def check_lift_containment(ctx: RingCtx) -> list[str]:
     bad = []
     for B in dst_subs:
         ext = restricted_extension(B)
-        small = ideal_data(ext.src).small
+        small = ext.src_ideal.small
         for A in lifts_of.get(B, ()):
             for r in small:
                 if not A.contains(r):
@@ -442,7 +442,7 @@ def check_ideal_correspondence(ctx: RingCtx) -> list[str]:
     bad = []
     for B in _subrings(dst_ctx, "minimal_ext"):
         ext = restricted_extension(B)
-        m_src = ideal_data(ext.src).max_ideal
+        m_src = ext.src_ideal.max_ideal
         m_dst = ideal_data(B).max_ideal
         image = canonicalize(dst_ctx, [project(ctx, dst_ctx, r) for r in m_src])
         if image != m_dst:
