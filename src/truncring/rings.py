@@ -11,9 +11,9 @@ Two families are supported:
 Elements are plain tuples of ints, index i holding the coefficient of
 x^i, so they hash and compare by value.  A context object carries the
 parameters and the facts the two families share (residue field size
-``base``, column caps ``caps_log``, the image ``p_image`` of p, the
-exponent ``domain``), and implements arithmetic, the valuation ``nu``,
-unit tests, and the polynomial string syntax::
+``base``, column caps ``caps_log`` and moduli ``caps``, the image
+``p_image`` of p, the exponent ``domain``), and implements arithmetic,
+the valuation ``nu``, unit tests, and the polynomial string syntax::
 
     poly  := term ('+' term)* | '0'
     term  := coeff | coeff '*'? 'x' ('^' uint)? | 'x' ('^' uint)?
@@ -40,12 +40,14 @@ _TERM_RE = re.compile(r"^(?:\[(\d+(?:,\d+)*)\]|(\d+))?(?:\*?x(?:\^(\d+))?)?$")
 
 
 class _TruncPolyCtx:
-    """What the two families share.  A subclass sets the family facts:
+    """What the two families share.  Each __init__ sets the ring's facts
+    once, as plain data, and library code reads them instead of the class:
 
     * ``base``     -- the residue field size, q over F_q and p over Z/p^N;
     * ``caps_log`` -- per column, the exponent of its cap in powers of
       ``base``: the coefficient of x^i lives in a group of size
       ``base ** caps_log[i]``;
+    * ``caps``     -- the column moduli ``base ** caps_log[i]``;
     * ``p_image``  -- the image of the integer p in the coefficient ring;
       it is 0 exactly when the coefficient ring is a field;
     * ``domain``   -- the exponent domain holding the values of ``nu``.
@@ -56,7 +58,7 @@ class _TruncPolyCtx:
     element once built.
     """
 
-    __slots__ = ("coeff", "n", "_down", "_up", "_kernel")
+    __slots__ = ("coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel")
 
     # -- constructors ------------------------------------------------------
 
@@ -74,6 +76,9 @@ class _TruncPolyCtx:
     def _check(self, a: Element):
         if len(a) != self.n:
             raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
+
+    def _reduce(self, coeffs: list[int]) -> Element:
+        return tuple(v % c for v, c in zip(coeffs, self.caps))
 
     # -- enumeration ---------------------------------------------------------
 
@@ -145,29 +150,21 @@ class FieldPolyCtx(_TruncPolyCtx):
     """The ring F_q[x]/x^n."""
 
     __slots__ = ()
-    p_image = 0
 
     def __init__(self, coeff: FieldCtx, n: int):
         if n < 1:
             raise ValueError(f"truncation order must be >= 1, got {n}")
         self.coeff = coeff
         self.n = n
+        self.base = coeff.q
+        self.caps_log = (1,) * n
+        self.caps = (coeff.q,) * n
+        self.p_image = 0
+        self.domain = IntervalDomain(n)
         self._down = self._up = self._kernel = None
-
-    @property
-    def base(self) -> int:
-        return self.coeff.q
-
-    @property
-    def caps_log(self) -> tuple[int, ...]:
-        return (1,) * self.n
 
     def _sibling(self, n: int, k: int) -> "FieldPolyCtx":
         return FieldPolyCtx(self.coeff, n)
-
-    @property
-    def domain(self) -> IntervalDomain:
-        return IntervalDomain(self.n)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -232,9 +229,6 @@ class FieldPolyCtx(_TruncPolyCtx):
             return "[" + ",".join(str(v) for v in self.coeff.coeffs(c)) + "]"
         return str(c)
 
-    def _reduce(self, coeffs: list[int]) -> Element:
-        return tuple(coeffs)
-
     def __repr__(self):
         return f"F{self.coeff.q}[x]/x^{self.n}"
 
@@ -242,7 +236,7 @@ class FieldPolyCtx(_TruncPolyCtx):
 class ZpNPolyCtx(_TruncPolyCtx):
     """The ring Z[x]/(p^N, x^n, p^k x^{n-1})."""
 
-    __slots__ = ("k", "base", "caps_log", "caps", "p_image")
+    __slots__ = ("k",)
 
     def __init__(self, coeff: ZpNCtx, n: int, k: int):
         if n < 1:
@@ -259,14 +253,11 @@ class ZpNPolyCtx(_TruncPolyCtx):
         self.caps_log = (coeff.N,) * (n - 1) + (k,)
         self.caps = tuple(p**c for c in self.caps_log)
         self.p_image = p % coeff.size
+        self.domain = GridDomain(n, coeff.N, k)
         self._down = self._up = self._kernel = None
 
     def _sibling(self, n: int, k: int) -> "ZpNPolyCtx":
         return ZpNPolyCtx(self.coeff, n, k)
-
-    @property
-    def domain(self) -> GridDomain:
-        return GridDomain(self.n, self.coeff.N, self.k)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -322,9 +313,6 @@ class ZpNPolyCtx(_TruncPolyCtx):
 
     def _coeff_str(self, c: int) -> str:
         return str(c)
-
-    def _reduce(self, coeffs: list[int]) -> Element:
-        return tuple(v % c for v, c in zip(coeffs, self.caps))
 
     def __repr__(self):
         p, N = self.coeff.p, self.coeff.N

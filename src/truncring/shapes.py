@@ -12,6 +12,7 @@ A shape is a subset containing zero and closed under defined sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import InvariantViolation, TooLarge
@@ -36,7 +37,7 @@ class IntervalDomain:
     def zero(self) -> int:
         return 0
 
-    @property
+    @cached_property
     def points(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
@@ -74,7 +75,7 @@ class GridDomain:
     def zero(self) -> tuple[int, int]:
         return (0, 0)
 
-    @property
+    @cached_property
     def points(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (i, j)

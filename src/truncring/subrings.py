@@ -7,22 +7,23 @@ form adapted to the per-degree coefficient caps (the x^{n-1} column lives
 mod p^k).  Rows are coefficient vectors with columns ordered by degree,
 and the set of row valuations can be read straight off the pivots.
 
-Both families run one code path.  Where the two differ, the ring's own
-p_image decides: p = 0 in the ring exactly when the coefficients form a
-field, F_q or Z/p.  Over Z/p the Howell form is the echelon form, so
-Z[x]/(p, x^n) takes the field path.
+Both families run one code path.  Where the algorithms differ, the facts
+the ring context carries decide, never its class.  p_image = 0 exactly
+when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
+form is the echelon form, so Z[x]/(p, x^n) takes the field path.  base and
+p_image pick the row format (_packs), base and caps the m^2 products.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
 quotient tree: the enumeration builds its top level, the census counts it.
 
-Subrings of F_2[x]/x^n keep their canonical rows packed into ints, and the
-quotient-chain code (restricted_extension, ideal_data, lift_isomorphic,
-the tree walk) runs on those rows: echelon form by XOR on the pivot bit,
-ring products by shift-and-XOR.  Tuples appear only at the API boundary:
-Subring.basis, the IdealData fields and canonicalize return tuples, built
-when read.  The tuple kernels stay the reference the packed ones are
-tested against.
+Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
+canonical rows packed into ints, and the quotient-chain code
+(restricted_extension, ideal_data, lift_isomorphic, the tree walk) runs on
+those rows: echelon form by XOR on the pivot bit, ring products by
+shift-and-XOR.  Tuples appear only at the API boundary: Subring.basis, the
+IdealData fields and canonicalize return tuples, built when read.  The
+tuple kernels stay the reference the packed ones are tested against.
 
 On both families a quotient step reads what it can off the parent, with
 no echelon pass: the preimage of B has B's rows lifted, then the kernel
@@ -249,9 +250,9 @@ def _span_logsize(ctx, basis) -> int:
 
 
 def _packs(ctx: RingCtx) -> bool:
-    """Whether subrings of ctx keep packed rows: exactly over F_2[x]/x^n.
-    The Z family keeps tuple rows, Z[x]/(2, x^n) included."""
-    return isinstance(ctx, FieldPolyCtx) and ctx.coeff.q == 2
+    """Whether subrings of ctx keep packed rows: exactly when the
+    coefficients are F_2 = Z/2, over F_2[x]/x^n and Z[x]/(2, x^n) alike."""
+    return ctx.base == 2 and not ctx.p_image
 
 
 def _pack(row, w: int = 1) -> int:
@@ -344,13 +345,10 @@ def _xor_lift_bases(n: int, w, small) -> list:
 
 
 def _kron_caps(ctx: RingCtx):
-    """The column moduli when the coefficients are plain residues: ctx.caps
-    over Z/p^N, p in every column over F_p; None over F_q with q = p^e,
+    """The column moduli ctx.caps when the coefficients are plain residues,
+    over Z/p^N and F_p, where base is p; None over F_q with q = p^e,
     e > 1, whose products are not residue products."""
-    if not isinstance(ctx, FieldPolyCtx):
-        return ctx.caps
-    K = ctx.coeff
-    return (K.p,) * ctx.n if K.e == 1 else None
+    return ctx.caps if ctx.base == ctx.coeff.p else None
 
 
 def _kron_width(n: int, caps) -> int:
@@ -401,7 +399,7 @@ class Subring:
 
     @classmethod
     def _from_packed(cls, ctx: RingCtx, rows: tuple[int, ...], cotangent: int | None = None):
-        """The subring of an F_2 ring with these canonical packed rows."""
+        """The subring with these canonical packed rows (see _packs)."""
         S = cls.__new__(cls)
         S.ctx, S._rows, S._basis, S._cotangent = ctx, rows, None, cotangent
         return S
@@ -501,11 +499,12 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
 def _exponent_points(S: Subring) -> tuple:
     """The sorted valuation points read off the canonical basis: each row
     contributes its own valuation and, when p != 0, those of its multiples
-    by powers of p that keep the pivot."""
+    by powers of p that keep the pivot.  A packed row's valuation is the
+    domain point of its pivot column c: c, or (c, 0) over Z[x]/(2, x^n)."""
     ctx = S.ctx
     if _packs(ctx):
-        n = ctx.n
-        return tuple(sorted(n - r.bit_length() for r in S._rows))
+        n, points = ctx.n, ctx.domain.points
+        return tuple(sorted(points[n - r.bit_length()] for r in S._rows))
     nu = ctx.nu
     pts = [nu(row) for row in S.basis]
     if ctx.p_image:
@@ -897,7 +896,9 @@ def _top_extensions(ctx: RingCtx):
     Every subring of a level has one parent, its image B one level down:
     it is B's preimage or one of B's lifts.  Below the top the walk visits
     each B's preimage and lifts; the top level is left to the caller, which
-    builds it (enumeration) or counts it (census).
+    builds it (enumeration) or counts it (census).  A lift family below
+    the top of any size but base^dim (0 when obstructed) would duplicate
+    or drop a subtree, which a census cannot see, so it raises.
     """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge("ambient ring too large")
@@ -915,8 +916,11 @@ def _top_extensions(ctx: RingCtx):
         if level == top:
             yield ext
         else:
+            fam = lift_isomorphic(ext)
+            if len(fam.lifts) != (ctx.base**fam.dim if fam.exists else 0):
+                raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
             stack.append((ext.src, level))
-            stack.extend((L, level) for L in lift_isomorphic(ext).lifts)
+            stack.extend((L, level) for L in fam.lifts)
 
 
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
@@ -972,16 +976,21 @@ def _census_walk(ctx: RingCtx) -> dict:
     """Exponent points -> Counter of cotangent dimensions over the subrings
     of ctx, counted from _top_extensions, not built: each preimage R counts
     once with d(R), and an unobstructed B has base^d(B) lifts, each with
-    B's exponent points and d(B)."""
-    base = ctx.base
+    B's exponent points and d(B).
+
+    R's points are B's, then top, the valuation of the top step's kernel
+    generator z.  Proof: R -> B is onto with kernel span(z), whose nonzero
+    members all have valuation nu(z).  The quotient map keeps the
+    valuation of every member outside span(z), so vals(R) = vals(B) plus
+    nu(z), the largest point of R's domain."""
+    top = tuple(_chain_tops(ctx)[:1])
     rows = defaultdict(Counter)
     for ext in _top_extensions(ctx):
-        R = ext.src
-        rows[_exponent_points(R)][R.cotangent] += 1
+        B = ext.dst
+        pts = _exponent_points(B)
+        rows[pts + top][ext.src.cotangent] += 1
         if not ext.kernel_in_small:
-            B = ext.dst
-            d = B.cotangent
-            rows[_exponent_points(B)][d] += base**d
+            rows[pts][B.cotangent] += ctx.base**B.cotangent
     if not rows:  # the base ring
         prime = Subring.prime_ring(ctx)
         rows[_exponent_points(prime)][prime.cotangent] += 1

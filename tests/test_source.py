@@ -1,5 +1,6 @@
 """The package's own source: library invariants raise InvariantViolation,
-so none may hang on an assert statement, which python -O strips."""
+so none may hang on an assert statement, which python -O strips; and no
+library code asks which family a ring belongs to."""
 
 import ast
 from pathlib import Path
@@ -17,5 +18,29 @@ def test_package_has_no_assert_statements():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+FAMILY_CLASSES = {"FieldPolyCtx", "ZpNPolyCtx"}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_package_asks_no_ring_its_family():
+    # a ring context carries its facts (base, caps_log, caps, p_image,
+    # domain) as data, and library code reads those instead of the class
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and any(_names(arg) & FAMILY_CLASSES for arg in node.args[1:])
     ]
     assert found == []

@@ -627,8 +627,9 @@ class TestPrimeCoefficientZRings:
     """Z[x]/(p, x^n) is F_p[x]/x^n; its census is the field census under
     i <-> (i, 0)."""
 
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "n, p", [(n, p) for p in (2, 3) for n in (2, 3, 4, 5)] + [(n, 2) for n in (1, 6, 7, 8, 9, 10, 11)]
+    )
     def test_census_matches_field_census(self, p, n):
         z_ring, f_ring = zpn_ring(p, 1, n), field_ring(p, n)
         z_rows = census(z_ring, enumerate_subrings(z_ring))
@@ -677,9 +678,20 @@ WALK_RINGS = COTANGENT_RINGS + [
 ]
 
 
+def points_checked_extension(B, inner=subrings.restricted_extension):
+    """restricted_extension, checking that the preimage's points are B's,
+    then the valuation of the step's kernel generator."""
+    ext = inner(B)
+    top = ext.src.ctx.nu(ext.kernel_gen)
+    assert subrings._exponent_points(ext.src) == subrings._exponent_points(B) + (top,)
+    return ext
+
+
 def assert_walk_matches_grouped(ctx):
-    walked = census(ctx)
-    grouped = census(ctx, enumerate_subrings(ctx))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subrings, "restricted_extension", points_checked_extension)
+        walked = census(ctx)
+        grouped = census(ctx, enumerate_subrings(ctx))
     assert all(row.subrings == () for row in walked)
     assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
     assert all(row.count <= row.bound for row in walked)
@@ -902,6 +914,18 @@ class TestCollisionCheck:
             enumerate_subrings(ctx)
         assert planted
 
+    # the census counts the top level instead of calling lift_isomorphic
+    # there, so a depth 0 plant never reaches it.  Unguarded, the depth 2
+    # plant on F2[x]/x^6 counted 35 subrings instead of 24
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("ctx", COLLISION_RINGS + [field_ring(2, 6)], ids=repr)
+    def test_planted_collision_stops_the_census(self, ctx, depth, monkeypatch):
+        census(ctx)
+        planted = _plant_collision(monkeypatch, ctx, depth)
+        with pytest.raises(InvariantViolation, match="lifts in a family"):
+            census(ctx)
+        assert planted
+
 
 @pytest.mark.parametrize("p,N,n", [(2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3)])
 def test_dead_top_coefficient_keeps_the_census(p, N, n):
@@ -984,9 +1008,9 @@ class TestCosetReduction:
 
 # -- packed F_2 rows against the tuple kernels -----------------------------------
 #
-# Subrings of F_2[x]/x^n keep packed int rows.  The tuple kernels (_rref,
-# FieldPolyCtx.mul, _reduce, _lift_bases) are the reference, and so is the
-# whole tuple path, reached by making _packs refuse every ring.
+# Subrings of F_2[x]/x^n and Z[x]/(2, x^n) keep packed int rows.  The tuple
+# kernels (_rref, ring mul, _reduce, _lift_bases) are the reference, and so
+# is the whole tuple path, reached by making _packs refuse every ring.
 
 F2 = FieldCtx(2)
 
@@ -1091,16 +1115,23 @@ def subring_view(S):
     )
 
 
+# Z[x]/(2, x^n) is F_2[x]/x^n and runs the same packed path; the F_2 cases
+# keep their plain ids 1..9
+PACKED_RINGS = [pytest.param(n, functools.partial(field_ring, 2), id=str(n)) for n in range(1, 10)] + [
+    pytest.param(n, functools.partial(zpn_ring, 2, 1), id=repr(zpn_ring(2, 1, n))) for n in range(1, 10)
+]
+
+
 class TestPackedPaths:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_every_subring_matches_the_tuple_path(self, n, monkeypatch):
-        ctx = field_ring(2, n)
+    @pytest.mark.parametrize("n, ring", PACKED_RINGS)
+    def test_every_subring_matches_the_tuple_path(self, n, ring, monkeypatch):
+        ctx = ring(n)
         packed = enumerate_subrings(ctx)
         assert all(isinstance(r, int) for S in packed for r in S._rows)
         packed_view = [subring_view(S) for S in packed]
         packed_census = census(ctx)
         monkeypatch.setattr(subrings, "_packs", lambda ctx: False)
-        ctx = field_ring(2, n)
+        ctx = ring(n)
         plain = enumerate_subrings(ctx)
         assert all(S._rows == S.basis for S in plain)
         assert [subring_view(S) for S in plain] == packed_view
@@ -1108,26 +1139,33 @@ class TestPackedPaths:
 
     def test_census_walk_builds_no_tuples(self, monkeypatch):
         counts = Counter()
-        inner_mul, inner_basis = FieldPolyCtx.mul, Subring.basis
+        inner_basis = Subring.basis
+        for cls in (FieldPolyCtx, ZpNPolyCtx):
 
-        def counting_mul(self, a, b):
-            counts["mul"] += 1
-            return inner_mul(self, a, b)
+            def counting_mul(self, a, b, inner=cls.mul):
+                counts["mul"] += 1
+                return inner(self, a, b)
+
+            monkeypatch.setattr(cls, "mul", counting_mul)
 
         def counting_basis(self):
             counts["basis"] += 1
             return inner_basis.fget(self)
 
-        monkeypatch.setattr(FieldPolyCtx, "mul", counting_mul)
         monkeypatch.setattr(Subring, "basis", property(counting_basis))
-        rows = census(field_ring(2, 11))
-        assert sum(r.count for r in rows) == 1127
-        assert counts == {}
+        for ctx in (field_ring(2, 11), zpn_ring(2, 1, 11)):
+            rows = census(ctx)
+            assert sum(r.count for r in rows) == 1127
+            assert counts == {}
         # the counters do count
         small = field_ring(2, 4)
         enumerate_subrings(small)[-1].basis
         closure(small, [small.parse("x")])
         assert counts["basis"] == 1 and counts["mul"]
+        before = counts["mul"]
+        small = zpn_ring(2, 1, 4)
+        closure(small, [small.parse("x")])
+        assert counts["mul"] > before
 
 
 # -- quotient steps read off the parent, against canonicalize and ring mul -------
