@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Subcommands: ``census`` and ``census-z`` (shape censuses of a truncated
-ring), ``lifts`` (the family of isomorphic lifts of a subring across the
-one-step extension), ``shape`` (exponent set and generator data of a
-subring), ``counterexample`` (the generator-gap family), and ``verify``
-(invariant suites).  Output is deterministic JSON (or CSV for censuses),
-to stdout or an ``--out`` file.  Exit codes: 0 ok, 1 a verify suite found
-a violation, 2 usage error.  A verify check too large for the ring's scale
-is reported as skipped, in the JSON and on stderr, and the exit code rests
-on the checks that ran.
+Subcommands: ``census`` (the shape census of a truncated ring, field or
+Z family; ``census-z`` is the same command), ``lifts`` (the family of
+isomorphic lifts of a subring across the one-step extension), ``shape``
+(exponent set and generator data of a subring), ``counterexample`` (the
+generator-gap family), and ``verify`` (invariant suites).  Every command
+that takes a ring takes the same ring flags: ``--q`` (and ``--modulus``)
+for F_q[x]/x^n, ``--p``/``--N`` (and ``--k``, default N) for the Z
+family.  Output is deterministic JSON (or CSV for censuses), to stdout or
+an ``--out`` file.  Exit codes: 0 ok, 1 a verify suite found a violation,
+2 usage error.  A verify check too large for the ring's scale is reported
+as skipped, in the JSON and on stderr, and the exit code rests on the
+checks that ran.
 """
 
 from __future__ import annotations
@@ -107,17 +110,17 @@ def _field_modulus(q: int, text):
 
 
 def _ring_from_args(args):
-    has_q = getattr(args, "q", None) is not None
-    has_p = getattr(args, "p", None) is not None
-    if has_q == has_p:
+    if (args.q is None) == (args.p is None):
         raise ValueError("select the ring with either --q (field) or --p/--N (Z family)")
-    if has_q:
-        if getattr(args, "N", None) is not None or getattr(args, "k", None) is not None:
+    if args.q is not None:
+        if args.N is not None or args.k is not None:
             raise ValueError("--N/--k belong to the Z family; use them with --p")
-        return field_ring(args.q, args.n, _field_modulus(args.q, getattr(args, "modulus", None)))
+        return field_ring(args.q, args.n, _field_modulus(args.q, args.modulus))
+    if args.modulus is not None:
+        raise ValueError("--modulus belongs to extension fields; use it with --q")
     if args.N is None:
         raise ValueError("--p needs --N")
-    return zpn_ring(args.p, args.N, args.n, getattr(args, "k", None))
+    return zpn_ring(args.p, args.N, args.n, args.k)
 
 
 def _parse_generators(ctx, text: str):
@@ -228,10 +231,7 @@ def _cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_output_flags(sp, csv_ok: bool = False):
-    if csv_ok:
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--emit-bases", action="store_true", dest="emit_bases")
+def _add_output_flags(sp):
     sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -251,19 +251,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("census", help="shape census of F_q[x]/x^n")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--modulus", default=None)
-    _add_output_flags(sp, csv_ok=True)
-    sp.set_defaults(fn=_cmd_census)
-
-    sp = sub.add_parser("census-z", help="shape census of Z[x]/(p^N, x^n, p^k x^{n-1})")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    _add_output_flags(sp, csv_ok=True)
+    sp = sub.add_parser(
+        "census",
+        aliases=["census-z"],
+        help="shape census of F_q[x]/x^n or Z[x]/(p^N, x^n, p^k x^{n-1})",
+    )
+    _add_ring_flags(sp)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    sp.add_argument("--emit-bases", action="store_true", dest="emit_bases")
+    _add_output_flags(sp)
     sp.set_defaults(fn=_cmd_census)
 
     sp = sub.add_parser("lifts", help="isomorphic lifts of a subring across the one-step extension")

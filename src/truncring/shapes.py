@@ -41,6 +41,11 @@ class IntervalDomain:
     def points(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
+    @property
+    def zero_column(self) -> tuple[int, ...]:
+        """The valuations of the prime ring."""
+        return (0,)
+
     def contains(self, pt) -> bool:
         return isinstance(pt, int) and 0 <= pt < self.n
 
@@ -83,6 +88,11 @@ class GridDomain:
             for j in range(self.N)
             if not (i == self.n - 1 and j >= self.tail)
         )
+
+    @property
+    def zero_column(self) -> tuple[tuple[int, int], ...]:
+        """The valuations of the prime ring: (0, 0), ..., (0, N-1)."""
+        return self.points[: self.N]
 
     def contains(self, pt) -> bool:
         if not (isinstance(pt, tuple) and len(pt) == 2):
@@ -190,28 +200,41 @@ def generate(domain: ExpDomain, gens: Iterable[Point]) -> set:
 def is_realizable_zshape(shape: Shape) -> bool:
     """Whether a grid shape occurs as the valuation set of a unital subring:
     it must contain the whole zero column (0, 0), ..., (0, N-1)."""
-    domain = shape.domain
-    if not isinstance(domain, GridDomain):
+    if not isinstance(shape.domain, GridDomain):
         raise TypeError("realizability test applies to grid shapes")
-    return all((0, j) in shape.elems for j in range(domain.N))
+    return set(shape.domain.zero_column) <= set(shape.elems)
 
 
 def _shape_points(s) -> frozenset:
     return frozenset(s.elems) if isinstance(s, Shape) else frozenset(s)
 
 
-def chain_bound(shape: Shape, tops, offset: int) -> int:
-    """Census bound exponent along a quotient chain whose steps drop the
-    points tops, in order: a step whose top point lies in the shape strips
-    it, any other step adds the shape's current generator count less
-    offset, the generators that no step accounts for."""
-    nz = {pt for pt in shape.elems if pt != shape.domain.zero}
+def chain_bound(shape: Shape) -> int:
+    """Census bound exponent along the quotient chain of the shape's ring.
+
+    The steps drop the domain's points outside the zero column, largest
+    first: a step whose point lies in the shape strips it, any other step
+    adds the shape's current generators outside the zero column.
+
+    These points are the kernel valuations of the quotient chain, top step
+    first: quotient_ctx removes exactly the domain's largest point at each
+    step, and the base ring's domain is the zero column.  Every shape the
+    census bounds contains the zero column, and there (0, 1) is the only
+    generator in it, as (0, j) = (0, 1) + (0, j-1).  So each step adds the
+    generator count less one exactly when N >= 2, i.e. when p is nonzero
+    in the ring: p's generator is the one no step accounts for.
+    """
+    domain = shape.domain
+    col = set(domain.zero_column)
+    nz = {pt for pt in shape.elems if pt != domain.zero}
     total = 0
-    for top in tops:
+    for top in reversed(domain.points):
+        if top in col:
+            continue
         if top in nz:
             nz.discard(top)
         else:
-            total += sum(1 for g in nz if _indecomposable(nz, g)) - offset
+            total += sum(1 for g in nz if g not in col and _indecomposable(nz, g))
     return total
 
 
@@ -223,7 +246,7 @@ def e_bound(n: int, s) -> int:
     domain = IntervalDomain(n)
     if not is_shape(domain, pts):
         raise ValueError(f"{sorted(pts)} is not a shape of [0, {n - 1}]")
-    return chain_bound(Shape(domain, tuple(sorted(pts))), range(n - 1, 0, -1), 0)
+    return chain_bound(Shape(domain, tuple(sorted(pts))))
 
 
 def eps_bound(n: int, N: int, k: int, s) -> int:
@@ -247,8 +270,7 @@ def eps_bound(n: int, N: int, k: int, s) -> int:
     shape = Shape(domain, tuple(sorted(pts)))
     if not is_realizable_zshape(shape):
         raise ValueError(f"{sorted(pts)} misses part of the zero column")
-    tops = [(i, j) for i in range(n - 1, 0, -1) for j in range(k if i == n - 1 else N)[::-1]]
-    return chain_bound(shape, tops, 1)
+    return chain_bound(shape)
 
 
 def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[Shape]:
@@ -256,16 +278,14 @@ def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[S
 
     Walks the points in ascending order; a point forced by an already
     decided sum is included unconditionally, every other point branches,
-    so each shape appears exactly once.  With realizable_only, grid shapes
-    are restricted to those containing the zero column (interval shapes
-    are all realizable, so the flag is a no-op there).
+    so each shape appears exactly once.  With realizable_only, shapes are
+    restricted to those containing the zero column (on an interval that is
+    just 0, so the flag is a no-op there).
     """
     pts = [pt for pt in domain.points if pt != domain.zero]
     if len(pts) + 1 > _MAX_ENUM_POINTS:
         raise TooLarge(f"{len(pts) + 1} points exceeds the enumeration limit {_MAX_ENUM_POINTS}")
-    required = set()
-    if realizable_only and isinstance(domain, GridDomain):
-        required = {(0, j) for j in range(1, domain.N)}
+    required = set(domain.zero_column) if realizable_only else set()
     out = []
 
     def rec(i: int, cur: set):

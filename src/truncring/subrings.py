@@ -107,10 +107,11 @@ def _howell(K, caps_log, rows):
     p^caps_log[j].
 
     Column by column: the entry of least p-valuation becomes the pivot and
-    is normalized to an exact power of p; other rows are cleared below it;
-    the annihilator multiple of the pivot row rejoins the worklist so that
-    every span element with leading column c is reachable from pivots >= c.
-    Finally entries above each pivot are reduced into [0, pivot).
+    is normalized to an exact power of p; the worklist rows are cleared
+    below it and the pivot rows above reduced into [0, pivot) by the same
+    floor quotient, exact on the worklist; the annihilator multiple of the
+    pivot row rejoins the worklist so that every span element with leading
+    column c is reachable from pivots >= c.
     """
     p, nu1 = K.p, K.nu1
     ncols = len(caps_log)
@@ -118,7 +119,6 @@ def _howell(K, caps_log, rows):
     work = [[x % c for x, c in zip(r, caps)] for r in rows]
     work = [r for r in work if any(r)]
     out = []
-    pivots = []
     for col in range(ncols):
         pick = None
         picka = None
@@ -134,9 +134,9 @@ def _howell(K, caps_log, rows):
         uinv = pow(row[col] // p**a, -1, K.size)
         row = [(x * uinv) % c for x, c in zip(row, caps)]
         piv = p**a
-        for r in work:
-            if r[col]:
-                mfac = r[col] // piv
+        for r in work + out:
+            mfac = r[col] // piv
+            if mfac:
                 for j in range(col, ncols):
                     if row[j]:
                         r[j] = (r[j] - mfac * row[j]) % caps[j]
@@ -144,15 +144,6 @@ def _howell(K, caps_log, rows):
         if any(ann):
             work.append(ann)
         out.append(row)
-        pivots.append((col, piv))
-    for i, (col, piv) in enumerate(pivots):
-        for j in range(i):
-            upper = out[j]
-            mfac = upper[col] // piv
-            if mfac:
-                for t in range(col, ncols):
-                    if out[i][t]:
-                        upper[t] = (upper[t] - mfac * out[i][t]) % caps[t]
     return tuple(tuple(r) for r in out)
 
 
@@ -868,12 +859,6 @@ def _quotient_chain(ctx: RingCtx) -> list:
     return chain
 
 
-def _chain_tops(ctx: RingCtx) -> list:
-    """The valuation of each quotient step's kernel, top step first: the
-    points the census bound drops."""
-    return [c.nu(kernel_generator(c)) for c in _quotient_chain(ctx)[:-1]]
-
-
 def _shape_bounds(ctx: RingCtx) -> list:
     """(D, chain_bound(D)) for each realizable shape D of ctx.
 
@@ -883,10 +868,8 @@ def _shape_bounds(ctx: RingCtx) -> list:
     was measured (45,120 against 44,736 on F2[x]/x^14); over Z it
     overshoots, up to some thousandfold.  Shape enumeration refuses a
     domain of more than 24 points at once."""
-    tops = _chain_tops(ctx)
-    offset = 1 if ctx.p_image else 0
     shapes = enumerate_shapes(ctx.domain, realizable_only=True)
-    return [(sh, chain_bound(sh, tops, offset)) for sh in shapes]
+    return [(sh, chain_bound(sh)) for sh in shapes]
 
 
 def _top_extensions(ctx: RingCtx):
@@ -978,12 +961,12 @@ def _census_walk(ctx: RingCtx) -> dict:
     once with d(R), and an unobstructed B has base^d(B) lifts, each with
     B's exponent points and d(B).
 
-    R's points are B's, then top, the valuation of the top step's kernel
-    generator z.  Proof: R -> B is onto with kernel span(z), whose nonzero
-    members all have valuation nu(z).  The quotient map keeps the
-    valuation of every member outside span(z), so vals(R) = vals(B) plus
-    nu(z), the largest point of R's domain."""
-    top = tuple(_chain_tops(ctx)[:1])
+    R's points are B's, then top, the largest point of R's domain.  Proof:
+    R -> B is onto with kernel span(z), z the top step's kernel generator,
+    whose nonzero members all have valuation nu(z).  The quotient map
+    keeps the valuation of every member outside span(z), so vals(R) =
+    vals(B) plus nu(z), the point the quotient step drops."""
+    top = (ctx.domain.points[-1],)
     rows = defaultdict(Counter)
     for ext in _top_extensions(ctx):
         B = ext.dst
@@ -1019,16 +1002,12 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
             members[pts].append(S)
             rows[pts][S.cotangent] += 1
     base = ctx.base
-    # the bound walks the quotient chain, each step dropping the valuation
-    # of its kernel; p, when nonzero, takes one generator no step accounts for
-    tops = _chain_tops(ctx)
-    offset = 1 if ctx.p_image else 0
     out = []
     for pts in sorted(rows):
         dims = rows[pts]
         count = sum(dims.values())
         sh = Shape.of(ctx.domain, pts)
-        exp = chain_bound(sh, tops, offset)
+        exp = chain_bound(sh)
         out.append(
             CensusRow(
                 shape=sh,

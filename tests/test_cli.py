@@ -100,6 +100,23 @@ class TestCensus:
             row["shape"] = [i for i, _ in row["shape"]]
         assert z_rows == json.loads(field_out)
 
+    Z_RING = ["--p", "2", "--N", "2", "--n", "3"]
+    F_CSV = ["--q", "3", "--n", "4", "--format", "csv"]
+
+    @pytest.mark.parametrize(
+        "argv,same_as",
+        [
+            (["census", *Z_RING, "--k", "1"], ["census-z", *Z_RING, "--k", "1"]),
+            (["census-z", *Z_RING], ["census-z", *Z_RING, "--k", "2"]),
+            (["census-z", *F_CSV], ["census", *F_CSV]),
+        ],
+    )
+    def test_one_census_command_for_either_ring(self, capsys, argv, same_as):
+        # census-z is an alias of census, and --k defaults to N as elsewhere
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run(capsys, *same_as)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "census.json"
         code, out = run(capsys, "census", "--q", "2", "--n", "3", "--out", str(target))
@@ -270,3 +287,5 @@ class TestUsageErrors:
 
     def test_modulus_on_prime_field(self, capsys):
         assert main(["census", "--q", "2", "--n", "3", "--modulus", "x+1"]) == 2
+        z_ring = ["--p", "3", "--N", "1", "--n", "2"]
+        assert main(["verify", "--suite", "lifts", *z_ring, "--modulus", "garbage"]) == 2

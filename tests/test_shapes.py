@@ -194,7 +194,11 @@ class TestGridBound:
 
     @pytest.mark.parametrize(
         "n,N,k",
-        [(n, N, k) for n, N in [(2, 2), (3, 2), (2, 3), (4, 2)] for k in range(1, N + 1)],
+        [
+            (n, N, k)
+            for n, N in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2)]
+            for k in range(1, N + 1)
+        ],
     )
     def test_matches_recursive_oracle(self, n, N, k):
         for s in enumerate_shapes(GridDomain(n, N, k), realizable_only=True):

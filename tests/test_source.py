@@ -1,8 +1,11 @@
 """The package's own source: library invariants raise InvariantViolation,
-so none may hang on an assert statement, which python -O strips; and no
-library code asks which family a ring belongs to."""
+so none may hang on an assert statement, which python -O strips; no
+library code asks which family a ring belongs to; and every name the
+benchmark's tracer wraps exists where it looks."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import truncring
@@ -44,3 +47,27 @@ def test_package_asks_no_ring_its_family():
         and any(_names(arg) & FAMILY_CLASSES for arg in node.args[1:])
     ]
     assert found == []
+
+
+def _benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's per-layer trace wraps these names; one that a change
+    # renames or deletes would break `perfbench/run.py --trace 1`
+    tracer = _benchmark_tracer()
+    missing = []
+    for _, modname, owner, attr, _ in tracer.TARGETS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
+        if owner is None:
+            found = callable(getattr(module, attr, None))
+        else:
+            found = attr in vars(getattr(module, owner, object))
+        if not found:
+            missing.append(f"{modname}.{owner or ''}.{attr}")
+    assert tracer.TARGETS and missing == []

@@ -447,6 +447,23 @@ class TestCensus:
             assert row.equality == (row.count == row.bound)
             assert len(row.subrings) == row.count == len(row.d_ring_values)
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [field_ring(q, n) for q, n in [(2, 1), (2, 6), (3, 4), (4, 3)]]
+        + [zpn_ring(p, 1, n) for p, n in [(2, 5), (3, 3)]]
+        + [zpn_ring(p, N, n, k) for p, N, n, k in [(2, 2, 4, 1), (2, 3, 3, 2), (3, 2, 3, 1), (2, 2, 4, 2)]]
+        + [zpn_ring(2, 3, 1)],
+        ids=repr,
+    )
+    def test_domain_order_is_the_quotient_order(self, ctx):
+        # the census bound walks the domain's points outside the zero column,
+        # largest first: they must be the quotient chain's kernel valuations
+        col = set(ctx.domain.zero_column)
+        walked = [pt for pt in reversed(ctx.domain.points) if pt not in col]
+        chain = subrings._quotient_chain(ctx)
+        assert walked == [c.nu(kernel_generator(c)) for c in chain[:-1]]
+        assert chain[-1].domain.points == ctx.domain.zero_column
+
     @pytest.mark.parametrize("ctx", [field_ring(2, 5), zpn_ring(2, 2, 3, 1)], ids=repr)
     def test_distinct_low_shapes_project_apart(self, ctx):
         # fibers over different shapes that omit the top point never meet
