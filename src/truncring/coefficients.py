@@ -121,21 +121,24 @@ class FieldCtx:
                 raise ValueError("modulus is reducible")
             self.modulus = mod
         if self.q <= _TABLE_LIMIT:
+            # discrete logs: the powers of the first generator g of F_q^x
             q = self.q
-            table = [0] * (q * q)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_raw(a, b)
-                    table[a * q + b] = v
-                    table[b * q + a] = v
-            self._mul_table = table
-            inv = [0] * q
+            for g in range(1, q):
+                exp = [1]
+                while (x := self._mul_raw(exp[-1], g)) != 1:
+                    exp.append(x)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for i, x in enumerate(exp):
+                log[x] = i
+            exp2 = exp * 2  # log a + log b < 2(q - 1), so no reduction
+            logs = log[1:]
+            table = [0] * q
             for a in range(1, q):
-                for b in range(1, q):
-                    if table[a * q + b] == 1:
-                        inv[a] = b
-                        break
-            self._inv_table = inv
+                table += [0] + [exp2[log[a] + lb] for lb in logs]
+            self._mul_table = table
+            self._inv_table = [0] + [exp[-log[a]] for a in range(1, q)]
         else:
             self._mul_table = None
             self._inv_table = None

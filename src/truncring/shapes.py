@@ -205,71 +205,59 @@ def is_realizable_zshape(shape: Shape) -> bool:
     return set(shape.domain.zero_column) <= set(shape.elems)
 
 
-def _shape_points(s) -> frozenset:
-    return frozenset(s.elems) if isinstance(s, Shape) else frozenset(s)
-
-
 def chain_bound(shape: Shape) -> int:
-    """Census bound exponent along the quotient chain of the shape's ring.
+    """Census bound exponent of a shape: each of its generators outside
+    the zero column counts the gaps above it, the domain's points missing
+    from the shape and the zero column.
 
-    The steps drop the domain's points outside the zero column, largest
-    first: a step whose point lies in the shape strips it, any other step
-    adds the shape's current generators outside the zero column.
+    This is the quotient chain's count in closed form.  The chain drops the
+    domain's points outside the zero column, largest first (quotient_ctx
+    removes the largest point, and the base ring's domain is the zero
+    column): a step at a point of the shape strips it, a step at a gap adds
+    the generators outside the zero column of what is left.  Stripping the
+    largest point t keeps every other generator one: points are ordered
+    lexicographically and added componentwise, so a + b > a for nonzero b,
+    and t, above every point left, is never a summand.  So a step at a gap
+    t adds exactly the shape's generators below t, and summing over
+    generators instead of steps gives the count.
 
-    These points are the kernel valuations of the quotient chain, top step
-    first: quotient_ctx removes exactly the domain's largest point at each
-    step, and the base ring's domain is the zero column.  Every shape the
-    census bounds contains the zero column, and there (0, 1) is the only
-    generator in it, as (0, j) = (0, 1) + (0, j-1).  So each step adds the
-    generator count less one exactly when N >= 2, i.e. when p is nonzero
-    in the ring: p's generator is the one no step accounts for.
+    Every shape the census bounds contains the zero column, where (0, 1)
+    is the only generator, as (0, j) = (0, 1) + (0, j-1): p's generator,
+    which no step accounts for.  On an interval the zero column is 0.
     """
     domain = shape.domain
     col = set(domain.zero_column)
-    nz = {pt for pt in shape.elems if pt != domain.zero}
-    total = 0
-    for top in reversed(domain.points):
-        if top in col:
-            continue
-        if top in nz:
-            nz.discard(top)
-        else:
-            total += sum(1 for g in nz if g not in col and _indecomposable(nz, g))
-    return total
+    gaps = [t for t in domain.points if t not in col and t not in shape]
+    # a generator above every gap counts none, and whether g is one
+    # depends only on the points below g
+    top = max(gaps, default=domain.zero)
+    low = {pt for pt in shape.elems if domain.zero < pt < top}
+    gens = [g for g in low if g not in col and _indecomposable(low, g)]
+    return sum(t > g for g in gens for t in gaps)
 
 
 def e_bound(n: int, s) -> int:
-    """Census bound exponent for interval shapes: count, over the quotient
-    steps n -> n-1 -> ... -> 1, the generator number of the current shape
-    whenever the dropped top exponent is absent from it."""
-    pts = _shape_points(s)
-    domain = IntervalDomain(n)
-    if not is_shape(domain, pts):
-        raise ValueError(f"{sorted(pts)} is not a shape of [0, {n - 1}]")
-    return chain_bound(Shape(domain, tuple(sorted(pts))))
+    """Census bound exponent for interval shapes (see chain_bound): each
+    nonzero generator counts the exponents above it missing from the
+    shape."""
+    return chain_bound(Shape.of(IntervalDomain(n), s))
 
 
 def eps_bound(n: int, N: int, k: int, s) -> int:
-    """Census bound exponent for grid shapes over Z[x]/(p^N, x^n, p^k x^{n-1}).
+    """Census bound exponent for grid shapes over Z[x]/(p^N, x^n, p^k x^{n-1})
+    (see chain_bound): each generator outside the zero column counts the
+    points above it, lexicographically, missing from the shape.
 
-    Follows the quotient chain: while the shape has more than one column,
-    drop top-row points (n-1, k-1), (n-1, k-2), ... one at a time, adding
-    (generator count - 1) whenever the dropped point is absent, then splice
-    to the grid one column shorter.
-
-    Needs N >= 2: the "- 1" discounts the ever-present generator (0, 1),
-    the valuation of p.  With N = 1 that point does not exist (and the ring
-    is a plain field quotient, covered by e_bound).
+    Needs N >= 2 and the whole zero column in the shape: leaving the
+    column out discounts the ever-present generator (0, 1), the valuation
+    of p.  With N = 1 that point does not exist (and the ring is a plain
+    field quotient, covered by e_bound).
     """
     if N < 2:
-        raise ValueError("bound recursion needs N >= 2; an N = 1 ring is a field quotient, use e_bound")
-    pts = _shape_points(s)
-    domain = GridDomain(n, N, k)
-    if not is_shape(domain, pts):
-        raise ValueError(f"{sorted(pts)} is not a shape of {domain}")
-    shape = Shape(domain, tuple(sorted(pts)))
+        raise ValueError("the grid bound needs N >= 2; an N = 1 ring is a field quotient, use e_bound")
+    shape = Shape.of(GridDomain(n, N, k), s)
     if not is_realizable_zshape(shape):
-        raise ValueError(f"{sorted(pts)} misses part of the zero column")
+        raise ValueError(f"{shape.elems} misses part of the zero column")
     return chain_bound(shape)
 
 

@@ -203,7 +203,8 @@ def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
 
 def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     """Membership in the module with the given canonical basis: v reduces
-    to zero."""
+    to zero.  An element of another length raises CtxMismatch."""
+    ctx._check(v)
     return not any(_reduce(ctx, basis, v))
 
 
@@ -413,9 +414,6 @@ class Subring:
         return self._basis
 
     def contains(self, v: Element) -> bool:
-        if _packs(self.ctx):
-            self.ctx._check(v)
-            return not _xor_reduce(self._rows, _pack(v))
         return in_row_span(self.ctx, self.basis, v)
 
     @property

@@ -1,6 +1,7 @@
 """Coefficient arithmetic: F_q and Z/p^N with the nu1 valuation."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +149,21 @@ class TestExtensionField:
 
     def test_is_prime_small_values(self):
         assert [m for m in range(2, 20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    @pytest.mark.parametrize("p,e", [(2, 8), (2, 9), (3, 6)])
+    def test_mul_and_inv_at_and_past_the_table_limit(self, p, e):
+        # F_256 has the largest tables; F_512 and F_729 have none, so mul
+        # reduces the product by the modulus and inv squares and multiplies
+        F = FieldCtx(p, e)
+        assert (F._mul_table is None) == (F.q > 256)
+        rng = random.Random(F.q)
+        for _ in range(300):
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            assert F.coeffs(F.mul(a, b)) == poly_mul_mod(p, F.modulus, F.coeffs(a), F.coeffs(b))
+            u = rng.randrange(1, F.q)
+            assert F.mul(u, F.inv(u)) == 1
+        with pytest.raises(DivisionByZero):
+            F.inv(0)
 
 
 class TestZpN:

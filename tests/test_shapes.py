@@ -165,7 +165,7 @@ class TestIntervalBound:
         with pytest.raises(ValueError):
             e_bound(6, {0, 2, 5})
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_recursive_oracle(self, n):
         for s in enumerate_shapes(IntervalDomain(n)):
             got = e_bound(n, s)
@@ -196,7 +196,7 @@ class TestGridBound:
         "n,N,k",
         [
             (n, N, k)
-            for n, N in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2)]
+            for n, N in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (6, 2), (7, 2), (4, 3), (3, 4), (2, 5)]
             for k in range(1, N + 1)
         ],
     )

@@ -485,6 +485,17 @@ class TestSubringApi:
         assert S.contains(R.parse("1+x^2"))
         assert not S.contains(R.monomial(1))
 
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(2, 3), field_ring(3, 3), field_ring(4, 3), zpn_ring(2, 2, 3), zpn_ring(2, 1, 3)], ids=repr
+    )
+    def test_membership_rejects_other_lengths(self, ctx):
+        S = closure(ctx, [ctx.monomial(2)])
+        for v in [(1, 0), (0, 0, 1, 1)]:
+            with pytest.raises(CtxMismatch):
+                S.contains(v)
+            with pytest.raises(CtxMismatch):
+                in_row_span(ctx, S.basis, v)
+
     def test_sizes(self):
         R = zpn_ring(2, 2, 3, 1)
         S = Subring.prime_ring(R)

@@ -58,10 +58,16 @@ class TestSuites:
         with pytest.raises(TooLarge):
             run_suite(field_ring(2, 11), "valuation")
 
-    def test_base_ring_has_trivial_lift_checks(self):
-        # no quotient step below F_q, so the lift checks pass vacuously
-        for r in run_suite(field_ring(5, 1), "lifts"):
-            assert r.ok
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(5, 1), field_ring(4, 1), zpn_ring(3, 2, 1), zpn_ring(2, 1, 1)], ids=repr
+    )
+    def test_base_ring_has_trivial_lift_checks(self, ctx):
+        # no quotient step below the base ring, so the lift checks pass
+        # vacuously; every other check runs too, and none is skipped
+        results = run_suite(ctx, "all")
+        assert len(results) == 20
+        for r in results:
+            assert r.ok and r.skipped is None, r.name
 
 
 # The three rings of the verify-desk benchmark, plus a wider Z ring.  On both
