@@ -7,6 +7,12 @@ and sums landing there are undefined.  The grid with tail = k is exactly
 the set of valuations occurring in Z[x]/(p^N, x^n, p^k x^{n-1}).
 
 A shape is a subset containing zero and closed under defined sums.
+
+Every shape question reads one set, the pairwise sums of the shape's
+nonzero points (_sums): closure asks that its defined members lie in the
+shape, the minimal generators are the nonzero points outside it, the
+census bound counts gaps above those generators, and enumeration forces
+a point exactly when it is a sum of two points already chosen.
 """
 
 from __future__ import annotations
@@ -116,13 +122,7 @@ def is_shape(domain: ExpDomain, elems: Iterable[Point]) -> bool:
         return False
     if not all(domain.contains(pt) for pt in s):
         return False
-    pts = [pt for pt in s if pt != domain.zero]
-    for a in pts:
-        for b in pts:
-            t = domain.add(a, b)
-            if t is not None and t not in s:
-                return False
-    return True
+    return all(t in s for t in _sums(s - {domain.zero}) if domain.contains(t))
 
 
 @dataclass(frozen=True)
@@ -155,18 +155,13 @@ class Shape:
         return len(minimal_generators(self))
 
 
-def _pt_sum(a: Point, b: Point) -> Point:
-    if isinstance(a, int):
-        return a + b
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _indecomposable(pts: set, g: Point) -> bool:
-    for a in pts:
-        for b in pts:
-            if _pt_sum(a, b) == g:
-                return False
-    return True
+def _sums(pts, others=None) -> set:
+    """Every raw sum a + b with a in pts and b in others (default pts),
+    whether or not the domain defines it."""
+    others = pts if others is None else others
+    if all(isinstance(a, int) for a in pts):
+        return {a + b for a in pts for b in others}
+    return {(a[0] + b[0], a[1] + b[1]) for a in pts for b in others}
 
 
 def minimal_generators(shape: Shape) -> tuple[Point, ...]:
@@ -176,8 +171,8 @@ def minimal_generators(shape: Shape) -> tuple[Point, ...]:
     A sum of members that equals a member is automatically defined in the
     domain, so decomposability does not depend on the ambient domain.
     """
-    nz = {pt for pt in shape.elems if pt != shape.domain.zero}
-    gens = tuple(sorted(g for g in nz if _indecomposable(nz, g)))
+    nz = set(shape.elems) - {shape.domain.zero}
+    gens = tuple(sorted(nz - _sums(nz)))
     if generate(shape.domain, gens) != set(shape.elems):
         raise InvariantViolation(f"generators {gens} do not span the shape {shape.elems}")
     return gens
@@ -185,15 +180,11 @@ def minimal_generators(shape: Shape) -> tuple[Point, ...]:
 
 def generate(domain: ExpDomain, gens: Iterable[Point]) -> set:
     """Closure of gens (plus zero) under iterated defined sums."""
-    out = {domain.zero} | set(gens)
-    frontier = list(out)
-    while frontier:
-        a = frontier.pop()
-        for b in list(out):
-            t = domain.add(a, b)
-            if t is not None and t not in out:
-                out.add(t)
-                frontier.append(t)
+    out = new = {domain.zero} | set(gens)
+    # each pair of points is summed in the round after the later one appears
+    while new:
+        new = {t for t in _sums(new, out) if domain.contains(t)} - out
+        out |= new
     return out
 
 
@@ -232,7 +223,7 @@ def chain_bound(shape: Shape) -> int:
     # depends only on the points below g
     top = max(gaps, default=domain.zero)
     low = {pt for pt in shape.elems if domain.zero < pt < top}
-    gens = [g for g in low if g not in col and _indecomposable(low, g)]
+    gens = low - _sums(low) - col
     return sum(t > g for g in gens for t in gaps)
 
 
@@ -276,20 +267,16 @@ def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[S
     required = set(domain.zero_column) if realizable_only else set()
     out = []
 
-    def rec(i: int, cur: set):
+    def rec(i: int, nz: set, sums: set):
+        # nz: the nonzero points chosen so far, sums: their pairwise sums
         if i == len(pts):
-            out.append(Shape(domain, tuple(sorted(cur))))
+            out.append(Shape(domain, tuple(sorted(nz | {domain.zero}))))
             return
         h = pts[i]
-        forced = h in required
-        if not forced:
-            nz = [a for a in cur if a != domain.zero]
-            forced = any(_pt_sum(a, b) == h for a in nz for b in nz)
-        if forced:
-            rec(i + 1, cur | {h})
-        else:
-            rec(i + 1, cur)
-            rec(i + 1, cur | {h})
+        if h not in required and h not in sums:
+            rec(i + 1, nz, sums)
+        with_h = nz | {h}
+        rec(i + 1, with_h, sums | _sums((h,), with_h))
 
-    rec(0, {domain.zero})
+    rec(0, set(), set())
     return sorted(out, key=lambda s: s.elems)

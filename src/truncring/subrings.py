@@ -283,14 +283,6 @@ def _xor_echelon(rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _xor_reduce(rows, v: int) -> int:
-    """The packed _reduce: v with every pivot bit of the canonical rows
-    cleared."""
-    for r in rows:
-        v = min(v, v ^ r)
-    return v
-
-
 def _xor_mul(a: int, b: int, n: int) -> int:
     """The packed product in F_2[x]/x^n: a carry-less product by shift and
     XOR, then the right shift that drops the columns at or past n."""
@@ -673,30 +665,20 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
         raise InvariantViolation("the kernel column of a lift family carries a pivot")
     rows = [row[:n] for row in basis]
     tags = [(i, row[n:]) for i, row in enumerate(basis) if any(row[n:])]
-    top = z[n - 1]
-    if not ctx.p_image:
-
-        def edited(x, lam, t):
-            f = 0
-            for c, ti in zip(lam, t):
-                f = K.add(f, K.mul(c, ti))
-            return K.sub(x, K.mul(f, top)) if f else x
-
-    else:
-        cap = ctx.caps[-1]
-
-        def edited(x, lam, t):
-            f = sum(c * ti for c, ti in zip(lam, t)) % K.p
-            return (x - f * top) % cap if f else x
-
+    # Over F_q, top = 1 and the cap is q, so the final % keeps the entry.
+    # Over Z/p^N, tags and c lie in [0, p), top = p^(k-1) and the cap is
+    # p^k, so f matters mod p only and K's mod-p^N arithmetic agrees.
+    top, cap = z[n - 1], ctx.caps[-1]
     out = []
     for lam in itertools.product(range(ctx.base), repeat=d):
         lift = list(rows)
         for i, t in tags:
-            r = rows[i]
-            x = edited(r[-1], lam, t)
-            if x != r[-1]:
-                lift[i] = r[:-1] + (x,)
+            f = 0
+            for c, ti in zip(lam, t):
+                f = K.add(f, K.mul(c, ti))
+            if f:
+                r = rows[i]
+                lift[i] = r[:-1] + (K.sub(r[-1], K.mul(f, top)) % cap,)
         out.append(tuple(lift))
     return out
 

@@ -136,6 +136,15 @@ class TestCensus:
         assert code == 0
         assert target.read_bytes() == want
 
+    def test_census_f2_matches_recorded_reference(self, capsys, tmp_path):
+        # the census-f2 reference, read and never written; its bound_exp and
+        # d_shape columns come from the shape code
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "census-q2-n14.json.gz"
+        target = tmp_path / "census.json"
+        code, _ = run(capsys, "census", "--q", "2", "--n", "14", "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == gzip.decompress(ref.read_bytes())
+
 
 class TestLiftsAndShape:
     def test_lifts_field(self, capsys):

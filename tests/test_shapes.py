@@ -22,6 +22,14 @@ from truncring import (
 
 FAMILY_E = {0, 6, 7, 8, 12, 13, 14, 15, 16, 17}
 
+# grids with a capped top row, where some sums of members are undefined
+TAIL_GRIDS = [GridDomain(2, 3, 1), GridDomain(3, 3, 1), GridDomain(3, 3, 2), GridDomain(4, 2, 1)]
+FILTER_DOMAINS = (
+    [IntervalDomain(n) for n in range(1, 8)]
+    + [GridDomain(2, 2), GridDomain(2, 2, 1), GridDomain(3, 2), GridDomain(2, 3, 2)]
+    + TAIL_GRIDS
+)
+
 
 def indecomposables(pts):
     """Nonzero members that are not a sum of two nonzero members."""
@@ -56,15 +64,21 @@ def eps_rec(n, N, k, D):
     return len(indecomposables(D)) - 1 + eps_rec(n, N, k - 1, D)
 
 
+def add(a, b):
+    """The raw sum of two points, defined in the domain or not."""
+    return a + b if isinstance(a, int) else (a[0] + b[0], a[1] + b[1])
+
+
 def shapes_by_subset_filter(domain):
-    """Oracle: every subset of the nonzero points, filtered by is_shape."""
+    """Oracle: every subset of the nonzero points that holds each sum of
+    two of its members that the domain contains."""
     pts = [p for p in domain.points if p != domain.zero]
     out = []
     for r in range(len(pts) + 1):
         for combo in itertools.combinations(pts, r):
-            cand = {domain.zero, *combo}
-            if is_shape(domain, cand):
-                out.append(tuple(sorted(cand)))
+            sums = {add(a, b) for a in combo for b in combo}
+            if all(t in combo for t in sums if domain.contains(t)):
+                out.append(tuple(sorted({domain.zero, *combo})))
     return sorted(out)
 
 
@@ -84,6 +98,13 @@ class TestIsShape:
     def test_points_outside_domain_rejected(self):
         assert not is_shape(IntervalDomain(4), {0, 5})
         assert not is_shape(GridDomain(2, 2, 1), {(0, 0), (1, 1)})
+
+    @pytest.mark.parametrize("domain", FILTER_DOMAINS, ids=str)
+    def test_matches_subset_filter_oracle(self, domain):
+        pts = [p for p in domain.points if p != domain.zero]
+        subsets = [{domain.zero, *c} for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
+        got = sorted(tuple(sorted(c)) for c in subsets if is_shape(domain, c))
+        assert got == shapes_by_subset_filter(domain)
 
     def test_shape_of_validates(self):
         with pytest.raises(ValueError):
@@ -132,7 +153,7 @@ class TestMinimalGenerators:
 
     @pytest.mark.parametrize(
         "domain",
-        [IntervalDomain(6), IntervalDomain(7), GridDomain(3, 2), GridDomain(2, 3, 2)],
+        [IntervalDomain(6), IntervalDomain(7), GridDomain(3, 2), GridDomain(2, 3, 2)] + TAIL_GRIDS,
         ids=str,
     )
     def test_generation_and_minimality(self, domain):
@@ -142,6 +163,16 @@ class TestMinimalGenerators:
             for g in gens:
                 rest = tuple(h for h in gens if h != g)
                 assert generate(domain, rest) != set(s.elems)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [IntervalDomain(n) for n in range(1, 13)]
+        + [GridDomain(3, 2), GridDomain(2, 3, 2), GridDomain(3, 3, 1), GridDomain(4, 2, 1), GridDomain(4, 3, 2)],
+        ids=str,
+    )
+    def test_matches_indecomposables_oracle(self, domain):
+        for s in enumerate_shapes(domain):
+            assert minimal_generators(s) == tuple(sorted(indecomposables(s.elems)))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_agreement_with_numerical_monoid_slice(self, n):
@@ -216,12 +247,7 @@ class TestEnumeration:
         assert got == [(0,), (0, 1, 2), (0, 2)]
         assert got == shapes_by_subset_filter(IntervalDomain(3))
 
-    @pytest.mark.parametrize(
-        "domain",
-        [IntervalDomain(n) for n in range(1, 8)]
-        + [GridDomain(2, 2), GridDomain(2, 2, 1), GridDomain(3, 2), GridDomain(2, 3, 2)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("domain", FILTER_DOMAINS, ids=str)
     def test_matches_subset_filter_oracle(self, domain):
         got = [s.elems for s in enumerate_shapes(domain)]
         assert got == shapes_by_subset_filter(domain)

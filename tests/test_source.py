@@ -1,11 +1,13 @@
 """The package's own source: library invariants raise InvariantViolation,
 so none may hang on an assert statement, which python -O strips; no
-library code asks which family a ring belongs to; and every name the
-benchmark's tracer wraps exists where it looks."""
+library code asks which family a ring belongs to; no private helper
+outlives its last caller; and every name the benchmark's tracer wraps
+exists where it looks."""
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import truncring
@@ -47,6 +49,41 @@ def test_package_asks_no_ring_its_family():
         and any(_names(arg) & FAMILY_CLASSES for arg in node.args[1:])
     ]
     assert found == []
+
+
+def _private_defs(tree):
+    """The module-level and class-level functions named _name, dunders
+    excepted."""
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [
+        node
+        for body in scopes
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+
+
+def _names_used(node):
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name)) + Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    )
+
+
+def test_package_has_no_dead_private_helpers():
+    # a helper whose last caller went away should go with it; a reference
+    # inside the helper's own body does not keep it alive
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
+    assert trees
+    uses = sum(map(_names_used, trees), Counter())
+    dead = [
+        node.name
+        for tree in trees
+        for node in _private_defs(tree)
+        if uses[node.name] == _names_used(node)[node.name]
+    ]
+    assert dead == []
 
 
 def _benchmark_tracer():

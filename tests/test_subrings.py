@@ -871,7 +871,7 @@ class TestSubspaceScan:
         def refuse(*args):
             raise AssertionError("the scan reached a walk kernel or an echelon pass")
 
-        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_xor_reduce", "_kron_products"):
+        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_kron_products"):
             monkeypatch.setattr(subrings, name, refuse)
         for ctx, ref in zip(rings, refs):
             assert [S.basis for S in enumerate_subrings(ctx, "subspace_scan")] == [
@@ -1078,15 +1078,6 @@ class TestPackedKernels:
         n = len(a)
         got = subrings._xor_mul(subrings._pack(a), subrings._pack(b), n)
         assert subrings._unpack(got, n) == field_ring(2, n).mul(a, b)
-
-    @given(st.data())
-    def test_reduce_matches_tuple_reduce(self, data):
-        n = data.draw(st.integers(1, 12))
-        ctx = field_ring(2, n)
-        basis = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=8)), n)
-        v = data.draw(f2_row(n))
-        got = subrings._xor_reduce(packed_rows(basis), subrings._pack(v))
-        assert subrings._unpack(got, n) == _reduce(ctx, basis, v)
 
     @given(st.data())
     def test_lift_bases_match_tuple_lift_bases(self, data):
