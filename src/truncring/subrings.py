@@ -864,7 +864,7 @@ def _top_extensions(ctx: RingCtx):
     or drop a subtree, which a census cannot see, so it raises.
     """
     if ctx.size > _CHAIN_LIMIT:
-        raise TooLarge("ambient ring too large")
+        raise TooLarge(f"ring of size {ctx.size} exceeds the walk limit {_CHAIN_LIMIT}")
     chain = _quotient_chain(ctx)
     chain.reverse()
     top = len(chain) - 1

@@ -8,8 +8,8 @@ empty list means the law held everywhere.  Suites bundle the checks:
   likeness of nu on the whole ring;
 * ``bounds``    -- census counts against the power bounds, and the match
   between realized and admissible shapes;
-* ``lifts``     -- lift counts and membership against a brute-force scan
-  of the one-step quotient;
+* ``lifts``     -- lift counts and membership against one brute-force
+  scan of the ring, grouped by projection onto the one-step quotient;
 * ``props``     -- dimension/size laws, cotangent bounds, the lifting
   equivalence, tail membership, quotient-step counting, and ideal
   correspondence under projection.
@@ -73,6 +73,11 @@ def _census(ctx: RingCtx) -> tuple:
     # grouped from the enumeration, not walked: the checks that read the
     # census stay independent of the walk's counting identities
     return tuple(census(ctx, _subrings(ctx, "minimal_ext")))
+
+
+def _scans(ctx: RingCtx) -> tuple[str, ...]:
+    """The brute-force scans that run on ctx, cheapest first."""
+    return ("closure_bfs",) if ctx.p_image else ("subspace_scan", "closure_bfs")
 
 
 def _nonzero_elements(ctx: RingCtx):
@@ -198,38 +203,34 @@ def check_bound_exponent_nonnegative(ctx: RingCtx) -> list[str]:
 
 
 @functools.cache
-def _lift_oracle(ctx: RingCtx):
-    """Brute-force lift data: the subrings of the one-step quotient, and
-    the subrings of ctx that avoid the kernel grouped by their projection,
-    each group in enumeration order."""
-    dst_ctx = quotient_ctx(ctx)
-    if dst_ctx is None:
-        return None
-    # ctx first: a ring too large for the scan is refused before its quotient is scanned
-    src_subs = _subrings(ctx, "closure_bfs")
-    dst_subs = _subrings(dst_ctx, "closure_bfs")
+def _lift_oracle(ctx: RingCtx) -> dict:
+    """Brute-force lift data from one scan of ctx: each subring B of the
+    one-step quotient, in enumeration order, mapped to the scanned
+    subrings that avoid the kernel and project onto B; {} for the base ring.
+
+    Every B is a key: its preimage is a unital subring of ctx, so the scan
+    finds it, and it maps onto B."""
+    dst = quotient_ctx(ctx)
+    if dst is None:
+        return {}
     z = kernel_generator(ctx)
-    lifts_of = {}
-    for A in src_subs:
+    groups: dict = {}
+    for A in _subrings(ctx, _scans(ctx)[0]):
+        lifts = groups.setdefault(project_subring(A, dst), [])
         if not A.contains(z):
-            lifts_of.setdefault(project_subring(A, dst_ctx), []).append(A)
-    return dst_subs, lifts_of
+            lifts.append(A)
+    return dict(sorted(groups.items()))
 
 
 def check_lift_counts(ctx: RingCtx) -> list[str]:
     """Against a full scan: no lifts when the kernel generator falls in the
     obstruction module, else exactly (residue field size)^cotangent_dim
     lifts, and the constructed family reproduces the scan's set."""
-    data = _lift_oracle(ctx)
-    if data is None:
-        return []
-    dst_subs, lifts_of = data
     base = ctx.base
     bad = []
-    for B in dst_subs:
+    for B, oracle in _lift_oracle(ctx).items():
         ext = restricted_extension(B)
         fam = lift_isomorphic(ext)
-        oracle = lifts_of.get(B, [])
         if ext.kernel_in_small:
             if fam.exists or oracle:
                 bad.append(f"{B!r}: kernel in obstruction but {len(oracle)} lifts found")
@@ -246,15 +247,10 @@ def check_lift_counts(ctx: RingCtx) -> list[str]:
 
 def check_lift_containment(ctx: RingCtx) -> list[str]:
     """Every isomorphic lift contains the obstruction module of the preimage."""
-    data = _lift_oracle(ctx)
-    if data is None:
-        return []
-    dst_subs, lifts_of = data
     bad = []
-    for B in dst_subs:
-        ext = restricted_extension(B)
-        small = ext.src_ideal.small
-        for A in lifts_of.get(B, ()):
+    for B, oracle in _lift_oracle(ctx).items():
+        small = restricted_extension(B).src_ideal.small
+        for A in oracle:
             for r in small:
                 if not A.contains(r):
                     bad.append(f"lift {A!r} of {B!r} misses obstruction row {ctx.format(r)}")
@@ -480,7 +476,7 @@ def check_enumerator_agreement(ctx: RingCtx) -> list[str]:
     ref = _subrings(ctx, "minimal_ext")
     bad = []
     refused = None
-    for method in ("closure_bfs",) if ctx.p_image else ("subspace_scan", "closure_bfs"):
+    for method in _scans(ctx):
         try:
             if _subrings(ctx, method) != ref:
                 bad.append(f"{method} disagrees with minimal_ext")

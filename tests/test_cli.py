@@ -255,12 +255,12 @@ class TestVerify:
         assert all(c["ok"] and c["violations"] == [] for c in d["checks"])
 
     def test_violation_after_a_skip_exits_nonzero(self, capsys, monkeypatch):
-        # on F2[x]/x^13 the two scan checks of the lifts suite are too large;
+        # on F2[x]/x^15 the two scan checks of the lifts suite are too large;
         # a planted kernel generator makes the third report a violation
         import truncring.verify as verify
 
         monkeypatch.setattr(verify, "kernel_generator", lambda ctx: ctx.monomial(1))
-        code = main(["verify", "--suite", "lifts", "--q", "2", "--n", "13"])
+        code = main(["verify", "--suite", "lifts", "--q", "2", "--n", "15"])
         captured = capsys.readouterr()
         assert code == 1
         d = json.loads(captured.out)
@@ -298,3 +298,10 @@ class TestUsageErrors:
         assert main(["census", "--q", "2", "--n", "3", "--modulus", "x+1"]) == 2
         z_ring = ["--p", "3", "--N", "1", "--n", "2"]
         assert main(["verify", "--suite", "lifts", *z_ring, "--modulus", "garbage"]) == 2
+
+    def test_refused_walk_names_size_and_limit(self, capsys):
+        # F9[x]/x^8 has 9^8 = 43046721 elements, over the walk's 2^20
+        assert main(["census", "--q", "9", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ring of size 43046721 exceeds the walk limit 1048576\n"

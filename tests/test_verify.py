@@ -11,6 +11,8 @@ from truncring import (
     TooLarge,
     enumerate_subrings,
     field_ring,
+    kernel_generator,
+    project_subring,
     quotient_ctx,
     run_suite,
     verify,
@@ -109,8 +111,10 @@ class TestMemo:
         ctx = field_ring(2, 5)
         dst = quotient_ctx(ctx)
         run_suite(ctx, "all")
+        # the lift oracle reads the ring's own scan; the quotient is never scanned
         assert calls[ctx, "closure_bfs"] == 1
-        assert calls[dst, "closure_bfs"] == 1
+        assert calls[ctx, "subspace_scan"] == 1
+        assert (dst, "closure_bfs") not in calls
         assert set(calls.values()) == {1}
         assert (ctx, "census") in calls and (dst, "census") in calls
         run_suite(ctx, "all")
@@ -128,7 +132,8 @@ class TestMemo:
         ctx = field_ring(2, 5)
         calls.clear()
         run_suite(ctx, "lifts")
-        assert calls == {(ctx, "closure_bfs"): 1, (quotient_ctx(ctx), "closure_bfs"): 1}
+        assert calls == {(ctx, "subspace_scan"): 1}
+        assert verify._lift_oracle.cache_info().currsize == 0
 
 
 def _planted(ctx, elem, wrong):
@@ -167,11 +172,12 @@ class TestSkippedChecks:
     run_suite raises SkippedChecks with every result at the end."""
 
     def test_skip_does_not_hide_a_later_violation(self, monkeypatch):
-        # lift-counts and lift-containment refuse the 8192-element ring; a
-        # planted kernel generator makes kernel-minimality report
+        # lift-counts and lift-containment refuse F2[x]/x^15, whose subspace
+        # scan bound is over its limit; a planted kernel generator makes
+        # kernel-minimality report
         monkeypatch.setattr(verify, "kernel_generator", lambda ctx: ctx.monomial(1))
         with pytest.raises(SkippedChecks) as info:
-            run_suite(field_ring(2, 13), "lifts")
+            run_suite(field_ring(2, 15), "lifts")
         results = info.value.results
         assert [r.name for r in results] == ["lift-counts", "lift-containment", "kernel-minimality"]
         for r in results[:2]:
@@ -185,6 +191,13 @@ class TestSkippedChecks:
     def test_no_skips_return_plain_results(self):
         results = run_suite(field_ring(2, 4), "all")
         assert all(r.skipped is None for r in results)
+
+    def test_lift_checks_reach_f2_n12(self):
+        # the lift oracle is the subspace scan over fields, in reach at n = 12
+        results = run_suite(field_ring(2, 12), "lifts")
+        assert [r.name for r in results] == ["lift-counts", "lift-containment", "kernel-minimality"]
+        for r in results:
+            assert r.ok and r.skipped is None and r.violations == (), r.name
 
 
 class TestRefusalsKeepViolations:
@@ -223,3 +236,61 @@ class TestRefusalsKeepViolations:
         small = [S for S in enumerate_subrings(ctx) if S.size <= verify._EXHAUSTIVE_LIMIT]
         holding = [S for S in small if S.contains(x10)]
         assert len(bad) == len(holding) > 0
+
+
+def _two_scan_lift_oracle(ctx):
+    """The lift oracle as two closure_bfs scans: the quotient's subrings,
+    each mapped to the ring's subrings that avoid the kernel and project
+    onto it."""
+    dst = quotient_ctx(ctx)
+    if dst is None:
+        return {}
+    z = kernel_generator(ctx)
+    groups = {B: [] for B in enumerate_subrings(dst, "closure_bfs")}
+    for A in enumerate_subrings(ctx, "closure_bfs"):
+        if not A.contains(z):
+            groups[project_subring(A, dst)].append(A)
+    return groups
+
+
+ORACLE_RINGS = [
+    *(field_ring(2, n) for n in (1, 2, 5, 8)),
+    field_ring(3, 4),
+    field_ring(3, 5),
+    field_ring(4, 3),
+    field_ring(4, 4),
+    field_ring(5, 3),
+    field_ring(8, 3),
+    field_ring(9, 2),
+    zpn_ring(2, 2, 3, 1),
+    zpn_ring(2, 2, 4, 1),
+    zpn_ring(2, 3, 3, 2),
+    zpn_ring(2, 3, 3, 1),
+    zpn_ring(3, 2, 3, 1),
+    zpn_ring(2, 1, 4),
+    zpn_ring(3, 1, 3),
+    zpn_ring(2, 2, 1),
+    zpn_ring(3, 2, 1),
+]
+
+
+class TestLiftOracle:
+    """The one-scan lift oracle equals the two-scan construction, keys in
+    the quotient's enumeration order and each group in the ring's."""
+
+    @pytest.fixture(autouse=True)
+    def clear_memo(self):
+        yield
+        verify._subrings.cache_clear()
+        verify._lift_oracle.cache_clear()
+
+    @pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=repr)
+    def test_matches_two_scan_construction(self, ctx):
+        got = verify._lift_oracle(ctx)
+        want = _two_scan_lift_oracle(ctx)
+        assert list(got) == list(want)
+        assert list(got.values()) == list(want.values())
+
+    @pytest.mark.parametrize("ctx", [field_ring(2, 1), zpn_ring(2, 2, 1)], ids=repr)
+    def test_base_ring_has_no_oracle(self, ctx):
+        assert verify._lift_oracle(ctx) == {}
