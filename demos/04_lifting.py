@@ -7,6 +7,7 @@ Run:  python3 demos/04_lifting.py
 
 from truncring import (
     Subring,
+    closure,
     cotangent_dim,
     field_ring,
     ideal_data,
@@ -45,7 +46,7 @@ def show(B: Subring) -> None:
 banner("a subring that lifts: span(1, x^3) inside F2[x]/x^4")
 
 ctx = field_ring(2, 4)
-show(Subring.from_rows(ctx, [ctx.one(), ctx.monomial(3)]))
+show(closure(ctx, [ctx.one(), ctx.monomial(3)]))
 print("\nthe kernel x^4 avoids m^2, so copies exist upstairs; d(B) = 1 gives")
 print("two of them, differing by the kernel direction.")
 
@@ -53,7 +54,7 @@ print("two of them, differing by the kernel direction.")
 
 banner("an obstructed subring: span(1, x^2) inside F2[x]/x^4")
 
-B = Subring.from_rows(ctx, [ctx.one(), ctx.monomial(2)])
+B = closure(ctx, [ctx.one(), ctx.monomial(2)])
 show(B)
 ext = restricted_extension(B)
 sq = ideal_data(ext.src).square

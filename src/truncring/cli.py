@@ -54,7 +54,11 @@ def _basis_polys(S: Subring) -> list[str]:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -83,20 +87,12 @@ def _census_payload(rows, emit_bases: bool) -> list[dict]:
 
 
 def _census_csv(rows) -> str:
+    fields = ["shape", "count", "bound_exp", "bound", "equality", "d_shape"]
     buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["shape", "count", "bound_exp", "bound", "equality", "d_shape"])
-    for row in rows:
-        wr.writerow(
-            [
-                json.dumps(_shape_json(row.shape), separators=(",", ":")),
-                row.count,
-                row.bound_exp,
-                row.bound,
-                row.equality,
-                row.d_shape,
-            ]
-        )
+    wr = csv.DictWriter(buf, fields, extrasaction="ignore", lineterminator="\n")
+    wr.writeheader()
+    for d in _census_payload(rows, False):
+        wr.writerow(d | {"shape": json.dumps(d["shape"], separators=(",", ":"))})
     return buf.getvalue()
 
 

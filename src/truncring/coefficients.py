@@ -165,33 +165,18 @@ class FieldCtx:
     # -- ring operations -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        if p == 2:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        if p == 2:
+            return (-a) % self.p
+        if self.p == 2:
             return a
-        out = 0
-        mult = 1
-        while a:
-            out += (-(a % p)) % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self.from_coeffs(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -363,6 +363,8 @@ def _kron_products(ctx: RingCtx, caps, m) -> list:
 
 class Subring:
     """A unital, multiplicatively closed module, held by canonical basis.
+    The constructor takes that basis and does not check it; closure builds
+    a subring from any generators.
 
     _rows is the canonical basis as the kernels hold it: packed ints when
     _packs(ctx), the basis tuples otherwise.  basis gives the tuples; for
@@ -389,10 +391,6 @@ class Subring:
         return S
 
     @classmethod
-    def from_rows(cls, ctx: RingCtx, rows) -> "Subring":
-        return cls(ctx, canonicalize(ctx, rows))
-
-    @classmethod
     def prime_ring(cls, ctx: RingCtx) -> "Subring":
         """The span of 1: the image of the prime coefficient ring.  (1,) is
         its canonical basis, and its m/(m^2 + pR) is 0."""
@@ -407,12 +405,6 @@ class Subring:
 
     def contains(self, v: Element) -> bool:
         return in_row_span(self.ctx, self.basis, v)
-
-    @property
-    def dim(self) -> int:
-        if self.ctx.p_image:
-            raise CtxMismatch("dim is the coefficient-field rank; use log_size")
-        return len(self._rows)
 
     @property
     def log_size(self) -> int:
@@ -438,13 +430,9 @@ class Subring:
             self._cotangent = cotangent_dim(self)
         return self._cotangent
 
-    def sort_key(self):
-        """(log size, basis): the same order as (size, basis)."""
-        return (self.log_size, self.basis)
-
     def _key(self):
-        """sort_key's order without the tuples: packed rows order as
-        their tuples do."""
+        """The order of subrings, (log size, basis) as (size, basis), without
+        building the tuples: packed rows order as their tuples do."""
         return (self.log_size, self._rows)
 
     def __eq__(self, other):
@@ -473,8 +461,8 @@ def closure(ctx: RingCtx, gens) -> Subring:
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
-    """Image of a subring under the one-step quotient map."""
-    return Subring.from_rows(dst, [project(S.ctx, dst, r) for r in S.basis])
+    """Image of a subring under the one-step quotient map; a subring, so no closure."""
+    return Subring(dst, canonicalize(dst, [project(S.ctx, dst, r) for r in S.basis]))
 
 
 def _exponent_points(S: Subring) -> tuple:

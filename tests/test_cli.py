@@ -51,6 +51,28 @@ class TestCensus:
         assert len(table) == 6
         assert table[3] == ["[0,2]", "2", "1", "2", "True", "1"]
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            ["--q", "2", "--n", "6"],
+            ["--q", "9", "--n", "3"],
+            ["--p", "2", "--N", "2", "--n", "5", "--k", "1"],
+            ["--p", "3", "--N", "2", "--n", "4"],
+        ],
+    )
+    def test_csv_rows_are_the_json_rows(self, capsys, ring):
+        # grid shapes too: each CSV row is its JSON row, shape dumped compactly
+        _, out = run(capsys, "census", *ring, "--format", "csv")
+        _, json_out = run(capsys, "census", *ring)
+        table = list(csv.reader(io.StringIO(out)))
+        assert table[0] == ["shape", "count", "bound_exp", "bound", "equality", "d_shape"]
+        want = [
+            [json.dumps(r["shape"], separators=(",", ":"))]
+            + [str(r[f]) for f in ("count", "bound_exp", "bound", "equality", "d_shape")]
+            for r in json.loads(json_out)
+        ]
+        assert table[1:] == want
+
     @pytest.mark.parametrize("ring", [["--q", "2", "--n", "6"], ["--q", "3", "--n", "4"]])
     def test_csv_ignores_emit_bases(self, capsys, monkeypatch, ring):
         # the CSV has no bases, so --emit-bases must not enumerate for it
@@ -298,6 +320,18 @@ class TestUsageErrors:
         assert main(["census", "--q", "2", "--n", "3", "--modulus", "x+1"]) == 2
         z_ring = ["--p", "3", "--N", "1", "--n", "2"]
         assert main(["verify", "--suite", "lifts", *z_ring, "--modulus", "garbage"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["census", "--q", "2", "--n", "3"], ["verify", "--suite", "all", "--q", "2", "--n", "4"]],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        # exit 1 means a verify violation, so a path open() refuses is exit 2
+        target = tmp_path / "missing" / "out.json"
+        assert main([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
 
     def test_refused_walk_names_size_and_limit(self, capsys):
         # F9[x]/x^8 has 9^8 = 43046721 elements, over the walk's 2^20

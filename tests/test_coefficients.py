@@ -34,6 +34,19 @@ def poly_mul_mod(p, modulus, a, b):
     return tuple(prod[:deg])
 
 
+def digits(p, e, a):
+    """Independent oracle: the e base-p digits of a, least significant first."""
+    out = []
+    for _ in range(e):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
+
+
+def from_digits(p, ds):
+    return sum(d * p**i for i, d in enumerate(ds))
+
+
 def brute_irreducible(p, poly):
     """Oracle: no product of two smaller monic polynomials equals poly."""
     deg = len(poly) - 1
@@ -164,6 +177,23 @@ class TestExtensionField:
             assert F.mul(u, F.inv(u)) == 1
         with pytest.raises(DivisionByZero):
             F.inv(0)
+
+    @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 4), (3, 6)])
+    def test_add_neg_sub_match_digits(self, p, e):
+        # addition is digit-wise mod p; the field axioms alone would pass a
+        # wrong but consistent addition.  Up to F_81 every pair is checked,
+        # and F_625 and F_729, past the table limit, a seeded sample
+        F = FieldCtx(p, e)
+        if F.q <= 81:
+            pairs = itertools.product(F.elements(), repeat=2)
+        else:
+            rng = random.Random(F.q)
+            pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+        for a, b in pairs:
+            da, db = digits(p, e, a), digits(p, e, b)
+            assert F.add(a, b) == from_digits(p, [(x + y) % p for x, y in zip(da, db)])
+            assert F.sub(a, b) == from_digits(p, [(x - y) % p for x, y in zip(da, db)])
+            assert F.neg(a) == from_digits(p, [-x % p for x in da])
 
 
 class TestZpN:

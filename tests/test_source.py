@@ -1,12 +1,14 @@
 """The package's own source: library invariants raise InvariantViolation,
 so none may hang on an assert statement, which python -O strips; no
 library code asks which family a ring belongs to; no private helper
-outlives its last caller; and every name the benchmark's tracer wraps
-exists where it looks."""
+outlives its last caller, and no public function or method goes
+unreferenced; and every name the benchmark's tracer wraps exists where it
+looks."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -86,8 +88,41 @@ def test_package_has_no_dead_private_helpers():
     assert dead == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_defs(tree):
+    """The module-level and class-level functions not named _name."""
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [
+        node
+        for body in scopes
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_package_has_no_dead_public_api():
+    # a public function or method that nothing refers to, in the package or
+    # in what users run and read, is a second way to do a job or no way at
+    # all; the package's own re-exports and the tests do not keep it alive
+    paths = sorted(SRC.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    assert trees
+    uses = sum((_names_used(t) for path, t in trees.items() if path.name != "__init__.py"), Counter())
+    texts = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md", ROOT / "perfbench" / "tracer.py"]
+    words = set(re.findall(r"\w+", "\n".join(path.read_text() for path in texts)))
+    dead = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in _public_defs(tree)
+        if uses[node.name] == _names_used(node)[node.name] and node.name not in words
+    ]
+    assert dead == []
+
+
 def _benchmark_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
