@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 
 from .coefficients import FieldCtx, factor_prime_power
@@ -50,6 +52,23 @@ def _shape_json(shape: Shape) -> list:
 
 def _basis_polys(S: Subring) -> list[str]:
     return [S.ctx.format(r) for r in S.basis]
+
+
+def _check_out(out_path):
+    """Refuse, before any work and without creating a file, an --out path
+    that open(out_path, "w") would refuse, with the reason open gives."""
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path):
@@ -292,6 +311,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

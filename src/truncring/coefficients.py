@@ -11,9 +11,11 @@ Contexts are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DivisionByZero, NotAUnit, UndefinedValuation
 
-# Multiplication/inverse lookup tables are built for fields up to this size.
+# Lookup tables are built for fields up to this size.
 _TABLE_LIMIT = 256
 
 
@@ -96,10 +98,37 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
     return next(cand for cand in _monic_polys(p, e) if is_irreducible(p, cand))
 
 
-class FieldCtx:
-    """The finite field F_q, q = p^e, elements packed as ints in [0, q)."""
+class _OnDemand:
+    """A lookup table past _TABLE_LIMIT, where building its entries would
+    cost more than a scan reads: T[a] is f(a), computed when read.  A table
+    of two arguments is the one whose rows are T[a] = _OnDemand(f(a, .)),
+    so the kernels index both kinds alike."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, a):
+        return self.f(a)
+
+
+def _rows_on_demand(f) -> _OnDemand:
+    return _OnDemand(lambda a: _OnDemand(functools.partial(f, a)))
+
+
+class FieldCtx:
+    """The finite field F_q, q = p^e, elements packed as ints in [0, q).
+
+    ``tables`` holds the lookups the arithmetic reads: (add, neg, mul, inv)
+    with add[a][b] = a + b, neg[a] = -a, mul[a][b] = a b and inv[a] = 1/a
+    (inv[0] = 0).  Up to q = _TABLE_LIMIT they are lists built once here;
+    past it they are _OnDemand stand-ins that compute each entry when read.
+    Ring and echelon kernels bind them as locals, one subscript per
+    coefficient operation; the methods below read the same lookups.
+    """
+
+    __slots__ = ("p", "e", "q", "modulus", "tables")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         if not is_prime(p):
@@ -121,27 +150,43 @@ class FieldCtx:
                 raise ValueError("modulus is reducible")
             self.modulus = mod
         if self.q <= _TABLE_LIMIT:
-            # discrete logs: the powers of the first generator g of F_q^x
-            q = self.q
-            for g in range(1, q):
-                exp = [1]
-                while (x := self._mul_raw(exp[-1], g)) != 1:
-                    exp.append(x)
-                if len(exp) == q - 1:
-                    break
-            log = [0] * q
-            for i, x in enumerate(exp):
-                log[x] = i
-            exp2 = exp * 2  # log a + log b < 2(q - 1), so no reduction
-            logs = log[1:]
-            table = [0] * q
-            for a in range(1, q):
-                table += [0] + [exp2[log[a] + lb] for lb in logs]
-            self._mul_table = table
-            self._inv_table = [0] + [exp[-log[a]] for a in range(1, q)]
+            self.tables = self._build_tables()
         else:
-            self._mul_table = None
-            self._inv_table = None
+            self.tables = (
+                _rows_on_demand(self._add_raw),
+                _OnDemand(self._neg_raw),
+                _rows_on_demand(self._mul_raw),
+                _OnDemand(self._inv_raw),
+            )
+
+    def _build_tables(self) -> tuple:
+        p, q = self.p, self.q
+        # Addition is digit-wise mod p.  Writing a = p a' + a0, b = p b' + b0,
+        # a + b = (a0 + b0) % p + p (a' + b'), and a' < a, so row a reads row
+        # a' of the table built so far, and so does neg.
+        digit_sums = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
+        add = [list(range(q))]
+        for a in range(1, q):
+            sums = digit_sums[a % p]
+            add.append([s + p * t for t in add[a // p][: q // p] for s in sums])
+        neg = [0] * q
+        for a in range(1, q):
+            neg[a] = -a % p + p * neg[a // p]
+        # discrete logs: the powers of the first generator g of F_q^x
+        for g in range(1, q):
+            exp = [1]
+            while (x := self._mul_raw(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp * 2  # log a + log b < 2(q - 1), so no reduction
+        logs = log[1:]
+        mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        inv = [0] + [exp[-la] for la in logs]
+        return add, neg, mul, inv
 
     # -- packing helpers -------------------------------------------------
 
@@ -162,24 +207,17 @@ class FieldCtx:
             out = out * self.p + (int(c) % self.p)
         return out
 
-    # -- ring operations -------------------------------------------------
+    # -- the entries, computed -------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
+    def _add_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
         return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
+    def _neg_raw(self, a: int) -> int:
         return self.from_coeffs(-c for c in self.coeffs(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -196,26 +234,37 @@ class FieldCtx:
         red = _poly_rem(prod, self.modulus, p)
         return self.from_coeffs(red)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise DivisionByZero(f"inverse of zero in F_{self.q}")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+    def _inv_raw(self, a: int) -> int:
         # a^(q-2) by square and multiply
         out = 1
         base = a
         k = self.q - 2
         while k:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self._mul_raw(out, base)
+            base = self._mul_raw(base, base)
             k >>= 1
         return out
+
+    # -- ring operations -------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        return self.tables[0][a][b]
+
+    def neg(self, a: int) -> int:
+        return self.tables[1][a]
+
+    def sub(self, a: int, b: int) -> int:
+        add, neg = self.tables[:2]
+        return add[a][neg[b]]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.tables[2][a][b]
+
+    def inv(self, a: int) -> int:
+        if a % self.q == 0:
+            raise DivisionByZero(f"inverse of zero in F_{self.q}")
+        return self.tables[3][a]
 
     def elements(self):
         return range(self.q)
@@ -241,9 +290,12 @@ class FieldCtx:
 
 
 class ZpNCtx:
-    """The coefficient ring Z/p^N with the valuation nu1(u * p^m) = m."""
+    """The coefficient ring Z/p^N with the valuation nu1(u * p^m) = m.
 
-    __slots__ = ("p", "N", "size")
+    Z/p (N = 1) is the field F_p, and its ``tables`` are F_p's lookups, so
+    the field kernels run on it; for N > 1 ``tables`` is None."""
+
+    __slots__ = ("p", "N", "size", "tables")
 
     def __init__(self, p: int, N: int):
         if not is_prime(p):
@@ -253,6 +305,7 @@ class ZpNCtx:
         self.p = p
         self.N = N
         self.size = p**N
+        self.tables = FieldCtx(p).tables if N == 1 else None
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.size

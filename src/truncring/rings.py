@@ -73,9 +73,12 @@ class _TruncPolyCtx:
             raise ValueError(f"exponent {i} out of range")
         return self._reduce([c if j == i else 0 for j in range(self.n)])
 
-    def _check(self, a: Element):
-        if len(a) != self.n:
-            raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
+    def _check(self, *elements: Element):
+        """Raise CtxMismatch on an element of another length.  The
+        arithmetic tests len(a) != n inline and calls this to raise."""
+        for a in elements:
+            if len(a) != self.n:
+                raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
 
     def _reduce(self, coeffs: list[int]) -> Element:
         return tuple(v % c for v, c in zip(coeffs, self.caps))
@@ -167,50 +170,62 @@ class FieldPolyCtx(_TruncPolyCtx):
         return FieldPolyCtx(self.coeff, n)
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # Each op binds the coefficient lookups (FieldCtx.tables) as locals and
+    # makes one subscript per coefficient operation.
 
     def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        K = self.coeff
-        return tuple(K.add(x, y) for x, y in zip(a, b))
+        n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
+        add = self.coeff.tables[0]
+        return tuple([add[x][y] for x, y in zip(a, b)])
 
     def neg(self, a: Element) -> Element:
-        self._check(a)
-        K = self.coeff
-        return tuple(K.neg(x) for x in a)
+        if len(a) != self.n:
+            self._check(a)
+        return tuple(map(self.coeff.tables[1].__getitem__, a))
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
+        add, neg = self.coeff.tables[:2]
+        return tuple([add[x][neg[y]] for x, y in zip(a, b)])
 
     def mul(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        K = self.coeff
         n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
+        add, _, mul, _ = self.coeff.tables
         out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] = K.add(out[i + j], K.mul(ai, bj))
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                k = i
+                for y in b[: n - i]:
+                    if y:
+                        out[k] = add[out[k]][row[y]]
+                    k += 1
         return tuple(out)
 
     def scalar_mul(self, c: int, a: Element) -> Element:
-        K = self.coeff
-        return tuple(K.mul(c, x) for x in a)
+        if len(a) != self.n:
+            self._check(a)
+        return tuple(map(self.coeff.tables[2][c].__getitem__, a))
 
     def is_unit(self, a: Element) -> bool:
         self._check(a)
         return a[0] != 0
 
     def nu(self, a: Element) -> int:
-        """Index of the lowest nonzero coefficient."""
-        self._check(a)
-        for i, c in enumerate(a):
-            if c:
-                return i
-        raise UndefinedValuation("nu(0) is undefined")
+        """Index of the lowest nonzero coefficient, found at C level."""
+        if len(a) != self.n:
+            self._check(a)
+        c = next(filter(None, a), 0)
+        if not c:
+            raise UndefinedValuation("nu(0) is undefined")
+        return a.index(c)
 
     # -- coefficients in the string syntax -----------------------------------
 
@@ -262,34 +277,40 @@ class ZpNPolyCtx(_TruncPolyCtx):
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple((x + y) % c for x, y, c in zip(a, b, self.caps))
+        n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
+        return tuple([(x + y) % c for x, y, c in zip(a, b, self.caps)])
 
     def neg(self, a: Element) -> Element:
-        self._check(a)
-        return tuple((-x) % c for x, c in zip(a, self.caps))
+        if len(a) != self.n:
+            self._check(a)
+        return tuple([(-x) % c for x, c in zip(a, self.caps)])
 
     def sub(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple((x - y) % c for x, y, c in zip(a, b, self.caps))
+        n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
+        return tuple([(x - y) % c for x, y, c in zip(a, b, self.caps)])
 
     def mul(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
         n = self.n
+        if len(a) != n or len(b) != n:
+            self._check(a, b)
         out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return tuple(v % c for v, c in zip(out, self.caps))
+        for i, x in enumerate(a):
+            if x:
+                k = i
+                for y in b[: n - i]:
+                    if y:
+                        out[k] += x * y
+                    k += 1
+        return tuple([v % c for v, c in zip(out, self.caps)])
 
     def scalar_mul(self, c: int, a: Element) -> Element:
-        return tuple((c * x) % cap for x, cap in zip(a, self.caps))
+        if len(a) != self.n:
+            self._check(a)
+        return tuple([(c * x) % cap for x, cap in zip(a, self.caps)])
 
     def is_unit(self, a: Element) -> bool:
         self._check(a)
@@ -297,11 +318,12 @@ class ZpNPolyCtx(_TruncPolyCtx):
 
     def nu(self, a: Element) -> tuple[int, int]:
         """Pair (i, m): i the lowest degree with nonzero coefficient, m its nu1."""
-        self._check(a)
-        for i, c in enumerate(a):
-            if c:
-                return (i, self.coeff.nu1(c))
-        raise UndefinedValuation("nu(0) is undefined")
+        if len(a) != self.n:
+            self._check(a)
+        c = next(filter(None, a), 0)
+        if not c:
+            raise UndefinedValuation("nu(0) is undefined")
+        return (a.index(c), self.coeff.nu1(c))
 
     # -- coefficients in the string syntax -----------------------------------
 

@@ -54,7 +54,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import CtxMismatch, InvariantViolation, OutOfFamily, TooLarge
+from .errors import CtxMismatch, InvariantViolation, NotAQuotient, OutOfFamily, TooLarge
 from .rings import (
     Element,
     FieldPolyCtx,
@@ -78,8 +78,10 @@ _CHAIN_LIMIT = 1 << 20
 
 
 def _rref(K, rows, ncols: int):
-    """Reduced row echelon form over the field K; zero rows are dropped and
-    the output rows are sorted by pivot column."""
+    """Reduced row echelon form over the field K, F_q or Z/p, read from its
+    lookup tables (FieldCtx.tables); zero rows are dropped and the output
+    rows are sorted by pivot column."""
+    add, neg, mul, inv = K.tables
     work = [list(r) for r in rows if any(r)]
     out = []
     for col in range(ncols):
@@ -91,13 +93,15 @@ def _rref(K, rows, ncols: int):
         if pick is None:
             continue
         row = work.pop(pick)
-        inv = K.inv(row[col])
-        row = [K.mul(inv, x) for x in row]
+        scale = mul[inv[row[col]]]
+        row = [scale[x] for x in row]
         for other in work + out:
             c = other[col]
             if c:
+                # other - c row, as other + (-c) row
+                scale = mul[neg[c]]
                 for j in range(col, ncols):
-                    other[j] = K.sub(other[j], K.mul(c, row[j]))
+                    other[j] = add[other[j]][scale[row[j]]]
         out.append(row)
     return tuple(tuple(r) for r in out)
 
@@ -175,30 +179,46 @@ def _pivot(row) -> tuple[int, int]:
     return col, row[col]
 
 
-def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
-    """v reduced against a canonical basis at its pivot columns: over a
-    field each pivot entry is cleared, over Z/p^N it is brought into
-    [0, pivot).  Members of the module reduce to zero, and on a canonical
-    basis all members of one coset reduce to the same element."""
-    v = list(v)
+def _reducer(ctx: RingCtx, basis):
+    """The map v -> v reduced against a canonical basis at its pivot
+    columns: over a field each pivot entry is cleared, over Z/p^N it is
+    brought into [0, pivot).  Members of the module reduce to zero, and on
+    a canonical basis all members of one coset reduce to the same element.
+    The pivots are found once, so one reducer serves every v reduced
+    against the same basis."""
+    n = ctx.n
+    pivots = [(_lead(row), row) for row in basis]
     if not ctx.p_image:
-        K = ctx.coeff
-        for row in basis:
-            col = _lead(row)
-            c = v[col]
-            if c:
-                for j in range(col, ctx.n):
-                    v[j] = K.sub(v[j], K.mul(c, row[j]))
-        return tuple(v)
+        add, neg, mul, _ = ctx.coeff.tables
+
+        def reduce(v):
+            v = list(v)
+            for col, row in pivots:
+                c = v[col]
+                if c:
+                    scale = mul[neg[c]]
+                    for j in range(col, n):
+                        v[j] = add[v[j]][scale[row[j]]]
+            return tuple(v)
+
+        return reduce
     caps = ctx.caps
-    v = [x % c for x, c in zip(v, caps)]
-    for row in basis:
-        col = _lead(row)
-        mfac = v[col] // row[col]
-        if mfac:
-            for j in range(col, ctx.n):
-                v[j] = (v[j] - mfac * row[j]) % caps[j]
-    return tuple(v)
+
+    def reduce(v):
+        v = [x % c for x, c in zip(v, caps)]
+        for col, row in pivots:
+            mfac = v[col] // row[col]
+            if mfac:
+                for j in range(col, n):
+                    v[j] = (v[j] - mfac * row[j]) % caps[j]
+        return tuple(v)
+
+    return reduce
+
+
+def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
+    """v reduced against a canonical basis (see _reducer)."""
+    return _reducer(ctx, basis)(v)
 
 
 def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
@@ -449,20 +469,44 @@ class Subring:
         return f"<span {polys} | {self.ctx!r}>"
 
 
-def closure(ctx: RingCtx, gens) -> Subring:
-    """Smallest unital subring containing the generators."""
-    basis = canonicalize(ctx, [ctx.one(), *gens])
+def closure(ctx, gens) -> Subring:
+    """Smallest unital subring containing the generators.  ctx is either
+    the ring, whose prime ring the generators are adjoined to, or a
+    subring S of it, to which they are adjoined (closure_bfs's step).
+
+    Only products not formed before are formed.  Each round holds a
+    canonical basis B and fresh rows F with span(B)^2 ⊆ B + span(F),
+    first with B the basis of the prime ring or of S, which is closed, and
+    F the generators.  The round reduces F against B and drops the zeros;
+    if none is left, span(B) is closed.  Otherwise B' is the canonical
+    basis of B + F, and the next fresh rows are the products f b, f in F,
+    b in B'.  That keeps the invariant: (B + F)^2 = B^2 + F (B + F) ⊆
+    B + F (B + F), and B ⊆ B' while those products span F (B + F).  Every
+    member of the result is a sum of products of the generators and of
+    members of the start, so it lies in every subring containing them."""
+    if isinstance(ctx, Subring):
+        ctx, basis = ctx.ctx, ctx.basis
+    else:
+        basis = (ctx.one(),)
+    fresh = list(gens)
+    ctx._check(*fresh)
     while True:
-        prods = [ctx.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        new = canonicalize(ctx, list(basis) + prods)
-        if new == basis:
+        fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
+        if not fresh:
             return Subring(ctx, basis)
-        basis = new
+        basis = canonicalize(ctx, [*basis, *fresh])
+        fresh = [ctx.mul(f, b) for f in fresh for b in basis]
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
-    """Image of a subring under the one-step quotient map; a subring, so no closure."""
-    return Subring(dst, canonicalize(dst, [project(S.ctx, dst, r) for r in S.basis]))
+    """Image of a subring under the one-step quotient map; a subring, so no
+    closure.  Packed rows project by a shift: the step drops column n-1,
+    their lowest bit."""
+    if not _packs(dst):
+        return Subring(dst, canonicalize(dst, [project(S.ctx, dst, r) for r in S.basis]))
+    if quotient_ctx(S.ctx) != dst:
+        raise NotAQuotient(f"{dst!r} is not the one-step quotient of {S.ctx!r}")
+    return Subring._from_packed(dst, _xor_echelon([r >> 1 for r in S._rows]))
 
 
 def _exponent_points(S: Subring) -> tuple:
@@ -772,6 +816,7 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
     while stack:
         rows, pivots = stack.pop()
         found.append(Subring(ctx, (one,) + rows))
+        reduce = _reducer(ctx, rows)
         taken = set(pivots)
         for c in range(1, pivots[0] if pivots else n):
             if any(c + u < n and c + u not in taken for u in (c, *pivots)):
@@ -783,16 +828,17 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
                 for j, v in zip(free, vals):
                     r[j] = v
                 r = tuple(r)
-                if not any(any(_reduce(ctx, rows, ctx.mul(r, s))) for s in (r, *rows)):
+                if not any(any(reduce(ctx.mul(r, s))) for s in (r, *rows)):
                     stack.append(((r,) + rows, (c,) + pivots))
     return sorted(found, key=Subring._key)
 
 
 def _enumerate_closure_bfs(ctx) -> list[Subring]:
     """Grow subrings from the prime ring by adjoining one ambient element
-    at a time and closing; the reachable set is all of them.  All members
-    of one coset of S close to the same subring, so S adjoins one reduced
-    representative per coset.
+    at a time to a subring S and closing (closure, which forms only the
+    products with the new rows); the reachable set is all of them.  All
+    members of one coset of S close to the same subring, so S adjoins one
+    reduced representative per coset.
 
     Its cost is one closure per found subring and coset.  A subring of
     shape D has base^|D| elements, so it has base^(|points| - |D|) cosets
@@ -809,10 +855,10 @@ def _enumerate_closure_bfs(ctx) -> list[Subring]:
     frontier = [prime]
     while frontier:
         S = frontier.pop()
-        reps = {_reduce(ctx, S.basis, a) for a in ambient}
+        reps = set(map(_reducer(ctx, S.basis), ambient))
         reps.discard(zero)
         for r in reps:
-            T = closure(ctx, [*S.basis, r])
+            T = closure(S, [r])
             if T not in found:
                 found.add(T)
                 frontier.append(T)

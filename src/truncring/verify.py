@@ -80,11 +80,12 @@ def _scans(ctx: RingCtx) -> tuple[str, ...]:
     return ("closure_bfs",) if ctx.p_image else ("subspace_scan", "closure_bfs")
 
 
-def _nonzero_elements(ctx: RingCtx):
+def _valued_elements(ctx: RingCtx) -> list:
+    """(a, nu(a)) for the nonzero elements a, in enumeration order."""
     if ctx.size > _EXHAUSTIVE_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} is too large for an exhaustive scan")
     zero = ctx.zero()
-    return [e for e in ctx.elements() if e != zero]
+    return [(a, ctx.nu(a)) for a in ctx.elements() if a != zero]
 
 
 # -- valuation suite -----------------------------------------------------------
@@ -94,13 +95,12 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
     """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
     bad = []
     dom = ctx.domain
-    elems = _nonzero_elements(ctx)
-    vals = {a: ctx.nu(a) for a in elems}
+    valued = _valued_elements(ctx)
     zero = ctx.zero()
     # add and mul commute, so each unordered pair is tested once
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            s = dom.add(vals[a], vals[b])
+    for i, (a, va) in enumerate(valued):
+        for b, vb in valued[i:]:
+            s = dom.add(va, vb)
             if s is None:
                 continue
             ab = ctx.mul(a, b)
@@ -116,19 +116,18 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
 def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
     """nu(a+b) >= min(nu(a), nu(b)), with equality when the two differ."""
     bad = []
-    elems = _nonzero_elements(ctx)
-    vals = {a: ctx.nu(a) for a in elems}
+    valued = _valued_elements(ctx)
     zero = ctx.zero()
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
+    for i, (a, va) in enumerate(valued):
+        for b, vb in valued[i:]:
             s = ctx.add(a, b)
             if s == zero:
                 continue
-            lo = min(vals[a], vals[b])
+            lo = min(va, vb)
             v = ctx.nu(s)
             if v < lo:
                 bad.append(f"nu({ctx.format(a)}+{ctx.format(b)}) = {v} < min = {lo}")
-            elif vals[a] != vals[b] and v != lo:
+            elif va != vb and v != lo:
                 bad.append(f"nu({ctx.format(a)}+{ctx.format(b)}) = {v} != min = {lo}")
     return bad
 
@@ -137,23 +136,23 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     """Equal valuations differ by a coefficient unit, up to higher valuation:
     nu(a) = nu(b) forces some unit u with a = u b or nu(a - u b) > nu(a)."""
     bad = []
-    elems = _nonzero_elements(ctx)
     units = list(ctx.coeff.units())
     buckets: dict = {}
-    for a in elems:
-        buckets.setdefault(ctx.nu(a), []).append(a)
+    for a, va in _valued_elements(ctx):
+        buckets.setdefault(va, []).append(a)
     zero = ctx.zero()
-    # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once
+    # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once:
+    # b runs over the bucket and a over the members up to b, so b's unit
+    # multiples are formed once per b
     for val, bucket in buckets.items():
-        for i, a in enumerate(bucket):
-            for b in bucket[i:]:
-                ok = False
-                for u in units:
-                    diff = ctx.sub(a, ctx.scalar_mul(u, b))
+        for j, b in enumerate(bucket):
+            multiples = [ctx.scalar_mul(u, b) for u in units]
+            for a in bucket[: j + 1]:
+                for ub in multiples:
+                    diff = ctx.sub(a, ub)
                     if diff == zero or ctx.nu(diff) > val:
-                        ok = True
                         break
-                if not ok:
+                else:
                     bad.append(
                         f"{ctx.format(a)} and {ctx.format(b)} share nu = {val} but no unit relates them"
                     )

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from truncring import cli
 from truncring.cli import main
 from truncring.verify import CheckResult
 
@@ -332,6 +333,30 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("where", [["missing", "out.json"], ["file.txt", "out.json"], []])
+    def test_unwritable_out_is_refused_before_the_work(self, capsys, tmp_path, monkeypatch, where):
+        # a missing directory, a file where a directory should be, and a
+        # directory as the output path; the census must not run at all
+        def refuse(*args, **kw):
+            raise AssertionError("census ran before --out was checked")
+
+        monkeypatch.setattr(cli, "census", refuse)
+        (tmp_path / "file.txt").write_text("kept\n")
+        target = tmp_path.joinpath(*where)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["census", "--q", "2", "--n", "16", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+    def test_failed_command_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        assert main(["census", "--q", "6", "--n", "3", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
 
     def test_refused_walk_names_size_and_limit(self, capsys):
         # F9[x]/x^8 has 9^8 = 43046721 elements, over the walk's 2^20

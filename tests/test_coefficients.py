@@ -168,7 +168,7 @@ class TestExtensionField:
         # F_256 has the largest tables; F_512 and F_729 have none, so mul
         # reduces the product by the modulus and inv squares and multiplies
         F = FieldCtx(p, e)
-        assert (F._mul_table is None) == (F.q > 256)
+        assert isinstance(F.tables[2], list) == (F.q <= 256)
         rng = random.Random(F.q)
         for _ in range(300):
             a, b = rng.randrange(F.q), rng.randrange(F.q)

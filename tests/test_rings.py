@@ -2,9 +2,11 @@
 and the element string grammar."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from test_coefficients import digits, from_digits, poly_mul_mod
 
 from truncring import (
     CtxMismatch,
@@ -57,6 +59,22 @@ class TestArithmetic:
             R.add((1, 0), (1, 0, 0))
         with pytest.raises(CtxMismatch):
             R.mul((1, 0, 0, 0), (1, 0, 0))
+        # every op, on a prime field ring, an extension field ring and a Z
+        # ring, with a short and a long operand in each position
+        for R in (field_ring(3, 3), field_ring(4, 3), zpn_ring(2, 2, 3)):
+            good = R.one()
+            for bad in (good[:-1], good + (1,)):
+                calls = [(op, (bad, good)) for op in (R.add, R.sub, R.mul)]
+                calls += [(op, (good, bad)) for op in (R.add, R.sub, R.mul)]
+                calls += [(op, (bad,)) for op in (R.neg, R.nu, R.is_unit, R.format)]
+                calls += [(R.scalar_mul, (1, bad))]
+                for op, args in calls:
+                    with pytest.raises(CtxMismatch):
+                        op(*args)
+        with pytest.raises(CtxMismatch):
+            field_ring(4, 3).scalar_mul(2, (1, 1))
+        with pytest.raises(CtxMismatch):
+            zpn_ring(2, 2, 3).scalar_mul(3, (1, 1, 1, 1))
 
     def test_unit_detection(self):
         assert field_ring(3, 2).is_unit((2, 1))
@@ -72,6 +90,58 @@ class TestArithmetic:
         assert R.mul(a, b) == R.mul(b, a)
         assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
         assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
+
+
+def coefficient_oracle(F):
+    """Independent oracle for F_q's add, neg and mul: digit-wise mod p, and
+    the schoolbook product reduced by the modulus (poly_mul_mod)."""
+    p, e = F.p, F.e
+
+    def add(a, b):
+        return from_digits(p, [(x + y) % p for x, y in zip(digits(p, e, a), digits(p, e, b))])
+
+    def neg(a):
+        return from_digits(p, [-x % p for x in digits(p, e, a)])
+
+    def mul(a, b):
+        if e == 1:
+            return a * b % p
+        return from_digits(p, poly_mul_mod(p, F.modulus, digits(p, e, a), digits(p, e, b)))
+
+    return add, neg, mul
+
+
+class TestFieldRingArithmetic:
+    # F_512 and F_729 are past the table limit, where the same kernels
+    # read lookups computed on demand
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 243, 256, 512, 729])
+    def test_ops_match_schoolbook_oracle(self, q):
+        n = 5
+        R = field_ring(q, n)
+        add, neg, mul = coefficient_oracle(R.coeff)
+        rng = random.Random(q)
+
+        def element():
+            # sparse draws too, so that zero terms are skipped and kept right
+            return tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n))
+
+        for _ in range(150):
+            a, b, c = element(), element(), rng.randrange(q)
+            assert R.add(a, b) == tuple(add(x, y) for x, y in zip(a, b))
+            assert R.neg(a) == tuple(neg(x) for x in a)
+            assert R.sub(a, b) == tuple(add(x, neg(y)) for x, y in zip(a, b))
+            prod = [0] * n
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    if i + j < n:
+                        prod[i + j] = add(prod[i + j], mul(x, y))
+            assert R.mul(a, b) == tuple(prod)
+            assert R.scalar_mul(c, a) == tuple(mul(c, x) for x in a)
+            if any(a):
+                assert R.nu(a) == min(i for i, x in enumerate(a) if x)
+            else:
+                with pytest.raises(UndefinedValuation):
+                    R.nu(a)
 
 
 class TestValuation:

@@ -22,6 +22,7 @@ from truncring import (
     FieldCtx,
     FieldPolyCtx,
     InvariantViolation,
+    NotAQuotient,
     OutOfFamily,
     Subring,
     TooLarge,
@@ -40,6 +41,7 @@ from truncring import (
     in_row_span,
     kernel_generator,
     lift_isomorphic,
+    project,
     project_subring,
     quotient_ctx,
     restricted_extension,
@@ -1387,3 +1389,69 @@ class TestQuotientStepsFromParent:
         # the counters do count
         closure(ctx, [ctx.parse("x")])
         assert counts["mul"]
+
+
+# -- the incremental closure and the packed projection ----------------------------
+#
+# closure forms only the products of the fresh rows with the new basis, and
+# closure_bfs adjoins one element to an already closed subring; the oracle
+# re-forms every pairwise product of the basis until the span stops growing.
+
+
+def pairwise_closure(ctx, gens):
+    """Oracle: the canonical basis of the subring generated by gens, closed
+    by all pairwise products of the basis, every round."""
+    basis = canonicalize(ctx, [ctx.one(), *gens])
+    while True:
+        prods = [ctx.mul(a, b) for a in basis for b in basis]
+        grown = canonicalize(ctx, [*basis, *prods])
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+BFS_RINGS = [
+    field_ring(2, 7),
+    field_ring(3, 5),
+    field_ring(4, 4),
+    zpn_ring(3, 1, 5),
+    zpn_ring(2, 2, 4, 1),
+]
+
+
+class TestIncrementalClosure:
+    @given(st.sampled_from(WALK_RINGS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_matches_pairwise_products(self, ctx, data):
+        gens = random_rows(ctx, data)
+        want = pairwise_closure(ctx, gens)
+        assert closure(ctx, gens).basis == want
+        # adjoined to a closed subring, as closure_bfs does
+        split = data.draw(st.integers(0, len(gens)))
+        S = closure(ctx, gens[:split])
+        assert closure(S, gens[split:]).basis == want
+
+    @pytest.mark.parametrize("ctx", BFS_RINGS, ids=repr)
+    def test_closure_bfs_matches_the_walk_and_the_scan(self, ctx):
+        subs = enumerate_subrings(ctx)
+        assert enumerate_subrings(ctx, "closure_bfs") == subs
+        if not ctx.p_image:
+            assert enumerate_subrings(ctx, "subspace_scan") == subs
+
+
+class TestPackedProjection:
+    @pytest.mark.parametrize("ctx", [field_ring(2, 8), zpn_ring(2, 1, 7)], ids=repr)
+    def test_matches_tuple_projection(self, ctx):
+        dst = quotient_ctx(ctx)
+        for S in enumerate_subrings(ctx):
+            want = canonicalize(dst, [project(ctx, dst, r) for r in S.basis])
+            T = project_subring(S, dst)
+            assert T.basis == want
+            assert T == Subring(dst, want)
+            assert all(isinstance(r, int) for r in T._rows)
+
+    def test_refuses_a_ring_that_is_not_the_quotient(self):
+        ctx = field_ring(2, 5)
+        S = closure(ctx, [ctx.monomial(2)])
+        with pytest.raises(NotAQuotient):
+            project_subring(S, ctx)
