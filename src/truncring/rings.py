@@ -169,29 +169,56 @@ class FieldPolyCtx(_TruncPolyCtx):
     def _sibling(self, n: int, k: int) -> "FieldPolyCtx":
         return FieldPolyCtx(self.coeff, n)
 
+    def _check(self, *elements: Element):
+        """Raise CtxMismatch on an element of another length or with an
+        entry outside [0, q), naming its column."""
+        n, q = self.n, self.base
+        for a in elements:
+            if len(a) != n or min(a) < 0 or max(a) >= q:
+                super()._check(a)  # a wrong length raises here
+                j = next(j for j, c in enumerate(a) if not 0 <= c < q)
+                raise CtxMismatch(f"coefficient {a[j]} in column {j} outside [0, {q})")
+
     # -- arithmetic ----------------------------------------------------------
     #
     # Each op binds the coefficient lookups (FieldCtx.tables) as locals and
-    # makes one subscript per coefficient operation.
+    # makes one subscript per coefficient operation.  The ops assume reduced
+    # entries and scan for none: an entry past a table fails its lookup, and
+    # the op reports it through _check, while a negative entry reads as its
+    # residue mod q through Python's indexing, and past q = 256 the computed
+    # entries do not check their arguments.  canonicalize, closure and
+    # in_row_span run _check on what they are given.
 
     def add(self, a: Element, b: Element) -> Element:
         n = self.n
         if len(a) != n or len(b) != n:
             self._check(a, b)
         add = self.coeff.tables[0]
-        return tuple([add[x][y] for x, y in zip(a, b)])
+        try:
+            return tuple([add[x][y] for x, y in zip(a, b)])
+        except IndexError:
+            self._check(a, b)
+            raise
 
     def neg(self, a: Element) -> Element:
         if len(a) != self.n:
             self._check(a)
-        return tuple(map(self.coeff.tables[1].__getitem__, a))
+        try:
+            return tuple(map(self.coeff.tables[1].__getitem__, a))
+        except IndexError:
+            self._check(a)
+            raise
 
     def sub(self, a: Element, b: Element) -> Element:
         n = self.n
         if len(a) != n or len(b) != n:
             self._check(a, b)
         add, neg = self.coeff.tables[:2]
-        return tuple([add[x][neg[y]] for x, y in zip(a, b)])
+        try:
+            return tuple([add[x][neg[y]] for x, y in zip(a, b)])
+        except IndexError:
+            self._check(a, b)
+            raise
 
     def mul(self, a: Element, b: Element) -> Element:
         n = self.n
@@ -199,20 +226,28 @@ class FieldPolyCtx(_TruncPolyCtx):
             self._check(a, b)
         add, _, mul, _ = self.coeff.tables
         out = [0] * n
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                k = i
-                for y in b[: n - i]:
-                    if y:
-                        out[k] = add[out[k]][row[y]]
-                    k += 1
+        try:
+            for i, x in enumerate(a):
+                if x:
+                    row = mul[x]
+                    k = i
+                    for y in b[: n - i]:
+                        if y:
+                            out[k] = add[out[k]][row[y]]
+                        k += 1
+        except IndexError:
+            self._check(a, b)
+            raise
         return tuple(out)
 
     def scalar_mul(self, c: int, a: Element) -> Element:
         if len(a) != self.n:
             self._check(a)
-        return tuple(map(self.coeff.tables[2][c].__getitem__, a))
+        try:
+            return tuple(map(self.coeff.tables[2][c].__getitem__, a))
+        except IndexError:
+            self._check(a)
+            raise CtxMismatch(f"scalar {c} outside [0, {self.base})") from None
 
     def is_unit(self, a: Element) -> bool:
         self._check(a)

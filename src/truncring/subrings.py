@@ -16,6 +16,12 @@ p_image pick the row format (_packs), base and caps the m^2 products.
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
 quotient tree: the enumeration builds its top level, the census counts it.
+The walk's unit is the lift family, some B's preimage and B's lifts.  Over
+a field, in a ring of order n >= 3, the members' preimages one level up
+share m^2 and the kernel bit (the proof is in _top_families), so
+ideal_data runs once per family, and the census counts the top from one
+top extension per family.  Over Z/p^N, N > 1, and for the one family at
+n = 2, each member computes its own.
 
 Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
 canonical rows packed into ints, and the quotient-chain code
@@ -162,8 +168,7 @@ def _echelon(ctx: RingCtx, rows, tags: int = 0):
 def canonicalize(ctx: RingCtx, rows):
     """Canonical basis of the module spanned by the rows; two row sets span
     the same module iff their canonical bases are equal tuples."""
-    for r in rows:
-        ctx._check(r)
+    ctx._check(*rows)
     return _echelon(ctx, rows)
 
 
@@ -629,6 +634,34 @@ def _lift_row(src_ctx: RingCtx, row) -> Element:
     return tuple(row)
 
 
+def _preimage(B: Subring) -> Subring:
+    """The preimage R of B under the one-step quotient onto B's ring, its
+    canonical basis written down from B's rows."""
+    src_ctx = extension_ctx(B.ctx)
+    if _packs(src_ctx):
+        # over a field each step adds the column n-1, where z = x^(n-1) is
+        # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
+        return Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,))
+    # R contains the kernel span(z), and the top-column entries of B's rows
+    # already lie in [0, pivot), so B's rows lifted, then z, are R's
+    # canonical basis.  Only on a k-step where B has a pivot in the top
+    # column is z a multiple of that row, and left out.
+    rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
+    if not _has_top_pivot(src_ctx, rows):
+        rows += (kernel_generator(src_ctx),)
+    return Subring(src_ctx, rows)
+
+
+def _extension(B: Subring, R: Subring, data: IdealData) -> MinimalExtension:
+    """The extension R -> B, R = _preimage(B) and data = ideal_data(R).
+    z = p^(k-1) x^(n-1) (x^(n-1) over a field) is a multiple of every
+    nonzero element with column n-1 alone, so the obstruction module holds
+    z iff it has a member led by column n-1, iff it has a pivot there."""
+    in_small = _has_top_pivot(R.ctx, data.small_rows)
+    R._cotangent = B.cotangent + (not in_small)
+    return MinimalExtension(R, B, kernel_generator(R.ctx), in_small, data)
+
+
 def restricted_extension(B: Subring) -> MinimalExtension:
     """The preimage R of B under the one-step quotient onto B's ring,
     packaged as the extension R -> B.
@@ -641,28 +674,8 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     m_R^2 + pR + span(z), so the kernel is the image of span(z): 0 when z
     lies in m_R^2 + pR, else one-dimensional, as m z = 0.
     """
-    src_ctx = extension_ctx(B.ctx)
-    z = kernel_generator(src_ctx)
-    if _packs(src_ctx):
-        # over a field each step adds the column n-1, where z = x^(n-1) is
-        # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
-        R = Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,))
-    else:
-        # R contains the kernel span(z), and the top-column entries of B's
-        # rows already lie in [0, pivot), so B's rows lifted, then z, are
-        # R's canonical basis.  Only on a k-step where B has a pivot in the
-        # top column is z a multiple of that row, and left out.
-        rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
-        if not _has_top_pivot(src_ctx, rows):
-            rows += (z,)
-        R = Subring(src_ctx, rows)
-    data = ideal_data(R)
-    # z = p^(k-1) x^(n-1) (x^(n-1) over a field) is a multiple of every
-    # nonzero element with column n-1 alone, so the obstruction module holds
-    # z iff it has a member led by column n-1, iff it has a pivot there
-    in_small = _has_top_pivot(src_ctx, data.small_rows)
-    R._cotangent = B.cotangent + (not in_small)
-    return MinimalExtension(R, B, z, in_small, data)
+    R = _preimage(B)
+    return _extension(B, R, ideal_data(R))
 
 
 @dataclass(frozen=True)
@@ -886,48 +899,102 @@ def _shape_bounds(ctx: RingCtx) -> list:
     return [(sh, chain_bound(sh)) for sh in shapes]
 
 
-def _top_extensions(ctx: RingCtx):
-    """Yield restricted_extension(B) for every subring B one level below
-    ctx, walking the quotient tree depth first; nothing for the base ring.
+def _siblings_share_square(ctx: RingCtx) -> bool:
+    """Whether the members of a lift family in ctx have preimages with one
+    m^2 and one kernel bit: over a field, for n >= 3 (proof in
+    _top_families)."""
+    return not ctx.p_image and ctx.n >= 3
+
+
+def _family_extensions(members) -> list[MinimalExtension]:
+    """restricted_extension of each member of a lift family (B's preimage,
+    then B's lifts).  Where _siblings_share_square holds, the first member's
+    ideal_data serves all: each other member writes down its preimage and
+    its own m, that preimage's rows after the 1 (see ideal_data), and takes
+    the shared m^2, obstruction module and kernel bit."""
+    first = restricted_extension(members[0])
+    if not _siblings_share_square(first.dst.ctx):
+        return [first, *map(restricted_extension, members[1:])]
+    square, small = first.src_ideal.square_rows, first.src_ideal.small_rows
+    out = [first]
+    for M in members[1:]:
+        R = _preimage(M)
+        out.append(_extension(M, R, IdealData(R.ctx, R._rows[1:], square, small)))
+    return out
+
+
+def _top_families(ctx: RingCtx):
+    """Yield the lift families one level below the top of ctx, walking the
+    quotient tree depth first: each is the tuple (R, *lifts) of some B's
+    preimage and B's lifts, or (the prime ring,) when ctx is one step above
+    the base ring; nothing for the base ring.
 
     Every subring of a level has one parent, its image B one level down:
-    it is B's preimage or one of B's lifts.  Below the top the walk visits
-    each B's preimage and lifts; the top level is left to the caller, which
-    builds it (enumeration) or counts it (census).  A lift family below
-    the top of any size but base^dim (0 when obstructed) would duplicate
-    or drop a subtree, which a census cannot see, so it raises.
+    it is B's preimage or one of B's lifts, so the families of a level
+    partition it.  Below the top the walk extends every member of a family
+    and visits the families they make; the top level is left to the
+    caller, which builds it (enumeration) or counts it (census).  A lift
+    family of any size but base^dim (0 when obstructed) would duplicate or
+    drop a subtree, which a census cannot see, so it raises; the families
+    yielded pass that check too.
+
+    Over a field the members of a family in F_q[x]/x^n, n >= 3, have
+    preimages with the same m^2, so _family_extensions computes it once.
+    Proof: let z = x^(n-1), w_1, ..., w_d the lift complement and s the
+    obstruction rows of R, so m_R = span(w, s, z) and each lift is
+    span(1, w_i - c_i z, s).  A member's preimage one level up, in
+    F_q[x]/x^(n+1), has as m the member's m, lifted, plus span(z'),
+    z' = x^n.  There
+      - z' m = 0, as m lies in (x);
+      - w z = 0 when nu(w) >= 2, and s z = 0, as nu(s) >= 2;
+      - z^2 = x^(2n-2) = 0, as 2n - 2 >= n + 1 when n >= 3.
+    So every product of two rows of m is some w_i w_j, w_i s or s s',
+    whichever the member, and all the preimages share m^2, hence the
+    obstruction module and the kernel bit.  A w with nu(w) = 1 puts an
+    element of valuation 1 in R, whose F_q-algebra is the full ring; there
+    z lies in m^2 = (x^2) once n >= 3, so that family is obstructed and is
+    R alone.  The bound n >= 3 is needed: at n = 2 the family of the prime
+    ring is the full ring and the prime ring, whose preimages have m^2 =
+    (x^2) and 0.  Over Z/p^N, N > 1, z = p^(k-1) x^(n-1) times w need not
+    vanish, and siblings do differ (in 32 of the 234 families the walk of
+    Z[x]/(2^2, x^6, 2x^5) makes), so there each member computes its own.
     """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} exceeds the walk limit {_CHAIN_LIMIT}")
     chain = _quotient_chain(ctx)
     chain.reverse()
     top = len(chain) - 1
-    stack = [(Subring.prime_ring(chain[0]), 0)] if top else []
+    if not top:
+        return
+    # one context per level, so identity is the check; the top's is
+    # extension_ctx of the level below, as every preimage's is
+    if extension_ctx(chain[top - 1]) is not ctx:
+        raise InvariantViolation(f"the quotient chain of {ctx!r} does not return to it")
+    stack = [((Subring.prime_ring(chain[0]),), 0)]
     while stack:
-        B, level = stack.pop()
-        ext = restricted_extension(B)
+        members, level = stack.pop()
+        if level == top - 1:
+            yield members
+            continue
         level += 1
-        # one context per level, so identity is the check
-        if ext.src.ctx is not chain[level]:
-            raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {chain[level]!r}")
-        if level == top:
-            yield ext
-        else:
+        for ext in _family_extensions(members):
+            if ext.src.ctx is not chain[level]:
+                raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {chain[level]!r}")
             fam = lift_isomorphic(ext)
             if len(fam.lifts) != (ctx.base**fam.dim if fam.exists else 0):
                 raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
-            stack.append((ext.src, level))
-            stack.extend((L, level) for L in fam.lifts)
+            stack.append(((ext.src, *fam.lifts), level))
 
 
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
-    """Each top extension contributes its preimage and its lifts.  A
-    collision at any level duplicates a subtree, and every subring has a
-    descendant at the top, so the one check there finds it."""
+    """Each family below the top contributes its members' preimages and
+    their lifts.  A collision at any level duplicates a subtree, and every
+    subring has a descendant at the top, so the one check there finds it."""
     subs = []
-    for ext in _top_extensions(ctx):
-        subs.append(ext.src)
-        subs.extend(lift_isomorphic(ext).lifts)
+    for members in _top_families(ctx):
+        for ext in _family_extensions(members):
+            subs.append(ext.src)
+            subs.extend(lift_isomorphic(ext).lifts)
     if len({S._rows for S in subs}) != len(subs):
         raise InvariantViolation("preimages and lifts must not collide")
     return sorted(subs, key=Subring._key) or [Subring.prime_ring(ctx)]
@@ -971,23 +1038,43 @@ class CensusRow:
 
 def _census_walk(ctx: RingCtx) -> dict:
     """Exponent points -> Counter of cotangent dimensions over the subrings
-    of ctx, counted from _top_extensions, not built: each preimage R counts
-    once with d(R), and an unobstructed B has base^d(B) lifts, each with
-    B's exponent points and d(B).
+    of ctx, counted from the families of _top_families, not built.  Each
+    member M of a family is extended once more, to the top: M's preimage
+    counts once, with d(M) + [z not in its obstruction module] (see
+    restricted_extension), and when z is not, M has base^d(M) lifts, each
+    with M's exponent points and d(M).
 
-    R's points are B's, then top, the largest point of R's domain.  Proof:
-    R -> B is onto with kernel span(z), z the top step's kernel generator,
-    whose nonzero members all have valuation nu(z).  The quotient map
-    keeps the valuation of every member outside span(z), so vals(R) =
-    vals(B) plus nu(z), the point the quotient step drops."""
+    The preimage's points are M's, then top, the largest point of the top
+    ring's domain.  Proof: the preimage maps onto M with kernel span(z),
+    z the top step's kernel generator, whose nonzero members all have
+    valuation nu(z).  The quotient map keeps the valuation of every member
+    outside span(z), so the preimage's valuations are M's plus nu(z), the
+    point the quotient step drops.
+
+    Where _siblings_share_square holds, R's top extension alone counts the
+    family (R, *lifts) of some B: the members' preimages share the kernel
+    bit (see _top_families), and the base^d(B) lifts all have B's exponent
+    points and d(B).  So the lifts' preimages count base^d(B) under B's
+    points plus top, and, when unobstructed, the lifts' lifts count
+    base^(2 d(B)) under B's points."""
     top = (ctx.domain.points[-1],)
+    base = ctx.base
     rows = defaultdict(Counter)
-    for ext in _top_extensions(ctx):
-        B = ext.dst
-        pts = _exponent_points(B)
-        rows[pts + top][ext.src.cotangent] += 1
-        if not ext.kernel_in_small:
-            rows[pts][B.cotangent] += ctx.base**B.cotangent
+    for members in _top_families(ctx):
+        R, lifts = members[0], members[1:]
+        if _siblings_share_square(R.ctx):
+            in_small = restricted_extension(R).kernel_in_small
+            # (member, how many members it stands for, kernel bit)
+            counted = [(R, 1, in_small)]
+            if lifts:
+                counted.append((lifts[0], len(lifts), in_small))
+        else:
+            counted = [(M, 1, restricted_extension(M).kernel_in_small) for M in members]
+        for M, weight, in_small in counted:
+            pts, d = _exponent_points(M), M.cotangent
+            rows[pts + top][d + (not in_small)] += weight
+            if not in_small:
+                rows[pts][d] += weight * base**d
     if not rows:  # the base ring
         prime = Subring.prime_ring(ctx)
         rows[_exponent_points(prime)][prime.cotangent] += 1

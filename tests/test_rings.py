@@ -15,8 +15,11 @@ from truncring import (
     NotAQuotient,
     PolyParseError,
     UndefinedValuation,
+    canonicalize,
+    closure,
     extension_ctx,
     field_ring,
+    in_row_span,
     kernel_generator,
     project,
     quotient_ctx,
@@ -75,6 +78,36 @@ class TestArithmetic:
             field_ring(4, 3).scalar_mul(2, (1, 1))
         with pytest.raises(CtxMismatch):
             zpn_ring(2, 2, 3).scalar_mul(3, (1, 1, 1, 1))
+
+    def test_out_of_range_coefficients_rejected(self):
+        # an entry past F_q's lookup tables fails its lookup, and every op
+        # reports it as CtxMismatch naming the column
+        R = field_ring(3, 2)
+        with pytest.raises(CtxMismatch, match=r"coefficient 5 in column 0 outside \[0, 3\)"):
+            R.add((5, 0), (1, 0))
+        good, bad = R.one(), (1, 7)
+        calls = [(op, (good, bad)) for op in (R.add, R.sub, R.mul)]
+        calls += [(op, (bad, good)) for op in (R.add, R.sub, R.mul)]
+        calls += [(op, (bad,)) for op in (R.neg, R.is_unit, R.format)]
+        calls += [(R.scalar_mul, (1, bad))]
+        for op, args in calls:
+            with pytest.raises(CtxMismatch, match="coefficient 7 in column 1"):
+                op(*args)
+        with pytest.raises(CtxMismatch, match="scalar 3"):
+            R.scalar_mul(3, good)
+        # the ops scan for no negative entry; the entry points refuse it
+        R = field_ring(4, 2)
+        for call in (
+            lambda: canonicalize(R, [(-1, 0)]),
+            lambda: closure(R, [(-1, 0)]),
+            lambda: in_row_span(R, (R.one(),), (-1, 0)),
+            lambda: R.format((-1, 0)),
+        ):
+            with pytest.raises(CtxMismatch, match=r"coefficient -1 in column 0 outside \[0, 4\)"):
+                call()
+        # the Z family reduces every entry mod its column's cap
+        assert zpn_ring(3, 1, 2).add((5, 0), (1, 0)) == (0, 0)
+        assert canonicalize(zpn_ring(3, 2, 2), [(-1, 10)]) == ((1, 8),)
 
     def test_unit_detection(self):
         assert field_ring(3, 2).is_unit((2, 1))

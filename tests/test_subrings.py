@@ -703,6 +703,9 @@ WALK_RINGS = COTANGENT_RINGS + [
     *(zpn_ring(p, 1, n) for p in (2, 3) for n in range(1, 6)),
     field_ring(2, 1),
     zpn_ring(2, 3, 1),
+    field_ring(8, 5),
+    field_ring(9, 5),
+    zpn_ring(2, 1, 12),
 ]
 
 
@@ -789,6 +792,92 @@ class TestCensusWalk:
         subs = enumerate_subrings(ctx)
         assert len(subs) == total
         assert sum(r.count for r in census(ctx, subs)) == total
+
+
+# -- one m^2 per lift family ------------------------------------------------------
+#
+# Over a field, for a family in a ring of order n >= 3, the walk computes
+# ideal_data once per family and the other members take its m^2 and kernel
+# bit.  restricted_extension on each member, and the ideal_data of its
+# preimage, are the per-member oracle.
+
+
+def checked_family_walk(ctx):
+    """Enumerate ctx with every family's extensions checked against the
+    per-member oracle.  Returns (families, families of two or more members
+    whose own preimages share m^2, families whose own preimages differ)."""
+    inner = subrings._family_extensions
+    seen = Counter()
+
+    def checking(members):
+        exts = inner(members)
+        assert [ext.dst for ext in exts] == list(members)
+        own = [restricted_extension(M) for M in members]
+        for ext, mine in zip(exts, own):
+            assert ext.src == mine.src
+            assert ext.src.cotangent == mine.src.cotangent
+            assert ext.kernel_gen == mine.kernel_gen
+            assert ext.src_ideal == mine.src_ideal == ideal_data(mine.src)
+            assert ext.kernel_in_small == in_row_span(mine.src.ctx, mine.src_ideal.small, mine.kernel_gen)
+        squares = {mine.src_ideal.square_rows for mine in own}
+        ctx = members[0].ctx
+        if not ctx.p_image and ctx.n >= 3:
+            # the claim: one m^2 and one kernel bit per family
+            assert len(squares) == 1
+            assert len({mine.kernel_in_small for mine in own}) == 1
+        seen["families"] += 1
+        seen["shared"] += len(members) > 1 and len(squares) == 1
+        seen["differ"] += len(squares) > 1
+        return exts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subrings, "_family_extensions", checking)
+        enumerate_subrings(ctx)
+    return seen["families"], seen["shared"], seen["differ"]
+
+
+class TestSharedSquare:
+    @pytest.mark.parametrize("ctx", WALK_RINGS, ids=repr)
+    def test_family_extensions_match_each_member(self, ctx):
+        families, shared, differ = checked_family_walk(ctx)
+        if ctx.n >= 4 and not ctx.p_image:
+            assert shared
+            # only the n = 2 family of the prime ring differs
+            assert differ == 1
+
+    @given(field_params())
+    @settings(max_examples=30, deadline=None)
+    def test_family_extensions_match_each_member_on_fields(self, params):
+        checked_family_walk(field_ring(*params))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_n_2_family_is_not_shared(self, q):
+        # the family of the prime ring one step up is the full ring, which
+        # holds x, and the prime ring; their preimages have m^2 = (x^2) and 0
+        B = Subring.prime_ring(field_ring(q, 1))
+        ext = restricted_extension(B)
+        ctx = ext.src.ctx
+        assert ext.src == closure(ctx, [ctx.parse("x")])
+        lifts = lift_isomorphic(ext).lifts
+        assert lifts == (Subring.prime_ring(ctx),)
+        squares = [restricted_extension(M).src_ideal.square for M in (ext.src, *lifts)]
+        up = extension_ctx(ctx)
+        assert squares == [(up.monomial(2),), ()]
+        assert not subrings._siblings_share_square(ctx)
+        # F_q[x]/x^3: the root family and this one, the one that differs
+        assert checked_family_walk(field_ring(q, 3)) == (2, 0, 1)
+
+    def test_z_siblings_are_not_shared(self):
+        # over Z/p^N, N > 1, z = p^(k-1) x^(n-1) times w need not vanish
+        ctx = zpn_ring(2, 2, 6, 1)
+        assert checked_family_walk(ctx) == (235, 46, 32)
+        B = Subring.prime_ring(zpn_ring(2, 2, 2))
+        ext = restricted_extension(B)
+        members = (ext.src, *lift_isomorphic(ext).lifts)
+        assert ext.src.ctx.n >= 3 and len(members) == 2
+        squares = {restricted_extension(M).src_ideal.square_rows for M in members}
+        assert len(squares) == 2
+        assert not subrings._siblings_share_square(ext.src.ctx)
 
 
 class TestEnumeratorAgreement:
@@ -946,7 +1035,9 @@ class TestCollisionCheck:
     # there, so a depth 0 plant never reaches it.  Unguarded, the depth 2
     # plant on F2[x]/x^6 counted 35 subrings instead of 24
     @pytest.mark.parametrize("depth", [1, 2])
-    @pytest.mark.parametrize("ctx", COLLISION_RINGS + [field_ring(2, 6)], ids=repr)
+    @pytest.mark.parametrize(
+        "ctx", COLLISION_RINGS + [field_ring(2, 6), field_ring(4, 5), field_ring(2, 8)], ids=repr
+    )
     def test_planted_collision_stops_the_census(self, ctx, depth, monkeypatch):
         census(ctx)
         planted = _plant_collision(monkeypatch, ctx, depth)
@@ -1389,6 +1480,32 @@ class TestQuotientStepsFromParent:
         # the counters do count
         closure(ctx, [ctx.parse("x")])
         assert counts["mul"]
+
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(2, 10), field_ring(3, 8), zpn_ring(2, 1, 10), field_ring(2, 14)], ids=repr
+    )
+    def test_field_census_runs_ideal_data_once_per_family(self, ctx, monkeypatch):
+        # ctx's quotient chain, ctx first: the families below the top are the
+        # root, (the prime ring,), and one per subring two or more levels
+        # below the top
+        chain = subrings._quotient_chain(ctx)
+        families = 1 + sum(len(enumerate_subrings(C)) for C in chain[2:])
+        below_top = sum(len(enumerate_subrings(C)) for C in chain[1:])
+        counts = Counter()
+        inner = subrings.ideal_data
+
+        def counting(S):
+            counts["ideal_data"] += 1
+            return inner(S)
+
+        monkeypatch.setattr(subrings, "ideal_data", counting)
+        assert sum(r.count for r in census(ctx)) == len(enumerate_subrings(ctx))
+        counts.clear()
+        census(ctx)
+        # one call per family; the n = 2 family's two members run one each.
+        # On F2[x]/x^14 that is 6,998 calls, where one per subring below the
+        # top made 15,361
+        assert counts["ideal_data"] == families + 1 < below_top
 
 
 # -- the incremental closure and the packed projection ----------------------------
