@@ -39,7 +39,7 @@ from .subrings import (
     lift_isomorphic,
     restricted_extension,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _pts_json(pts) -> list:
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_counterexample)
 
     sp = sub.add_parser("verify", help="run invariant suites on the selected ring")
-    sp.add_argument("--suite", choices=["valuation", "bounds", "lifts", "props", "all"], required=True)
+    sp.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     _add_ring_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(fn=_cmd_verify)

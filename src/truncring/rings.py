@@ -74,11 +74,20 @@ class _TruncPolyCtx:
         return self._reduce([c if j == i else 0 for j in range(self.n)])
 
     def _check(self, *elements: Element):
-        """Raise CtxMismatch on an element of another length.  The
-        arithmetic tests len(a) != n inline and calls this to raise."""
+        """The entry rule: CtxMismatch on an element of another length or,
+        where p_image = 0 (the table kernels index by entry), on an entry
+        outside [0, base), naming its column.  The ops test lengths inline."""
+        n, q, field = self.n, self.base, not self.p_image
         for a in elements:
-            if len(a) != self.n:
-                raise CtxMismatch(f"element of length {len(a)} in ring of order {self.n}")
+            if len(a) != n:
+                raise CtxMismatch(f"element of length {len(a)} in ring of order {n}")
+            if field and (min(a) < 0 or max(a) >= q):
+                j = next(j for j, c in enumerate(a) if not 0 <= c < q)
+                raise CtxMismatch(f"coefficient {a[j]} in column {j} outside [0, {q})")
+
+    def is_unit(self, a: Element) -> bool:
+        self._check(a)
+        return a[0] % self.base != 0
 
     def _reduce(self, coeffs: list[int]) -> Element:
         return tuple(v % c for v, c in zip(coeffs, self.caps))
@@ -125,7 +134,7 @@ class _TruncPolyCtx:
     def format(self, a: Element) -> str:
         self._check(a)
         terms = []
-        for i, c in enumerate(a):
+        for i, c in enumerate(self._reduce(a)):
             if not c:
                 continue
             cs = self._coeff_str(c)
@@ -169,25 +178,14 @@ class FieldPolyCtx(_TruncPolyCtx):
     def _sibling(self, n: int, k: int) -> "FieldPolyCtx":
         return FieldPolyCtx(self.coeff, n)
 
-    def _check(self, *elements: Element):
-        """Raise CtxMismatch on an element of another length or with an
-        entry outside [0, q), naming its column."""
-        n, q = self.n, self.base
-        for a in elements:
-            if len(a) != n or min(a) < 0 or max(a) >= q:
-                super()._check(a)  # a wrong length raises here
-                j = next(j for j, c in enumerate(a) if not 0 <= c < q)
-                raise CtxMismatch(f"coefficient {a[j]} in column {j} outside [0, {q})")
-
     # -- arithmetic ----------------------------------------------------------
     #
     # Each op binds the coefficient lookups (FieldCtx.tables) as locals and
-    # makes one subscript per coefficient operation.  The ops assume reduced
-    # entries and scan for none: an entry past a table fails its lookup, and
-    # the op reports it through _check, while a negative entry reads as its
-    # residue mod q through Python's indexing, and past q = 256 the computed
-    # entries do not check their arguments.  canonicalize, closure and
-    # in_row_span run _check on what they are given.
+    # makes one subscript per coefficient operation, scanning for no
+    # unreduced entry: one past a table fails its lookup and is reported
+    # through _check, a negative one reads as its residue mod q, and past
+    # q = 256 the computed entries do not check.  The entry points run
+    # _check, whose rule covers Z/p too: its rows take the table kernels.
 
     def add(self, a: Element, b: Element) -> Element:
         n = self.n
@@ -249,17 +247,16 @@ class FieldPolyCtx(_TruncPolyCtx):
             self._check(a)
             raise CtxMismatch(f"scalar {c} outside [0, {self.base})") from None
 
-    def is_unit(self, a: Element) -> bool:
-        self._check(a)
-        return a[0] != 0
-
     def nu(self, a: Element) -> int:
-        """Index of the lowest nonzero coefficient, found at C level."""
+        """Index of the lowest nonzero coefficient, found at C level; only
+        that entry is read, and one outside [0, q) raises through _check."""
         if len(a) != self.n:
             self._check(a)
         c = next(filter(None, a), 0)
         if not c:
             raise UndefinedValuation("nu(0) is undefined")
+        if not 0 < c < self.base:
+            self._check(a)
         return a.index(c)
 
     # -- coefficients in the string syntax -----------------------------------
@@ -347,18 +344,19 @@ class ZpNPolyCtx(_TruncPolyCtx):
             self._check(a)
         return tuple([(c * x) % cap for x, cap in zip(a, self.caps)])
 
-    def is_unit(self, a: Element) -> bool:
-        self._check(a)
-        return a[0] % self.coeff.p != 0
-
     def nu(self, a: Element) -> tuple[int, int]:
-        """Pair (i, m): i the lowest degree with nonzero coefficient, m its nu1."""
+        """Pair (i, m): i the lowest degree with nonzero coefficient, m its
+        nu1; an unreduced lead raises over Z/p, and for N > 1 reduces."""
         if len(a) != self.n:
             self._check(a)
         c = next(filter(None, a), 0)
         if not c:
             raise UndefinedValuation("nu(0) is undefined")
-        return (a.index(c), self.coeff.nu1(c))
+        i = a.index(c)
+        if 0 < c < self.caps[i]:
+            return (i, self.coeff.nu1(c))
+        self._check(a)
+        return self.nu(self._reduce(a))
 
     # -- coefficients in the string syntax -----------------------------------
 

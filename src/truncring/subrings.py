@@ -11,7 +11,8 @@ Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
 when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
 form is the echelon form, so Z[x]/(p, x^n) takes the field path.  base and
-p_image pick the row format (_packs), base and caps the m^2 products.
+p_image pick the row format (_packs), base and caps the m^2 products.  A
+row is checked once, where it enters (ctx._check), and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -34,8 +35,9 @@ tuple kernels stay the reference the packed ones are tested against.
 On both families a quotient step reads what it can off the parent, with
 no echelon pass: the preimage of B has B's rows lifted, then the kernel
 generator, as its canonical basis (the generator is left out on a k-step
-where B already has a pivot in the top column), and the maximal ideal m
-has R's rows with the first, 1, replaced by p (dropped over a field).
+where B already has a pivot in the top column), the image of S has S's
+rows projected, less the one that becomes 0, and the maximal ideal m has
+R's rows with the first, 1, replaced by p (dropped over a field).
 Over Z/p^N and F_p the products that span m^2 are formed by Kronecker
 substitution, one int multiply each on rows packed with a field wide
 enough for any product coefficient; F_q with q = p^e, e > 1, keeps ring
@@ -67,7 +69,6 @@ from .rings import (
     RingCtx,
     extension_ctx,
     kernel_generator,
-    project,
     quotient_ctx,
 )
 from .shapes import Shape, chain_bound, enumerate_shapes, minimal_generators
@@ -221,16 +222,11 @@ def _reducer(ctx: RingCtx, basis):
     return reduce
 
 
-def _reduce(ctx: RingCtx, basis, v: Element) -> Element:
-    """v reduced against a canonical basis (see _reducer)."""
-    return _reducer(ctx, basis)(v)
-
-
 def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     """Membership in the module with the given canonical basis: v reduces
-    to zero.  An element of another length raises CtxMismatch."""
+    to zero.  v passes the entry rule of ctx._check."""
     ctx._check(v)
-    return not any(_reduce(ctx, basis, v))
+    return not any(_reducer(ctx, basis)(v))
 
 
 def _has_top_pivot(ctx: RingCtx, rows) -> bool:
@@ -246,16 +242,11 @@ def _has_top_pivot(ctx: RingCtx, rows) -> bool:
 def _span_logsize(ctx, basis) -> int:
     """log_base of the span size, from the pivots of a canonical basis:
     each row adds the cap exponent of its pivot column less the pivot's
-    valuation, which is 0 over a field."""
+    valuation, the two read as the row's nu; over a field each adds 1."""
     if not ctx.p_image:
         return len(basis)
-    nu1 = ctx.coeff.nu1
     logs = ctx.caps_log
-    total = 0
-    for row in basis:
-        col = _lead(row)
-        total += logs[col] - nu1(row[col])
-    return total
+    return sum(logs[c] - a for c, a in map(ctx.nu, basis))
 
 
 # -- packed F_2 rows -----------------------------------------------------------
@@ -488,7 +479,8 @@ def closure(ctx, gens) -> Subring:
     b in B'.  That keeps the invariant: (B + F)^2 = B^2 + F (B + F) ⊆
     B + F (B + F), and B ⊆ B' while those products span F (B + F).  Every
     member of the result is a sum of products of the generators and of
-    members of the start, so it lies in every subring containing them."""
+    members of the start, so it lies in every subring containing them.
+    Only the generators are checked; later rows are reduced or products."""
     if isinstance(ctx, Subring):
         ctx, basis = ctx.ctx, ctx.basis
     else:
@@ -499,19 +491,28 @@ def closure(ctx, gens) -> Subring:
         fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
         if not fresh:
             return Subring(ctx, basis)
-        basis = canonicalize(ctx, [*basis, *fresh])
+        basis = _echelon(ctx, [*basis, *fresh])
         fresh = [ctx.mul(f, b) for f in fresh for b in basis]
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
-    """Image of a subring under the one-step quotient map; a subring, so no
-    closure.  Packed rows project by a shift: the step drops column n-1,
-    their lowest bit."""
-    if not _packs(dst):
-        return Subring(dst, canonicalize(dst, [project(S.ctx, dst, r) for r in S.basis]))
+    """Image of a subring under the one-step quotient map, its canonical
+    basis written down: S's rows projected (packed ones shifted right by
+    one), the one that becomes 0 dropped.  The step keeps the columns below
+    n-1 with their caps, pivots and entries above pivots; column n-1 goes,
+    or on a Z k-step its cap falls from p^k to p^(k-1).  Over a field the
+    row with pivot n-1 is x^(n-1) itself; over Z a top pivot p^(k-1)
+    vanishes (k = 1 on an n-step), and every other top entry is already
+    below the pivot above it.  The Howell property (Howell, Spans in the
+    module (Z_m)^s, 1986) holds: an image member 0 left of a column c < n-1
+    lifts to one of S, spanned by S's rows from pivot c on, and no nonzero
+    member only in the top column appears: it lifts to a multiple of S's."""
     if quotient_ctx(S.ctx) != dst:
         raise NotAQuotient(f"{dst!r} is not the one-step quotient of {S.ctx!r}")
-    return Subring._from_packed(dst, _xor_echelon([r >> 1 for r in S._rows]))
+    if _packs(dst):
+        return Subring._from_packed(dst, tuple(filter(None, (r >> 1 for r in S._rows))))
+    rows = (dst._reduce(r[: dst.n]) for r in S._rows)
+    return Subring(dst, [r for r in rows if any(r)])
 
 
 def _exponent_points(S: Subring) -> tuple:

@@ -1,5 +1,6 @@
 """Command-line interface: payload shapes, determinism, exit codes."""
 
+import argparse
 import csv
 import gzip
 import io
@@ -10,7 +11,7 @@ import pytest
 
 from truncring import cli
 from truncring.cli import main
-from truncring.verify import CheckResult
+from truncring.verify import SUITES, CheckResult
 
 
 def run(capsys, *argv):
@@ -235,6 +236,12 @@ class TestCounterexample:
 
 
 class TestVerify:
+    def test_suite_choices_are_the_suite_names(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert list(suite.choices) == [*SUITES, "all"]
+
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all", "--q", "2", "--n", "5")
         assert code == 0

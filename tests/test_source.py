@@ -1,7 +1,8 @@
 """The package's own source: library invariants raise InvariantViolation,
 so none may hang on an assert statement, which python -O strips; no
-library code asks which family a ring belongs to; no private helper
-outlives its last caller, and no public function or method goes
+library code asks which family a ring belongs to, and no family redefines
+what the rings share; subrings checks no row of its own twice; no private
+helper outlives its last caller, and no public function or method goes
 unreferenced; and every name the benchmark's tracer wraps exists where it
 looks."""
 
@@ -51,6 +52,34 @@ def test_package_asks_no_ring_its_family():
         and any(_names(arg) & FAMILY_CLASSES for arg in node.args[1:])
     ]
     assert found == []
+
+
+def _class_methods(tree, name):
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    return {n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_ring_families_share_one_entry_rule():
+    # the shared context reads the ring's facts (p_image, base), so no
+    # family may redefine one of its methods and split a rule by class
+    tree = ast.parse((SRC / "rings.py").read_text())
+    shared = _class_methods(tree, "_TruncPolyCtx")
+    assert {"_check", "is_unit"} <= shared
+    assert {name: shared & _class_methods(tree, name) for name in FAMILY_CLASSES} == {
+        name: set() for name in FAMILY_CLASSES
+    }
+
+
+def test_library_rows_are_echeloned_unchecked():
+    # canonicalize checks rows where they enter; rows the library already
+    # holds are echeloned with _echelon, never checked again
+    tree = ast.parse((SRC / "subrings.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "canonicalize" in _names(node.func)
+    ]
+    assert calls == []
 
 
 def _private_defs(tree):

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import truncring
 from truncring import (
@@ -26,6 +26,7 @@ from truncring import (
     OutOfFamily,
     Subring,
     TooLarge,
+    UndefinedValuation,
     ZpNPolyCtx,
     canonicalize,
     e_bound,
@@ -48,7 +49,7 @@ from truncring import (
     zpn_ring,
 )
 from truncring import subrings
-from truncring.subrings import _reduce
+from truncring.subrings import _reducer
 
 
 def module_span(ctx, rows):
@@ -899,7 +900,7 @@ class TestEnumeratorAgreement:
 # -- the orderly subspace scan ---------------------------------------------------
 #
 # subspace_scan builds the subrings of a field ring top down, one echelon row
-# at a time, with ring mul and _reduce only.  Most of these rings are beyond
+# at a time, with ring mul and _reducer only.  Most of these rings are beyond
 # closure_bfs.
 
 SCAN_RINGS = [
@@ -1108,14 +1109,14 @@ class TestCosetReduction:
         zero = ctx.zero()
         for S in enumerate_subrings(ctx):
             members = S.elements()
-            reps = {_reduce(ctx, S.basis, a) for a in ambient}
+            reps = {_reducer(ctx, S.basis)(a) for a in ambient}
             # one reduction per coset: exactly |R| / |S| distinct values
             assert len(reps) * S.size == ctx.size
-            assert {_reduce(ctx, S.basis, s) for s in members} == {zero}
+            assert {_reducer(ctx, S.basis)(s) for s in members} == {zero}
             for a in rng.sample(ambient, 20):
-                r = _reduce(ctx, S.basis, a)
+                r = _reducer(ctx, S.basis)(a)
                 for s in rng.sample(members, min(5, len(members))):
-                    assert _reduce(ctx, S.basis, ctx.add(a, s)) == r
+                    assert _reducer(ctx, S.basis)(ctx.add(a, s)) == r
 
     @pytest.mark.parametrize("ctx", COSET_RINGS, ids=repr)
     def test_in_row_span_matches_member_scan(self, ctx):
@@ -1128,7 +1129,7 @@ class TestCosetReduction:
 # -- packed F_2 rows against the tuple kernels -----------------------------------
 #
 # Subrings of F_2[x]/x^n and Z[x]/(2, x^n) keep packed int rows.  The tuple
-# kernels (_rref, ring mul, _reduce, _lift_bases) are the reference, and so
+# kernels (_rref, ring mul, _reducer, _lift_bases) are the reference, and so
 # is the whole tuple path, reached by making _packs refuse every ring.
 
 F2 = FieldCtx(2)
@@ -1459,6 +1460,7 @@ class TestQuotientStepsFromParent:
         # the counters do count
         small = zpn_ring(2, 2, 2)
         closure(small, [small.parse("x")])
+        subrings.canonicalize(small, [small.parse("x")])
         assert counts["mul"] and counts["canonicalize"]
 
     @pytest.mark.parametrize(
@@ -1572,3 +1574,147 @@ class TestPackedProjection:
         S = closure(ctx, [ctx.monomial(2)])
         with pytest.raises(NotAQuotient):
             project_subring(S, ctx)
+
+
+def assert_projection_written_down(ctx):
+    """project_subring writes each image's basis down; canonicalize of the
+    projected rows is the oracle, on every subring of every level of ctx's
+    quotient chain."""
+    for src in subrings._quotient_chain(ctx)[:-1]:
+        dst = quotient_ctx(src)
+        for S in enumerate_subrings(src):
+            want = canonicalize(dst, [project(src, dst, r) for r in S.basis])
+            assert project_subring(S, dst).basis == want
+
+
+class TestWrittenDownProjection:
+    @pytest.mark.parametrize("ctx", WALK_RINGS, ids=repr)
+    def test_matches_canonicalize(self, ctx):
+        assert_projection_written_down(ctx)
+
+    @given(z_params(limit=5**5).filter(lambda t: has_k_step(*t)))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_canonicalize_on_k_step_draws(self, params):
+        assert_projection_written_down(zpn_ring(*params))
+
+
+# -- the entry rule ----------------------------------------------------------------
+#
+# Rows are checked once, where they enter.  Where p_image = 0 (F_q and Z/p)
+# an entry outside [0, base) is refused with CtxMismatch by every entry
+# point that checks; over Z/p^N, N > 1, every entry reads as its residue.
+
+
+@st.composite
+def wild_rows(draw):
+    """A ring of either family, Z/p included, and one to three elements
+    whose entries range past the column caps, negative ones included."""
+    if draw(st.booleans()):
+        ctx = field_ring(*draw(field_params(256)))
+    else:
+        ctx = zpn_ring(*draw(z_params(256)))
+    wide = 2 * max(ctx.caps)
+    el = st.tuples(*(st.integers(-wide, wide) for _ in range(ctx.n)))
+    return ctx, draw(st.lists(el, min_size=1, max_size=3))
+
+
+def checked_entry_points(ctx):
+    """(f, whether f reads all rows or the first) for every entry point
+    that checks what it is given."""
+    S = Subring.prime_ring(ctx)
+    out = [
+        (lambda rows: canonicalize(ctx, rows), True),
+        (lambda rows: closure(ctx, rows).basis, True),
+        (lambda rows: closure(S, rows).basis, True),
+        (lambda rows: in_row_span(ctx, S.basis, rows[0]), False),
+        (lambda rows: S.contains(rows[0]), False),
+        (lambda rows: ctx.format(rows[0]), False),
+        (lambda rows: ctx.is_unit(rows[0]), False),
+    ]
+    dst = quotient_ctx(ctx)
+    if dst is not None:
+        out.append((lambda rows: project(ctx, dst, rows[0]), False))
+    return out
+
+
+def ring_ops(ctx):
+    """The ops, which scan for no unreduced entry, and nu, which reads only
+    the leading one."""
+    return [
+        lambda rows: ctx.nu(rows[0]),
+        lambda rows: ctx.add(rows[0], rows[-1]),
+        lambda rows: ctx.sub(rows[0], rows[-1]),
+        lambda rows: ctx.mul(rows[0], rows[-1]),
+        lambda rows: ctx.neg(rows[0]),
+        lambda rows: ctx.scalar_mul(1, rows[0]),
+    ]
+
+
+def outcome(f, rows):
+    """f's value, or the typed error it raised; any other exception
+    propagates."""
+    try:
+        return "value", f(rows)
+    except CtxMismatch:
+        return "mismatch", None
+    except UndefinedValuation:
+        return "undefined", None
+
+
+class TestEntryRule:
+    @given(wild_rows())
+    @example((zpn_ring(3, 1, 2), [(-1, 4)]))
+    @example((zpn_ring(3, 1, 2), [(4, 1)]))
+    @example((zpn_ring(3, 1, 2), [(4, 0)]))
+    @example((zpn_ring(3, 1, 2), [(3, 1)]))
+    @example((zpn_ring(2, 2, 2), [(4, 1)]))
+    @example((zpn_ring(2, 2, 3, 1), [(0, 0, -2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_entry_points_return_or_raise_typed(self, case):
+        ctx, rows = case
+        residues = [tuple(x % c for x, c in zip(a, ctx.caps)) for a in rows]
+        for f, reads_all in checked_entry_points(ctx):
+            kind, value = outcome(f, rows)
+            read = rows if reads_all else rows[:1]
+            if not ctx.p_image:
+                unreduced = any(not 0 <= x < ctx.base for a in read for x in a)
+                assert (kind == "mismatch") == unreduced
+            else:
+                assert (kind, value) == outcome(f, residues)
+        for f in ring_ops(ctx):
+            kind, value = outcome(f, rows)
+            if kind == "undefined":
+                assert not any(residues[0])
+            if isinstance(ctx, ZpNPolyCtx) and ctx.p_image:
+                assert (kind, value) == outcome(f, residues)
+        # nu refuses an unreduced lead where p_image = 0
+        lead = next(filter(None, rows[0]), 0)
+        if not ctx.p_image and not 0 <= lead < ctx.base:
+            assert outcome(ctx.nu, rows[0])[0] == "mismatch"
+
+    def test_found_inputs_name_the_column(self):
+        ctx = zpn_ring(3, 1, 2)
+        for call in (
+            lambda: canonicalize(ctx, [(-1, 4)]),
+            lambda: closure(ctx, [(4, 1)]),
+            lambda: in_row_span(ctx, ((1, 0),), (4, 0)),
+        ):
+            with pytest.raises(CtxMismatch, match=r"coefficient -?\d+ in column 0 outside \[0, 3\)"):
+                call()
+        assert ctx.add((5, 0), (1, 0)) == (0, 0)
+        assert canonicalize(zpn_ring(3, 2, 2), [(-1, 10)]) == ((1, 8),)
+
+    def test_nu_reads_the_residue_or_refuses(self):
+        # (4, 1) is x in Z[x]/(2^2, x^2), as the ring ops read it
+        R = zpn_ring(2, 2, 2)
+        assert R.nu((4, 1)) == R.nu(R.add((4, 1), R.zero())) == (1, 0)
+        assert R.nu((-2, 5)) == (0, 1)
+        with pytest.raises(UndefinedValuation):
+            R.nu((4, -4))
+        # -2 is 0 in the top column of Z[x]/(2^2, x^3, 2x^2), whose cap is 2
+        with pytest.raises(UndefinedValuation):
+            zpn_ring(2, 2, 3, 1).nu((0, 0, -2))
+        with pytest.raises(CtxMismatch, match=r"coefficient 3 in column 0 outside \[0, 3\)"):
+            zpn_ring(3, 1, 2).nu((3, 1))
+        with pytest.raises(CtxMismatch, match=r"coefficient -1 in column 1 outside \[0, 4\)"):
+            field_ring(4, 2).nu((0, -1))
