@@ -148,19 +148,17 @@ def _parse_generators(ctx, text: str):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[str, int]:
     ctx = _ring_from_args(args)
     # only the JSON payload prints bases; the CSV has no column for them
     emit_bases = args.emit_bases and args.format == "json"
     rows = census(ctx, enumerate_subrings(ctx) if emit_bases else None)
     if args.format == "csv":
-        _emit(_census_csv(rows), args.out)
-    else:
-        _emit(_json_text(_census_payload(rows, emit_bases)), args.out)
-    return 0
+        return _census_csv(rows), 0
+    return _json_text(_census_payload(rows, emit_bases)), 0
 
 
-def _cmd_lifts(args) -> int:
+def _cmd_lifts(args) -> tuple[str, int]:
     ctx = _ring_from_args(args)
     B = closure(ctx, _parse_generators(ctx, args.subring))
     ext = restricted_extension(B)
@@ -178,11 +176,10 @@ def _cmd_lifts(args) -> int:
         "count": len(fam.lifts),
         "lifts": [_basis_polys(L) for L in fam.lifts],
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def _cmd_shape(args) -> int:
+def _cmd_shape(args) -> tuple[str, int]:
     ctx = _ring_from_args(args)
     B = closure(ctx, _parse_generators(ctx, args.subring))
     sh = exponent_set(B)
@@ -195,11 +192,10 @@ def _cmd_shape(args) -> int:
         "d_shape": sh.generator_count(),
         "d_ring": cotangent_dim(B),
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple[str, int]:
     p, e = factor_prime_power(args.q)
     rep = counterexample_family(args.a, FieldCtx(p, e))
     ctx = rep.ctx
@@ -215,11 +211,10 @@ def _cmd_counterexample(args) -> int:
         "witness": ctx.format(rep.witness),
         "witness_in_square": rep.witness_in_square,
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     ctx = _ring_from_args(args)
     try:
         results = run_suite(ctx, args.suite)
@@ -239,8 +234,7 @@ def _cmd_verify(args) -> int:
     for r in results:
         if r.skipped is not None:
             print(f"skipped {r.name}: {r.skipped}", file=sys.stderr)
-    _emit(_json_text(payload), args.out)
-    return 0 if ok else 1
+    return _json_text(payload), 0 if ok else 1
 
 
 # -- parser --------------------------------------------------------------------
@@ -313,7 +307,9 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return args.fn(args)
+        text, code = args.fn(args)
+        _emit(text, args.out)
+        return code
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

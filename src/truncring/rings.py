@@ -40,8 +40,9 @@ _TERM_RE = re.compile(r"^(?:\[(\d+(?:,\d+)*)\]|(\d+))?(?:\*?x(?:\^(\d+))?)?$")
 
 
 class _TruncPolyCtx:
-    """What the two families share.  Each __init__ sets the ring's facts
-    once, as plain data, and library code reads them instead of the class:
+    """What the two families share.  Each __init__ validates its parameters
+    and sets the ring's facts once, through _set_facts, as plain data;
+    library code and the string syntax read them instead of the class:
 
     * ``base``     -- the residue field size, q over F_q and p over Z/p^N;
     * ``caps_log`` -- per column, the exponent of its cap in powers of
@@ -59,6 +60,16 @@ class _TruncPolyCtx:
     """
 
     __slots__ = ("coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel")
+
+    def _set_facts(self, coeff, n: int, base: int, caps_log: tuple, p_image: int, domain):
+        self.coeff = coeff
+        self.n = n
+        self.base = base
+        self.caps_log = caps_log
+        self.caps = tuple(base**c for c in caps_log)
+        self.p_image = p_image
+        self.domain = domain
+        self._down = self._up = self._kernel = None
 
     # -- constructors ------------------------------------------------------
 
@@ -107,6 +118,7 @@ class _TruncPolyCtx:
         s = "".join(str(text).split())
         if not s:
             raise PolyParseError("empty polynomial")
+        coeff = self.coeff
         coeffs = [0] * self.n
         for term in s.split("+"):
             m = _TERM_RE.match(term)
@@ -117,9 +129,14 @@ class _TruncPolyCtx:
             if bracket is None and plain is None and not has_x:
                 raise PolyParseError(f"bad term {term!r}")
             if bracket is not None:
-                c = self._coeff_from_vector([int(v) for v in bracket.split(",")])
+                if self.base == coeff.p:
+                    raise PolyParseError("bracketed coefficients require an extension field")
+                vs = [int(v) for v in bracket.split(",")]
+                if len(vs) > coeff.e:
+                    raise PolyParseError(f"coefficient vector longer than degree {coeff.e}")
+                c = coeff.from_coeffs(vs)
             elif plain is not None:
-                c = self._coeff_from_int(int(plain))
+                c = int(plain) % coeff.p ** self.caps_log[0]
             else:
                 c = 1
             if has_x:
@@ -128,16 +145,20 @@ class _TruncPolyCtx:
                 exp = 0
             if exp >= self.n:
                 raise PolyParseError(f"exponent {exp} out of range for x^{self.n} = 0")
-            coeffs[exp] = self.coeff.add(coeffs[exp], c)
+            coeffs[exp] = coeff.add(coeffs[exp], c)
         return self._reduce(coeffs)
 
     def format(self, a: Element) -> str:
         self._check(a)
+        coeff = self.coeff
         terms = []
         for i, c in enumerate(self._reduce(a)):
             if not c:
                 continue
-            cs = self._coeff_str(c)
+            if self.base != coeff.p and c >= coeff.p:
+                cs = "[" + ",".join(str(v) for v in coeff.coeffs(c)) + "]"
+            else:
+                cs = str(c)
             if i == 0:
                 terms.append(cs)
             else:
@@ -166,14 +187,7 @@ class FieldPolyCtx(_TruncPolyCtx):
     def __init__(self, coeff: FieldCtx, n: int):
         if n < 1:
             raise ValueError(f"truncation order must be >= 1, got {n}")
-        self.coeff = coeff
-        self.n = n
-        self.base = coeff.q
-        self.caps_log = (1,) * n
-        self.caps = (coeff.q,) * n
-        self.p_image = 0
-        self.domain = IntervalDomain(n)
-        self._down = self._up = self._kernel = None
+        self._set_facts(coeff, n, coeff.q, (1,) * n, 0, IntervalDomain(n))
 
     def _sibling(self, n: int, k: int) -> "FieldPolyCtx":
         return FieldPolyCtx(self.coeff, n)
@@ -182,10 +196,12 @@ class FieldPolyCtx(_TruncPolyCtx):
     #
     # Each op binds the coefficient lookups (FieldCtx.tables) as locals and
     # makes one subscript per coefficient operation, scanning for no
-    # unreduced entry: one past a table fails its lookup and is reported
-    # through _check, a negative one reads as its residue mod q, and past
-    # q = 256 the computed entries do not check.  The entry points run
-    # _check, whose rule covers Z/p too: its rows take the table kernels.
+    # unreduced entry, so the ops take entries in [0, q): one past a table
+    # fails its lookup and is reported through _check, a negative one
+    # indexes from the table's end, which is its residue only when q = p,
+    # and past q = 256 the computed entries do not check.  Every entry
+    # point refuses such an entry through _check, whose rule covers Z/p
+    # too: its rows take the table kernels.
 
     def add(self, a: Element, b: Element) -> Element:
         n = self.n
@@ -259,23 +275,6 @@ class FieldPolyCtx(_TruncPolyCtx):
             self._check(a)
         return a.index(c)
 
-    # -- coefficients in the string syntax -----------------------------------
-
-    def _coeff_from_int(self, v: int) -> int:
-        return v % self.coeff.p
-
-    def _coeff_from_vector(self, vs: list[int]) -> int:
-        if self.coeff.e == 1:
-            raise PolyParseError("bracketed coefficients require an extension field")
-        if len(vs) > self.coeff.e:
-            raise PolyParseError(f"coefficient vector longer than degree {self.coeff.e}")
-        return self.coeff.from_coeffs(vs)
-
-    def _coeff_str(self, c: int) -> str:
-        if self.coeff.e > 1 and c >= self.coeff.p:
-            return "[" + ",".join(str(v) for v in self.coeff.coeffs(c)) + "]"
-        return str(c)
-
     def __repr__(self):
         return f"F{self.coeff.q}[x]/x^{self.n}"
 
@@ -293,15 +292,8 @@ class ZpNPolyCtx(_TruncPolyCtx):
         if n == 1 and k != coeff.N:
             raise ValueError("for n = 1 the tail coefficient is the constant term, so k must equal N")
         p = coeff.p
-        self.coeff = coeff
-        self.n = n
         self.k = k
-        self.base = p
-        self.caps_log = (coeff.N,) * (n - 1) + (k,)
-        self.caps = tuple(p**c for c in self.caps_log)
-        self.p_image = p % coeff.size
-        self.domain = GridDomain(n, coeff.N, k)
-        self._down = self._up = self._kernel = None
+        self._set_facts(coeff, n, p, (coeff.N,) * (n - 1) + (k,), p % coeff.size, GridDomain(n, coeff.N, k))
 
     def _sibling(self, n: int, k: int) -> "ZpNPolyCtx":
         return ZpNPolyCtx(self.coeff, n, k)
@@ -357,17 +349,6 @@ class ZpNPolyCtx(_TruncPolyCtx):
             return (i, self.coeff.nu1(c))
         self._check(a)
         return self.nu(self._reduce(a))
-
-    # -- coefficients in the string syntax -----------------------------------
-
-    def _coeff_from_int(self, v: int) -> int:
-        return v % self.coeff.size
-
-    def _coeff_from_vector(self, vs):
-        raise PolyParseError("bracketed coefficients require an extension field")
-
-    def _coeff_str(self, c: int) -> str:
-        return str(c)
 
     def __repr__(self):
         p, N = self.coeff.p, self.coeff.N

@@ -847,12 +847,27 @@ def _enumerate_subspace_scan(ctx) -> list[Subring]:
     return sorted(found, key=Subring._key)
 
 
+def _coset_reps(ctx: RingCtx, basis):
+    """One vector per coset of the module S with this canonical basis, S
+    itself left out: entries in [0, pivot) at S's pivot columns (only 0
+    over F_q, where pivots are 1), in [0, cap) elsewhere, 0 skipped.
+    Proof: _reducer fixes these vectors and is constant on cosets, so no
+    two share a coset, and there are |ambient| / |S| of them, as |S| is
+    prod cap/pivot over the pivot columns (_span_logsize reads it so).
+    Both facts need the basis's Howell property (over F_q, echelon form)."""
+    pivots = dict(map(_pivot, basis))
+    reps = itertools.product(*(range(pivots.get(j, cap)) for j, cap in enumerate(ctx.caps)))
+    next(reps)
+    return reps
+
+
 def _enumerate_closure_bfs(ctx) -> list[Subring]:
     """Grow subrings from the prime ring by adjoining one ambient element
     at a time to a subring S and closing (closure, which forms only the
     products with the new rows); the reachable set is all of them.  All
     members of one coset of S close to the same subring, so S adjoins one
-    reduced representative per coset.
+    representative per coset, from _coset_reps: the scan's completeness
+    rests on the Howell property of closure's bases.
 
     Its cost is one closure per found subring and coset.  A subring of
     shape D has base^|D| elements, so it has base^(|points| - |D|) cosets
@@ -863,15 +878,11 @@ def _enumerate_closure_bfs(ctx) -> list[Subring]:
     if closures > _CLOSURE_LIMIT:
         raise TooLarge(f"the bound of {closures} closures exceeds the scan limit {_CLOSURE_LIMIT}")
     prime = Subring.prime_ring(ctx)
-    ambient = list(ctx.elements())
-    zero = ctx.zero()
     found = {prime}
     frontier = [prime]
     while frontier:
         S = frontier.pop()
-        reps = set(map(_reducer(ctx, S.basis), ambient))
-        reps.discard(zero)
-        for r in reps:
+        for r in _coset_reps(ctx, S.basis):
             T = closure(S, [r])
             if T not in found:
                 found.add(T)
@@ -924,6 +935,19 @@ def _family_extensions(members) -> list[MinimalExtension]:
     return out
 
 
+def _step(members):
+    """Yield the lift families one level up that the members of a lift
+    family make: each member's preimage, then its lifts.  A lift family of
+    any size but base^dim (0 when obstructed) would duplicate or drop a
+    subtree, which a census cannot see, so it raises."""
+    base = members[0].ctx.base
+    for ext in _family_extensions(members):
+        fam = lift_isomorphic(ext)
+        if len(fam.lifts) != (base**fam.dim if fam.exists else 0):
+            raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
+        yield (ext.src, *fam.lifts)
+
+
 def _top_families(ctx: RingCtx):
     """Yield the lift families one level below the top of ctx, walking the
     quotient tree depth first: each is the tuple (R, *lifts) of some B's
@@ -932,12 +956,9 @@ def _top_families(ctx: RingCtx):
 
     Every subring of a level has one parent, its image B one level down:
     it is B's preimage or one of B's lifts, so the families of a level
-    partition it.  Below the top the walk extends every member of a family
-    and visits the families they make; the top level is left to the
-    caller, which builds it (enumeration) or counts it (census).  A lift
-    family of any size but base^dim (0 when obstructed) would duplicate or
-    drop a subtree, which a census cannot see, so it raises; the families
-    yielded pass that check too.
+    partition it.  Below the top the walk takes each family's _step and
+    visits the families it makes; the top level is left to the caller,
+    which builds it (enumeration, through _step) or counts it (census).
 
     Over a field the members of a family in F_q[x]/x^n, n >= 3, have
     preimages with the same m^2, so _family_extensions computes it once.
@@ -978,24 +999,21 @@ def _top_families(ctx: RingCtx):
             yield members
             continue
         level += 1
-        for ext in _family_extensions(members):
-            if ext.src.ctx is not chain[level]:
-                raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {chain[level]!r}")
-            fam = lift_isomorphic(ext)
-            if len(fam.lifts) != (ctx.base**fam.dim if fam.exists else 0):
-                raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
-            stack.append(((ext.src, *fam.lifts), level))
+        for fam in _step(members):
+            if fam[0].ctx is not chain[level]:
+                raise InvariantViolation(f"extension landed in {fam[0].ctx!r}, not {chain[level]!r}")
+            stack.append((fam, level))
 
 
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
-    """Each family below the top contributes its members' preimages and
-    their lifts.  A collision at any level duplicates a subtree, and every
-    subring has a descendant at the top, so the one check there finds it."""
+    """Each family below the top contributes the families its _step makes:
+    its members' preimages and their lifts.  A collision at any level
+    duplicates a subtree, and every subring has a descendant at the top,
+    so the one check there finds it."""
     subs = []
     for members in _top_families(ctx):
-        for ext in _family_extensions(members):
-            subs.append(ext.src)
-            subs.extend(lift_isomorphic(ext).lifts)
+        for fam in _step(members):
+            subs.extend(fam)
     if len({S._rows for S in subs}) != len(subs):
         raise InvariantViolation("preimages and lifts must not collide")
     return sorted(subs, key=Subring._key) or [Subring.prime_ring(ctx)]

@@ -3,6 +3,7 @@ and the element string grammar."""
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -456,3 +457,51 @@ class TestStringGrammar:
         R = zpn_ring(3, 2, 4, 1)
         el = tuple(data.draw(st.integers(0, c - 1)) for c in R.caps)
         assert R.parse(R.format(el)) == el
+
+
+# The string syntax reads the ring's facts: a plain integer reduces mod
+# p^caps_log[0] (p over F_q, p^N over Z/p^N), a bracket needs base != p,
+# and only there does a coefficient of p or more print in brackets.
+SYNTAX_RINGS = {
+    "F3": field_ring(3, 3),
+    "F9": field_ring(9, 3),
+    "Z/3": zpn_ring(3, 1, 3),
+    "Z/3^2": zpn_ring(3, 2, 3, 1),
+}
+NO_BRACKET = "bracketed coefficients require an extension field"
+PARSE_TABLE = [
+    ("10", {"F3": (1, 0, 0), "F9": (1, 0, 0), "Z/3": (1, 0, 0), "Z/3^2": (1, 0, 0)}),
+    ("5x", {"F3": (0, 2, 0), "F9": (0, 2, 0), "Z/3": (0, 2, 0), "Z/3^2": (0, 5, 0)}),
+    # the top column of Z[x]/(3^2, x^3, 3x^2) lives mod 3
+    ("4x^2", {"F3": (0, 0, 1), "F9": (0, 0, 1), "Z/3": (0, 0, 1), "Z/3^2": (0, 0, 1)}),
+    ("[1,1]x", {"F3": NO_BRACKET, "F9": (0, 4, 0), "Z/3": NO_BRACKET, "Z/3^2": NO_BRACKET}),
+    (
+        "[1,1,1]x",
+        {"F3": NO_BRACKET, "F9": "coefficient vector longer than degree 2", "Z/3": NO_BRACKET, "Z/3^2": NO_BRACKET},
+    ),
+]
+FORMAT_TABLE = [
+    ("F3", (2, 2, 1), "2+2x+x^2"),
+    ("F9", (2, 4, 1), "2+[1,1]x+x^2"),
+    ("F9", (0, 3, 8), "[0,1]x+[2,2]x^2"),
+    ("Z/3", (2, 2, 1), "2+2x+x^2"),
+    ("Z/3^2", (8, 4, 2), "8+4x+2x^2"),
+]
+
+
+class TestSyntaxReadsTheFacts:
+    @pytest.mark.parametrize("text,expected", PARSE_TABLE, ids=[t for t, _ in PARSE_TABLE])
+    @pytest.mark.parametrize("name", SYNTAX_RINGS)
+    def test_parse(self, name, text, expected):
+        R, want = SYNTAX_RINGS[name], expected[name]
+        if isinstance(want, str):
+            with pytest.raises(PolyParseError, match=re.escape(want)):
+                R.parse(text)
+        else:
+            assert R.parse(text) == want
+
+    @pytest.mark.parametrize("name,element,text", FORMAT_TABLE)
+    def test_format(self, name, element, text):
+        R = SYNTAX_RINGS[name]
+        assert R.format(element) == text
+        assert R.parse(text) == element

@@ -1,10 +1,11 @@
 """The package's own source: library invariants raise InvariantViolation,
 so none may hang on an assert statement, which python -O strips; no
 library code asks which family a ring belongs to, and no family redefines
-what the rings share; subrings checks no row of its own twice; no private
-helper outlives its last caller, and no public function or method goes
-unreferenced; and every name the benchmark's tracer wraps exists where it
-looks."""
+what the rings share or defines more than its arithmetic; the walk step
+and the command output each have one home; subrings checks no row of its
+own twice; no private helper outlives its last caller, and no public
+function or method goes unreferenced; and every name the benchmark's
+tracer wraps exists where it looks."""
 
 import ast
 import importlib
@@ -68,6 +69,43 @@ def test_ring_families_share_one_entry_rule():
     assert {name: shared & _class_methods(tree, name) for name in FAMILY_CLASSES} == {
         name: set() for name in FAMILY_CLASSES
     }
+
+
+FAMILY_METHODS = {"__init__", "_sibling", "add", "neg", "sub", "mul", "scalar_mul", "nu", "__repr__"}
+
+
+def test_ring_families_define_only_their_arithmetic():
+    # each family validates its parameters, sets its facts through the
+    # shared _set_facts and keeps its table or modular arithmetic; the
+    # string syntax and every other rule read the facts on the shared class
+    tree = ast.parse((SRC / "rings.py").read_text())
+    assert {name: _class_methods(tree, name) for name in FAMILY_CLASSES} == {
+        name: FAMILY_METHODS for name in FAMILY_CLASSES
+    }
+
+
+def _callers(module, name):
+    """The module-level functions and classes of a package module that call
+    name."""
+    tree = ast.parse((SRC / module).read_text())
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(isinstance(c, ast.Call) and name in _names(c.func) for c in ast.walk(node))
+    }
+
+
+def test_one_walk_step():
+    # the walk and the enumeration's top extend a family through _step,
+    # which checks each family's size, so neither makes families its own way
+    assert _callers("subrings.py", "_family_extensions") == {"_step"}
+    assert _callers("subrings.py", "lift_isomorphic") == {"_step"}
+
+
+def test_one_output_point():
+    # each command returns its text and exit code, and main writes it
+    assert _callers("cli.py", "_emit") == {"main"}
 
 
 def test_library_rows_are_echeloned_unchecked():

@@ -1047,6 +1047,26 @@ class TestCollisionCheck:
         assert planted
 
 
+@pytest.mark.parametrize("ctx", [field_ring(2, 6), zpn_ring(2, 2, 4, 1)], ids=repr)
+def test_dropped_top_lift_stops_the_enumeration(ctx, monkeypatch):
+    # the enumeration builds the top through _step, whose family-size check
+    # sees a lift lost there, as the walk's levels below do
+    inner = subrings.lift_isomorphic
+    dropped = []
+
+    def dropping(ext):
+        fam = inner(ext)
+        if ext.src.ctx == ctx and fam.lifts:
+            dropped.append(fam.lifts[-1])
+            return dataclasses.replace(fam, lifts=fam.lifts[:-1])
+        return fam
+
+    monkeypatch.setattr(subrings, "lift_isomorphic", dropping)
+    with pytest.raises(InvariantViolation, match="lifts in a family of dimension"):
+        enumerate_subrings(ctx)
+    assert dropped
+
+
 @pytest.mark.parametrize("p,N,n", [(2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3)])
 def test_dead_top_coefficient_keeps_the_census(p, N, n):
     # k = 0 kills the x^(n-1) column, leaving the ring of truncation order n-1
@@ -1085,9 +1105,10 @@ def test_census_is_independent_of_the_modulus(p, e, n):
 
 # -- closure_bfs adjoins one representative per coset ---------------------------
 #
-# closure_bfs reduces each ambient element against the canonical basis of S
-# and closes S + r once per distinct reduction r.  These rings have non-unit
-# Howell pivots (p^a with a >= 1) in the subrings the reduction runs against.
+# closure_bfs writes down one representative r per coset of S (_coset_reps)
+# and closes S + r; the reducer against S's canonical basis is the oracle.
+# These rings have non-unit Howell pivots (p^a with a >= 1) in the subrings
+# the reduction runs against.
 COSET_RINGS = [
     field_ring(8, 3),
     field_ring(9, 3),
@@ -1117,6 +1138,18 @@ class TestCosetReduction:
                 r = _reducer(ctx, S.basis)(a)
                 for s in rng.sample(members, min(5, len(members))):
                     assert _reducer(ctx, S.basis)(ctx.add(a, s)) == r
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [zpn_ring(2, 2, 4, 1), zpn_ring(3, 2, 3), zpn_ring(2, 3, 3, 2), field_ring(4, 4), field_ring(3, 4)],
+        ids=repr,
+    )
+    def test_written_down_reps_are_the_reductions(self, ctx):
+        zero = ctx.zero()
+        for S in enumerate_subrings(ctx, "closure_bfs"):
+            reps = list(subrings._coset_reps(ctx, S.basis))
+            assert len(reps) == len(set(reps))
+            assert set(reps) == {_reducer(ctx, S.basis)(v) for v in ctx.elements()} - {zero}
 
     @pytest.mark.parametrize("ctx", COSET_RINGS, ids=repr)
     def test_in_row_span_matches_member_scan(self, ctx):
@@ -1703,6 +1736,24 @@ class TestEntryRule:
                 call()
         assert ctx.add((5, 0), (1, 0)) == (0, 0)
         assert canonicalize(zpn_ring(3, 2, 2), [(-1, 10)]) == ((1, 8),)
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_extension_field_refuses_negative_entries(self, q):
+        # the table ops read -1 from the table's end, which over F_q, q > p,
+        # is no residue of -1, so every entry point refuses it
+        R = field_ring(q, 2)
+        a = (-1, 0)
+        for call in (
+            lambda: canonicalize(R, [a]),
+            lambda: closure(R, [a]),
+            lambda: in_row_span(R, (R.one(),), a),
+            lambda: project(R, quotient_ctx(R), a),
+            lambda: R.format(a),
+            lambda: R.is_unit(a),
+            lambda: R.nu(a),
+        ):
+            with pytest.raises(CtxMismatch, match=rf"coefficient -1 in column 0 outside \[0, {q}\)"):
+                call()
 
     def test_nu_reads_the_residue_or_refuses(self):
         # (4, 1) is x in Z[x]/(2^2, x^2), as the ring ops read it
