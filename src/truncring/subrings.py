@@ -17,12 +17,14 @@ row is checked once, where it enters (ctx._check), and never again.
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
 quotient tree: the enumeration builds its top level, the census counts it.
-The walk's unit is the lift family, some B's preimage and B's lifts.  Over
-a field, in a ring of order n >= 3, the members' preimages one level up
-share m^2 and the kernel bit (the proof is in _top_families), so
-ideal_data runs once per family, and the census counts the top from one
-top extension per family.  Over Z/p^N, N > 1, and for the one family at
-n = 2, each member computes its own.
+The walk's unit is the lift family, some B's preimage and B's lifts.
+Where the step above the family's ring adds a column and the square of the
+family's kernel generator vanishes there (over a field for n >= 3, over
+Z/p^N, N > 1, at every n), the members' preimages one level up share m^2
+and the kernel bit, so ideal_data runs once per family, and the census
+counts the top from one top extension per family.  That rule about the
+ring, and its proof, is _siblings_share_square; elsewhere each member
+computes its own.
 
 Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
 canonical rows packed into ints, and the quotient-chain code
@@ -40,11 +42,12 @@ rows projected, less the one that becomes 0, and the maximal ideal m has
 R's rows with the first, 1, replaced by p (dropped over a field).
 Over Z/p^N and F_p the products that span m^2 are formed by Kronecker
 substitution, one int multiply each on rows packed with a field wide
-enough for any product coefficient; F_q with q = p^e, e > 1, keeps ring
-mul.  m^2's canonical basis is the one echelon pass of a step, and the
-rest is read off it.  The obstruction module m^2 + pR is m^2 + (p), as p
-times a row of m lies in m^2, and its Howell form is the row p, then
-m^2's rows that are 0 in column 0.  The kernel generator lies in it iff
+enough for any product coefficient, and stay packed through the Howell
+pass that echelons them (_packed_howell); F_q with q = p^e, e > 1, keeps
+ring mul and _rref.  m^2's canonical basis is the one echelon pass of a
+step, and the rest is read off it.  The obstruction module m^2 + pR is
+m^2 + (p), as p times a row of m lies in m^2, and its Howell form is the
+row p, then m^2's rows that are 0 in column 0.  The kernel generator lies in it iff
 it has a pivot in the top column, and when it does not, the lift
 complement follows from its pivots and the kernel's.  Ring mul,
 canonicalize and in_row_span stay the reference.
@@ -334,44 +337,145 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- Kronecker rows over Z/p^N and F_p ------------------------------------------
+# -- m^2 over residue coefficients: Kronecker products, packed Howell pass -------
 #
 # A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
-# with w bits per column, as the F_2 rows do with w = 1.  With
-# w = bit_length(n (c - 1)^2), c the largest column cap, no coefficient of a
-# product of two packed rows overflows its field, so one int multiply forms
-# every coefficient (Kronecker substitution), and the right shift by w (n - 1)
-# drops the degrees at or past n.
+# with w bits per column, as the F_2 rows do with w = 1.  One int multiply
+# of two packed rows forms every coefficient of their product (Kronecker
+# substitution), and the right shift by w (n - 1) drops the degrees at or
+# past n.  The products stay packed through the Howell pass that echelons
+# them (_packed_howell); only its few output rows become tuples.
 
 
-def _kron_caps(ctx: RingCtx):
-    """The column moduli ctx.caps when the coefficients are plain residues,
-    over Z/p^N and F_p, where base is p; None over F_q with q = p^e,
-    e > 1, whose products are not residue products."""
-    return ctx.caps if ctx.base == ctx.coeff.p else None
+class _SquareKernel:
+    """What ideal_data reads of a ring, built once per ring (_square_kernel):
+    head, the rows of m before R's rows after the 1, (p,) over Z/p^N with
+    N > 1 and () over a field; and, over residue coefficients (Z/p^N and
+    F_p, where base is p), the layout of the packed rows.  Over F_q with
+    q = p^e, e > 1, products are not residue products, w is None, and m^2
+    is echeloned from ring mul.
+
+    The layout: w bits per column, column j at bit shifts[j] (column 0 most
+    significant), col[b] the column of a row of bit length b, low[j] the
+    bits below column j, C[j] the caps of columns j..n-1 packed, and mask
+    the caps less one packed when every cap is a power of two (p = 2), so
+    that r & mask reduces every column of r at once; None otherwise."""
+
+    __slots__ = ("head", "p", "caps", "logs", "w", "cut", "shifts", "col", "low", "C", "mask")
+
+    def __init__(self, ctx: RingCtx):
+        n, p = ctx.n, ctx.coeff.p
+        self.head = (ctx.monomial(0, ctx.p_image),) if ctx.p_image else ()
+        self.p, self.caps, self.logs = p, ctx.caps, ctx.caps_log
+        self.w = None
+        if ctx.base != p:
+            return
+        w = self.w = (2 * n * ctx.caps[0] ** 2).bit_length()
+        self.cut = w * (n - 1)
+        self.shifts = [w * (n - 1 - j) for j in range(n)]
+        self.col = [n - 1 - (b - 1) // w for b in range(n * w + 1)]
+        self.low = [(1 << s) - 1 for s in self.shifts]
+        self.C = [_pack(ctx.caps[j:], w) for j in range(n)]
+        self.mask = _pack([c - 1 for c in ctx.caps], w) if p == 2 else None
+
+    def scaled(self, r: int, u: int) -> int:
+        """u r with every column reduced by its cap, for a row r in the
+        layout and u < caps[0]."""
+        if self.mask is not None:
+            return (r & self.mask) * u & self.mask
+        fm = (1 << self.w) - 1
+        return sum(((r >> s) & fm) * u % c << s for s, c in zip(self.shifts, self.caps))
+
+    def square(self, m) -> tuple:
+        """m^2's canonical basis, from the products a b, a before or at b,
+        of the rows of m."""
+        packed = [_pack(r, self.w) for r in m]
+        cut = self.cut
+        return _packed_howell(self, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
 
 
-def _kron_width(n: int, caps) -> int:
-    return (n * (caps[0] - 1) ** 2).bit_length()
+def _square_kernel(ctx: RingCtx) -> _SquareKernel:
+    if ctx._square is None:
+        ctx._square = _SquareKernel(ctx)
+    return ctx._square
 
 
-def _kron_unpack(v: int, w: int, caps) -> Element:
-    """The row of a packed product, each field reduced by its column cap."""
-    mask = (1 << w) - 1
+def _packed_howell(K: _SquareKernel, rows) -> tuple:
+    """The Howell form _howell gives (over F_p, the _rref) of packed rows
+    in K's layout whose columns hold integers in [0, n (cap - 1)^2], cap =
+    caps[0] the largest cap: the Kronecker bound on the coefficients of a
+    product of two reduced rows (_SquareKernel.square).
+
+    Each row is inserted into a table of pivot rows keyed by column.  Its
+    lead column c is read off its bit length.  A lead entry that is 0 mod
+    caps[c] is cleared by masking it off.  Otherwise, with a pivot P of
+    entry p^a at c and v = the entry mod caps[c] divisible by p^a, the row
+    gains (v / p^a) (C[c] - P): that is the row less (v / p^a) P in every
+    column, and it leaves an exact multiple of caps[c] at c, which the mask
+    clears.  A row with no pivot at c, or of lower valuation there, becomes
+    the pivot: normalized so its entry is p^b, its columns reduced, and its
+    annihilator p^(logs[c] - b) row queued; the pivot it displaces goes on
+    being inserted.  The output rows are unpacked in column order and each
+    reduces the rows above it into [0, pivot) at its column, as in _howell.
+
+    The pass keeps the span: it adds multiples of pivots, scales by units
+    and queues multiples of pivots.  Its output has the Howell property.
+    The final pivot P at c, entry p^b, had its annihilator
+    p^(logs[c] - b) P queued (unless it is 0, when b = 0), which is 0 at
+    c, so that multiple lies in the span of the final rows led past c (a
+    row led past c leaves the table only to be reduced by one led past c,
+    so their span only grows).  Then a member led at or past c is a sum of
+    rows led at or past c: in a sum of the rows, a first row led before c
+    has a coefficient that kills its pivot, so it contributes a multiple
+    of its annihilator.  So the output is the Howell form, which is unique
+    (Howell, Spans in the module (Z_m)^s, 1986), as _howell's is.
+
+    No column carries into the next, as w = bit_length(2 n cap^2).  Proof:
+    a row enters with columns at most n (cap - 1)^2 (a product of reduced
+    rows), (cap - 1) cap / p (an annihilator p^(logs[c] - b) P, b >= 1, of a
+    reduced P) or cap - 1 (a displaced pivot, reduced).  A reduction at the
+    lead column c adds (v / p^a)(caps[j] - P[j]) <= (cap - 1) cap to each
+    column j past c and moves the lead past c, so a column takes at most
+    n - 1 of them and stays below
+    max(n (cap - 1)^2, cap^2 / 2) + (n - 1)(cap - 1) cap < 2 n cap^2 < 2^w.
+    Only the lead column grows past that, inside one step, and the mask
+    clears it whole."""
+    p, caps, logs, shifts, col, low, C = K.p, K.caps, K.logs, K.shifts, K.col, K.low, K.C
+    table = {}  # column -> (pivot entry p^a, C[c] - P, P)
+    work = [r for r in rows if r]
+    while work:
+        r = work.pop()
+        while r:
+            c = col[r.bit_length()]
+            v = (r >> shifts[c]) % caps[c]
+            if not v:
+                r &= low[c]
+                continue
+            piv = table.get(c)
+            if piv is not None and not v % piv[0]:
+                r = (r + v // piv[0] * piv[1]) & low[c]
+                continue
+            b, u = 0, v
+            while not u % p:
+                u //= p
+                b += 1
+            new = K.scaled(r, pow(u, -1, caps[c]))
+            table[c] = (p**b, C[c] - new, new)
+            if b:
+                work.append(new * p ** (logs[c] - b))
+            r = piv[2] if piv is not None else 0
+    n, fm = len(shifts), (1 << K.w) - 1
     out = []
-    for c in reversed(caps):
-        out.append((v & mask) % c)
-        v >>= w
-    return tuple(reversed(out))
-
-
-def _kron_products(ctx: RingCtx, caps, m) -> list:
-    """The nonzero products a b, a before or at b, of the rows of m."""
-    w = _kron_width(ctx.n, caps)
-    shift = w * (ctx.n - 1)
-    packed = [_pack(r, w) for r in m]
-    prods = (a * b >> shift for i, a in enumerate(packed) for b in packed[i:])
-    return [_kron_unpack(v, w, caps) for v in prods if v]
+    for c in sorted(table):
+        pa, _, P = table[c]
+        row = [(P >> s) & fm for s in shifts]
+        for r in out:
+            mfac = r[c] // pa
+            if mfac:
+                for j in range(c, n):
+                    r[j] = (r[j] - mfac * row[j]) % caps[j]
+        out.append(row)
+    return tuple(map(tuple, out))
 
 
 # -- subrings ----------------------------------------------------------------
@@ -588,14 +692,13 @@ def ideal_data(S: Subring) -> IdealData:
     # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
     # reduced against the others, and a multiple of it that clears column 0
     # is zero, so this basis is in Howell form with no echelon pass
-    p = ctx.p_image
-    m = ((ctx.monomial(0, p),) if p else ()) + rows[1:]
-    caps = _kron_caps(ctx)
-    if caps is None:
-        prods = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
+    K = _square_kernel(ctx)
+    m = K.head + rows[1:]
+    if K.w is None:
+        sq = _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
     else:
-        prods = _kron_products(ctx, caps, m)
-    sq = _echelon(ctx, prods)
+        sq = K.square(m)
+    p = ctx.p_image
     if not p:
         return IdealData(ctx, m, sq, sq)
     # m^2 + pR = m^2 + (p), since p rows[i] lies in m^2 for i >= 1.  Column
@@ -913,25 +1016,57 @@ def _shape_bounds(ctx: RingCtx) -> list:
 
 def _siblings_share_square(ctx: RingCtx) -> bool:
     """Whether the members of a lift family in ctx have preimages with one
-    m^2 and one kernel bit: over a field, for n >= 3 (proof in
-    _top_families)."""
-    return not ctx.p_image and ctx.n >= 3
+    m^2 and one kernel bit: when the step above ctx adds a column (k = N,
+    caps_log[-1] == caps_log[0]) and z^2 vanishes there (n >= 3 or N >= 2).
+
+    Let z = p^(k-1) x^(n-1) generate the kernel of the step into ctx, and R
+    be B's preimage, whose m is span(p, w, s, z): p over Z/p^N with N > 1,
+    w_1, ..., w_d the lift complement, s the obstruction rows.  Each lift is
+    span(1, w_i - c_i z, s), so its m is span(p, w_i - c_i z, s).  A
+    member's preimage one level up has as m the member's m, lifted, plus
+    span(z'), z' the kernel generator there, and z' m = 0 as z' generates a
+    minimal ideal.  So if z, lifted, times every row of R's m (p and z
+    included) is 0 one level up (the test T), every product of two rows of
+    a member's m is the same product of p, w and s rows, whichever the
+    member: the preimages share m^2, the obstruction module m^2 + (p) and
+    the kernel bit.
+
+    T holds on every family of two or more members exactly when the rule
+    does.  On a k-step above (k < N, so N >= 2 and p is a row of m), p z =
+    p^k x^(n-1) is the next kernel generator, not 0.  On a step that adds a
+    column, one level up column n-1 has cap p^N and column n cap p, so:
+      - p z = p^N x^(n-1) = 0;
+      - a row r of m other than p is 0 in column 0, where R's first row,
+        1, has its unit pivot, so z r = p^(N-1) r_1 x^n, which is 0 when
+        N >= 2.  Over a field (N = 1), r_1 != 0 puts an element of
+        valuation 1 in R, whose algebra is then the full ring, where z lies
+        in m^2 = (x^2) once n >= 3; that family is obstructed and is R
+        alone, so on a family with siblings r_1 = 0 and z r = 0;
+      - z^2 = p^(2N-2) x^(2n-2) is 0 when 2n - 2 >= n + 1, that is n >= 3,
+        or at n = 2 when p | p^(2N-2), that is N >= 2.
+    At n = 2, N = 1 the family of the prime ring, the full ring and the
+    prime ring, has preimages with m^2 = (x^2) and 0.  Over fields the rule
+    is n >= 3, as every step adds a column."""
+    logs = ctx.caps_log
+    return logs[-1] == logs[0] and (ctx.n >= 3 or logs[0] >= 2)
 
 
 def _family_extensions(members) -> list[MinimalExtension]:
     """restricted_extension of each member of a lift family (B's preimage,
     then B's lifts).  Where _siblings_share_square holds, the first member's
     ideal_data serves all: each other member writes down its preimage and
-    its own m, that preimage's rows after the 1 (see ideal_data), and takes
-    the shared m^2, obstruction module and kernel bit."""
+    its own m as ideal_data does (the row p over Z/p^N, then that preimage's
+    rows after the 1), and takes the shared m^2, obstruction module and
+    kernel bit."""
     first = restricted_extension(members[0])
     if not _siblings_share_square(first.dst.ctx):
         return [first, *map(restricted_extension, members[1:])]
     square, small = first.src_ideal.square_rows, first.src_ideal.small_rows
+    head = _square_kernel(first.src.ctx).head
     out = [first]
     for M in members[1:]:
         R = _preimage(M)
-        out.append(_extension(M, R, IdealData(R.ctx, R._rows[1:], square, small)))
+        out.append(_extension(M, R, IdealData(R.ctx, head + R._rows[1:], square, small)))
     return out
 
 
@@ -960,26 +1095,13 @@ def _top_families(ctx: RingCtx):
     visits the families it makes; the top level is left to the caller,
     which builds it (enumeration, through _step) or counts it (census).
 
-    Over a field the members of a family in F_q[x]/x^n, n >= 3, have
-    preimages with the same m^2, so _family_extensions computes it once.
-    Proof: let z = x^(n-1), w_1, ..., w_d the lift complement and s the
-    obstruction rows of R, so m_R = span(w, s, z) and each lift is
-    span(1, w_i - c_i z, s).  A member's preimage one level up, in
-    F_q[x]/x^(n+1), has as m the member's m, lifted, plus span(z'),
-    z' = x^n.  There
-      - z' m = 0, as m lies in (x);
-      - w z = 0 when nu(w) >= 2, and s z = 0, as nu(s) >= 2;
-      - z^2 = x^(2n-2) = 0, as 2n - 2 >= n + 1 when n >= 3.
-    So every product of two rows of m is some w_i w_j, w_i s or s s',
-    whichever the member, and all the preimages share m^2, hence the
-    obstruction module and the kernel bit.  A w with nu(w) = 1 puts an
-    element of valuation 1 in R, whose F_q-algebra is the full ring; there
-    z lies in m^2 = (x^2) once n >= 3, so that family is obstructed and is
-    R alone.  The bound n >= 3 is needed: at n = 2 the family of the prime
-    ring is the full ring and the prime ring, whose preimages have m^2 =
-    (x^2) and 0.  Over Z/p^N, N > 1, z = p^(k-1) x^(n-1) times w need not
-    vanish, and siblings do differ (in 32 of the 234 families the walk of
-    Z[x]/(2^2, x^6, 2x^5) makes), so there each member computes its own.
+    Where _siblings_share_square holds, the members of a family have
+    preimages with one m^2 and one kernel bit, so _family_extensions
+    computes it once; the rule and its proof are in _siblings_share_square.
+    Elsewhere siblings can differ: at n = 2 over a field, where the family
+    of the prime ring is the full ring and the prime ring, and over Z/p^N
+    below a k-step, as in 32 of the 235 families the walk of
+    Z[x]/(2^2, x^6, 2x^5) makes.
     """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} exceeds the walk limit {_CHAIN_LIMIT}")
@@ -1070,12 +1192,13 @@ def _census_walk(ctx: RingCtx) -> dict:
     outside span(z), so the preimage's valuations are M's plus nu(z), the
     point the quotient step drops.
 
-    Where _siblings_share_square holds, R's top extension alone counts the
-    family (R, *lifts) of some B: the members' preimages share the kernel
-    bit (see _top_families), and the base^d(B) lifts all have B's exponent
-    points and d(B).  So the lifts' preimages count base^d(B) under B's
-    points plus top, and, when unobstructed, the lifts' lifts count
-    base^(2 d(B)) under B's points."""
+    Where _siblings_share_square holds, over a field or over Z/p^N, R's top
+    extension alone counts the family (R, *lifts) of some B: the members'
+    preimages share the kernel bit (proof there), and the base^d(B) lifts
+    all have B's exponent points and d(B).  So the lifts' preimages count
+    base^d(B) under B's points plus top, and, when unobstructed, the lifts'
+    lifts count base^(2 d(B)) under B's points.  Elsewhere each member is
+    extended to the top on its own."""
     top = (ctx.domain.points[-1],)
     base = ctx.base
     rows = defaultdict(Counter)

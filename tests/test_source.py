@@ -3,9 +3,10 @@ so none may hang on an assert statement, which python -O strips; no
 library code asks which family a ring belongs to, and no family redefines
 what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
-own twice; no private helper outlives its last caller, and no public
-function or method goes unreferenced; and every name the benchmark's
-tracer wraps exists where it looks."""
+own twice; the sibling rule reads only ring facts, and the tuple Howell
+pass has one caller; no private helper outlives its last caller, and no
+public function or method goes unreferenced; and every name the
+benchmark's tracer wraps exists where it looks."""
 
 import ast
 import importlib
@@ -101,6 +102,32 @@ def test_one_walk_step():
     # which checks each family's size, so neither makes families its own way
     assert _callers("subrings.py", "_family_extensions") == {"_step"}
     assert _callers("subrings.py", "lift_isomorphic") == {"_step"}
+
+
+RING_FACTS = {"n", "base", "caps_log", "caps", "p_image", "domain"}
+
+
+def test_sibling_rule_reads_only_ring_facts():
+    # whether a lift family shares m^2 is a rule about its ring: the one
+    # argument is a ring context, and the rule reads its facts and nothing
+    # else, computing no element and calling nothing
+    tree = ast.parse((SRC / "subrings.py").read_text())
+    rule = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_siblings_share_square")
+    assert [a.arg for a in rule.args.args] == ["ctx"]
+    assert not (rule.args.vararg or rule.args.kwarg or rule.args.kwonlyargs)
+    read = {
+        n.attr
+        for n in ast.walk(rule)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "ctx"
+    }
+    assert read and read <= RING_FACTS
+    assert not [n for n in ast.walk(rule) if isinstance(n, ast.Call)]
+
+
+def test_tuple_howell_serves_only_echelon():
+    # the m^2 products are echeloned packed (_packed_howell); the tuple
+    # Howell pass serves rows that arrive as tuples, through _echelon
+    assert _callers("subrings.py", "_howell") == {"_echelon"}
 
 
 def test_one_output_point():

@@ -797,10 +797,12 @@ class TestCensusWalk:
 
 # -- one m^2 per lift family ------------------------------------------------------
 #
-# Over a field, for a family in a ring of order n >= 3, the walk computes
-# ideal_data once per family and the other members take its m^2 and kernel
-# bit.  restricted_extension on each member, and the ideal_data of its
-# preimage, are the per-member oracle.
+# Where the step above a family's ring adds a column and z^2 vanishes there
+# (_siblings_share_square: n >= 3 over a field, and over Z/p^N, N > 1, too
+# at n = 2), the walk computes ideal_data once per family and the other
+# members take its m^2 and kernel bit.  restricted_extension on each member,
+# and the ideal_data of its preimage, are the per-member oracle; the test T
+# on each family, with ring mul one level up, is the rule's oracle.
 
 
 def checked_family_walk(ctx):
@@ -822,7 +824,7 @@ def checked_family_walk(ctx):
             assert ext.kernel_in_small == in_row_span(mine.src.ctx, mine.src_ideal.small, mine.kernel_gen)
         squares = {mine.src_ideal.square_rows for mine in own}
         ctx = members[0].ctx
-        if not ctx.p_image and ctx.n >= 3:
+        if subrings._siblings_share_square(ctx):
             # the claim: one m^2 and one kernel bit per family
             assert len(squares) == 1
             assert len({mine.kernel_in_small for mine in own}) == 1
@@ -835,6 +837,33 @@ def checked_family_walk(ctx):
         mp.setattr(subrings, "_family_extensions", checking)
         enumerate_subrings(ctx)
     return seen["families"], seen["shared"], seen["differ"]
+
+
+def family_test(members):
+    """T on a lift family (R, *lifts) in ctx: in the ring one level up, the
+    kernel generator z of the step into ctx, lifted, times every row of R's
+    m (p included, and z, which lies in m) is 0."""
+    ctx = members[0].ctx
+    up = extension_ctx(ctx)
+    z = subrings._lift_row(up, kernel_generator(ctx))
+    m = ideal_data(members[0]).max_ideal
+    return all(up.mul(z, subrings._lift_row(up, r)) == up.zero() for r in m)
+
+
+def family_rules(ctx):
+    """(rule, T) for every lift family of two or more members that the
+    enumeration of ctx extends."""
+    inner, seen = subrings._family_extensions, []
+
+    def recording(members):
+        if len(members) > 1:
+            seen.append((subrings._siblings_share_square(members[0].ctx), family_test(members)))
+        return inner(members)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subrings, "_family_extensions", recording)
+        enumerate_subrings(ctx)
+    return seen
 
 
 class TestSharedSquare:
@@ -850,6 +879,21 @@ class TestSharedSquare:
     @settings(max_examples=30, deadline=None)
     def test_family_extensions_match_each_member_on_fields(self, params):
         checked_family_walk(field_ring(*params))
+
+    @given(z_params())
+    @settings(max_examples=30, deadline=None)
+    def test_family_extensions_match_each_member_on_z(self, params):
+        checked_family_walk(zpn_ring(*params))
+
+    @pytest.mark.parametrize("ctx", WALK_RINGS + [zpn_ring(2, 2, 7, 1)], ids=repr)
+    def test_rule_is_the_family_test(self, ctx):
+        # the closed form, read off the ring's facts, against T computed with
+        # ring mul on every family that has siblings
+        seen = family_rules(ctx)
+        assert all(rule == t for rule, t in seen)
+        if ctx.p_image and ctx.n >= 4:
+            # both answers occur: k-steps above fail T, n-steps pass it
+            assert {rule for rule, _ in seen} == {True, False}
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_n_2_family_is_not_shared(self, q):
@@ -961,7 +1005,7 @@ class TestSubspaceScan:
         def refuse(*args):
             raise AssertionError("the scan reached a walk kernel or an echelon pass")
 
-        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_kron_products"):
+        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_packed_howell"):
             monkeypatch.setattr(subrings, name, refuse)
         for ctx, ref in zip(rings, refs):
             assert [S.basis for S in enumerate_subrings(ctx, "subspace_scan")] == [
@@ -1390,6 +1434,13 @@ def kron_row(ctx):
     return st.tuples(*(st.integers(0, c - 1) for c in ctx.caps))
 
 
+def kron_unpack(K, v):
+    """The row of a packed product in K's layout, each column reduced by its
+    cap."""
+    fm = (1 << K.w) - 1
+    return tuple(((v >> s) & fm) % c for s, c in zip(K.shifts, K.caps))
+
+
 class TestQuotientStepsFromParent:
     @pytest.mark.parametrize(
         "params, kinds",
@@ -1433,9 +1484,9 @@ class TestQuotientStepsFromParent:
         n = data.draw(st.integers(1, 8))
         ctx = zpn_ring(p, N, n, data.draw(st.integers(1, N)) if n > 1 else N)
         a, b = data.draw(kron_row(ctx)), data.draw(kron_row(ctx))
-        w = subrings._kron_width(n, ctx.caps)
-        got = subrings._pack(a, w) * subrings._pack(b, w) >> w * (n - 1)
-        assert subrings._kron_unpack(got, w, ctx.caps) == ctx.mul(a, b)
+        K = subrings._square_kernel(ctx)
+        got = subrings._pack(a, K.w) * subrings._pack(b, K.w) >> K.cut
+        assert kron_unpack(K, got) == ctx.mul(a, b)
 
     @given(st.data())
     def test_kronecker_products_match_prime_field_mul(self, data):
@@ -1444,11 +1495,10 @@ class TestQuotientStepsFromParent:
         ctx = data.draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
         m = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
         want = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
-        got = subrings._kron_products(ctx, subrings._kron_caps(ctx), m)
-        assert got == [v for v in want if any(v)]
+        assert subrings._square_kernel(ctx).square(m) == canonicalize(ctx, want)
 
     def test_extension_fields_keep_ring_mul(self):
-        assert all(subrings._kron_caps(field_ring(q, 3)) is None for q in (4, 8, 9))
+        assert all(subrings._square_kernel(field_ring(q, 3)).w is None for q in (4, 8, 9))
 
     @pytest.mark.parametrize("p, N, n", [(2, 1, 1), (2, 4, 8), (3, 3, 7), (7, 4, 8), (7, 1, 2)])
     def test_kronecker_width_holds_the_largest_products(self, p, N, n):
@@ -1456,10 +1506,9 @@ class TestQuotientStepsFromParent:
         # n (p^N - 1)^2 before reduction, the largest a field has to hold
         ctx = zpn_ring(p, N, n)
         a = tuple(c - 1 for c in ctx.caps)
-        w = subrings._kron_width(n, ctx.caps)
-        packed = subrings._pack(a, w)
-        got = subrings._kron_unpack(packed * packed >> w * (n - 1), w, ctx.caps)
-        assert got == ctx.mul(a, a)
+        K = subrings._square_kernel(ctx)
+        packed = subrings._pack(a, K.w)
+        assert kron_unpack(K, packed * packed >> K.cut) == ctx.mul(a, a)
 
     def test_z_census_makes_no_ring_products(self, monkeypatch):
         counts, per_parent = Counter(), []
@@ -1541,6 +1590,111 @@ class TestQuotientStepsFromParent:
         # On F2[x]/x^14 that is 6,998 calls, where one per subring below the
         # top made 15,361
         assert counts["ideal_data"] == families + 1 < below_top
+
+    @pytest.mark.parametrize(
+        "ctx, calls",
+        [
+            (zpn_ring(2, 2, 7, 1), 2765),
+            (zpn_ring(2, 3, 5, 3), 2535),
+            (zpn_ring(3, 2, 5, 2), 567),
+            (field_ring(2, 14), 6998),
+        ],
+        ids=repr,
+    )
+    def test_census_ideal_data_calls(self, ctx, calls, monkeypatch):
+        # the census-z rings share m^2 wherever the step above adds a column
+        # and z^2 vanishes there: 3,674, 2,598 and 603 calls when every Z
+        # family member ran its own
+        counts = Counter()
+        inner = subrings.ideal_data
+
+        def counting(S):
+            counts["ideal_data"] += 1
+            return inner(S)
+
+        monkeypatch.setattr(subrings, "ideal_data", counting)
+        census(ctx)
+        assert counts["ideal_data"] == calls
+
+    @pytest.mark.parametrize("ctx", [zpn_ring(3, 2, 4), zpn_ring(2, 3, 3, 2)], ids=repr)
+    def test_ring_constants_are_built_once_per_ring(self, ctx):
+        # m's row p and the packed layout live on the ring, so every subring
+        # of one ring reads the same objects
+        subs = enumerate_subrings(ctx)
+        assert {id(subrings._square_kernel(S.ctx)) for S in subs} == {id(subrings._square_kernel(ctx))}
+        head = subrings._square_kernel(ctx).head
+        assert head == (ctx.monomial(0, ctx.p_image),)
+        assert {id(ideal_data(S).max_rows[0]) for S in subs} == {id(head[0])}
+
+
+# -- the packed Howell pass ------------------------------------------------------
+#
+# ideal_data echelons the packed m^2 products with _packed_howell; the tuple
+# _howell (over F_p, _rref) is its oracle, on rows whose columns run up to
+# the Kronecker bound n (cap - 1)^2, multiples of the caps and of p included.
+
+
+@st.composite
+def packed_howell_case(draw, field):
+    """(ctx, rows): a ring with residue coefficients, F_p (p odd) or Z/p^N,
+    and unreduced rows whose columns reach the Kronecker bound."""
+    if field:
+        p, n = draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 7))
+        ctx = draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
+    else:
+        p, N, n = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+        ctx = zpn_ring(p, N, n, draw(st.integers(1, N)) if n > 1 else N)
+    cap = ctx.caps[0]
+    bound = ctx.n * (cap - 1) ** 2
+    entry = st.one_of(
+        st.sampled_from([0, bound]),
+        st.integers(0, cap - 1),
+        st.integers(0, bound),
+        st.integers(0, bound // cap).map(lambda t: t * cap),
+        st.integers(0, (cap - 1) // p).map(lambda t: t * p),
+    )
+    return ctx, draw(st.lists(st.tuples(*[entry] * ctx.n), max_size=8))
+
+
+def packed_howell(ctx, rows):
+    K = subrings._square_kernel(ctx)
+    return subrings._packed_howell(K, [subrings._pack(r, K.w) for r in rows])
+
+
+class TestPackedHowell:
+    @given(packed_howell_case(field=False))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_howell(self, case):
+        ctx, rows = case
+        assert packed_howell(ctx, rows) == subrings._howell(ctx.coeff, ctx.caps_log, rows)
+
+    @given(packed_howell_case(field=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rref_over_odd_prime_fields(self, case):
+        ctx, rows = case
+        reduced = [[x % ctx.base for x in r] for r in rows]
+        assert packed_howell(ctx, rows) == subrings._rref(ctx.coeff, reduced, ctx.n)
+
+    def test_annihilator_and_reduction_examples(self):
+        # 2 (2 + x) = 2x leads a later column, so it becomes its own row
+        ctx = zpn_ring(2, 2, 2)
+        assert packed_howell(ctx, [(2, 1)]) == ((2, 1), (0, 2))
+        # 2 + 3x reduces under the pivot 2 + x by 2/2 = 1 times it, to 2x
+        for rows in ([(2, 3), (2, 1)], [(2, 1), (2, 3)]):
+            assert packed_howell(ctx, rows) == ((2, 1), (0, 2))
+        # in one of the two orders a unit displaces the pivot 3, which then
+        # reduces under it
+        ctx = zpn_ring(3, 2, 3)
+        for rows in ([(3, 1, 0), (1, 0, 2)], [(1, 0, 2), (3, 1, 0)]):
+            assert packed_howell(ctx, rows) == ((1, 0, 2), (0, 1, 3))
+
+    @pytest.mark.parametrize("p, N, n", [(2, 4, 8), (7, 4, 8), (3, 1, 8), (2, 2, 1)])
+    def test_widest_columns_do_not_carry(self, p, N, n):
+        # every column at the Kronecker bound, in every row
+        ctx = zpn_ring(p, N, n)
+        bound = n * (ctx.caps[0] - 1) ** 2
+        rows = [(bound,) * n, (0,) + (bound,) * (n - 1), (bound - 1,) * n]
+        assert packed_howell(ctx, rows) == subrings._howell(ctx.coeff, ctx.caps_log, rows)
 
 
 # -- the incremental closure and the packed projection ----------------------------
