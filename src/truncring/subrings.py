@@ -11,8 +11,11 @@ Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
 when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
 form is the echelon form, so Z[x]/(p, x^n) takes the field path.  base and
-p_image pick the row format (_packs), base and caps the m^2 products.  A
-row is checked once, where it enters (ctx._check), and never again.
+p_image pick the row format (_packs).  Each ring's _SquareKernel picks,
+once, how m^2 is formed: XOR products on packed rows, Kronecker products
+where base is p, ring mul over F_q with q = p^e, e > 1; ideal_data has one
+path for every ring.  A row is checked once, where it enters (ctx._check),
+and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -21,10 +24,13 @@ The walk's unit is the lift family, some B's preimage and B's lifts.
 Where the step above the family's ring adds a column and the square of the
 family's kernel generator vanishes there (over a field for n >= 3, over
 Z/p^N, N > 1, at every n), the members' preimages one level up share m^2
-and the kernel bit, so ideal_data runs once per family, and the census
-counts the top from one top extension per family.  That rule about the
-ring, and its proof, is _siblings_share_square; elsewhere each member
-computes its own.
+and the kernel bit.  That rule about the ring, and its proof, is
+_siblings_share_square, and one place reads it: _family_extensions, the
+family step of the walk and of the census top alike.  It gives one
+extension standing for the whole family where the rule holds, so
+ideal_data runs once per family, and one per member elsewhere.  The walk
+writes the stood-for members' extensions down (_step); the census counts
+them by weight off the first of them (_census_walk).
 
 Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
 canonical rows packed into ints, and the quotient-chain code
@@ -44,12 +50,13 @@ Over Z/p^N and F_p the products that span m^2 are formed by Kronecker
 substitution, one int multiply each on rows packed with a field wide
 enough for any product coefficient, and stay packed through the Howell
 pass that echelons them (_packed_howell); F_q with q = p^e, e > 1, keeps
-ring mul and _rref.  m^2's canonical basis is the one echelon pass of a
-step, and the rest is read off it.  The obstruction module m^2 + pR is
-m^2 + (p), as p times a row of m lies in m^2, and its Howell form is the
-row p, then m^2's rows that are 0 in column 0.  The kernel generator lies in it iff
-it has a pivot in the top column, and when it does not, the lift
-complement follows from its pivots and the kernel's.  Ring mul,
+ring mul and _rref, and F_2 the XOR products.  m^2's canonical basis is
+the one echelon pass of a step, and the rest is read off it.  The
+obstruction module m^2 + pR is m^2 + (p), as p times a row of m lies in
+m^2, and its Howell form is the row p, then m^2's rows that are 0 in
+column 0.  The kernel generator lies in it iff it has a pivot in the top
+column, and when it does not, the lift complement follows from its pivots
+and the kernel's.  Ring mul,
 canonicalize and in_row_span stay the reference.
 
 Cotangent dimensions are carried down the walk, not computed: the prime
@@ -348,12 +355,15 @@ def _xor_lift_bases(n: int, w, small) -> list:
 
 
 class _SquareKernel:
-    """What ideal_data reads of a ring, built once per ring (_square_kernel):
-    head, the rows of m before R's rows after the 1, (p,) over Z/p^N with
-    N > 1 and () over a field; and, over residue coefficients (Z/p^N and
-    F_p, where base is p), the layout of the packed rows.  Over F_q with
-    q = p^e, e > 1, products are not residue products, w is None, and m^2
-    is echeloned from ring mul.
+    """How a ring forms m^2, picked once per ring (_square_kernel): head,
+    the rows of m before R's rows after the 1, (p,) over Z/p^N with N > 1
+    and () over a field, and square(m), m^2's canonical basis from the
+    products a b, a before or at b, of the rows of m.  square takes
+      - XOR products and _xor_echelon on packed F_2 rows (_packs);
+      - Kronecker products and _packed_howell over residue coefficients,
+        Z/p^N and F_p, where base is p, in the layout below;
+      - ring mul and _echelon over F_q with q = p^e, e > 1, whose products
+        are not residue products.
 
     The layout: w bits per column, column j at bit shifts[j] (column 0 most
     significant), col[b] the column of a row of bit length b, low[j] the
@@ -361,15 +371,19 @@ class _SquareKernel:
     the caps less one packed when every cap is a power of two (p = 2), so
     that r & mask reduces every column of r at once; None otherwise."""
 
-    __slots__ = ("head", "p", "caps", "logs", "w", "cut", "shifts", "col", "low", "C", "mask")
+    __slots__ = ("head", "square", "p", "caps", "logs", "w", "cut", "shifts", "col", "low", "C", "mask")
 
     def __init__(self, ctx: RingCtx):
         n, p = ctx.n, ctx.coeff.p
         self.head = (ctx.monomial(0, ctx.p_image),) if ctx.p_image else ()
-        self.p, self.caps, self.logs = p, ctx.caps, ctx.caps_log
-        self.w = None
-        if ctx.base != p:
+        if _packs(ctx):
+            self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
             return
+        if ctx.base != p:
+            self.square = lambda m: _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+            return
+        self.square = self._kronecker_square
+        self.p, self.caps, self.logs = p, ctx.caps, ctx.caps_log
         w = self.w = (2 * n * ctx.caps[0] ** 2).bit_length()
         self.cut = w * (n - 1)
         self.shifts = [w * (n - 1 - j) for j in range(n)]
@@ -386,9 +400,7 @@ class _SquareKernel:
         fm = (1 << self.w) - 1
         return sum(((r >> s) & fm) * u % c << s for s, c in zip(self.shifts, self.caps))
 
-    def square(self, m) -> tuple:
-        """m^2's canonical basis, from the products a b, a before or at b,
-        of the rows of m."""
+    def _kronecker_square(self, m) -> tuple:
         packed = [_pack(r, self.w) for r in m]
         cut = self.cut
         return _packed_howell(self, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
@@ -404,7 +416,7 @@ def _packed_howell(K: _SquareKernel, rows) -> tuple:
     """The Howell form _howell gives (over F_p, the _rref) of packed rows
     in K's layout whose columns hold integers in [0, n (cap - 1)^2], cap =
     caps[0] the largest cap: the Kronecker bound on the coefficients of a
-    product of two reduced rows (_SquareKernel.square).
+    product of two reduced rows (_SquareKernel._kronecker_square).
 
     Each row is inserted into a table of pivot rows keyed by column.  Its
     lead column c is read off its bit length.  A lead entry that is 0 mod
@@ -681,30 +693,19 @@ class IdealData:
 
 def ideal_data(S: Subring) -> IdealData:
     ctx = S.ctx
-    rows = S._rows
-    # row 0 is the unique row with pivot in the constant column
-    if _packs(ctx):
-        m = rows[1:]
-        n = ctx.n
-        sq = _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
-        return IdealData(ctx, m, sq, sq)
+    K = _square_kernel(ctx)
     # rows[0] is 1, the reduced member of 1 + span(rows[1:]), so m is
     # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
     # reduced against the others, and a multiple of it that clears column 0
     # is zero, so this basis is in Howell form with no echelon pass
-    K = _square_kernel(ctx)
-    m = K.head + rows[1:]
-    if K.w is None:
-        sq = _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
-    else:
-        sq = K.square(m)
-    p = ctx.p_image
-    if not p:
+    m = K.head + S._rows[1:]
+    sq = K.square(m)
+    if not ctx.p_image:
         return IdealData(ctx, m, sq, sq)
     # m^2 + pR = m^2 + (p), since p rows[i] lies in m^2 for i >= 1.  Column
     # 0 of m^2 holds multiples of p^2 only, so the row p, then the rows of
     # m^2 that are 0 there, is the Howell form of m^2 + (p)
-    small = (m[0],) + tuple(r for r in sq if not r[0])
+    small = K.head + tuple(r for r in sq if not r[0])
     return IdealData(ctx, m, sq, small)
 
 
@@ -1051,36 +1052,40 @@ def _siblings_share_square(ctx: RingCtx) -> bool:
     return logs[-1] == logs[0] and (ctx.n >= 3 or logs[0] >= 2)
 
 
-def _family_extensions(members) -> list[MinimalExtension]:
-    """restricted_extension of each member of a lift family (B's preimage,
-    then B's lifts).  Where _siblings_share_square holds, the first member's
-    ideal_data serves all: each other member writes down its preimage and
-    its own m as ideal_data does (the row p over Z/p^N, then that preimage's
-    rows after the 1), and takes the shared m^2, obstruction module and
-    kernel bit."""
-    first = restricted_extension(members[0])
-    if not _siblings_share_square(first.dst.ctx):
-        return [first, *map(restricted_extension, members[1:])]
-    square, small = first.src_ideal.square_rows, first.src_ideal.small_rows
-    head = _square_kernel(first.src.ctx).head
-    out = [first]
-    for M in members[1:]:
-        R = _preimage(M)
-        out.append(_extension(M, R, IdealData(R.ctx, head + R._rows[1:], square, small)))
-    return out
+def _family_extensions(members) -> list:
+    """Pairs (restricted_extension of a member of a lift family, the
+    members it stands for), the family being B's preimage, then B's lifts.
+    Where _siblings_share_square holds, one pair stands for the family: the
+    preimage's extension, and B's lifts, whose preimages share its m^2,
+    obstruction module and kernel bit.  Elsewhere each member has a pair of
+    its own, standing for no other member."""
+    if _siblings_share_square(members[0].ctx):
+        return [(restricted_extension(members[0]), members[1:])]
+    return [(restricted_extension(M), ()) for M in members]
 
 
 def _step(members):
     """Yield the lift families one level up that the members of a lift
-    family make: each member's preimage, then its lifts.  A lift family of
-    any size but base^dim (0 when obstructed) would duplicate or drop a
-    subtree, which a census cannot see, so it raises."""
+    family make: each member's preimage, then its lifts.  A member that an
+    extension of _family_extensions stands for writes its own extension
+    down: its preimage and its m as ideal_data writes m (the row p over
+    Z/p^N, then that preimage's rows after the 1), with the shared m^2,
+    obstruction module and kernel bit.  A lift family of any size but
+    base^dim (0 when obstructed) would duplicate or drop a subtree, which
+    a census cannot see, so it raises."""
     base = members[0].ctx.base
-    for ext in _family_extensions(members):
-        fam = lift_isomorphic(ext)
-        if len(fam.lifts) != (base**fam.dim if fam.exists else 0):
-            raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
-        yield (ext.src, *fam.lifts)
+    for first, others in _family_extensions(members):
+        exts = [first]
+        data = first.src_ideal
+        for M in others:
+            R = _preimage(M)
+            m = _square_kernel(R.ctx).head + R._rows[1:]
+            exts.append(_extension(M, R, IdealData(R.ctx, m, data.square_rows, data.small_rows)))
+        for ext in exts:
+            fam = lift_isomorphic(ext)
+            if len(fam.lifts) != (base**fam.dim if fam.exists else 0):
+                raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
+            yield (ext.src, *fam.lifts)
 
 
 def _top_families(ctx: RingCtx):
@@ -1093,11 +1098,13 @@ def _top_families(ctx: RingCtx):
     it is B's preimage or one of B's lifts, so the families of a level
     partition it.  Below the top the walk takes each family's _step and
     visits the families it makes; the top level is left to the caller,
-    which builds it (enumeration, through _step) or counts it (census).
+    which builds it (enumeration, through _step) or counts it (census,
+    through _family_extensions).  Both extend a family by
+    _family_extensions, which decides once whether its members share.
 
     Where _siblings_share_square holds, the members of a family have
-    preimages with one m^2 and one kernel bit, so _family_extensions
-    computes it once; the rule and its proof are in _siblings_share_square.
+    preimages with one m^2 and one kernel bit, so one extension stands for
+    the family; the rule and its proof are in _siblings_share_square.
     Elsewhere siblings can differ: at n = 2 over a field, where the family
     of the prime ring is the full ring and the prime ring, and over Z/p^N
     below a k-step, as in 32 of the 235 families the walk of
@@ -1180,43 +1187,39 @@ class CensusRow:
 def _census_walk(ctx: RingCtx) -> dict:
     """Exponent points -> Counter of cotangent dimensions over the subrings
     of ctx, counted from the families of _top_families, not built.  Each
-    member M of a family is extended once more, to the top: M's preimage
-    counts once, with d(M) + [z not in its obstruction module] (see
-    restricted_extension), and when z is not, M has base^d(M) lifts, each
-    with M's exponent points and d(M).
+    family is extended once more, to the top, by _family_extensions.  The
+    member M an extension is of counts once: its preimage with d(M) +
+    [z not in the obstruction module] (see restricted_extension), and when
+    z is not, M's base^d(M) lifts, each with M's exponent points and d(M).
+
+    The members an extension stands for are lifts of one B, with B's
+    exponent points and d(B), and their preimages share the extension's
+    kernel bit (proof in _siblings_share_square).  So the first of them
+    counts for all, weighted by their number: their preimages count
+    base^d(B) under B's points plus top, and, when unobstructed, their
+    lifts count base^(2 d(B)) under B's points.
 
     The preimage's points are M's, then top, the largest point of the top
     ring's domain.  Proof: the preimage maps onto M with kernel span(z),
     z the top step's kernel generator, whose nonzero members all have
     valuation nu(z).  The quotient map keeps the valuation of every member
     outside span(z), so the preimage's valuations are M's plus nu(z), the
-    point the quotient step drops.
-
-    Where _siblings_share_square holds, over a field or over Z/p^N, R's top
-    extension alone counts the family (R, *lifts) of some B: the members'
-    preimages share the kernel bit (proof there), and the base^d(B) lifts
-    all have B's exponent points and d(B).  So the lifts' preimages count
-    base^d(B) under B's points plus top, and, when unobstructed, the lifts'
-    lifts count base^(2 d(B)) under B's points.  Elsewhere each member is
-    extended to the top on its own."""
+    point the quotient step drops."""
     top = (ctx.domain.points[-1],)
     base = ctx.base
     rows = defaultdict(Counter)
     for members in _top_families(ctx):
-        R, lifts = members[0], members[1:]
-        if _siblings_share_square(R.ctx):
-            in_small = restricted_extension(R).kernel_in_small
-            # (member, how many members it stands for, kernel bit)
-            counted = [(R, 1, in_small)]
-            if lifts:
-                counted.append((lifts[0], len(lifts), in_small))
-        else:
-            counted = [(M, 1, restricted_extension(M).kernel_in_small) for M in members]
-        for M, weight, in_small in counted:
-            pts, d = _exponent_points(M), M.cotangent
-            rows[pts + top][d + (not in_small)] += weight
-            if not in_small:
-                rows[pts][d] += weight * base**d
+        for ext, others in _family_extensions(members):
+            # (member, how many members it counts for)
+            counted = [(ext.dst, 1)]
+            if others:
+                counted.append((others[0], len(others)))
+            in_small = ext.kernel_in_small
+            for M, weight in counted:
+                pts, d = _exponent_points(M), M.cotangent
+                rows[pts + top][d + (not in_small)] += weight
+                if not in_small:
+                    rows[pts][d] += weight * base**d
     if not rows:  # the base ring
         prime = Subring.prime_ring(ctx)
         rows[_exponent_points(prime)][prime.cotangent] += 1
@@ -1231,16 +1234,23 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
     enumerate_subrings but counts its top level instead of building it (see
     _census_walk), and each row's subrings is ().  Given an
     enumeration of ctx, it groups those subrings instead and keeps them in
-    their rows.  Either way the cotangent dimensions are the ones the
-    quotient-chain recursion carries.
+    their rows; an item that is not a Subring raises TypeError, a subring
+    of another ring CtxMismatch, and a subring given twice ValueError.
+    Either way the cotangent dimensions are the ones the quotient-chain
+    recursion carries.
     """
     if subrings is None:
         rows, members = _census_walk(ctx), {}
     else:
-        rows, members = defaultdict(Counter), defaultdict(list)
+        rows, members, seen = defaultdict(Counter), defaultdict(list), set()
         for S in subrings:
+            if not isinstance(S, Subring):
+                raise TypeError(f"{S!r} in the census of {ctx!r} is not a Subring")
             if S.ctx != ctx:
                 raise CtxMismatch(f"a subring of {S.ctx!r} in the census of {ctx!r}")
+            if S in seen:
+                raise ValueError(f"{S!r} appears twice in the census of {ctx!r}")
+            seen.add(S)
             pts = _exponent_points(S)
             members[pts].append(S)
             rows[pts][S.cotangent] += 1

@@ -3,10 +3,12 @@ so none may hang on an assert statement, which python -O strips; no
 library code asks which family a ring belongs to, and no family redefines
 what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
-own twice; the sibling rule reads only ring facts, and the tuple Howell
-pass has one caller; no private helper outlives its last caller, and no
-public function or method goes unreferenced; and every name the
-benchmark's tracer wraps exists where it looks."""
+own twice; the sibling rule reads only ring facts and has one reader, the
+family step the walk and the census share; each ring picks its m^2
+kernel once; the tuple Howell pass has one caller; no private helper
+outlives its last caller, and no public function or method goes
+unreferenced; and every name the benchmark's tracer wraps exists where
+it looks."""
 
 import ast
 import importlib
@@ -99,9 +101,32 @@ def _callers(module, name):
 
 def test_one_walk_step():
     # the walk and the enumeration's top extend a family through _step,
-    # which checks each family's size, so neither makes families its own way
-    assert _callers("subrings.py", "_family_extensions") == {"_step"}
+    # which checks each family's size, so neither makes families its own way;
+    # the census top extends its families through the same family step
+    assert _callers("subrings.py", "_family_extensions") == {"_step", "_census_walk"}
     assert _callers("subrings.py", "lift_isomorphic") == {"_step"}
+
+
+def _function(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_one_family_step_decides_sharing():
+    # the sibling rule is read in one place, and the census counts the
+    # extensions that family step returns without extending a member itself
+    assert _callers("subrings.py", "_siblings_share_square") == {"_family_extensions"}
+    assert not _names(_function("subrings.py", "_census_walk")) & {
+        "restricted_extension",
+        "_siblings_share_square",
+    }
+
+
+def test_each_ring_picks_its_square_kernel_once():
+    # _SquareKernel picks a ring's m^2 products when it is built, so
+    # ideal_data has one path and asks no ring for its row format
+    assert "_packs" not in _names(_function("subrings.py", "ideal_data"))
+    assert _callers("subrings.py", "_xor_mul") == {"_SquareKernel"}
 
 
 RING_FACTS = {"n", "base", "caps_log", "caps", "p_image", "domain"}

@@ -7,6 +7,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -772,6 +773,21 @@ class TestCensusWalk:
         with pytest.raises(CtxMismatch):
             census(field_ring(2, 4), enumerate_subrings(field_ring(2, 3)))
 
+    def test_grouped_census_rejects_a_repeated_subring(self):
+        # F2[x]/x^4 has 6 subrings; a repeat would count one of them twice
+        ctx = field_ring(2, 4)
+        subs = enumerate_subrings(ctx)
+        assert len(subs) == 6
+        with pytest.raises(ValueError, match=re.escape(f"{subs[0]!r} appears twice")):
+            census(ctx, subs + subs[:1])
+
+    def test_grouped_census_rejects_an_item_that_is_not_a_subring(self):
+        ctx = field_ring(2, 4)
+        with pytest.raises(TypeError, match="'x' in the census of .* is not a Subring"):
+            census(ctx, ["x"])
+        with pytest.raises(TypeError, match=r"\(1, 0, 0, 0\) in the census"):
+            census(ctx, enumerate_subrings(ctx)[:2] + [ctx.one()])
+
     def test_subrings_of_one_level_share_one_context(self):
         R = field_ring(2, 11)
         subs = enumerate_subrings(R)
@@ -805,6 +821,22 @@ class TestCensusWalk:
 # on each family, with ring mul one level up, is the rule's oracle.
 
 
+def expand(pairs):
+    """The extensions of a family's members, written down from the pairs of
+    _family_extensions as _step writes them: each pair's extension, then,
+    for each member it stands for, that member's preimage and m with the
+    pair's m^2 and obstruction module."""
+    out = []
+    for ext, others in pairs:
+        out.append(ext)
+        data = ext.src_ideal
+        for M in others:
+            R = subrings._preimage(M)
+            m = subrings._square_kernel(R.ctx).head + R._rows[1:]
+            out.append(subrings._extension(M, R, subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)))
+    return out
+
+
 def checked_family_walk(ctx):
     """Enumerate ctx with every family's extensions checked against the
     per-member oracle.  Returns (families, families of two or more members
@@ -813,7 +845,13 @@ def checked_family_walk(ctx):
     seen = Counter()
 
     def checking(members):
-        exts = inner(members)
+        pairs = inner(members)
+        # one pair for the family where the rule holds, one per member elsewhere
+        if subrings._siblings_share_square(members[0].ctx):
+            assert [others for _, others in pairs] == [members[1:]]
+        else:
+            assert [others for _, others in pairs] == [()] * len(members)
+        exts = expand(pairs)
         assert [ext.dst for ext in exts] == list(members)
         own = [restricted_extension(M) for M in members]
         for ext, mine in zip(exts, own):
@@ -831,7 +869,7 @@ def checked_family_walk(ctx):
         seen["families"] += 1
         seen["shared"] += len(members) > 1 and len(squares) == 1
         seen["differ"] += len(squares) > 1
-        return exts
+        return pairs
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subrings, "_family_extensions", checking)
@@ -1441,6 +1479,30 @@ def kron_unpack(K, v):
     return tuple(((v >> s) & fm) % c for s, c in zip(K.shifts, K.caps))
 
 
+# the echelon pass each m^2 kernel ends in, and the kernel's name
+SQUARE_KERNELS = {"_xor_echelon": "XOR", "_packed_howell": "Kronecker", "_echelon": "ring mul"}
+
+
+def square_kernel_of(ctx):
+    """The m^2 kernel ideal_data runs on ctx, named by the one echelon pass
+    it calls on the full ring; that ideal data is checked against ring mul
+    and canonicalize."""
+    S = closure(ctx, [ctx.monomial(1)])
+    called = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, kernel in SQUARE_KERNELS.items():
+
+            def recording(*args, inner=getattr(subrings, name), kernel=kernel):
+                called.append(kernel)
+                return inner(*args)
+
+            mp.setattr(subrings, name, recording)
+        ideal_data(S)
+    check_ideal_data(S)
+    assert len(called) == 1
+    return called[0]
+
+
 class TestQuotientStepsFromParent:
     @pytest.mark.parametrize(
         "params, kinds",
@@ -1479,8 +1541,9 @@ class TestQuotientStepsFromParent:
 
     @given(st.data())
     def test_kronecker_products_match_ring_mul(self, data):
+        # Z[x]/(2, x^n) keeps packed F_2 rows and the XOR kernel
         p = data.draw(st.sampled_from([2, 3, 5, 7]))
-        N = data.draw(st.integers(1, 4))
+        N = data.draw(st.integers(2 if p == 2 else 1, 4))
         n = data.draw(st.integers(1, 8))
         ctx = zpn_ring(p, N, n, data.draw(st.integers(1, N)) if n > 1 else N)
         a, b = data.draw(kron_row(ctx)), data.draw(kron_row(ctx))
@@ -1490,17 +1553,36 @@ class TestQuotientStepsFromParent:
 
     @given(st.data())
     def test_kronecker_products_match_prime_field_mul(self, data):
-        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        p = data.draw(st.sampled_from([3, 5, 7]))
         n = data.draw(st.integers(1, 8))
         ctx = data.draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
         m = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
         want = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
         assert subrings._square_kernel(ctx).square(m) == canonicalize(ctx, want)
 
-    def test_extension_fields_keep_ring_mul(self):
-        assert all(subrings._square_kernel(field_ring(q, 3)).w is None for q in (4, 8, 9))
+    @pytest.mark.parametrize(
+        "ctx, kernel",
+        [
+            (field_ring(2, 5), "XOR"),
+            (zpn_ring(2, 1, 5), "XOR"),
+            (field_ring(3, 5), "Kronecker"),
+            (zpn_ring(3, 1, 5), "Kronecker"),
+            (zpn_ring(2, 2, 5), "Kronecker"),
+            (zpn_ring(3, 2, 4, 1), "Kronecker"),
+            (field_ring(4, 4), "ring mul"),
+            (field_ring(9, 3), "ring mul"),
+        ],
+        ids=repr,
+    )
+    def test_each_ring_picks_its_square_kernel(self, ctx, kernel):
+        # packed F_2 rows take XOR products, residue coefficients (base p)
+        # Kronecker products, and F_q with q = p^e, e > 1, ring mul
+        assert square_kernel_of(ctx) == kernel
 
-    @pytest.mark.parametrize("p, N, n", [(2, 1, 1), (2, 4, 8), (3, 3, 7), (7, 4, 8), (7, 1, 2)])
+    def test_extension_fields_keep_ring_mul(self):
+        assert all(square_kernel_of(field_ring(q, 3)) == "ring mul" for q in (4, 8, 9))
+
+    @pytest.mark.parametrize("p, N, n", [(3, 1, 1), (2, 4, 8), (3, 3, 7), (7, 4, 8), (7, 1, 2)])
     def test_kronecker_width_holds_the_largest_products(self, p, N, n):
         # every coefficient p^N - 1: the x^(n-1) coefficient of a^2 is then
         # n (p^N - 1)^2 before reduction, the largest a field has to hold
@@ -1642,7 +1724,9 @@ def packed_howell_case(draw, field):
         p, n = draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 7))
         ctx = draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
     else:
-        p, N, n = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+        # Z[x]/(2, x^n) keeps packed F_2 rows and the XOR kernel
+        p, n = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 7))
+        N = draw(st.integers(2 if p == 2 else 1, 4))
         ctx = zpn_ring(p, N, n, draw(st.integers(1, N)) if n > 1 else N)
     cap = ctx.caps[0]
     bound = ctx.n * (cap - 1) ** 2
