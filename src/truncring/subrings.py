@@ -7,6 +7,13 @@ form adapted to the per-degree coefficient caps (the x^{n-1} column lives
 mod p^k).  Rows are coefficient vectors with columns ordered by degree,
 and the set of row valuations can be read straight off the pivots.
 
+Over Z/p^N one pass computes the Howell form (Howell, Spans in the module
+(Z_m)^s, 1986): _packed_howell, on rows packed into ints in the layout of
+their column caps (_layout, one per p and caps, built once).  _echelon
+reduces and packs the rows it is given, those of canonicalize, closure and
+the tagged rows of _lift_bases; the m^2 kernel hands it Kronecker
+products.  Fields keep _rref, and F_2 its XOR kernels.
+
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
 when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
@@ -38,7 +45,7 @@ canonical rows packed into ints, and the quotient-chain code
 those rows: echelon form by XOR on the pivot bit, ring products by
 shift-and-XOR.  Tuples appear only at the API boundary: Subring.basis, the
 IdealData fields and canonicalize return tuples, built when read.  The
-tuple kernels stay the reference the packed ones are tested against.
+tuple _rref stays the reference the XOR kernels are tested against.
 
 On both families a quotient step reads what it can off the parent, with
 no echelon pass: the preimage of B has B's rows lifted, then the kernel
@@ -56,8 +63,8 @@ obstruction module m^2 + pR is m^2 + (p), as p times a row of m lies in
 m^2, and its Howell form is the row p, then m^2's rows that are 0 in
 column 0.  The kernel generator lies in it iff it has a pivot in the top
 column, and when it does not, the lift complement follows from its pivots
-and the kernel's.  Ring mul,
-canonicalize and in_row_span stay the reference.
+and the kernel's.  Ring mul, canonicalize and in_row_span stay the
+reference.
 
 Cotangent dimensions are carried down the walk, not computed: the prime
 ring has d = 0, a preimage R of B has d(R) = d(B) + [z not in m_R^2 + pR]
@@ -68,6 +75,7 @@ direct computation and the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -123,57 +131,16 @@ def _rref(K, rows, ncols: int):
     return tuple(tuple(r) for r in out)
 
 
-def _howell(K, caps_log, rows):
-    """Howell-style normal form over K = Z/p^N with per-column caps
-    p^caps_log[j].
-
-    Column by column: the entry of least p-valuation becomes the pivot and
-    is normalized to an exact power of p; the worklist rows are cleared
-    below it and the pivot rows above reduced into [0, pivot) by the same
-    floor quotient, exact on the worklist; the annihilator multiple of the
-    pivot row rejoins the worklist so that every span element with leading
-    column c is reachable from pivots >= c.
-    """
-    p, nu1 = K.p, K.nu1
-    ncols = len(caps_log)
-    caps = [p**c for c in caps_log]
-    work = [[x % c for x, c in zip(r, caps)] for r in rows]
-    work = [r for r in work if any(r)]
-    out = []
-    for col in range(ncols):
-        pick = None
-        picka = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                a = nu1(r[col])
-                if pick is None or a < picka:
-                    pick, picka = idx, a
-        if pick is None:
-            continue
-        row = work.pop(pick)
-        a = picka
-        uinv = pow(row[col] // p**a, -1, K.size)
-        row = [(x * uinv) % c for x, c in zip(row, caps)]
-        piv = p**a
-        for r in work + out:
-            mfac = r[col] // piv
-            if mfac:
-                for j in range(col, ncols):
-                    if row[j]:
-                        r[j] = (r[j] - mfac * row[j]) % caps[j]
-        ann = [(x * p ** (caps_log[col] - a)) % c for x, c in zip(row, caps)]
-        if any(ann):
-            work.append(ann)
-        out.append(row)
-    return tuple(tuple(r) for r in out)
-
-
 def _echelon(ctx: RingCtx, rows, tags: int = 0):
     """Canonical basis of rows that carry `tags` extra columns after the n
-    ring columns; a tag column is capped at p on the Howell path."""
+    ring columns.  Over a field it is _rref's.  Over Z/p^N it is the Howell
+    form: each row is reduced into the column caps, a tag column capped at
+    p, packed in the layout of those caps and echeloned by _packed_howell."""
     if not ctx.p_image:
         return _rref(ctx.coeff, rows, ctx.n + tags)
-    return _howell(ctx.coeff, ctx.caps_log + (1,) * tags, rows)
+    L = _layout(ctx.coeff.p, ctx.caps_log + (1,) * tags)
+    caps, w = L.caps, L.w
+    return _packed_howell(L, [_pack((x % c for x, c in zip(r, caps)), w) for r in rows])
 
 
 def canonicalize(ctx: RingCtx, rows):
@@ -344,14 +311,56 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- m^2 over residue coefficients: Kronecker products, packed Howell pass -------
+# -- packed residue rows: the layout, the m^2 kernels, the packed Howell pass ----
 #
 # A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
 # with w bits per column, as the F_2 rows do with w = 1.  One int multiply
 # of two packed rows forms every coefficient of their product (Kronecker
 # substitution), and the right shift by w (n - 1) drops the degrees at or
 # past n.  The products stay packed through the Howell pass that echelons
-# them (_packed_howell); only its few output rows become tuples.
+# them (_packed_howell), and so do the rows _echelon echelons over Z/p^N;
+# only the pass's few output rows become tuples.
+
+
+class _Layout:
+    """Packed rows with column caps caps[j] = p^logs[j]: w bits per column,
+    w = bit_length(2 n cap^2) for n columns and cap the largest cap (the
+    no-carry bound of _packed_howell), column j at bit shifts[j] (column 0
+    most significant), col[b] the column of a row of bit length b, low[j]
+    the bits below column j, C[j] the caps of columns j..n-1 packed, and
+    mask the caps less one packed when every cap is a power of two (p = 2),
+    so that r & mask reduces every column of r at once; None otherwise.
+    One per (p, logs), built by _layout."""
+
+    __slots__ = ("p", "caps", "logs", "w", "shifts", "col", "low", "C", "mask")
+
+    def __init__(self, p: int, logs: tuple):
+        n = len(logs)
+        caps = tuple(p**c for c in logs)
+        self.p, self.caps, self.logs = p, caps, logs
+        w = self.w = (2 * n * max(caps) ** 2).bit_length()
+        self.shifts = tuple(w * (n - 1 - j) for j in range(n))
+        self.col = tuple(n - 1 - (b - 1) // w for b in range(n * w + 1))
+        self.low = tuple((1 << s) - 1 for s in self.shifts)
+        self.C = tuple(_pack(caps[j:], w) for j in range(n))
+        self.mask = _pack([c - 1 for c in caps], w) if p == 2 else None
+
+    def scaled(self, r: int, u: int) -> int:
+        """u r with every column reduced by its cap, for a row r in the
+        layout and u below the largest cap."""
+        if self.mask is not None:
+            return (r & self.mask) * u & self.mask
+        fm = (1 << self.w) - 1
+        return sum(((r >> s) & fm) * u % c << s for s, c in zip(self.shifts, self.caps))
+
+
+@functools.cache
+def _layout(p: int, logs: tuple) -> _Layout:
+    """The one layout of the column caps p^logs, shared by every m^2 kernel
+    and echelon with those caps.  The cache holds one small immutable value
+    per cap tuple met: a ring's caps, alone or with a lift family's d tag
+    columns."""
+    return _Layout(p, logs)
 
 
 class _SquareKernel:
@@ -361,17 +370,11 @@ class _SquareKernel:
     products a b, a before or at b, of the rows of m.  square takes
       - XOR products and _xor_echelon on packed F_2 rows (_packs);
       - Kronecker products and _packed_howell over residue coefficients,
-        Z/p^N and F_p, where base is p, in the layout below;
+        Z/p^N and F_p, where base is p, in the layout of the ring's caps;
       - ring mul and _echelon over F_q with q = p^e, e > 1, whose products
-        are not residue products.
+        are not residue products."""
 
-    The layout: w bits per column, column j at bit shifts[j] (column 0 most
-    significant), col[b] the column of a row of bit length b, low[j] the
-    bits below column j, C[j] the caps of columns j..n-1 packed, and mask
-    the caps less one packed when every cap is a power of two (p = 2), so
-    that r & mask reduces every column of r at once; None otherwise."""
-
-    __slots__ = ("head", "square", "p", "caps", "logs", "w", "cut", "shifts", "col", "low", "C", "mask")
+    __slots__ = ("head", "square")
 
     def __init__(self, ctx: RingCtx):
         n, p = ctx.n, ctx.coeff.p
@@ -382,28 +385,15 @@ class _SquareKernel:
         if ctx.base != p:
             self.square = lambda m: _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
             return
-        self.square = self._kronecker_square
-        self.p, self.caps, self.logs = p, ctx.caps, ctx.caps_log
-        w = self.w = (2 * n * ctx.caps[0] ** 2).bit_length()
-        self.cut = w * (n - 1)
-        self.shifts = [w * (n - 1 - j) for j in range(n)]
-        self.col = [n - 1 - (b - 1) // w for b in range(n * w + 1)]
-        self.low = [(1 << s) - 1 for s in self.shifts]
-        self.C = [_pack(ctx.caps[j:], w) for j in range(n)]
-        self.mask = _pack([c - 1 for c in ctx.caps], w) if p == 2 else None
+        L = _layout(p, ctx.caps_log)
+        # shifts[0] = w (n - 1), the shift that drops the degrees at or past n
+        w, cut = L.w, L.shifts[0]
 
-    def scaled(self, r: int, u: int) -> int:
-        """u r with every column reduced by its cap, for a row r in the
-        layout and u < caps[0]."""
-        if self.mask is not None:
-            return (r & self.mask) * u & self.mask
-        fm = (1 << self.w) - 1
-        return sum(((r >> s) & fm) * u % c << s for s, c in zip(self.shifts, self.caps))
+        def kronecker_square(m):
+            packed = [_pack(r, w) for r in m]
+            return _packed_howell(L, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
 
-    def _kronecker_square(self, m) -> tuple:
-        packed = [_pack(r, self.w) for r in m]
-        cut = self.cut
-        return _packed_howell(self, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
+        self.square = kronecker_square
 
 
 def _square_kernel(ctx: RingCtx) -> _SquareKernel:
@@ -412,11 +402,12 @@ def _square_kernel(ctx: RingCtx) -> _SquareKernel:
     return ctx._square
 
 
-def _packed_howell(K: _SquareKernel, rows) -> tuple:
-    """The Howell form _howell gives (over F_p, the _rref) of packed rows
-    in K's layout whose columns hold integers in [0, n (cap - 1)^2], cap =
-    caps[0] the largest cap: the Kronecker bound on the coefficients of a
-    product of two reduced rows (_SquareKernel._kronecker_square).
+def _packed_howell(L: _Layout, rows) -> tuple:
+    """The Howell form (over F_p, the reduced echelon form) of packed rows
+    in the layout L, whose n columns, tag columns included, hold integers
+    in [0, n (cap - 1)^2], cap the largest of L's caps: the Kronecker bound
+    on the coefficients of a product of two reduced rows (the m^2 kernel of
+    _SquareKernel), and above every entry of a reduced row (_echelon).
 
     Each row is inserted into a table of pivot rows keyed by column.  Its
     lead column c is read off its bit length.  A lead entry that is 0 mod
@@ -428,7 +419,7 @@ def _packed_howell(K: _SquareKernel, rows) -> tuple:
     the pivot: normalized so its entry is p^b, its columns reduced, and its
     annihilator p^(logs[c] - b) row queued; the pivot it displaces goes on
     being inserted.  The output rows are unpacked in column order and each
-    reduces the rows above it into [0, pivot) at its column, as in _howell.
+    reduces the rows above it into [0, pivot) at its column.
 
     The pass keeps the span: it adds multiples of pivots, scales by units
     and queues multiples of pivots.  Its output has the Howell property.
@@ -440,19 +431,20 @@ def _packed_howell(K: _SquareKernel, rows) -> tuple:
     rows led at or past c: in a sum of the rows, a first row led before c
     has a coefficient that kills its pivot, so it contributes a multiple
     of its annihilator.  So the output is the Howell form, which is unique
-    (Howell, Spans in the module (Z_m)^s, 1986), as _howell's is.
+    (Howell, Spans in the module (Z_m)^s, 1986).
 
-    No column carries into the next, as w = bit_length(2 n cap^2).  Proof:
-    a row enters with columns at most n (cap - 1)^2 (a product of reduced
-    rows), (cap - 1) cap / p (an annihilator p^(logs[c] - b) P, b >= 1, of a
-    reduced P) or cap - 1 (a displaced pivot, reduced).  A reduction at the
-    lead column c adds (v / p^a)(caps[j] - P[j]) <= (cap - 1) cap to each
-    column j past c and moves the lead past c, so a column takes at most
+    No column carries into the next, as w = bit_length(2 n cap^2), n and
+    cap as above.  Proof: a row enters with columns at most n (cap - 1)^2
+    (a reduced row, or a product of two), (cap - 1) cap / p (an annihilator
+    p^(logs[c] - b) P, b >= 1, of a reduced P) or cap - 1 (a displaced
+    pivot, reduced).  A reduction at the lead column c adds
+    (v / p^a)(caps[j] - P[j]) <= (cap - 1) cap to each column j past c, a
+    tag column too, and moves the lead past c, so a column takes at most
     n - 1 of them and stays below
     max(n (cap - 1)^2, cap^2 / 2) + (n - 1)(cap - 1) cap < 2 n cap^2 < 2^w.
     Only the lead column grows past that, inside one step, and the mask
     clears it whole."""
-    p, caps, logs, shifts, col, low, C = K.p, K.caps, K.logs, K.shifts, K.col, K.low, K.C
+    p, caps, logs, shifts, col, low, C = L.p, L.caps, L.logs, L.shifts, L.col, L.low, L.C
     table = {}  # column -> (pivot entry p^a, C[c] - P, P)
     work = [r for r in rows if r]
     while work:
@@ -471,12 +463,12 @@ def _packed_howell(K: _SquareKernel, rows) -> tuple:
             while not u % p:
                 u //= p
                 b += 1
-            new = K.scaled(r, pow(u, -1, caps[c]))
+            new = L.scaled(r, pow(u, -1, caps[c]))
             table[c] = (p**b, C[c] - new, new)
             if b:
                 work.append(new * p ** (logs[c] - b))
             r = piv[2] if piv is not None else 0
-    n, fm = len(shifts), (1 << K.w) - 1
+    n, fm = len(shifts), (1 << L.w) - 1
     out = []
     for c in sorted(table):
         pa, _, P = table[c]

@@ -82,6 +82,30 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             FieldCtx(6)
 
+    def test_prime_field_past_the_table_limit(self):
+        # F_257 has no tables: each entry is computed when read, by the
+        # prime-field branches, against plain modular arithmetic
+        F = FieldCtx(257)
+        assert not isinstance(F.tables[0], list)
+        rng = random.Random(257)
+        pairs = [(0, 0), (256, 1), (256, 256), (1, 255)]
+        pairs += [(rng.randrange(257), rng.randrange(257)) for _ in range(500)]
+        for a, b in pairs:
+            assert F.add(a, b) == (a + b) % 257
+            assert F.sub(a, b) == (a - b) % 257
+            assert F.neg(a) == -a % 257
+            assert F.mul(a, b) == a * b % 257
+            if a:
+                assert F.inv(a) == pow(a, -1, 257)
+
+    def test_reprs(self):
+        assert [repr(F) for F in (FieldCtx(257), FieldCtx(2, 2), ZpNCtx(3, 2), ZpNCtx(3, 1))] == [
+            "F257",
+            "F4",
+            "Z/3^2",
+            "Z/3",
+        ]
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_field_axioms_exhaustive(self, p):
         F = FieldCtx(p)

@@ -146,9 +146,9 @@ def coefficient_oracle(F):
 
 
 class TestFieldRingArithmetic:
-    # F_512 and F_729 are past the table limit, where the same kernels
-    # read lookups computed on demand
-    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 243, 256, 512, 729])
+    # F_257, F_512 and F_729 are past the table limit, where the same
+    # kernels read lookups computed on demand
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 243, 256, 257, 512, 729])
     def test_ops_match_schoolbook_oracle(self, q):
         n = 5
         R = field_ring(q, n)

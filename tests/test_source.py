@@ -5,10 +5,10 @@ what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
 own twice; the sibling rule reads only ring facts and has one reader, the
 family step the walk and the census share; each ring picks its m^2
-kernel once; the tuple Howell pass has one caller; no private helper
-outlives its last caller, and no public function or method goes
-unreferenced; and every name the benchmark's tracer wraps exists where
-it looks."""
+kernel once; the library has one Howell pass, with two callers; no
+private helper outlives its last caller, and no public function or
+method goes unreferenced; and every name the benchmark's tracer wraps
+exists where it looks."""
 
 import ast
 import importlib
@@ -149,10 +149,19 @@ def test_sibling_rule_reads_only_ring_facts():
     assert not [n for n in ast.walk(rule) if isinstance(n, ast.Call)]
 
 
-def test_tuple_howell_serves_only_echelon():
-    # the m^2 products are echeloned packed (_packed_howell); the tuple
-    # Howell pass serves rows that arrive as tuples, through _echelon
-    assert _callers("subrings.py", "_howell") == {"_echelon"}
+def test_one_howell_pass():
+    # the library has one Howell pass: _echelon runs it on Z/p^N rows, with
+    # or without tag columns, and the m^2 kernel on its Kronecker products;
+    # the tuple pass lives on in the tests only, as their oracle
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
+    assert trees and not [t for t in trees if "_howell" in _names(t)]
+    assert not [
+        node.name
+        for t in trees
+        for node in ast.walk(t)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
+    ]
+    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_SquareKernel"}
 
 
 def test_one_output_point():

@@ -101,6 +101,12 @@ class TestCanonicalBases:
         assert got == ((2, 1), (0, 2))
         assert module_span(R, [(2, 1)]) == module_span(R, got)
 
+    def test_unreduced_and_negative_entries_reduce(self):
+        # -1 = 8 and 10 = 1 mod 9; scaled by 8 = 1/8, (8, 1) is (1, 8)
+        assert canonicalize(zpn_ring(3, 2, 2), [(-1, 10)]) == ((1, 8),)
+        # caps (4, 2): (6, -3) is (2, 1), and 2 (2, 1) = (4, 2) is 0
+        assert canonicalize(zpn_ring(2, 2, 2, 1), [(6, -3)]) == ((2, 1),)
+
     def test_row_length_must_match_ring(self):
         with pytest.raises(CtxMismatch):
             canonicalize(zpn_ring(2, 2, 2), [(0, 1, 2)])
@@ -142,6 +148,14 @@ class TestCanonicalBases:
 
 
 class TestClosure:
+    def test_prime_field_past_the_table_limit(self):
+        # F_257 reads lookups computed on demand; x + 3x^2 squares to x^2
+        R = field_ring(257, 3)
+        S = closure(R, [(0, 1, 3)])
+        assert S.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert closure(R, [(0, 0, 5)]).basis == ((1, 0, 0), (0, 0, 1))
+        assert repr(S) == "<span 1, x, x^2 | F257[x]/x^3>"
+
     def test_nilpotent_generator(self):
         R = field_ring(2, 4)
         S = closure(R, [R.monomial(2)])
@@ -1043,7 +1057,7 @@ class TestSubspaceScan:
         def refuse(*args):
             raise AssertionError("the scan reached a walk kernel or an echelon pass")
 
-        for name in ("_rref", "_howell", "_xor_echelon", "_xor_mul", "_packed_howell"):
+        for name in ("_rref", "_xor_echelon", "_xor_mul", "_packed_howell"):
             monkeypatch.setattr(subrings, name, refuse)
         for ctx, ref in zip(rings, refs):
             assert [S.basis for S in enumerate_subrings(ctx, "subspace_scan")] == [
@@ -1127,6 +1141,48 @@ class TestCollisionCheck:
         with pytest.raises(InvariantViolation, match="lifts in a family"):
             census(ctx)
         assert planted
+
+
+class TestWalkSafetyNets:
+    """Each InvariantViolation the walk raises, reached by a planted fault
+    that gets past every check before it."""
+
+    @pytest.mark.parametrize(
+        "ctx, kernel", [(zpn_ring(2, 2, 3), "_lift_bases"), (field_ring(2, 5), "_xor_lift_bases")], ids=repr
+    )
+    def test_repeated_lift(self, ctx, kernel, monkeypatch):
+        # a lift-bases kernel that returns its first lift in place of its last
+        inner = getattr(subrings, kernel)
+        monkeypatch.setattr(subrings, kernel, lambda *args: (lambda b: b[:-1] + b[:1])(inner(*args)))
+        with pytest.raises(InvariantViolation, match="lifts must be pairwise distinct"):
+            enumerate_subrings(ctx)
+
+    def test_chain_that_does_not_return(self, monkeypatch):
+        # one level up from the ring below the top, an equal but distinct context
+        ctx = field_ring(2, 4)
+        monkeypatch.setattr(subrings, "extension_ctx", lambda c: field_ring(2, c.n + 1))
+        with pytest.raises(InvariantViolation, match="does not return to it"):
+            enumerate_subrings(ctx)
+
+    def test_extension_in_a_twin_context(self, monkeypatch):
+        # every step below the top lands in an equal but distinct context
+        ctx, inner = field_ring(2, 4), subrings.extension_ctx
+
+        def twin(c):
+            up = inner(c)
+            return up if up is ctx else field_ring(2, up.n)
+
+        monkeypatch.setattr(subrings, "extension_ctx", twin)
+        with pytest.raises(InvariantViolation, match="extension landed in"):
+            enumerate_subrings(ctx)
+
+    @pytest.mark.parametrize("ctx", [field_ring(2, 4), zpn_ring(2, 2, 3, 1)], ids=repr)
+    def test_family_yielded_twice(self, ctx, monkeypatch):
+        # each family of the right size, but every one made twice
+        inner = subrings._step
+        monkeypatch.setattr(subrings, "_step", lambda members: [fam for fam in inner(members) for _ in range(2)])
+        with pytest.raises(InvariantViolation, match="preimages and lifts must not collide"):
+            enumerate_subrings(ctx)
 
 
 @pytest.mark.parametrize("ctx", [field_ring(2, 6), zpn_ring(2, 2, 4, 1)], ids=repr)
@@ -1472,11 +1528,17 @@ def kron_row(ctx):
     return st.tuples(*(st.integers(0, c - 1) for c in ctx.caps))
 
 
-def kron_unpack(K, v):
-    """The row of a packed product in K's layout, each column reduced by its
-    cap."""
-    fm = (1 << K.w) - 1
-    return tuple(((v >> s) & fm) % c for s, c in zip(K.shifts, K.caps))
+def layout_of(ctx):
+    """The packed layout of ctx's column caps, which its m^2 kernel and
+    _echelon share."""
+    return subrings._layout(ctx.coeff.p, ctx.caps_log)
+
+
+def kron_unpack(L, v):
+    """The row of a packed product in the layout L, each column reduced by
+    its cap."""
+    fm = (1 << L.w) - 1
+    return tuple(((v >> s) & fm) % c for s, c in zip(L.shifts, L.caps))
 
 
 # the echelon pass each m^2 kernel ends in, and the kernel's name
@@ -1547,9 +1609,9 @@ class TestQuotientStepsFromParent:
         n = data.draw(st.integers(1, 8))
         ctx = zpn_ring(p, N, n, data.draw(st.integers(1, N)) if n > 1 else N)
         a, b = data.draw(kron_row(ctx)), data.draw(kron_row(ctx))
-        K = subrings._square_kernel(ctx)
-        got = subrings._pack(a, K.w) * subrings._pack(b, K.w) >> K.cut
-        assert kron_unpack(K, got) == ctx.mul(a, b)
+        L = layout_of(ctx)
+        got = subrings._pack(a, L.w) * subrings._pack(b, L.w) >> L.shifts[0]
+        assert kron_unpack(L, got) == ctx.mul(a, b)
 
     @given(st.data())
     def test_kronecker_products_match_prime_field_mul(self, data):
@@ -1588,9 +1650,9 @@ class TestQuotientStepsFromParent:
         # n (p^N - 1)^2 before reduction, the largest a field has to hold
         ctx = zpn_ring(p, N, n)
         a = tuple(c - 1 for c in ctx.caps)
-        K = subrings._square_kernel(ctx)
-        packed = subrings._pack(a, K.w)
-        assert kron_unpack(K, packed * packed >> K.cut) == ctx.mul(a, a)
+        L = layout_of(ctx)
+        packed = subrings._pack(a, L.w)
+        assert kron_unpack(L, packed * packed >> L.shifts[0]) == ctx.mul(a, a)
 
     def test_z_census_makes_no_ring_products(self, monkeypatch):
         counts, per_parent = Counter(), []
@@ -1700,8 +1762,8 @@ class TestQuotientStepsFromParent:
 
     @pytest.mark.parametrize("ctx", [zpn_ring(3, 2, 4), zpn_ring(2, 3, 3, 2)], ids=repr)
     def test_ring_constants_are_built_once_per_ring(self, ctx):
-        # m's row p and the packed layout live on the ring, so every subring
-        # of one ring reads the same objects
+        # m's row p and the m^2 kernel live on the ring, so every subring of
+        # one ring reads the same objects (the layout: test_one_layout_per_caps)
         subs = enumerate_subrings(ctx)
         assert {id(subrings._square_kernel(S.ctx)) for S in subs} == {id(subrings._square_kernel(ctx))}
         head = subrings._square_kernel(ctx).head
@@ -1711,9 +1773,56 @@ class TestQuotientStepsFromParent:
 
 # -- the packed Howell pass ------------------------------------------------------
 #
-# ideal_data echelons the packed m^2 products with _packed_howell; the tuple
-# _howell (over F_p, _rref) is its oracle, on rows whose columns run up to
-# the Kronecker bound n (cap - 1)^2, multiples of the caps and of p included.
+# ideal_data echelons the packed m^2 products with _packed_howell, and
+# _echelon the rows it is given over Z/p^N, tagged or not; the tuple Howell
+# pass below (over F_p, _rref) is their oracle, on rows whose columns run up
+# to the Kronecker bound n (cap - 1)^2, multiples of the caps and of p
+# included.
+
+
+def tuple_howell(K, caps_log, rows):
+    """Howell-style normal form over K = Z/p^N with per-column caps
+    p^caps_log[j].
+
+    Column by column: the entry of least p-valuation becomes the pivot and
+    is normalized to an exact power of p; the worklist rows are cleared
+    below it and the pivot rows above reduced into [0, pivot) by the same
+    floor quotient, exact on the worklist; the annihilator multiple of the
+    pivot row rejoins the worklist so that every span element with leading
+    column c is reachable from pivots >= c.
+    """
+    p, nu1 = K.p, K.nu1
+    ncols = len(caps_log)
+    caps = [p**c for c in caps_log]
+    work = [[x % c for x, c in zip(r, caps)] for r in rows]
+    work = [r for r in work if any(r)]
+    out = []
+    for col in range(ncols):
+        pick = None
+        picka = None
+        for idx, r in enumerate(work):
+            if r[col]:
+                a = nu1(r[col])
+                if pick is None or a < picka:
+                    pick, picka = idx, a
+        if pick is None:
+            continue
+        row = work.pop(pick)
+        a = picka
+        uinv = pow(row[col] // p**a, -1, K.size)
+        row = [(x * uinv) % c for x, c in zip(row, caps)]
+        piv = p**a
+        for r in work + out:
+            mfac = r[col] // piv
+            if mfac:
+                for j in range(col, ncols):
+                    if row[j]:
+                        r[j] = (r[j] - mfac * row[j]) % caps[j]
+        ann = [(x * p ** (caps_log[col] - a)) % c for x, c in zip(row, caps)]
+        if any(ann):
+            work.append(ann)
+        out.append(row)
+    return tuple(tuple(r) for r in out)
 
 
 @st.composite
@@ -1741,8 +1850,23 @@ def packed_howell_case(draw, field):
 
 
 def packed_howell(ctx, rows):
-    K = subrings._square_kernel(ctx)
-    return subrings._packed_howell(K, [subrings._pack(r, K.w) for r in rows])
+    L = layout_of(ctx)
+    return subrings._packed_howell(L, [subrings._pack(r, L.w) for r in rows])
+
+
+@st.composite
+def tagged_rows_case(draw):
+    """(ctx, rows, d): a Z/p^N ring with N > 1 and rows of its n columns
+    plus d tag columns, 1 <= d <= 4, entries unreduced or negative too."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 5))
+    N = draw(st.integers(2, 3))
+    ctx = zpn_ring(p, N, n, draw(st.integers(1, N)) if n > 1 else N)
+    d = draw(st.integers(1, 4))
+    cap = ctx.caps[0]
+    entry = st.one_of(st.integers(0, cap - 1), st.integers(-2 * cap, 2 * cap))
+    tag = st.one_of(st.integers(0, p - 1), st.integers(-p, 2 * p))
+    row = st.tuples(*[entry] * n, *[tag] * d)
+    return ctx, draw(st.lists(row, max_size=8)), d
 
 
 class TestPackedHowell:
@@ -1750,7 +1874,14 @@ class TestPackedHowell:
     @settings(max_examples=400, deadline=None)
     def test_matches_howell(self, case):
         ctx, rows = case
-        assert packed_howell(ctx, rows) == subrings._howell(ctx.coeff, ctx.caps_log, rows)
+        assert packed_howell(ctx, rows) == tuple_howell(ctx.coeff, ctx.caps_log, rows)
+
+    @given(tagged_rows_case())
+    @settings(max_examples=300, deadline=None)
+    def test_tagged_echelon_matches_howell(self, case):
+        # _lift_bases's rows: d tag columns, each capped at p
+        ctx, rows, d = case
+        assert subrings._echelon(ctx, rows, d) == tuple_howell(ctx.coeff, ctx.caps_log + (1,) * d, rows)
 
     @given(packed_howell_case(field=True))
     @settings(max_examples=200, deadline=None)
@@ -1778,7 +1909,31 @@ class TestPackedHowell:
         ctx = zpn_ring(p, N, n)
         bound = n * (ctx.caps[0] - 1) ** 2
         rows = [(bound,) * n, (0,) + (bound,) * (n - 1), (bound - 1,) * n]
-        assert packed_howell(ctx, rows) == subrings._howell(ctx.coeff, ctx.caps_log, rows)
+        assert packed_howell(ctx, rows) == tuple_howell(ctx.coeff, ctx.caps_log, rows)
+
+    @pytest.mark.parametrize("ctx", [zpn_ring(3, 2, 4), zpn_ring(2, 3, 4, 2)], ids=repr)
+    def test_one_layout_per_caps(self, ctx, monkeypatch):
+        # the m^2 kernel and _echelon, tagged or not, read one layout per
+        # (p, column caps), and a second pass over the ring builds none
+        seen = {}
+        inner = subrings._packed_howell
+
+        def recording(L, rows):
+            seen.setdefault((L.p, L.logs), set()).add(id(L))
+            return inner(L, rows)
+
+        monkeypatch.setattr(subrings, "_packed_howell", recording)
+        enumerate_subrings(ctx)
+        closure(ctx, [ctx.monomial(1)])
+        assert {len(logs) for _, logs in seen} > {ctx.n}
+        assert all(ids == {id(subrings._layout(*key))} for key, ids in seen.items())
+
+        def refuse(*args):
+            raise AssertionError("a layout was built again")
+
+        monkeypatch.setattr(subrings, "_Layout", refuse)
+        enumerate_subrings(ctx)
+        closure(ctx, [ctx.monomial(1)])
 
 
 # -- the incremental closure and the packed projection ----------------------------

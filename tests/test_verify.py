@@ -1,6 +1,7 @@
 """Invariant suites: every check passes on the reference rings and the
 suite plumbing behaves."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from truncring import (
     FieldPolyCtx,
     SkippedChecks,
+    Subring,
     TooLarge,
     enumerate_subrings,
     field_ring,
@@ -294,3 +296,107 @@ class TestLiftOracle:
     @pytest.mark.parametrize("ctx", [field_ring(2, 1), zpn_ring(2, 2, 1)], ids=repr)
     def test_base_ring_has_no_oracle(self, ctx):
         assert verify._lift_oracle(ctx) == {}
+
+
+# -- planted faults: every check that reads the library can report ---------------
+#
+# Each case swaps one name a check reads through verify's globals for a
+# faulty version of it, and the check must report its own violation on a
+# desk ring.  A check that silently stopped comparing would pass every other
+# test in this file.
+
+F2_7, Z_DESK = field_ring(2, 7), zpn_ring(2, 2, 4, 1)
+
+
+def _rows_with(**fields):
+    """A census whose rows have the given fields replaced, each computed
+    from the row."""
+    return lambda real, ctx: lambda c, subs=None: [
+        dataclasses.replace(row, **{k: f(row) for k, f in fields.items()}) for row in real(c, subs)
+    ]
+
+
+def _fewer_admissible_shapes(real, ctx):
+    def enumerate_shapes(domain, realizable_only=False):
+        shapes = real(domain, realizable_only)
+        return shapes[:-1] if realizable_only else shapes
+
+    return enumerate_shapes
+
+
+def _returning(**fields):
+    """The real function with the given fields of its result replaced, each
+    computed from the result."""
+
+    def plant(real, ctx):
+        def fake(*args):
+            out = real(*args)
+            return dataclasses.replace(out, **{k: f(out) for k, f in fields.items()})
+
+        return fake
+
+    return plant
+
+
+def _prime_ring_shape(real, ctx):
+    return lambda S: real(Subring.prime_ring(S.ctx))
+
+
+def _projects_to_prime_ring(real, ctx):
+    return lambda S, dst: Subring.prime_ring(dst)
+
+
+def _quotient_cotangent_zero(real, ctx):
+    dst = quotient_ctx(ctx)
+    return lambda S: 0 if S.ctx == dst else real(S)
+
+
+def _census_of_ring_plus_one(real, ctx):
+    def census(c, subs=None):
+        rows = real(c, subs)
+        return [dataclasses.replace(row, count=row.count + 1) for row in rows] if c == ctx else rows
+
+    return census
+
+
+PLANTED = [
+    # (check, ring, the name verify reads, fake built from (real, ring), message)
+    ("census-bound", F2_7, "census", _rows_with(count=lambda r: r.bound + 1), "> bound"),
+    ("realized-shapes", Z_DESK, "enumerate_shapes", _fewer_admissible_shapes, "realized but not admissible"),
+    ("bound-exponent-nonnegative", F2_7, "census", _rows_with(bound_exp=lambda r: -1), "bound exponent -1 < 0"),
+    ("lift-counts", F2_7, "lift_isomorphic", _returning(lifts=lambda fam: fam.lifts[1:]), "differs from the scan"),
+    (
+        "lift-containment",
+        F2_7,
+        "restricted_extension",
+        _returning(src_ideal=lambda ext: dataclasses.replace(ext.src_ideal, small_rows=ext.src_ideal.max_rows)),
+        "misses obstruction row",
+    ),
+    ("dimension-law", Z_DESK, "exponent_set", _prime_ring_shape, "!= |shape|"),
+    ("cotangent-bound", Z_DESK, "cotangent_dim", lambda real, ctx: lambda S: 99, "cotangent 99 exceeds"),
+    ("lift-equivalence", F2_7, "cotangent_dim", lambda real, ctx: lambda S: 0, "grows=False"),
+    ("tail-membership", F2_7, "ideal_data", _returning(square_rows=lambda d: ()), "escapes m^2"),
+    ("cotangent-propagation", F2_7, "cotangent_dim", _quotient_cotangent_zero, "but B does not"),
+    ("projection-shape", Z_DESK, "project_subring", _projects_to_prime_ring, "projected shape"),
+    ("step-counts", Z_DESK, "census", _census_of_ring_plus_one, "truncated rings"),
+    ("ideal-correspondence", Z_DESK, "ideal_data", _returning(max_rows=lambda d: d.square_rows), "maximal ideal differs"),
+    ("projection-disjointness", F2_7, "project_subring", _projects_to_prime_ring, "hit from shapes"),
+]
+CHECKS = {name: fn for suite in SUITES.values() for name, fn in suite}
+
+
+@pytest.mark.parametrize("check, ctx, name, plant, message", PLANTED, ids=[case[0] for case in PLANTED])
+def test_planted_fault_is_reported(check, ctx, name, plant, message, monkeypatch):
+    def clear():
+        for memo in (verify._subrings, verify._census, verify._lift_oracle):
+            memo.cache_clear()
+
+    clear()
+    assert CHECKS[check](ctx) == []
+    clear()
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name), ctx))
+    try:
+        bad = CHECKS[check](ctx)
+    finally:
+        clear()
+    assert any(message in line for line in bad), bad[:3]
