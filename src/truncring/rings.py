@@ -56,12 +56,14 @@ class _TruncPolyCtx:
     ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
     once quotient_ctx or extension_ctx has built them, so every subring of
     one level shares one context; ``_kernel`` holds kernel_generator's
-    element and ``_square`` what subrings.ideal_data reads of the ring (the
-    row p of m, the layout of the packed m^2 products), each once built.
+    element, ``_square`` what subrings.ideal_data reads of the ring (the
+    row p of m, the layout of the packed m^2 products) and ``_element`` the
+    packed element arithmetic of verify's pair scans, each once built.
     """
 
     __slots__ = (
-        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_square"
+        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_square",
+        "_element",
     )
 
     def _set_facts(self, coeff, n: int, base: int, caps_log: tuple, p_image: int, domain):
@@ -72,7 +74,7 @@ class _TruncPolyCtx:
         self.caps = tuple(base**c for c in caps_log)
         self.p_image = p_image
         self.domain = domain
-        self._down = self._up = self._kernel = self._square = None
+        self._down = self._up = self._kernel = self._square = self._element = None
 
     # -- constructors ------------------------------------------------------
 

@@ -311,7 +311,8 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- packed residue rows: the layout, the m^2 kernels, the packed Howell pass ----
+# -- packed rows and elements: the layout, the m^2 and element kernels, the
+# -- packed Howell pass --------------------------------------------------------
 #
 # A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
 # with w bits per column, as the F_2 rows do with w = 1.  One int multiply
@@ -319,7 +320,11 @@ def _xor_lift_bases(n: int, w, small) -> list:
 # substitution), and the right shift by w (n - 1) drops the degrees at or
 # past n.  The products stay packed through the Howell pass that echelons
 # them (_packed_howell), and so do the rows _echelon echelons over Z/p^N;
-# only the pass's few output rows become tuples.
+# only the pass's few output rows become tuples.  verify's pair scans run on
+# packed ring elements (_ElementKernel): in the same layout over residue
+# coefficients, and over F_q, q = p^e, e > 1, in one with 2e - 1 slots for
+# t-degrees per column, so a product in F_p[t][x] is one int multiply too;
+# each result is reduced to its one packed form.
 
 
 class _Layout:
@@ -400,6 +405,118 @@ def _square_kernel(ctx: RingCtx) -> _SquareKernel:
     if ctx._square is None:
         ctx._square = _SquareKernel(ctx)
     return ctx._square
+
+
+def _less_caps(C: int, slots, width: int):
+    """r -> r less C's entry in every slot holding at least that entry, for
+    r whose slots (width bits at each shift in slots) lie below twice C's
+    entries, every slot at once.  With h the bit length of 2 cap - 1 for
+    the largest cap, adding 2^h - cap to a slot holding v < 2 cap gives
+    v + 2^h - cap < 2^(h+1), which sets bit h exactly when v >= cap; those
+    bits, moved to the slot bottoms and filled out, mask the caps to
+    subtract.  The slots of _ElementKernel's layouts are at least h + 1
+    bits wide, so nothing carries between them."""
+    fill = (1 << width) - 1
+    h = (2 * max((C >> s) & fill for s in slots) - 1).bit_length()
+    ones = sum(1 << s for s in slots)
+    K = (ones << h) - C
+    return lambda r: r - ((((r + K) >> h) & ones) * fill & C)
+
+
+class _ElementKernel:
+    """Packed arithmetic on a ring's elements, for scans over every pair of
+    them (verify's valuation suite): pack and unpack, and add, sub, mul and
+    scaled (u, a) -> u a on packed elements.  Every packed element is
+    reduced, so two are equal exactly when the elements are, and 0 is 0.
+    Picked from the ring's facts, once per ring (_element_kernel):
+      - residue coefficients (base is p: F_p, Z/p and Z/p^N) take the
+        layout of the ring's caps, _layout: a product is one int multiply
+        and the shift that drops the degrees at or past n, reduced by
+        L.scaled(r, 1), a mask at p = 2;
+      - F_q with q = p^e, e > 1, packs each coefficient's base-p digits
+        into 2e - 1 t-slots of ws bits per x-column, so that one int
+        multiply forms the product in F_p[t][x] (bivariate Kronecker
+        substitution).  A product folds its t-degrees s >= e down by
+        t^s = t^(s-e) (t^e - modulus), with the coefficients of
+        t^e - modulus taken in [0, p), every x-column at once; then every
+        slot is reduced mod p: by a mask at p = 2, else column by column,
+        each column's reduction cached as it is met.
+    A sum is a + b and a difference a + C - b, C the caps packed, each
+    below twice the caps in every slot: a mask reduces them at p = 2, and
+    one conditional subtraction of C in every slot at once otherwise
+    (_less_caps).
+
+    No slot carries into the next: a product's slots are at most
+    B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
+    slots below leaves each at most B p^(e-1) < 2^ws."""
+
+    __slots__ = ("pack", "unpack", "add", "sub", "mul", "scaled")
+
+    def __init__(self, ctx: RingCtx):
+        n, coeff = ctx.n, ctx.coeff
+        p = coeff.p
+        if ctx.base == p:
+            L = _layout(p, ctx.caps_log)
+            w, shifts, C = L.w, L.shifts, L.C[0]
+            cut, fm = shifts[0], (1 << w) - 1
+            self.pack = lambda a: _pack(a, w)
+            self.unpack = lambda r: tuple([(r >> s) & fm for s in shifts])
+            scaled, mask = L.scaled, L.mask
+            reduce = mask.__and__ if mask is not None else lambda r: scaled(r, 1)
+            self.scaled = lambda u, a: scaled(a, u)
+            slots, width = shifts, w
+        else:
+            e = coeff.e
+            ws = (n * e * (p - 1) ** 2 * p ** (e - 1)).bit_length()
+            cw = (2 * e - 1) * ws
+            col_shifts = [cw * (n - 1 - j) for j in range(n)]
+            cut = col_shifts[0]
+            slot = (1 << ws) - 1
+            # slot 0 of every column, and the shift of every slot below t^e
+            firsts = slot * sum(1 << s for s in col_shifts)
+            slots = [s + ws * i for s in col_shifts for i in range(e)]
+            C = sum(p << d for d in slots)
+            mask = sum(1 << d for d in slots) if p == 2 else None
+            # t^s for s >= e, highest first: (its shift, t^(s-e) (t^e - modulus))
+            minus = [-m % p for m in coeff.modulus[:e]]
+            folds = [
+                (ws * s, sum(c << ws * (s - e + i) for i, c in enumerate(minus)))
+                for s in range(2 * e - 2, e - 1, -1)
+            ]
+            spread = [sum(d << ws * i for i, d in enumerate(coeff.coeffs(c))) for c in range(coeff.q)]
+            gather = {v: c for c, v in enumerate(spread)}
+            colmask = (1 << cw) - 1
+            self.pack = lambda a: _pack(map(spread.__getitem__, a), cw)
+            self.unpack = lambda r: tuple([gather[(r >> s) & colmask] for s in col_shifts])
+
+            def fold(r):
+                for sh, t in folds:
+                    v = (r >> sh) & firsts
+                    r += v * t - (v << sh)
+                return r
+
+            if mask is not None:
+                reduce = lambda r: fold(r) & mask
+            else:
+                @functools.cache
+                def column(v):
+                    # a column at shift 0 folded, then its slots reduced mod p
+                    v = fold(v)
+                    return sum([((v >> d) & slot) % p << d for d in slots[-e:]])
+
+                reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
+            self.scaled = lambda u, a: reduce(a * spread[u])
+            width = ws
+        fix = mask.__and__ if mask is not None else _less_caps(C, slots, width)
+        self.add = lambda a, b: fix(a + b)
+        self.sub = lambda a, b: fix(a + C - b)
+        self.mul = lambda a, b: reduce(a * b >> cut)
+
+
+def _element_kernel(ctx: RingCtx) -> _ElementKernel:
+    if ctx._element is None:
+        ctx._element = _ElementKernel(ctx)
+    return ctx._element
 
 
 def _packed_howell(L: _Layout, rows) -> tuple:

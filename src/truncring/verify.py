@@ -14,6 +14,12 @@ empty list means the law held everywhere.  Suites bundle the checks:
   equivalence, tail membership, quotient-step counting, and ideal
   correspondence under projection.
 
+The valuation scans test every pair of nonzero elements.  They run on the
+ring's packed element kernel (subrings._element_kernel), where a sum,
+difference, product or unit multiple is a few int operations, and read nu
+from a table built on each call with one ring nu per element, so a planted
+nu reaches them; an element is unpacked only to format a violation.
+
 A check that cannot run at the ring's scale raises TooLarge.  run_suite
 then records it as skipped and goes on with the next check; when any was
 skipped it raises SkippedChecks, which carries every result.
@@ -24,11 +30,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import SkippedChecks, TooLarge
+from .errors import InvariantViolation, SkippedChecks, TooLarge
 from .rings import RingCtx, kernel_generator, project, quotient_ctx
 from .shapes import enumerate_shapes
 from .subrings import (
     Subring,
+    _element_kernel,
     _lift_row,
     canonicalize,
     census,
@@ -80,12 +87,28 @@ def _scans(ctx: RingCtx) -> tuple[str, ...]:
     return ("closure_bfs",) if ctx.p_image else ("subspace_scan", "closure_bfs")
 
 
-def _valued_elements(ctx: RingCtx) -> list:
-    """(a, nu(a)) for the nonzero elements a, in enumeration order."""
+class _Valuations(dict):
+    """nu of the nonzero elements, keyed by their packed form.  A key the
+    ring lacks is a fault of the packed kernel, not of nu."""
+
+    __slots__ = ("ctx",)
+
+    def __missing__(self, r):
+        raise InvariantViolation(f"packed result {r:#x} is no nonzero element of {self.ctx!r}")
+
+
+def _valued_elements(ctx: RingCtx):
+    """The ring's packed element kernel, the nonzero elements a packed with
+    nu(a), in enumeration order, and nu as a table of the packed elements.
+    nu is read once per element, so a planted nu reaches every scan."""
     if ctx.size > _EXHAUSTIVE_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} is too large for an exhaustive scan")
+    K = _element_kernel(ctx)
     zero = ctx.zero()
-    return [(a, ctx.nu(a)) for a in ctx.elements() if a != zero]
+    valued = [(K.pack(a), ctx.nu(a)) for a in ctx.elements() if a != zero]
+    nu = _Valuations(valued)
+    nu.ctx = ctx
+    return K, valued, nu
 
 
 # -- valuation suite -----------------------------------------------------------
@@ -95,40 +118,38 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
     """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
     bad = []
     dom = ctx.domain
-    valued = _valued_elements(ctx)
-    zero = ctx.zero()
+    K, valued, nu = _valued_elements(ctx)
+    mul, fmt = K.mul, lambda r: ctx.format(K.unpack(r))
     # add and mul commute, so each unordered pair is tested once
     for i, (a, va) in enumerate(valued):
         for b, vb in valued[i:]:
             s = dom.add(va, vb)
             if s is None:
                 continue
-            ab = ctx.mul(a, b)
-            if ab == zero:
-                bad.append(f"nu({ctx.format(a)}) + nu({ctx.format(b)}) defined but product is 0")
-            elif ctx.nu(ab) != s:
-                bad.append(
-                    f"nu({ctx.format(a)}*{ctx.format(b)}) = {ctx.nu(ab)} != {s}"
-                )
+            ab = mul(a, b)
+            if not ab:
+                bad.append(f"nu({fmt(a)}) + nu({fmt(b)}) defined but product is 0")
+            elif nu[ab] != s:
+                bad.append(f"nu({fmt(a)}*{fmt(b)}) = {nu[ab]} != {s}")
     return bad
 
 
 def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
     """nu(a+b) >= min(nu(a), nu(b)), with equality when the two differ."""
     bad = []
-    valued = _valued_elements(ctx)
-    zero = ctx.zero()
+    K, valued, nu = _valued_elements(ctx)
+    add, fmt = K.add, lambda r: ctx.format(K.unpack(r))
     for i, (a, va) in enumerate(valued):
         for b, vb in valued[i:]:
-            s = ctx.add(a, b)
-            if s == zero:
+            s = add(a, b)
+            if not s:
                 continue
             lo = min(va, vb)
-            v = ctx.nu(s)
+            v = nu[s]
             if v < lo:
-                bad.append(f"nu({ctx.format(a)}+{ctx.format(b)}) = {v} < min = {lo}")
+                bad.append(f"nu({fmt(a)}+{fmt(b)}) = {v} < min = {lo}")
             elif va != vb and v != lo:
-                bad.append(f"nu({ctx.format(a)}+{ctx.format(b)}) = {v} != min = {lo}")
+                bad.append(f"nu({fmt(a)}+{fmt(b)}) = {v} != min = {lo}")
     return bad
 
 
@@ -137,25 +158,24 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     nu(a) = nu(b) forces some unit u with a = u b or nu(a - u b) > nu(a)."""
     bad = []
     units = list(ctx.coeff.units())
+    K, valued, nu = _valued_elements(ctx)
+    sub, scaled, fmt = K.sub, K.scaled, lambda r: ctx.format(K.unpack(r))
     buckets: dict = {}
-    for a, va in _valued_elements(ctx):
+    for a, va in valued:
         buckets.setdefault(va, []).append(a)
-    zero = ctx.zero()
     # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once:
     # b runs over the bucket and a over the members up to b, so b's unit
     # multiples are formed once per b
     for val, bucket in buckets.items():
         for j, b in enumerate(bucket):
-            multiples = [ctx.scalar_mul(u, b) for u in units]
+            multiples = [scaled(u, b) for u in units]
             for a in bucket[: j + 1]:
                 for ub in multiples:
-                    diff = ctx.sub(a, ub)
-                    if diff == zero or ctx.nu(diff) > val:
+                    diff = sub(a, ub)
+                    if not diff or nu[diff] > val:
                         break
                 else:
-                    bad.append(
-                        f"{ctx.format(a)} and {ctx.format(b)} share nu = {val} but no unit relates them"
-                    )
+                    bad.append(f"{fmt(a)} and {fmt(b)} share nu = {val} but no unit relates them")
     return bad
 
 

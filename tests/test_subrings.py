@@ -563,6 +563,37 @@ class TestFamily:
             counterexample_family(5, FieldCtx(2))
 
 
+class _SubOfFirst(FieldPolyCtx):
+    """F_q[x]/x^n whose sub returns its first argument."""
+
+    def sub(self, a, b):
+        return a
+
+
+# (the name counterexample_family reads through subrings' globals, the fake
+# built from the real one, the claim's message); each fault breaks one claim
+FAMILY_FAULTS = [
+    ("closure", lambda real: lambda ctx, gens: real(ctx, gens[:2]), "unexpected exponent set"),
+    ("minimal_generators", lambda real: lambda sh: real(sh)[:-1], "unexpected shape generators"),
+    ("cotangent_dim", lambda real: lambda S: real(S) + 1, "cotangent dimension 4 != 3"),
+    ("FieldPolyCtx", lambda real: _SubOfFirst, "witness product identity failed"),
+    (
+        "ideal_data",
+        lambda real: lambda S: dataclasses.replace(real(S), square_rows=()),
+        "witness escaped the ideal square",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, plant, message", FAMILY_FAULTS, ids=[case[0] for case in FAMILY_FAULTS])
+@pytest.mark.parametrize("field", [FieldCtx(2), FieldCtx(3)], ids=repr)
+def test_family_claim_fault_is_an_invariant_violation(name, plant, message, field, monkeypatch):
+    counterexample_family(6, field)
+    monkeypatch.setattr(subrings, name, plant(getattr(subrings, name)))
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        counterexample_family(6, field)
+
+
 # -- the one-pass census against independent oracles ---------------------------
 #
 # The quotient-chain enumerator carries cotangent dimensions and builds each
@@ -2162,3 +2193,50 @@ class TestEntryRule:
             zpn_ring(3, 1, 2).nu((3, 1))
         with pytest.raises(CtxMismatch, match=r"coefficient -1 in column 1 outside \[0, 4\)"):
             field_ring(4, 2).nu((0, -1))
+
+
+# -- the packed element kernel of verify's pair scans ---------------------------
+
+KERNEL_RINGS = [
+    field_ring(2, 4),
+    field_ring(3, 3),
+    field_ring(4, 3),
+    field_ring(8, 2),
+    field_ring(8, 2, (1, 0, 1, 1)),
+    field_ring(9, 2),
+    zpn_ring(2, 1, 4),
+    zpn_ring(2, 2, 3, 1),
+    zpn_ring(2, 3, 3),
+    zpn_ring(3, 2, 3, 1),
+]
+
+
+def _ring_id(ctx):
+    modulus = getattr(ctx.coeff, "modulus", None)
+    return f"{ctx!r} mod {modulus}" if modulus else repr(ctx)
+
+
+class TestElementKernel:
+    """On every pair of elements, the kernel's ops unpack to the ring's."""
+
+    @pytest.mark.parametrize("ctx", KERNEL_RINGS, ids=_ring_id)
+    def test_ops_match_the_ring_ops(self, ctx):
+        K = subrings._element_kernel(ctx)
+        packed = {a: K.pack(a) for a in ctx.elements()}
+        assert len(set(packed.values())) == len(packed)
+        assert packed[ctx.zero()] == 0
+        units = list(ctx.coeff.units())
+        for a, pa in packed.items():
+            assert K.unpack(pa) == a
+            assert [K.scaled(u, pa) for u in units] == [packed[ctx.scalar_mul(u, a)] for u in units]
+            for b, pb in packed.items():
+                assert K.add(pa, pb) == packed[ctx.add(a, b)]
+                assert K.sub(pa, pb) == packed[ctx.sub(a, b)]
+                assert K.mul(pa, pb) == packed[ctx.mul(a, b)]
+
+    def test_built_on_first_use_once_per_ring(self):
+        ctx = field_ring(4, 3)
+        assert ctx._element is None
+        K = subrings._element_kernel(ctx)
+        assert subrings._element_kernel(ctx) is K
+        assert field_ring(4, 3)._element is None

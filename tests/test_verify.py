@@ -3,14 +3,17 @@ suite plumbing behaves."""
 
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from truncring import (
     FieldPolyCtx,
+    InvariantViolation,
     SkippedChecks,
     Subring,
     TooLarge,
+    closure,
     enumerate_subrings,
     field_ring,
     kernel_generator,
@@ -138,35 +141,87 @@ class TestMemo:
         assert verify._lift_oracle.cache_info().currsize == 0
 
 
+def _overriding(ctx, **methods):
+    """A copy of ctx whose class overrides the given methods."""
+    cls = type("Overriding", (type(ctx),), methods)
+    if isinstance(ctx, FieldPolyCtx):
+        return cls(ctx.coeff, ctx.n)
+    return cls(ctx.coeff, ctx.n, ctx.k)
+
+
 def _planted(ctx, elem, wrong):
     """A copy of ctx whose nu misreports one element."""
-
-    class Planted(type(ctx)):
-        def nu(self, a):
-            return wrong if a == elem else super().nu(a)
-
-    if isinstance(ctx, FieldPolyCtx):
-        return Planted(ctx.coeff, ctx.n)
-    return Planted(ctx.coeff, ctx.n, ctx.k)
+    real = type(ctx).nu
+    return _overriding(ctx, nu=lambda self, a: wrong if a == elem else real(self, a))
 
 
-@pytest.mark.parametrize(
-    "ctx,elem,wrong",
-    [
-        (field_ring(2, 4), "x^2", 3),
-        (field_ring(3, 3), "x + x^2", 2),
-        (zpn_ring(2, 2, 3, 1), "2x", (1, 0)),
-    ],
-    ids=repr,
-)
+# Each packed layout of the scans' element kernel, with a planted nu: the
+# residue layout over F_2, F_3, Z/4 with a k-step cap, Z/9 with one and
+# Z/2, the bivariate layout over F_4 and F_9.
+PLANTED_VALUATIONS = [
+    (field_ring(2, 4), "x^2", 3),
+    (field_ring(3, 3), "x + x^2", 2),
+    (zpn_ring(2, 2, 3, 1), "2x", (1, 0)),
+    (field_ring(4, 3), "[0,1]x", 2),
+    (field_ring(9, 2), "[1,1]x", 0),
+    (zpn_ring(3, 2, 3, 1), "3x", (2, 0)),
+    (zpn_ring(2, 1, 4), "x^2+x^3", (1, 0)),
+]
+VALUATION_SCANS = [fn for _, fn in SUITES["valuation"]]
+
+
+@pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS, ids=repr)
 def test_unordered_pair_scans_report_a_planted_valuation(ctx, elem, wrong):
-    bad = _planted(ctx, ctx.parse(elem), wrong)
-    assert verify.check_valuation_strict(ctx) == []
-    assert verify.check_valuation_nonarchimedean(ctx) == []
-    assert verify.check_valuation_strict(bad)
-    assert verify.check_valuation_nonarchimedean(bad)
-    assert verify.check_valuation_monomial_like(ctx) == []
-    assert verify.check_valuation_monomial_like(bad)
+    a = ctx.parse(elem)
+    bad = _planted(ctx, a, wrong)
+    for scan in VALUATION_SCANS:
+        assert scan(ctx) == []
+        assert any(ctx.format(a) in line for line in scan(bad)), scan.__name__
+
+
+def _counted(ctx, calls):
+    """A copy of ctx that counts its calls of each ring op."""
+
+    def counting(name):
+        real = getattr(type(ctx), name)
+
+        def op(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return op
+
+    ops = ("add", "neg", "sub", "mul", "scalar_mul", "nu")
+    return _overriding(ctx, **{name: counting(name) for name in ops})
+
+
+@pytest.mark.parametrize("ctx", [case[0] for case in PLANTED_VALUATIONS], ids=repr)
+@pytest.mark.parametrize("scan", VALUATION_SCANS, ids=lambda fn: fn.__name__)
+def test_scans_read_nu_once_per_element_and_run_no_ring_op(ctx, scan):
+    # sums, products and unit multiples come from the packed kernel; nu is
+    # read into a fresh table on each call, so a planted nu reaches the scan
+    calls = Counter()
+    counted = _counted(ctx, calls)
+    assert scan(counted) == []
+    assert calls == {"nu": ctx.size - 1}
+    assert scan(counted) == []
+    assert calls == {"nu": 2 * (ctx.size - 1)}
+
+
+@pytest.mark.parametrize("op, scan", list(zip(("mul", "add", "sub"), VALUATION_SCANS)), ids=("mul", "add", "sub"))
+def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, monkeypatch):
+    real = verify._element_kernel
+
+    def faulty(ctx):
+        K = real(ctx)
+        ops = {name: getattr(K, name) for name in ("pack", "unpack", "add", "sub", "mul", "scaled")}
+        inner = ops[op]
+        ops[op] = lambda a, b: inner(a, b) | 1 << 500
+        return SimpleNamespace(**ops)
+
+    monkeypatch.setattr(verify, "_element_kernel", faulty)
+    with pytest.raises(InvariantViolation, match="is no nonzero element of F4"):
+        scan(field_ring(4, 3))
 
 
 class TestSkippedChecks:
@@ -351,6 +406,19 @@ def _quotient_cotangent_zero(real, ctx):
     return lambda S: 0 if S.ctx == dst else real(S)
 
 
+def _whole_ring_shape(real, ctx):
+    return lambda S: real(closure(S.ctx, [S.ctx.monomial(1)]))
+
+
+def _census_less_its_last_row(real, ctx):
+    return lambda c, subs=None: real(c, subs)[:-1]
+
+
+def _prime_ring_shape_above(real, ctx):
+    # only subrings of the ring itself, so preimages, not their images
+    return lambda S: real(Subring.prime_ring(ctx)) if S.ctx == ctx else real(S)
+
+
 def _census_of_ring_plus_one(real, ctx):
     def census(c, subs=None):
         rows = real(c, subs)
@@ -381,11 +449,34 @@ PLANTED = [
     ("step-counts", Z_DESK, "census", _census_of_ring_plus_one, "truncated rings"),
     ("ideal-correspondence", Z_DESK, "ideal_data", _returning(max_rows=lambda d: d.square_rows), "maximal ideal differs"),
     ("projection-disjointness", F2_7, "project_subring", _projects_to_prime_ring, "hit from shapes"),
+    # more faults for the checks that report more than one kind of violation
+    ("realized-shapes", Z_DESK, "census", _census_less_its_last_row, "admissible but never realized"),
+    ("realized-shapes", F2_7, "exponent_set", _whole_ring_shape, "prime-ring containment disagrees"),
+    (
+        "lift-counts",
+        F2_7,
+        "restricted_extension",
+        _returning(kernel_in_small=lambda ext: True),
+        "kernel in obstruction but",
+    ),
+    ("lift-counts", F2_7, "lift_isomorphic", _returning(exists=lambda fam: False), "family reported empty"),
+    ("lift-counts", Z_DESK, "cotangent_dim", lambda real, ctx: lambda S: real(S) + 1, "lifts, expected"),
+    ("kernel-minimality", Z_DESK, "kernel_generator", lambda real, ctx: lambda c: c.monomial(0), "p * kernel"),
+    ("kernel-minimality", F2_7, "kernel_generator", lambda real, ctx: lambda c: c.zero(), "residue multiples"),
+    ("cotangent-propagation", F2_7, "exponent_set", _prime_ring_shape_above, "failed to propagate up"),
 ]
 CHECKS = {name: fn for suite in SUITES.values() for name, fn in suite}
 
 
-@pytest.mark.parametrize("check, ctx, name, plant, message", PLANTED, ids=[case[0] for case in PLANTED])
+def _case_ids(cases):
+    """Each case named by its check, a check's later cases numbered on."""
+    seen = Counter()
+    for case in cases:
+        seen[case[0]] += 1
+        yield case[0] if seen[case[0]] == 1 else f"{case[0]}-{seen[case[0]]}"
+
+
+@pytest.mark.parametrize("check, ctx, name, plant, message", PLANTED, ids=list(_case_ids(PLANTED)))
 def test_planted_fault_is_reported(check, ctx, name, plant, message, monkeypatch):
     def clear():
         for memo in (verify._subrings, verify._census, verify._lift_oracle):
