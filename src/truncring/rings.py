@@ -56,9 +56,10 @@ class _TruncPolyCtx:
     ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
     once quotient_ctx or extension_ctx has built them, so every subring of
     one level shares one context; ``_kernel`` holds kernel_generator's
-    element, ``_square`` what subrings.ideal_data reads of the ring (the
-    row p of m, the layout of the packed m^2 products) and ``_element`` the
-    packed element arithmetic of verify's pair scans, each once built.
+    element, ``_square`` what subrings.ideal_data and subrings.closure read
+    of the ring (the row p of m, how m^2 is formed and how a closure runs)
+    and ``_element`` the packed element arithmetic of verify's pair scans
+    and of closure's products, each once built.
     """
 
     __slots__ = (

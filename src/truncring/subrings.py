@@ -10,17 +10,21 @@ and the set of row valuations can be read straight off the pivots.
 Over Z/p^N one pass computes the Howell form (Howell, Spans in the module
 (Z_m)^s, 1986): _packed_howell, on rows packed into ints in the layout of
 their column caps (_layout, one per p and caps, built once).  _echelon
-reduces and packs the rows it is given, those of canonicalize, closure and
-the tagged rows of _lift_bases; the m^2 kernel hands it Kronecker
-products.  Fields keep _rref, and F_2 its XOR kernels.
+reduces and packs the rows it is given, those of canonicalize and the
+tagged rows of _lift_bases; the m^2 kernel hands it Kronecker products.
+The pass is an insertion phase and a finishing phase, and closure keeps
+one table of the insertion phase for a whole closure, over every ring
+whose coefficients are residues (Z/p^N and F_p; over F_2, the XOR
+insertion of _xor_echelon).  Fields keep _rref, and F_2 its XOR kernels.
 
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
 when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
 form is the echelon form, so Z[x]/(p, x^n) takes the field path.  base and
 p_image pick the row format (_packs).  Each ring's _SquareKernel picks,
-once, how m^2 is formed: XOR products on packed rows, Kronecker products
-where base is p, ring mul over F_q with q = p^e, e > 1; ideal_data has one
+once, how m^2 is formed and how closure closes: XOR products on packed
+rows, Kronecker products and the element kernel's products where base is
+p, ring mul over F_q with q = p^e, e > 1; ideal_data and closure have one
 path for every ring.  A row is checked once, where it enters (ctx._check),
 and never again.
 
@@ -135,12 +139,18 @@ def _echelon(ctx: RingCtx, rows, tags: int = 0):
     """Canonical basis of rows that carry `tags` extra columns after the n
     ring columns.  Over a field it is _rref's.  Over Z/p^N it is the Howell
     form: each row is reduced into the column caps, a tag column capped at
-    p, packed in the layout of those caps and echeloned by _packed_howell."""
+    p, packed in the layout of those caps (_packed_in) and echeloned by
+    _packed_howell."""
     if not ctx.p_image:
         return _rref(ctx.coeff, rows, ctx.n + tags)
     L = _layout(ctx.coeff.p, ctx.caps_log + (1,) * tags)
+    return _packed_howell(L, _packed_in(L, rows))
+
+
+def _packed_in(L, rows) -> list:
+    """The rows, each reduced into L's column caps, packed in L."""
     caps, w = L.caps, L.w
-    return _packed_howell(L, [_pack((x % c for x, c in zip(r, caps)), w) for r in rows])
+    return [_pack((x % c for x, c in zip(r, caps)), w) for r in rows]
 
 
 def canonicalize(ctx: RingCtx, rows):
@@ -254,8 +264,19 @@ def _unpack(v: int, width: int) -> Element:
 
 def _xor_echelon(rows) -> tuple[int, ...]:
     """The packed _rref: reduced echelon form over F_2, zero rows dropped,
-    rows in decreasing order (increasing pivot column)."""
-    lead = {}
+    rows in decreasing order (increasing pivot column).  It runs in two
+    phases: _xor_insert puts the rows into a lead table, bit length ->
+    row, and _xor_finish back-substitutes.  closure keeps one lead table
+    for a whole closure and runs the insertion phase on it round by
+    round."""
+    return _xor_finish(_xor_insert({}, rows))
+
+
+def _xor_insert(lead: dict, rows) -> dict:
+    """The insertion phase of _xor_echelon: each row is reduced by XOR with
+    the row of lead (bit length -> row) at its pivot bit until it is 0 or
+    leads a bit lead lacks, where it is kept.  Rows are only added, so the
+    span of lead grows by the rows' span.  Returns lead."""
     for r in rows:
         while r:
             b = r.bit_length()
@@ -264,6 +285,12 @@ def _xor_echelon(rows) -> tuple[int, ...]:
                 lead[b] = r
                 break
             r ^= s
+    return lead
+
+
+def _xor_finish(lead: dict) -> tuple[int, ...]:
+    """The finishing phase of _xor_echelon: the reduced echelon form of the
+    rows of lead, rows in decreasing order.  lead is left as it is."""
     out = []
     for b in sorted(lead):
         r = lead[b]
@@ -319,8 +346,9 @@ def _xor_lift_bases(n: int, w, small) -> list:
 # of two packed rows forms every coefficient of their product (Kronecker
 # substitution), and the right shift by w (n - 1) drops the degrees at or
 # past n.  The products stay packed through the Howell pass that echelons
-# them (_packed_howell), and so do the rows _echelon echelons over Z/p^N;
-# only the pass's few output rows become tuples.  verify's pair scans run on
+# them (_packed_howell), and so do the rows _echelon echelons over Z/p^N
+# and the rows of closure's kept table; only the pass's few output rows
+# become tuples.  verify's pair scans, and closure's products, run on
 # packed ring elements (_ElementKernel): in the same layout over residue
 # coefficients, and over F_q, q = p^e, e > 1, in one with 2e - 1 slots for
 # t-degrees per column, so a product in F_p[t][x] is one int multiply too;
@@ -369,36 +397,75 @@ def _layout(p: int, logs: tuple) -> _Layout:
 
 
 class _SquareKernel:
-    """How a ring forms m^2, picked once per ring (_square_kernel): head,
-    the rows of m before R's rows after the 1, (p,) over Z/p^N with N > 1
-    and () over a field, and square(m), m^2's canonical basis from the
-    products a b, a before or at b, of the rows of m.  square takes
-      - XOR products and _xor_echelon on packed F_2 rows (_packs);
-      - Kronecker products and _packed_howell over residue coefficients,
-        Z/p^N and F_p, where base is p, in the layout of the ring's caps;
-      - ring mul and _echelon over F_q with q = p^e, e > 1, whose products
-        are not residue products."""
+    """How a ring forms products of rows, picked once per ring
+    (_square_kernel): head, the rows of m before R's rows after the 1, (p,)
+    over Z/p^N with N > 1 and () over a field; square(m), m^2's canonical
+    basis from the products a b, a before or at b, of the rows of m; and
+    close(S, gens), closure's subring generated by S and the checked
+    generators.  They take
+      - XOR products (_xor_mul) on packed F_2 rows (_packs): square
+        echelons them by _xor_echelon, and close runs its rounds (_closed)
+        on one lead table, by _xor_insert and _xor_finish;
+      - over residue coefficients, Z/p^N and F_p, where base is p, in the
+        layout of the ring's caps: Kronecker products, which square
+        echelons by _packed_howell, and close runs its rounds on one
+        Howell table, by _howell_insert and _howell_finish, multiplying
+        rows with the ring's _element_kernel, whose products are reduced;
+      - ring mul over F_q with q = p^e, e > 1, whose products are not
+        residue products: square echelons them by _echelon, and close runs
+        rounds of tuple rows (_ring_mul_close)."""
 
-    __slots__ = ("head", "square")
+    __slots__ = ("head", "square", "close")
 
     def __init__(self, ctx: RingCtx):
         n, p = ctx.n, ctx.coeff.p
         self.head = (ctx.monomial(0, ctx.p_image),) if ctx.p_image else ()
         if _packs(ctx):
             self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
+
+            def xor_close(S, gens):
+                # the pivot of column 0, the row 1, has bit length n
+                lead = _closed(
+                    {r.bit_length(): r for r in S._rows},
+                    list(map(_pack, gens)),
+                    _xor_insert,
+                    lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows],
+                    n,
+                )
+                return Subring._from_packed(ctx, _xor_finish(lead))
+
+            self.close = xor_close
             return
         if ctx.base != p:
             self.square = lambda m: _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+            self.close = functools.partial(_ring_mul_close, ctx)
             return
         L = _layout(p, ctx.caps_log)
         # shifts[0] = w (n - 1), the shift that drops the degrees at or past n
-        w, cut = L.w, L.shifts[0]
+        w, cut, C = L.w, L.shifts[0], L.C
 
         def kronecker_square(m):
             packed = [_pack(r, w) for r in m]
             return _packed_howell(L, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
 
+        def howell_close(S, gens):
+            mul = _element_kernel(ctx).mul
+
+            def products(new, rows):
+                rows = [P for _, _, P in rows]
+                return [mul(P, b) for _, _, P in new for b in rows]
+
+            # S's canonical basis as a finished table: each row at its pivot
+            # column, with the table's entry (p^a, C[c] - P, P)
+            table = {}
+            for r in S._rows:
+                c, P = _lead(r), _pack(r, w)
+                table[c] = (r[c], C[c] - P, P)
+            _closed(table, _packed_in(L, gens), functools.partial(_howell_insert, L), products, 0)
+            return Subring(ctx, _howell_finish(L, table))
+
         self.square = kronecker_square
+        self.close = howell_close
 
 
 def _square_kernel(ctx: RingCtx) -> _SquareKernel:
@@ -425,7 +492,8 @@ def _less_caps(C: int, slots, width: int):
 
 class _ElementKernel:
     """Packed arithmetic on a ring's elements, for scans over every pair of
-    them (verify's valuation suite): pack and unpack, and add, sub, mul and
+    them (verify's valuation suite) and, where base is p, for closure's
+    products of table rows: pack and unpack, and add, sub, mul and
     scaled (u, a) -> u a on packed elements.  Every packed element is
     reduced, so two are equal exactly when the elements are, and 0 is 0.
     Picked from the ring's facts, once per ring (_element_kernel):
@@ -524,29 +592,37 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     in the layout L, whose n columns, tag columns included, hold integers
     in [0, n (cap - 1)^2], cap the largest of L's caps: the Kronecker bound
     on the coefficients of a product of two reduced rows (the m^2 kernel of
-    _SquareKernel), and above every entry of a reduced row (_echelon).
+    _SquareKernel), and above every entry of a reduced row (_echelon,
+    closure).  It runs in two phases: _howell_insert puts the rows into a
+    table of pivot rows, column c -> (pivot entry p^a, C[c] - P, P), and
+    _howell_finish unpacks the table and back-reduces it.  closure keeps
+    one table for a whole closure and runs the insertion phase on it round
+    by round.
 
-    Each row is inserted into a table of pivot rows keyed by column.  Its
-    lead column c is read off its bit length.  A lead entry that is 0 mod
-    caps[c] is cleared by masking it off.  Otherwise, with a pivot P of
-    entry p^a at c and v = the entry mod caps[c] divisible by p^a, the row
-    gains (v / p^a) (C[c] - P): that is the row less (v / p^a) P in every
-    column, and it leaves an exact multiple of caps[c] at c, which the mask
-    clears.  A row with no pivot at c, or of lower valuation there, becomes
-    the pivot: normalized so its entry is p^b, its columns reduced, and its
-    annihilator p^(logs[c] - b) row queued; the pivot it displaces goes on
-    being inserted.  The output rows are unpacked in column order and each
+    Each row is inserted into the table.  Its lead column c is read off its
+    bit length.  A lead entry that is 0 mod caps[c] is cleared by masking
+    it off.  Otherwise, with a pivot P of entry p^a at c and v = the entry
+    mod caps[c] divisible by p^a, the row gains (v / p^a) (C[c] - P): that
+    is the row less (v / p^a) P in every column, and it leaves an exact
+    multiple of caps[c] at c, which the mask clears.  A row with no pivot
+    at c, or of lower valuation there, becomes the pivot: normalized so its
+    entry is p^b, its columns reduced, and its annihilator
+    p^(logs[c] - b) row queued; the pivot it displaces goes on being
+    inserted.  The output rows are unpacked in column order and each
     reduces the rows above it into [0, pivot) at its column.
 
-    The pass keeps the span: it adds multiples of pivots, scales by units
-    and queues multiples of pivots.  Its output has the Howell property.
-    The final pivot P at c, entry p^b, had its annihilator
-    p^(logs[c] - b) P queued (unless it is 0, when b = 0), which is 0 at
-    c, so that multiple lies in the span of the final rows led past c (a
-    row led past c leaves the table only to be reduced by one led past c,
-    so their span only grows).  Then a member led at or past c is a sum of
-    rows led at or past c: in a sum of the rows, a first row led before c
-    has a coefficient that kills its pivot, so it contributes a multiple
+    The insertion keeps the span: it adds multiples of pivots, scales by
+    units and queues multiples of pivots, so the table's span grows by the
+    rows'.  Its output has the Howell property.  The final pivot P at c,
+    entry p^b, had its annihilator p^(logs[c] - b) P queued (unless it is
+    0, when b = 0), or stood in the table before the insertion began, in a
+    table with the Howell property (closure's start, a canonical basis),
+    where that annihilator already lies in the span of the rows led past
+    c.  It is 0 at c, so it lies in the span of the final rows led past c
+    (a row led past c leaves the table only to be reduced by one led past
+    c, so their span only grows).  Then a member led at or past c is a sum
+    of rows led at or past c: in a sum of the rows, a first row led before
+    c has a coefficient that kills its pivot, so it contributes a multiple
     of its annihilator.  So the output is the Howell form, which is unique
     (Howell, Spans in the module (Z_m)^s, 1986).
 
@@ -561,8 +637,13 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     max(n (cap - 1)^2, cap^2 / 2) + (n - 1)(cap - 1) cap < 2 n cap^2 < 2^w.
     Only the lead column grows past that, inside one step, and the mask
     clears it whole."""
+    return _howell_finish(L, _howell_insert(L, {}, rows))
+
+
+def _howell_insert(L: _Layout, table: dict, rows) -> dict:
+    """The insertion phase of _packed_howell: the rows inserted into table,
+    column -> (pivot entry p^a, C[c] - P, P), which it returns."""
     p, caps, logs, shifts, col, low, C = L.p, L.caps, L.logs, L.shifts, L.col, L.low, L.C
-    table = {}  # column -> (pivot entry p^a, C[c] - P, P)
     work = [r for r in rows if r]
     while work:
         r = work.pop()
@@ -585,6 +666,14 @@ def _packed_howell(L: _Layout, rows) -> tuple:
             if b:
                 work.append(new * p ** (logs[c] - b))
             r = piv[2] if piv is not None else 0
+    return table
+
+
+def _howell_finish(L: _Layout, table: dict) -> tuple:
+    """The finishing phase of _packed_howell: the table's rows unpacked in
+    column order, each reducing the rows above it into [0, pivot) at its
+    column.  table is left as it is."""
+    caps, shifts = L.caps, L.shifts
     n, fm = len(shifts), (1 << L.w) - 1
     out = []
     for c in sorted(table):
@@ -693,25 +782,68 @@ class Subring:
 def closure(ctx, gens) -> Subring:
     """Smallest unital subring containing the generators.  ctx is either
     the ring, whose prime ring the generators are adjoined to, or a
-    subring S of it, to which they are adjoined (closure_bfs's step).
+    subring S of it, to which they are adjoined (closure_bfs's step).  The
+    ring's _SquareKernel picks, once, how its rows are echeloned and
+    multiplied: packed rows in one kept echelon table (_closed) wherever
+    the coefficients are residues, tuple rounds over F_q with q = p^e,
+    e > 1 (_ring_mul_close).
 
-    Only products not formed before are formed.  Each round holds a
-    canonical basis B and fresh rows F with span(B)^2 ⊆ B + span(F),
-    first with B the basis of the prime ring or of S, which is closed, and
-    F the generators.  The round reduces F against B and drops the zeros;
-    if none is left, span(B) is closed.  Otherwise B' is the canonical
-    basis of B + F, and the next fresh rows are the products f b, f in F,
-    b in B'.  That keeps the invariant: (B + F)^2 = B^2 + F (B + F) ⊆
-    B + F (B + F), and B ⊆ B' while those products span F (B + F).  Every
-    member of the result is a sum of products of the generators and of
-    members of the start, so it lies in every subring containing them.
+    Only products not formed before are formed, and on packed rows the
+    echelon table is kept from round to round, so only the fresh rows are
+    inserted.  The table starts as the canonical basis of S, or of the
+    prime ring, which is closed, entered as a finished table, with no
+    insertion: a canonical basis has the Howell property, so every
+    annihilator that was never queued already lies in the span of the
+    rows led past its column, as _packed_howell's proof needs.  Each
+    generator is reduced into the column caps before it is packed.
+
+    The invariant: with T the table's span and F the fresh rows,
+    T^2 ⊆ T + span(F), first with F the generators.  A round inserts F,
+    and N is the table entries new after it, compared by identity with a
+    snapshot taken before it; K, the old entries still in the table, lie
+    in T_old.  If N is empty the table did not change, so T is closed and
+    is the result, finished into its canonical basis.  Otherwise
+    T_new = T_old + span(F) and T_old^2 ⊆ T_new, so
+    T_new^2 = span(K)^2 + span(N) T_new ⊆ T_new + span(N x rows), and the
+    next fresh rows are N x rows, rows every table row but column 0's
+    pivot.  That pivot is 1: no row displaces it, as 1 divides every
+    entry, and its products are their other factor, already in the table.
+    Every member of the result is a sum of products of the generators and
+    of members of the start, so it lies in every subring containing them.
     Only the generators are checked; later rows are reduced or products."""
     if isinstance(ctx, Subring):
-        ctx, basis = ctx.ctx, ctx.basis
+        S, ctx = ctx, ctx.ctx
     else:
-        basis = (ctx.one(),)
-    fresh = list(gens)
-    ctx._check(*fresh)
+        S = Subring.prime_ring(ctx)
+    gens = list(gens)
+    ctx._check(*gens)
+    return _square_kernel(ctx).close(S, gens)
+
+
+def _closed(table: dict, fresh: list, insert, products, one) -> dict:
+    """closure's rounds on a kept echelon table: insert(table, rows) adds
+    rows to it, products(new, rows) forms the products of the new entries
+    with the others, and one is the key of column 0's pivot, 1.  Returns
+    the table, closed; the proof is closure's."""
+    while True:
+        old = dict(table)
+        insert(table, fresh)
+        new = [e for c, e in table.items() if e is not old.get(c)]
+        if not new:
+            return table
+        fresh = products(new, [e for c, e in table.items() if c != one])
+
+
+def _ring_mul_close(ctx: RingCtx, S: Subring, gens) -> Subring:
+    """closure over F_q with q = p^e, e > 1, on tuple rows.  Each round
+    holds a canonical basis B and fresh rows F with span(B)^2 ⊆ B + span(F),
+    first with B the basis of S and F the generators.  The round reduces F
+    against B and drops the zeros; if none is left, span(B) is closed.
+    Otherwise B' is the canonical basis of B + F, and the next fresh rows
+    are the products f b, f in F, b in B'.  That keeps the invariant:
+    (B + F)^2 = B^2 + F (B + F) ⊆ B + F (B + F), and B ⊆ B' while those
+    products span F (B + F)."""
+    basis, fresh = S.basis, gens
     while True:
         fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
         if not fresh:

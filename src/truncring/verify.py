@@ -120,10 +120,22 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
     dom = ctx.domain
     K, valued, nu = _valued_elements(ctx)
     mul, fmt = K.mul, lambda r: ctx.format(K.unpack(r))
+    # the sums, formed once and read by position: sums[i][j] is
+    # pts[i] + pts[j], None where undefined, pts the domain's points and
+    # then any valuation that is none of them (a faulty nu's)
+    pts = list(dom.points)
+    at = {pt: i for i, pt in enumerate(pts)}
+    for _, v in valued:
+        if v not in at:
+            at[v] = len(pts)
+            pts.append(v)
+    sums = [[dom.add(s, t) for t in pts] for s in pts]
+    valued = [(a, va, at[va]) for a, va in valued]
     # add and mul commute, so each unordered pair is tested once
-    for i, (a, va) in enumerate(valued):
-        for b, vb in valued[i:]:
-            s = dom.add(va, vb)
+    for i, (a, va, ia) in enumerate(valued):
+        row = sums[ia]
+        for b, vb, ib in valued[i:]:
+            s = row[ib]
             if s is None:
                 continue
             ab = mul(a, b)

@@ -5,10 +5,12 @@ what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
 own twice; the sibling rule reads only ring facts and has one reader, the
 family step the walk and the census share; each ring picks its m^2
-kernel once; the library has one Howell pass, with two callers; no
-private helper outlives its last caller, and no public function or
-method goes unreferenced; and every name the benchmark's tracer wraps
-exists where it looks."""
+kernel and its closure path once, and closure tests no row format; the
+library has one Howell pass, with two callers, and each packed row format
+one insertion loop, which closure's kept tables share; no private helper
+outlives its last caller, and no public function or method goes
+unreferenced; and every name the benchmark's tracer wraps exists where it
+looks."""
 
 import ast
 import importlib
@@ -99,6 +101,18 @@ def _callers(module, name):
     }
 
 
+def _referrers(module, name):
+    """The module-level functions and classes of a package module that
+    refer to name, calling it or handing it on, their own definition
+    aside."""
+    tree = ast.parse((SRC / module).read_text())
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name != name and name in _names(node)
+    }
+
+
 def test_one_walk_step():
     # the walk and the enumeration's top extend a family through _step,
     # which checks each family's size, so neither makes families its own way;
@@ -123,10 +137,13 @@ def test_one_family_step_decides_sharing():
 
 
 def test_each_ring_picks_its_square_kernel_once():
-    # _SquareKernel picks a ring's m^2 products when it is built, so
-    # ideal_data has one path and asks no ring for its row format
+    # _SquareKernel picks a ring's m^2 products and its closure path when
+    # it is built, so ideal_data has one path and asks no ring for its row
+    # format; the XOR products of m^2 and of closure's rounds on packed F_2
+    # rows are both formed there
     assert "_packs" not in _names(_function("subrings.py", "ideal_data"))
     assert _callers("subrings.py", "_xor_mul") == {"_SquareKernel"}
+    assert _callers("subrings.py", "_closed") == {"_SquareKernel"}
 
 
 RING_FACTS = {"n", "base", "caps_log", "caps", "p_image", "domain"}
@@ -152,7 +169,8 @@ def test_sibling_rule_reads_only_ring_facts():
 def test_one_howell_pass():
     # the library has one Howell pass: _echelon runs it on Z/p^N rows, with
     # or without tag columns, and the m^2 kernel on its Kronecker products;
-    # the tuple pass lives on in the tests only, as their oracle
+    # the closure path of the ring's kernel runs its two phases on one kept
+    # table; the tuple pass lives on in the tests only, as their oracle
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
     assert trees and not [t for t in trees if "_howell" in _names(t)]
     assert not [
@@ -162,6 +180,34 @@ def test_one_howell_pass():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
     ]
     assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_SquareKernel"}
+    for phase in ("_howell_insert", "_howell_finish"):
+        assert _referrers("subrings.py", phase) == {"_packed_howell", "_SquareKernel"}
+
+
+def test_closure_asks_no_ring_its_row_format():
+    # the ring's kernel picks closure's path once: closure itself tests no
+    # row format or base, and hands the checked generators to the kernel
+    names = _names(_function("subrings.py", "closure"))
+    assert not names & {"_packs", "base", "p_image", "coeff"}
+    assert "_square_kernel" in names
+
+
+def test_each_insertion_loop_exists_once():
+    # a packed row is inserted by reading its pivot off its bit length, in
+    # one loop per row format that the m^2 kernel, _echelon and closure
+    # share: _xor_insert on F_2 rows and _howell_insert in the Howell layout
+    found = Counter(
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        for loop in ast.walk(node)
+        if isinstance(loop, ast.While)
+        and any(isinstance(a, ast.Attribute) and a.attr == "bit_length" for a in ast.walk(loop))
+    )
+    assert set(found) == {"subrings.py:_xor_insert", "subrings.py:_howell_insert"}
+    for phase in ("_xor_insert", "_xor_finish"):
+        assert _referrers("subrings.py", phase) == {"_xor_echelon", "_SquareKernel"}
 
 
 def test_one_output_point():

@@ -1473,11 +1473,13 @@ class TestPackedPaths:
         # the counters do count
         small = field_ring(2, 4)
         enumerate_subrings(small)[-1].basis
-        closure(small, [small.parse("x")])
+        x = small.parse("x")
+        small.mul(x, x)
         assert counts["basis"] == 1 and counts["mul"]
         before = counts["mul"]
         small = zpn_ring(2, 1, 4)
-        closure(small, [small.parse("x")])
+        x = small.parse("x")
+        small.mul(x, x)
         assert counts["mul"] > before
 
 
@@ -1716,8 +1718,9 @@ class TestQuotientStepsFromParent:
         assert counts["canonicalize"] == 0
         # the counters do count
         small = zpn_ring(2, 2, 2)
-        closure(small, [small.parse("x")])
-        subrings.canonicalize(small, [small.parse("x")])
+        x = small.parse("x")
+        small.mul(x, x)
+        subrings.canonicalize(small, [x])
         assert counts["mul"] and counts["canonicalize"]
 
     @pytest.mark.parametrize(
@@ -1737,7 +1740,8 @@ class TestQuotientStepsFromParent:
         assert sum(r.count for r in census(ctx)) == total
         assert counts["mul"] == 0
         # the counters do count
-        closure(ctx, [ctx.parse("x")])
+        x = ctx.parse("x")
+        ctx.mul(x, x)
         assert counts["mul"]
 
     @pytest.mark.parametrize(
@@ -1992,20 +1996,66 @@ BFS_RINGS = [
     field_ring(4, 4),
     zpn_ring(3, 1, 5),
     zpn_ring(2, 2, 4, 1),
+    zpn_ring(2, 2, 5),
+    zpn_ring(2, 3, 4, 2),
 ]
+
+# every path the ring's kernel picks for closure: XOR rounds on packed F_2
+# rows, the Howell table at p = 2 with a k-step cap and at odd p, and the
+# tuple rounds over F_q with q = p^e, e > 1
+CLOSURE_RINGS = [
+    field_ring(2, 7),
+    zpn_ring(2, 1, 6),
+    zpn_ring(2, 2, 4, 1),
+    zpn_ring(2, 3, 4, 2),
+    field_ring(3, 5),
+    field_ring(5, 4),
+    zpn_ring(3, 2, 3, 1),
+    field_ring(4, 4),
+    field_ring(9, 3),
+]
+
+
+def closure_gens(ctx, data):
+    """One to three generators; over Z/p^N, N > 1, their entries range past
+    the column caps, negative ones included, as the entry rule reads them
+    as residues."""
+    if not ctx.p_image:
+        return random_rows(ctx, data)
+    wide = 2 * max(ctx.caps)
+    el = st.tuples(*(st.integers(-wide, wide) for _ in range(ctx.n)))
+    return data.draw(st.lists(el, min_size=1, max_size=3))
+
+
+def assert_closure_matches_pairwise_products(ctx, data):
+    """closure of drawn generators, from the ring and adjoined to the
+    closure of some of them, as closure_bfs does, against the oracle."""
+    gens = closure_gens(ctx, data)
+    want = pairwise_closure(ctx, gens)
+    assert closure(ctx, gens).basis == want
+    split = data.draw(st.integers(0, len(gens)))
+    S = closure(ctx, gens[:split])
+    assert closure(S, gens[split:]).basis == want
 
 
 class TestIncrementalClosure:
     @given(st.sampled_from(WALK_RINGS), st.data())
     @settings(max_examples=60, deadline=None)
     def test_closure_matches_pairwise_products(self, ctx, data):
-        gens = random_rows(ctx, data)
-        want = pairwise_closure(ctx, gens)
-        assert closure(ctx, gens).basis == want
-        # adjoined to a closed subring, as closure_bfs does
-        split = data.draw(st.integers(0, len(gens)))
-        S = closure(ctx, gens[:split])
-        assert closure(S, gens[split:]).basis == want
+        assert_closure_matches_pairwise_products(ctx, data)
+
+    @pytest.mark.parametrize("ctx", CLOSURE_RINGS, ids=repr)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_closure_matches_pairwise_products_on_every_path(self, ctx, data):
+        assert_closure_matches_pairwise_products(ctx, data)
+
+    @pytest.mark.parametrize("ctx", [field_ring(2, 7), zpn_ring(2, 2, 4, 1), field_ring(3, 5)], ids=repr)
+    def test_no_generators_leave_a_subring_as_it_is(self, ctx):
+        # the table starts as the subring's canonical basis, finished
+        for S in enumerate_subrings(ctx):
+            T = closure(S, [])
+            assert T == S and T.basis == S.basis
 
     @pytest.mark.parametrize("ctx", BFS_RINGS, ids=repr)
     def test_closure_bfs_matches_the_walk_and_the_scan(self, ctx):
@@ -2013,6 +2063,22 @@ class TestIncrementalClosure:
         assert enumerate_subrings(ctx, "closure_bfs") == subs
         if not ctx.p_image:
             assert enumerate_subrings(ctx, "subspace_scan") == subs
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [field_ring(2, 6), zpn_ring(2, 1, 5), zpn_ring(2, 2, 4, 1), field_ring(3, 4), zpn_ring(3, 2, 3, 1)],
+        ids=repr,
+    )
+    def test_residue_rings_close_with_no_ring_mul_or_echelon(self, ctx, monkeypatch):
+        # where base is p, closure multiplies and echelons packed rows only
+        subs = enumerate_subrings(ctx)
+
+        def refuse(*args):
+            raise AssertionError("closure reached ring mul or _echelon")
+
+        monkeypatch.setattr(type(ctx), "mul", refuse)
+        monkeypatch.setattr(subrings, "_echelon", refuse)
+        assert enumerate_subrings(ctx, "closure_bfs") == subs
 
 
 class TestPackedProjection:

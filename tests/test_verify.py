@@ -179,6 +179,16 @@ def test_unordered_pair_scans_report_a_planted_valuation(ctx, elem, wrong):
         assert any(ctx.format(a) in line for line in scan(bad)), scan.__name__
 
 
+def test_strict_scan_reports_a_valuation_outside_the_domain():
+    # (2, 1) is no point of Z[x]/(3^2, x^3, 3x^2), whose top column stops
+    # at 3^1: the table of domain sums gives it a place too, so the scan
+    # reports the pairs it spoils instead of failing
+    ctx = zpn_ring(3, 2, 3, 1)
+    assert not ctx.domain.contains((2, 1))
+    bad = verify.check_valuation_strict(_planted(ctx, ctx.parse("x + x^2"), (2, 1)))
+    assert bad and all("(2, 1)" in line for line in bad)
+
+
 def _counted(ctx, calls):
     """A copy of ctx that counts its calls of each ring op."""
 
