@@ -67,14 +67,18 @@ obstruction module m^2 + pR is m^2 + (p), as p times a row of m lies in
 m^2, and its Howell form is the row p, then m^2's rows that are 0 in
 column 0.  The kernel generator lies in it iff it has a pivot in the top
 column, and when it does not, the lift complement follows from its pivots
-and the kernel's.  Ring mul, canonicalize and in_row_span stay the
-reference.
+and the kernel's.  Where the kernel generator's valuation is a sum of two
+nonzero valuations of the preimage, the kernel generator lies in m^2, and
+the step forms no m^2 at all (_kernel_is_a_product).  Ring mul,
+canonicalize and in_row_span stay the reference.
 
-Cotangent dimensions are carried down the walk, not computed: the prime
-ring has d = 0, a preimage R of B has d(R) = d(B) + [z not in m_R^2 + pR]
-(the proof is in restricted_extension), and a lift has d(B).  So neither
-the census nor the enumeration calls cotangent_dim, which stays the one
-direct computation and the oracle.
+Cotangent dimensions and exponent points are carried down the walk, not
+computed: the prime ring has d = 0 and the domain's zero column, a
+preimage R of B has d(R) = d(B) + [z not in m_R^2 + pR] (the proof is in
+restricted_extension) and B's points plus nu(z) (_preimage), and a lift
+has d(B) and B's points.  So neither the census nor the enumeration calls
+cotangent_dim, which stays the one direct computation and the oracle, or
+reads points off rows.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .coefficients import FieldCtx
 from .errors import CtxMismatch, InvariantViolation, NotAQuotient, OutOfFamily, TooLarge
 from .rings import (
     Element,
@@ -700,31 +705,35 @@ class Subring:
     _packs(ctx), the basis tuples otherwise.  basis gives the tuples; for
     packed rows they are unpacked on first read.
 
-    The cotangent dimension is memoised: the prime ring and every subring
-    the quotient-chain walk makes carry it (see restricted_extension), and
-    any other subring computes it with cotangent_dim on first use.
+    The cotangent dimension and the exponent points are memoised: the
+    prime ring and every subring the quotient-chain walk makes carry them
+    (see restricted_extension and _preimage), and any other subring
+    computes them, with cotangent_dim and _points_of_rows, on first use.
     """
 
-    __slots__ = ("ctx", "_rows", "_basis", "_cotangent")
+    __slots__ = ("ctx", "_rows", "_basis", "_cotangent", "_points")
 
-    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None):
+    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None, points: tuple | None = None):
         self.ctx = ctx
         self._basis = tuple(tuple(r) for r in basis)
         self._rows = tuple(map(_pack, self._basis)) if _packs(ctx) else self._basis
         self._cotangent = cotangent
+        self._points = points
 
     @classmethod
-    def _from_packed(cls, ctx: RingCtx, rows: tuple[int, ...], cotangent: int | None = None):
+    def _from_packed(cls, ctx: RingCtx, rows: tuple[int, ...], cotangent: int | None = None, points=None):
         """The subring with these canonical packed rows (see _packs)."""
         S = cls.__new__(cls)
-        S.ctx, S._rows, S._basis, S._cotangent = ctx, rows, None, cotangent
+        S.ctx, S._rows, S._basis, S._cotangent, S._points = ctx, rows, None, cotangent, points
         return S
 
     @classmethod
     def prime_ring(cls, ctx: RingCtx) -> "Subring":
         """The span of 1: the image of the prime coefficient ring.  (1,) is
-        its canonical basis, and its m/(m^2 + pR) is 0."""
-        return cls(ctx, (ctx.one(),), 0)
+        its canonical basis, its m/(m^2 + pR) is 0, and its valuations are
+        the domain's zero column: 0, or (0, 0), ..., (0, N-1) over Z/p^N,
+        where p^j has valuation (0, j)."""
+        return cls(ctx, (ctx.one(),), 0, ctx.domain.zero_column)
 
     @property
     def basis(self) -> tuple[Element, ...]:
@@ -873,6 +882,15 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
 
 
 def _exponent_points(S: Subring) -> tuple:
+    """The sorted valuation points of S, memoised: the walk carries them
+    (see _preimage and lift_isomorphic), and any other subring reads them
+    off its rows (_points_of_rows) on first use."""
+    if S._points is None:
+        S._points = _points_of_rows(S)
+    return S._points
+
+
+def _points_of_rows(S: Subring) -> tuple:
     """The sorted valuation points read off the canonical basis: each row
     contributes its own valuation and, when p != 0, those of its multiples
     by powers of p that keep the pivot.  A packed row's valuation is the
@@ -890,7 +908,8 @@ def _exponent_points(S: Subring) -> tuple:
 
 
 def exponent_set(S: Subring) -> Shape:
-    """Valuations of the nonzero members, read off the canonical basis.
+    """Valuations of the nonzero members, as the walk carries them or read
+    off the canonical basis (_exponent_points).
 
     Over a field these are exactly the pivot columns; over Z/p^N each row
     with pivot p^a in column c contributes the points (c, a), ..., up to
@@ -964,14 +983,22 @@ def cotangent_dim(S: Subring) -> int:
 @dataclass(frozen=True)
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
-    with the kernel generated by kernel_gen; src_ideal is ideal_data(src).
+    with the kernel generated by kernel_gen; src_ideal is ideal_data(src),
+    kept from the m^2 pass that decided kernel_in_small, or computed on
+    first read where the valuation test decided it without one.
     restricted_extension builds it."""
 
     src: Subring
     dst: Subring
     kernel_gen: Element
     kernel_in_small: bool
-    src_ideal: IdealData
+    _ideal: IdealData | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def src_ideal(self) -> IdealData:
+        if self._ideal is None:
+            object.__setattr__(self, "_ideal", ideal_data(self.src))
+        return self._ideal
 
 
 def _lift_row(src_ctx: RingCtx, row) -> Element:
@@ -982,12 +1009,19 @@ def _lift_row(src_ctx: RingCtx, row) -> Element:
 
 def _preimage(B: Subring) -> Subring:
     """The preimage R of B under the one-step quotient onto B's ring, its
-    canonical basis written down from B's rows."""
+    canonical basis written down from B's rows.
+
+    R carries its exponent points: B's, then nu(z), the largest point of
+    R's domain.  Proof: R maps onto B with kernel span(z), z the step's
+    kernel generator, whose nonzero members all have valuation nu(z).  The
+    quotient map keeps the valuation of every member outside span(z), so
+    R's valuations are B's plus nu(z), the point the quotient step drops."""
     src_ctx = extension_ctx(B.ctx)
+    points = _exponent_points(B) + (src_ctx.domain.points[-1],)
     if _packs(src_ctx):
         # over a field each step adds the column n-1, where z = x^(n-1) is
         # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
-        return Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,))
+        return Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,), points=points)
     # R contains the kernel span(z), and the top-column entries of B's rows
     # already lie in [0, pivot), so B's rows lifted, then z, are R's
     # canonical basis.  Only on a k-step where B has a pivot in the top
@@ -995,15 +1029,43 @@ def _preimage(B: Subring) -> Subring:
     rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
     if not _has_top_pivot(src_ctx, rows):
         rows += (kernel_generator(src_ctx),)
-    return Subring(src_ctx, rows)
+    return Subring(src_ctx, rows, points=points)
 
 
-def _extension(B: Subring, R: Subring, data: IdealData) -> MinimalExtension:
-    """The extension R -> B, R = _preimage(B) and data = ideal_data(R).
-    z = p^(k-1) x^(n-1) (x^(n-1) over a field) is a multiple of every
-    nonzero element with column n-1 alone, so the obstruction module holds
-    z iff it has a member led by column n-1, iff it has a pivot there."""
-    in_small = _has_top_pivot(R.ctx, data.small_rows)
+@functools.cache
+def _top_splits(domain) -> tuple:
+    """The pairs (u, v), u before or at v, of nonzero points of the domain
+    whose sum is its largest point.  One tuple per domain met."""
+    top = domain.points[-1]
+    pts = [u for u in domain.points if u != domain.zero]
+    return tuple((u, v) for i, u in enumerate(pts) for v in pts[i:] if domain.add(u, v) == top)
+
+
+def _kernel_is_a_product(R: Subring) -> bool:
+    """Whether nu(z), z the kernel generator of the step out of R's ring,
+    is a sum of two valuations of members of m_R, read off R's exponent
+    points.  When it is, z lies in m_R^2.
+
+    Proof: valuations add inside the domain.  Over F_q, nu(ab) =
+    nu(a) + nu(b) when that is below n.  Over Z/p^N, with nu(a) = (c, α)
+    and nu(b) = (d, β), ab is 0 below column c + d and holds
+    p^(α+β) times a unit there, which is nonzero exactly when (c + d, α + β)
+    is a point of the grid.  The members of R with a nonzero valuation are
+    the members of m_R, so if nu(z) = u + v with u, v nonzero points of R,
+    some product ab of members of m_R has valuation nu(z).  It is then
+    alone in column n-1, where z is, so ab is a unit multiple of z and z
+    lies in m_R^2 ⊆ m_R^2 + pR.  The unit point 0 is no summand: every
+    point is 0 + itself, and no member of valuation 0 lies in m_R."""
+    pts = set(_exponent_points(R))
+    for u, v in _top_splits(R.ctx.domain):
+        if u in pts and v in pts:
+            return True
+    return False
+
+
+def _extension(B: Subring, R: Subring, in_small: bool, data: IdealData | None = None) -> MinimalExtension:
+    """The extension R -> B, R = _preimage(B), with its kernel bit and,
+    when given, data = ideal_data(R)."""
     R._cotangent = B.cotangent + (not in_small)
     return MinimalExtension(R, B, kernel_generator(R.ctx), in_small, data)
 
@@ -1012,16 +1074,28 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     """The preimage R of B under the one-step quotient onto B's ring,
     packaged as the extension R -> B.
 
-    R carries its cotangent dimension d(R) = d(B) + [z not in m_R^2 + pR],
-    the bit being the kernel test made here.  Proof: R -> B is onto with
-    kernel span(z), and it maps m_R onto m_B, m_R^2 onto m_B^2 and pR onto
-    pB, so it induces a surjection m_R/(m_R^2 + pR) -> m_B/(m_B^2 + pB).
-    An element of m_R maps into m_B^2 + pB iff it lies in
-    m_R^2 + pR + span(z), so the kernel is the image of span(z): 0 when z
-    lies in m_R^2 + pR, else one-dimensional, as m z = 0.
+    The kernel bit, whether z lies in the obstruction module m_R^2 + pR,
+    is decided here, the one place: by the valuation test
+    (_kernel_is_a_product) where it fires, which needs no echelon pass and
+    leaves ideal_data(R) to the first read of src_ideal, and by the m^2
+    pass otherwise.  z = p^(k-1) x^(n-1) (x^(n-1) over a field) is a
+    multiple of every nonzero element with column n-1 alone, so the
+    obstruction module holds z iff it has a member led by column n-1, iff
+    its canonical basis has a pivot there.
+
+    R carries its cotangent dimension d(R) = d(B) + [z not in m_R^2 + pR].
+    Proof: R -> B is onto with kernel span(z), and it maps m_R onto m_B,
+    m_R^2 onto m_B^2 and pR onto pB, so it induces a surjection
+    m_R/(m_R^2 + pR) -> m_B/(m_B^2 + pB).  An element of m_R maps into
+    m_B^2 + pB iff it lies in m_R^2 + pR + span(z), so the kernel is the
+    image of span(z): 0 when z lies in m_R^2 + pR, else one-dimensional,
+    as m z = 0.
     """
     R = _preimage(B)
-    return _extension(B, R, ideal_data(R))
+    if _kernel_is_a_product(R):
+        return _extension(B, R, True)
+    data = ideal_data(R)
+    return _extension(B, R, _has_top_pivot(R.ctx, data.small_rows), data)
 
 
 @dataclass(frozen=True)
@@ -1046,7 +1120,7 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
     a pivot, and editing that column row by row keeps the normal form.
     Rows whose edit is zero are shared between the lifts.
     """
-    n, d = ctx.n, len(w)
+    n, d, base = ctx.n, len(w), ctx.base
     K = ctx.coeff
     tagged = [ctx.one() + (0,) * d]
     tagged += [wi + tuple(int(i == j) for j in range(d)) for i, wi in enumerate(w)]
@@ -1056,22 +1130,30 @@ def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
         raise InvariantViolation("the kernel column of a lift family carries a pivot")
     rows = [row[:n] for row in basis]
     tags = [(i, row[n:]) for i, row in enumerate(basis) if any(row[n:])]
-    # Over F_q, top = 1 and the cap is q, so the final % keeps the entry.
-    # Over Z/p^N, tags and c lie in [0, p), top = p^(k-1) and the cap is
-    # p^k, so f matters mod p only and K's mod-p^N arithmetic agrees.
+    # f_c is read from the residue field's tables.  Over F_q, top = 1 and
+    # the cap is q, so the final % keeps the entry.  Over Z/p^N, tags and c
+    # lie in [0, p), top = p^(k-1) and the cap is p^k, so f matters mod p
+    # only: F_p's tables give it, and K's mod-p^N arithmetic edits the row.
+    add, _, mul, _ = _prime_field(K.p).tables if ctx.p_image else K.tables
     top, cap = z[n - 1], ctx.caps[-1]
-    out = []
-    for lam in itertools.product(range(ctx.base), repeat=d):
-        lift = list(rows)
-        for i, t in tags:
-            f = 0
-            for c, ti in zip(lam, t):
-                f = K.add(f, K.mul(c, ti))
-            if f:
-                r = rows[i]
-                lift[i] = r[:-1] + (K.sub(r[-1], K.mul(f, top)) % cap,)
-        out.append(tuple(lift))
-    return out
+    out = [list(rows) for _ in range(base**d)]
+    for i, t in tags:
+        # f_c(row i) for every c, in itertools.product order
+        fs = [0]
+        for ti in t:
+            times = mul[ti]
+            fs = [add[f][times[c]] for f in fs for c in range(base)]
+        r = rows[i]
+        edited = [r] + [r[:-1] + (K.sub(r[-1], K.mul(f, top)) % cap,) for f in range(1, base)]
+        for lift, f in zip(out, fs):
+            lift[i] = edited[f]
+    return list(map(tuple, out))
+
+
+@functools.cache
+def _prime_field(p: int) -> FieldCtx:
+    """F_p, the residue field of Z/p^N, built once per p."""
+    return FieldCtx(p)
 
 
 def _lift_complement(ctx: RingCtx, data: IdealData, z: Element) -> list:
@@ -1097,7 +1179,8 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     of the maximal ideal modulo (obstruction + z), and send each tuple
     (c_1, ..., c_d) to the span of 1, the w_i - c_i z, and the obstruction
     module.  Every lift is isomorphic to dst and carries its cotangent
-    dimension.
+    dimension and its exponent points.  An obstructed extension reads no
+    ideal data.
     """
     d = ext.dst.cotangent
     if ext.kernel_in_small:
@@ -1111,10 +1194,13 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
         raise InvariantViolation(
             f"complement of size {len(w)} for target cotangent dimension {d}"
         )
+    # a lift maps onto dst isomorphically and meets span(z) only in 0, so
+    # it keeps the valuations of dst (see _preimage)
+    points = _exponent_points(ext.dst)
     if _packs(ctx):
-        lifts = [Subring._from_packed(ctx, b, d) for b in _xor_lift_bases(ctx.n, w, small)]
+        lifts = [Subring._from_packed(ctx, b, d, points) for b in _xor_lift_bases(ctx.n, w, small)]
     else:
-        lifts = [Subring(ctx, b, cotangent=d) for b in _lift_bases(ctx, z, w, small)]
+        lifts = [Subring(ctx, b, d, points) for b in _lift_bases(ctx, z, w, small)]
     if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
     # the lifts all have B's size, so their rows alone give Subring order
@@ -1309,19 +1395,24 @@ def _step(members):
     """Yield the lift families one level up that the members of a lift
     family make: each member's preimage, then its lifts.  A member that an
     extension of _family_extensions stands for writes its own extension
-    down: its preimage and its m as ideal_data writes m (the row p over
-    Z/p^N, then that preimage's rows after the 1), with the shared m^2,
-    obstruction module and kernel bit.  A lift family of any size but
-    base^dim (0 when obstructed) would duplicate or drop a subtree, which
-    a census cannot see, so it raises."""
+    down: its preimage with the shared kernel bit and, when the family is
+    unobstructed, its m as ideal_data writes m (the row p over Z/p^N, then
+    that preimage's rows after the 1), with the shared m^2 and obstruction
+    module.  A lift family of any size but base^dim (0 when obstructed)
+    would duplicate or drop a subtree, which a census cannot see, so it
+    raises."""
     base = members[0].ctx.base
     for first, others in _family_extensions(members):
         exts = [first]
-        data = first.src_ideal
+        in_small = first.kernel_in_small
+        shared = None if in_small else first.src_ideal
         for M in others:
             R = _preimage(M)
-            m = _square_kernel(R.ctx).head + R._rows[1:]
-            exts.append(_extension(M, R, IdealData(R.ctx, m, data.square_rows, data.small_rows)))
+            data = None
+            if shared is not None:
+                m = _square_kernel(R.ctx).head + R._rows[1:]
+                data = IdealData(R.ctx, m, shared.square_rows, shared.small_rows)
+            exts.append(_extension(M, R, in_small, data))
         for ext in exts:
             fam = lift_isomorphic(ext)
             if len(fam.lifts) != (base**fam.dim if fam.exists else 0):
@@ -1440,12 +1531,10 @@ def _census_walk(ctx: RingCtx) -> dict:
     base^d(B) under B's points plus top, and, when unobstructed, their
     lifts count base^(2 d(B)) under B's points.
 
-    The preimage's points are M's, then top, the largest point of the top
-    ring's domain.  Proof: the preimage maps onto M with kernel span(z),
-    z the top step's kernel generator, whose nonzero members all have
-    valuation nu(z).  The quotient map keeps the valuation of every member
-    outside span(z), so the preimage's valuations are M's plus nu(z), the
-    point the quotient step drops."""
+    Every member carries its exponent points down the walk, and the
+    preimage's points are M's, then top, the largest point of the top
+    ring's domain (the proof is _preimage's), so no points are read off
+    rows."""
     top = (ctx.domain.points[-1],)
     base = ctx.base
     rows = defaultdict(Counter)

@@ -4,7 +4,8 @@ library code asks which family a ring belongs to, and no family redefines
 what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
 own twice; the sibling rule reads only ring facts and has one reader, the
-family step the walk and the census share; each ring picks its m^2
+family step the walk and the census share; one place decides the kernel
+bit, and the census reads carried exponent points; each ring picks its m^2
 kernel and its closure path once, and closure tests no row format; the
 library has one Howell pass, with two callers, and each packed row format
 one insertion loop, which closure's kept tables share; no private helper
@@ -124,6 +125,17 @@ def test_one_walk_step():
 def _function(module, name):
     tree = ast.parse((SRC / module).read_text())
     return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_one_place_decides_the_kernel_bit():
+    # the valuation test and the m^2 pass decide the kernel bit in one
+    # place; the census reads the exponent points the walk carries through
+    # the memo, and nothing but the memo reads points off rows
+    assert _callers("subrings.py", "_kernel_is_a_product") == {"restricted_extension"}
+    assert _referrers("subrings.py", "_points_of_rows") == {"_exponent_points"}
+    walk = _names(_function("subrings.py", "_census_walk"))
+    assert "_exponent_points" in walk
+    assert not walk & {"_points_of_rows", "basis", "_rows", "nu"}
 
 
 def test_one_family_step_decides_sharing():

@@ -757,11 +757,19 @@ WALK_RINGS = COTANGENT_RINGS + [
 
 
 def points_checked_extension(B, inner=subrings.restricted_extension):
-    """restricted_extension, checking that the preimage's points are B's,
-    then the valuation of the step's kernel generator."""
+    """restricted_extension, checking the exponent points B and its preimage
+    carry against the points read off their rows, the preimage's being B's,
+    then the valuation of the step's kernel generator; and the kernel bit
+    against the m^2 pass of the preimage, which must put z in the
+    obstruction module wherever the valuation test fires."""
     ext = inner(B)
-    top = ext.src.ctx.nu(ext.kernel_gen)
-    assert subrings._exponent_points(ext.src) == subrings._exponent_points(B) + (top,)
+    R, z = ext.src, ext.kernel_gen
+    assert B._points == subrings._points_of_rows(B)
+    assert R._points == subrings._points_of_rows(R) == B._points + (R.ctx.nu(z),)
+    in_small = in_row_span(R.ctx, ideal_data(R).small, z)
+    if subrings._kernel_is_a_product(R):
+        assert in_small
+    assert ext.kernel_in_small == in_small
     return ext
 
 
@@ -769,7 +777,10 @@ def assert_walk_matches_grouped(ctx):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subrings, "restricted_extension", points_checked_extension)
         walked = census(ctx)
-        grouped = census(ctx, enumerate_subrings(ctx))
+        subs = enumerate_subrings(ctx)
+        # every subring the walk makes carries its points, as its rows give them
+        assert all(S._points == subrings._points_of_rows(S) for S in subs)
+        grouped = census(ctx, subs)
     assert all(row.subrings == () for row in walked)
     assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
     assert all(row.count <= row.bound for row in walked)
@@ -850,6 +861,8 @@ class TestCensusWalk:
 
         monkeypatch.setattr(subrings, "cotangent_dim", refuse)
         monkeypatch.setattr(subrings, "canonicalize", refuse)
+        # the exponent points are carried too, and read from the memo
+        monkeypatch.setattr(subrings, "_points_of_rows", refuse)
         assert sum(r.count for r in census(ctx)) == total
         subs = enumerate_subrings(ctx)
         assert len(subs) == total
@@ -869,8 +882,8 @@ class TestCensusWalk:
 def expand(pairs):
     """The extensions of a family's members, written down from the pairs of
     _family_extensions as _step writes them: each pair's extension, then,
-    for each member it stands for, that member's preimage and m with the
-    pair's m^2 and obstruction module."""
+    for each member it stands for, that member's preimage with the pair's
+    kernel bit and m with the pair's m^2 and obstruction module."""
     out = []
     for ext, others in pairs:
         out.append(ext)
@@ -878,7 +891,8 @@ def expand(pairs):
         for M in others:
             R = subrings._preimage(M)
             m = subrings._square_kernel(R.ctx).head + R._rows[1:]
-            out.append(subrings._extension(M, R, subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)))
+            mine = subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)
+            out.append(subrings._extension(M, R, ext.kernel_in_small, mine))
     return out
 
 
@@ -1598,6 +1612,26 @@ def square_kernel_of(ctx):
     return called[0]
 
 
+def counting_kernel_bits(monkeypatch):
+    """A Counter, from now on, of the m^2 passes ("ideal_data") and of the
+    kernel bits the valuation test decides with none ("fired")."""
+    counts = Counter()
+    inner, inner_test = subrings.ideal_data, subrings._kernel_is_a_product
+
+    def counting(S):
+        counts["ideal_data"] += 1
+        return inner(S)
+
+    def counting_test(R):
+        fired = inner_test(R)
+        counts["fired"] += fired
+        return fired
+
+    monkeypatch.setattr(subrings, "ideal_data", counting)
+    monkeypatch.setattr(subrings, "_kernel_is_a_product", counting_test)
+    return counts
+
+
 class TestQuotientStepsFromParent:
     @pytest.mark.parametrize(
         "params, kinds",
@@ -1747,53 +1781,65 @@ class TestQuotientStepsFromParent:
     @pytest.mark.parametrize(
         "ctx", [field_ring(2, 10), field_ring(3, 8), zpn_ring(2, 1, 10), field_ring(2, 14)], ids=repr
     )
-    def test_field_census_runs_ideal_data_once_per_family(self, ctx, monkeypatch):
+    def test_field_census_decides_one_kernel_bit_per_family(self, ctx, monkeypatch):
         # ctx's quotient chain, ctx first: the families below the top are the
         # root, (the prime ring,), and one per subring two or more levels
         # below the top
         chain = subrings._quotient_chain(ctx)
         families = 1 + sum(len(enumerate_subrings(C)) for C in chain[2:])
         below_top = sum(len(enumerate_subrings(C)) for C in chain[1:])
-        counts = Counter()
-        inner = subrings.ideal_data
-
-        def counting(S):
-            counts["ideal_data"] += 1
-            return inner(S)
-
-        monkeypatch.setattr(subrings, "ideal_data", counting)
+        counts = counting_kernel_bits(monkeypatch)
         assert sum(r.count for r in census(ctx)) == len(enumerate_subrings(ctx))
         counts.clear()
         census(ctx)
-        # one call per family; the n = 2 family's two members run one each.
-        # On F2[x]/x^14 that is 6,998 calls, where one per subring below the
-        # top made 15,361
-        assert counts["ideal_data"] == families + 1 < below_top
+        # one kernel bit per family, the n = 2 family's two members one
+        # each, decided by the valuation test or else by one m^2 pass.  On
+        # F2[x]/x^14 that is 6,998 bits, 4,494 of them read off the exponent
+        # points; one bit per subring below the top would be 15,361
+        assert counts["ideal_data"] + counts["fired"] == families + 1 < below_top
+        assert counts["fired"] > 0
 
     @pytest.mark.parametrize(
-        "ctx, calls",
+        "ctx, calls, fired",
         [
-            (zpn_ring(2, 2, 7, 1), 2765),
-            (zpn_ring(2, 3, 5, 3), 2535),
-            (zpn_ring(3, 2, 5, 2), 567),
-            (field_ring(2, 14), 6998),
+            (zpn_ring(2, 2, 7, 1), 1857, 908),
+            (zpn_ring(2, 3, 5, 3), 979, 1556),
+            (zpn_ring(3, 2, 5, 2), 390, 177),
+            (field_ring(2, 14), 2504, 4494),
         ],
         ids=repr,
     )
-    def test_census_ideal_data_calls(self, ctx, calls, monkeypatch):
+    def test_census_ideal_data_calls(self, ctx, calls, fired, monkeypatch):
         # the census-z rings share m^2 wherever the step above adds a column
         # and z^2 vanishes there: 3,674, 2,598 and 603 calls when every Z
-        # family member ran its own
-        counts = Counter()
-        inner = subrings.ideal_data
-
-        def counting(S):
-            counts["ideal_data"] += 1
-            return inner(S)
-
-        monkeypatch.setattr(subrings, "ideal_data", counting)
+        # family member ran its own.  Of the extensions that remain (2,765,
+        # 2,535, 567 and 6,998), the valuation test decides `fired` with no
+        # m^2 pass
+        counts = counting_kernel_bits(monkeypatch)
         census(ctx)
-        assert counts["ideal_data"] == calls
+        assert (counts["ideal_data"], counts["fired"]) == (calls, fired)
+
+    @pytest.mark.parametrize(
+        "ctx, gens",
+        [(field_ring(2, 4), ["x"]), (field_ring(9, 4), ["x^2", "x^3"]), (zpn_ring(2, 2, 3), ["x"])],
+        ids=repr,
+    )
+    def test_valuation_test_defers_ideal_data(self, ctx, gens, monkeypatch):
+        # nu(z) is a sum of two nonzero valuations of B's preimage: 4 = 1 + 3,
+        # 4 = 2 + 2 and (3, 0) = (1, 0) + (2, 0), so the kernel bit needs no
+        # m^2 pass, and ideal_data runs when src_ideal is first read
+        B = closure(ctx, [ctx.parse(g) for g in gens])
+        # B's own cotangent dimension, which lift_isomorphic reads, runs one
+        B.cotangent
+        calls = []
+        inner = subrings.ideal_data
+        monkeypatch.setattr(subrings, "ideal_data", lambda S: calls.append(S) or inner(S))
+        ext = restricted_extension(B)
+        fam = lift_isomorphic(ext)
+        assert ext.kernel_in_small and not fam.exists and calls == []
+        assert ext.src_ideal == inner(ext.src) and calls == [ext.src]
+        assert ext.src_ideal is ext.src_ideal and len(calls) == 1
+        assert in_row_span(ext.src.ctx, ext.src_ideal.small, ext.kernel_gen)
 
     @pytest.mark.parametrize("ctx", [zpn_ring(3, 2, 4), zpn_ring(2, 3, 3, 2)], ids=repr)
     def test_ring_constants_are_built_once_per_ring(self, ctx):

@@ -447,7 +447,7 @@ PLANTED = [
         "lift-containment",
         F2_7,
         "restricted_extension",
-        _returning(src_ideal=lambda ext: dataclasses.replace(ext.src_ideal, small_rows=ext.src_ideal.max_rows)),
+        _returning(_ideal=lambda ext: dataclasses.replace(ext.src_ideal, small_rows=ext.src_ideal.max_rows)),
         "misses obstruction row",
     ),
     ("dimension-law", Z_DESK, "exponent_set", _prime_ring_shape, "!= |shape|"),
