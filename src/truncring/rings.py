@@ -56,14 +56,15 @@ class _TruncPolyCtx:
     ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
     once quotient_ctx or extension_ctx has built them, so every subring of
     one level shares one context; ``_kernel`` holds kernel_generator's
-    element, ``_square`` what subrings.ideal_data and subrings.closure read
-    of the ring (the row p of m, how m^2 is formed and how a closure runs)
-    and ``_element`` the packed element arithmetic of verify's pair scans
-    and of closure's products, each once built.
+    element, ``_row_kernel`` the row format of the ring's subrings and
+    every job that depends on it (subrings._RowKernel: packing, pivots,
+    preimage and image rows, the row p of m, m^2, the lift bases and how
+    a closure runs) and ``_element`` the packed element arithmetic of
+    verify's pair scans and of closure's products, each once built.
     """
 
     __slots__ = (
-        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_square",
+        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_row_kernel",
         "_element",
     )
 
@@ -75,7 +76,7 @@ class _TruncPolyCtx:
         self.caps = tuple(base**c for c in caps_log)
         self.p_image = p_image
         self.domain = domain
-        self._down = self._up = self._kernel = self._square = self._element = None
+        self._down = self._up = self._kernel = self._row_kernel = self._element = None
 
     # -- constructors ------------------------------------------------------
 

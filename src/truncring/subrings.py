@@ -20,13 +20,16 @@ insertion of _xor_echelon).  Fields keep _rref, and F_2 its XOR kernels.
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
 when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
-form is the echelon form, so Z[x]/(p, x^n) takes the field path.  base and
-p_image pick the row format (_packs).  Each ring's _SquareKernel picks,
-once, how m^2 is formed and how closure closes: XOR products on packed
+form is the echelon form, so Z[x]/(p, x^n) takes the field path.  Each
+ring's row kernel (_RowKernel) picks, once, from base and p_image, the row
+format of its subrings (_packs, which nothing else reads), and owns every
+job that depends on it: packing and unpacking, pivots and valuations of
+rows, the preimage and image rows of a quotient step, m's rows, the lift
+bases, how m^2 is formed and how closure closes: XOR products on packed
 rows, Kronecker products and the element kernel's products where base is
-p, ring mul over F_q with q = p^e, e > 1; ideal_data and closure have one
-path for every ring.  A row is checked once, where it enters (ctx._check),
-and never again.
+p, ring mul over F_q with q = p^e, e > 1.  So the walk, ideal_data and
+closure have one path for every ring.  A row is checked once, where it
+enters (ctx._check), and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -44,12 +47,15 @@ writes the stood-for members' extensions down (_step); the census counts
 them by weight off the first of them (_census_walk).
 
 Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
-canonical rows packed into ints, and the quotient-chain code
-(restricted_extension, ideal_data, lift_isomorphic, the tree walk) runs on
-those rows: echelon form by XOR on the pivot bit, ring products by
-shift-and-XOR.  Tuples appear only at the API boundary: Subring.basis, the
-IdealData fields and canonicalize return tuples, built when read.  The
-tuple _rref stays the reference the XOR kernels are tested against.
+canonical rows packed into ints, and every other ring's subrings keep
+tuples.  The quotient-chain code (restricted_extension, ideal_data,
+lift_isomorphic, the tree walk) hands rows to the ring's row kernel and
+builds each subring from the rows it returns (Subring._from_rows), with no
+re-packing or re-tupling: over F_2 echelon form by XOR on the pivot bit,
+ring products by shift-and-XOR.  Tuples of packed rows appear only at the
+API boundary: Subring.basis and the IdealData fields return tuples,
+unpacked when read.  The tuple _rref, _lift_bases and the whole tuple path
+stay the reference the XOR kernels are tested against.
 
 On both families a quotient step reads what it can off the parent, with
 no echelon pass: the preimage of B has B's rows lifted, then the kernel
@@ -222,13 +228,10 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
 
 
 def _has_top_pivot(ctx: RingCtx, rows) -> bool:
-    """Whether a canonical basis has a pivot in the top column n-1: its
-    last row's, which over F_2 packs to the int 1."""
-    if not rows:
-        return False
-    if _packs(ctx):
-        return rows[-1] == 1
-    return _lead(rows[-1]) == ctx.n - 1
+    """Whether canonical rows of ctx, as its row kernel holds them, have a
+    pivot in the top column n-1: the last row's, read by the kernel's
+    pivot."""
+    return bool(rows) and _row_kernel(ctx).pivot(rows[-1])[0] == ctx.n - 1
 
 
 def _span_logsize(ctx, basis) -> int:
@@ -401,16 +404,34 @@ def _layout(p: int, logs: tuple) -> _Layout:
     return _Layout(p, logs)
 
 
-class _SquareKernel:
-    """How a ring forms products of rows, picked once per ring
-    (_square_kernel): head, the rows of m before R's rows after the 1, (p,)
-    over Z/p^N with N > 1 and () over a field; square(m), m^2's canonical
-    basis from the products a b, a before or at b, of the rows of m; and
-    close(S, gens), closure's subring generated by S and the checked
-    generators.  They take
-      - XOR products (_xor_mul) on packed F_2 rows (_packs): square
-        echelons them by _xor_echelon, and close runs its rounds (_closed)
-        on one lead table, by _xor_insert and _xor_finish;
+class _RowKernel:
+    """A ring's row format and every job that depends on it, picked once
+    per ring (_row_kernel) from the ring's facts: packed int rows where
+    _packs(ctx), tuple rows elsewhere.  Each job is one attribute (m a
+    method), and each takes a whole tuple of rows where it takes rows, so
+    a subring pays one call per job:
+      - pack(basis), the rows of a basis of tuples, and unpack(rows), the
+        tuples (both the identity on tuple rows);
+      - pivot(row), the (column, entry) of a canonical row's pivot, and
+        nu(row), its valuation;
+      - z, the kernel generator of the step out of the ring, as a row
+        (None on the base ring, which has no such step);
+      - preimage(rows), the canonical rows of the preimage in this ring
+        of the subring one step down with those rows (see _preimage), and
+        project(rows), those of the image in this ring of the subring one
+        step up with those rows (see project_subring);
+      - head, the rows of m before R's rows after the 1: (p,) over Z/p^N
+        with N > 1 and () over a field, and m(rows), m's canonical rows,
+        head + rows[1:] (see ideal_data);
+      - lift_bases(w, small), the lift family's bases (_lift_bases,
+        _xor_lift_bases on packed rows);
+      - square(m), m^2's canonical basis from the products a b, a before
+        or at b, of the rows of m, and close(S, gens), closure's subring
+        generated by S and the checked generators.
+    square and close take
+      - XOR products (_xor_mul) on packed F_2 rows: square echelons them
+        by _xor_echelon, and close runs its rounds (_closed) on one lead
+        table, by _xor_insert and _xor_finish;
       - over residue coefficients, Z/p^N and F_p, where base is p, in the
         layout of the ring's caps: Kronecker products, which square
         echelons by _packed_howell, and close runs its rounds on one
@@ -420,12 +441,25 @@ class _SquareKernel:
         residue products: square echelons them by _echelon, and close runs
         rounds of tuple rows (_ring_mul_close)."""
 
-    __slots__ = ("head", "square", "close")
+    __slots__ = ("pack", "unpack", "pivot", "nu", "z", "preimage", "project", "head", "lift_bases", "square", "close")
 
     def __init__(self, ctx: RingCtx):
         n, p = ctx.n, ctx.coeff.p
         self.head = (ctx.monomial(0, ctx.p_image),) if ctx.p_image else ()
         if _packs(ctx):
+            points = ctx.domain.points
+            self.pack = lambda basis: tuple(map(_pack, basis))
+            self.unpack = lambda rows: tuple([_unpack(r, n) for r in rows])
+            # a row's pivot column is n - bit_length, and every pivot is 1
+            self.pivot = lambda r: (n - r.bit_length(), 1)
+            self.nu = lambda r: points[n - r.bit_length()]
+            # each step over F_2 adds the column n-1, where z = x^(n-1) is
+            # the row 1: B's rows shifted up stay reduced, and z adds the
+            # last pivot; the image drops the last column, the row 1 with it
+            self.z = 1
+            self.preimage = lambda rows: tuple([r << 1 for r in rows]) + (1,)
+            self.project = lambda rows: tuple(filter(None, [r >> 1 for r in rows]))
+            self.lift_bases = lambda w, small: _xor_lift_bases(n, w, small)
             self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
 
             def xor_close(S, gens):
@@ -437,10 +471,28 @@ class _SquareKernel:
                     lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows],
                     n,
                 )
-                return Subring._from_packed(ctx, _xor_finish(lead))
+                return Subring._from_rows(ctx, _xor_finish(lead))
 
             self.close = xor_close
             return
+        z = self.z = kernel_generator(ctx) if n > 1 else None
+        # tuple() of a tuple is that tuple, and a shared function adds no
+        # per-ring object (a ring's kernel lives until the cyclic collector
+        # frees its context)
+        self.pack = self.unpack = tuple
+        self.pivot, self.nu = _pivot, ctx.nu
+
+        def preimage(rows):
+            # R contains the kernel span(z), and the top-column entries of
+            # B's rows already lie in [0, pivot), so B's rows lifted, then z,
+            # are R's canonical basis.  Only on a k-step where B has a pivot
+            # in the top column is z a multiple of that row, and left out.
+            rows = tuple([_lift_row(ctx, r) for r in rows])
+            return rows if _has_top_pivot(ctx, rows) else rows + (z,)
+
+        self.preimage = preimage
+        self.project = lambda rows: tuple([r for r in (ctx._reduce(r[:n]) for r in rows) if any(r)])
+        self.lift_bases = lambda w, small: _lift_bases(ctx, z, w, small)
         if ctx.base != p:
             self.square = lambda m: _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
             self.close = functools.partial(_ring_mul_close, ctx)
@@ -467,16 +519,19 @@ class _SquareKernel:
                 c, P = _lead(r), _pack(r, w)
                 table[c] = (r[c], C[c] - P, P)
             _closed(table, _packed_in(L, gens), functools.partial(_howell_insert, L), products, 0)
-            return Subring(ctx, _howell_finish(L, table))
+            return Subring._from_rows(ctx, _howell_finish(L, table))
 
         self.square = kronecker_square
         self.close = howell_close
 
+    def m(self, rows):
+        return self.head + rows[1:]
 
-def _square_kernel(ctx: RingCtx) -> _SquareKernel:
-    if ctx._square is None:
-        ctx._square = _SquareKernel(ctx)
-    return ctx._square
+
+def _row_kernel(ctx: RingCtx) -> _RowKernel:
+    if ctx._row_kernel is None:
+        ctx._row_kernel = _RowKernel(ctx)
+    return ctx._row_kernel
 
 
 def _less_caps(C: int, slots, width: int):
@@ -597,7 +652,7 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     in the layout L, whose n columns, tag columns included, hold integers
     in [0, n (cap - 1)^2], cap the largest of L's caps: the Kronecker bound
     on the coefficients of a product of two reduced rows (the m^2 kernel of
-    _SquareKernel), and above every entry of a reduced row (_echelon,
+    _RowKernel), and above every entry of a reduced row (_echelon,
     closure).  It runs in two phases: _howell_insert puts the rows into a
     table of pivot rows, column c -> (pivot entry p^a, C[c] - P, P), and
     _howell_finish unpacks the table and back-reduces it.  closure keeps
@@ -701,9 +756,11 @@ class Subring:
     The constructor takes that basis and does not check it; closure builds
     a subring from any generators.
 
-    _rows is the canonical basis as the kernels hold it: packed ints when
-    _packs(ctx), the basis tuples otherwise.  basis gives the tuples; for
-    packed rows they are unpacked on first read.
+    _rows is the canonical basis as the ring's row kernel holds it
+    (_RowKernel): packed ints over F_2, the basis tuples otherwise.  The
+    constructor packs the basis it is given; _from_rows, the constructor of
+    every subring the walk, closure and project_subring make, takes rows
+    the kernel made.  basis gives the tuples, unpacked on first read.
 
     The cotangent dimension and the exponent points are memoised: the
     prime ring and every subring the quotient-chain walk makes carry them
@@ -715,14 +772,15 @@ class Subring:
 
     def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None, points: tuple | None = None):
         self.ctx = ctx
-        self._basis = tuple(tuple(r) for r in basis)
-        self._rows = tuple(map(_pack, self._basis)) if _packs(ctx) else self._basis
+        self._basis = tuple(map(tuple, basis))
+        self._rows = _row_kernel(ctx).pack(self._basis)
         self._cotangent = cotangent
         self._points = points
 
     @classmethod
-    def _from_packed(cls, ctx: RingCtx, rows: tuple[int, ...], cotangent: int | None = None, points=None):
-        """The subring with these canonical packed rows (see _packs)."""
+    def _from_rows(cls, ctx: RingCtx, rows: tuple, cotangent: int | None = None, points=None):
+        """The subring with these canonical rows, as ctx's row kernel holds
+        them."""
         S = cls.__new__(cls)
         S.ctx, S._rows, S._basis, S._cotangent, S._points = ctx, rows, None, cotangent, points
         return S
@@ -733,13 +791,12 @@ class Subring:
         its canonical basis, its m/(m^2 + pR) is 0, and its valuations are
         the domain's zero column: 0, or (0, 0), ..., (0, N-1) over Z/p^N,
         where p^j has valuation (0, j)."""
-        return cls(ctx, (ctx.one(),), 0, ctx.domain.zero_column)
+        return cls._from_rows(ctx, _row_kernel(ctx).pack((ctx.one(),)), 0, ctx.domain.zero_column)
 
     @property
     def basis(self) -> tuple[Element, ...]:
         if self._basis is None:
-            n = self.ctx.n
-            self._basis = tuple(_unpack(r, n) for r in self._rows)
+            self._basis = _row_kernel(self.ctx).unpack(self._rows)
         return self._basis
 
     def contains(self, v: Element) -> bool:
@@ -792,7 +849,7 @@ def closure(ctx, gens) -> Subring:
     """Smallest unital subring containing the generators.  ctx is either
     the ring, whose prime ring the generators are adjoined to, or a
     subring S of it, to which they are adjoined (closure_bfs's step).  The
-    ring's _SquareKernel picks, once, how its rows are echeloned and
+    ring's _RowKernel picks, once, how its rows are echeloned and
     multiplied: packed rows in one kept echelon table (_closed) wherever
     the coefficients are residues, tuple rounds over F_q with q = p^e,
     e > 1 (_ring_mul_close).
@@ -826,7 +883,7 @@ def closure(ctx, gens) -> Subring:
         S = Subring.prime_ring(ctx)
     gens = list(gens)
     ctx._check(*gens)
-    return _square_kernel(ctx).close(S, gens)
+    return _row_kernel(ctx).close(S, gens)
 
 
 def _closed(table: dict, fresh: list, insert, products, one) -> dict:
@@ -856,17 +913,17 @@ def _ring_mul_close(ctx: RingCtx, S: Subring, gens) -> Subring:
     while True:
         fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
         if not fresh:
-            return Subring(ctx, basis)
+            return Subring._from_rows(ctx, basis)
         basis = _echelon(ctx, [*basis, *fresh])
         fresh = [ctx.mul(f, b) for f in fresh for b in basis]
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
     """Image of a subring under the one-step quotient map, its canonical
-    basis written down: S's rows projected (packed ones shifted right by
-    one), the one that becomes 0 dropped.  The step keeps the columns below
-    n-1 with their caps, pivots and entries above pivots; column n-1 goes,
-    or on a Z k-step its cap falls from p^k to p^(k-1).  Over a field the
+    basis written down by dst's row kernel: S's rows projected (packed ones
+    shifted right by one), the one that becomes 0 dropped.  The step keeps
+    the columns below n-1 with their caps, pivots and entries above pivots;
+    column n-1 goes, or on a Z k-step its cap falls from p^k to p^(k-1).  Over a field the
     row with pivot n-1 is x^(n-1) itself; over Z a top pivot p^(k-1)
     vanishes (k = 1 on an n-step), and every other top entry is already
     below the pivot above it.  The Howell property (Howell, Spans in the
@@ -875,10 +932,7 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
     member only in the top column appears: it lifts to a multiple of S's."""
     if quotient_ctx(S.ctx) != dst:
         raise NotAQuotient(f"{dst!r} is not the one-step quotient of {S.ctx!r}")
-    if _packs(dst):
-        return Subring._from_packed(dst, tuple(filter(None, (r >> 1 for r in S._rows))))
-    rows = (dst._reduce(r[: dst.n]) for r in S._rows)
-    return Subring(dst, [r for r in rows if any(r)])
+    return Subring._from_rows(dst, _row_kernel(dst).project(S._rows))
 
 
 def _exponent_points(S: Subring) -> tuple:
@@ -893,14 +947,10 @@ def _exponent_points(S: Subring) -> tuple:
 def _points_of_rows(S: Subring) -> tuple:
     """The sorted valuation points read off the canonical basis: each row
     contributes its own valuation and, when p != 0, those of its multiples
-    by powers of p that keep the pivot.  A packed row's valuation is the
-    domain point of its pivot column c: c, or (c, 0) over Z[x]/(2, x^n)."""
+    by powers of p that keep the pivot.  The row kernel's nu reads a row's
+    valuation."""
     ctx = S.ctx
-    if _packs(ctx):
-        n, points = ctx.n, ctx.domain.points
-        return tuple(sorted(points[n - r.bit_length()] for r in S._rows))
-    nu = ctx.nu
-    pts = [nu(row) for row in S.basis]
+    pts = list(map(_row_kernel(ctx).nu, S._rows))
     if ctx.p_image:
         logs = ctx.caps_log
         pts += [(c, b) for c, a in pts for b in range(a + 1, logs[c])]
@@ -925,8 +975,8 @@ def exponent_set(S: Subring) -> Shape:
 class IdealData:
     """Canonical bases for the maximal ideal m, its square, and the
     obstruction module (m^2 over a field, m^2 + pR = m^2 + (p) in mixed
-    characteristic), held as the kernels of ctx hold rows (see Subring);
-    max_ideal, square and small give them as tuples."""
+    characteristic), held as the row kernel of ctx holds rows (see
+    Subring); max_ideal, square and small give them as tuples."""
 
     ctx: RingCtx
     max_rows: tuple
@@ -934,9 +984,7 @@ class IdealData:
     small_rows: tuple
 
     def _tuples(self, rows) -> tuple[Element, ...]:
-        if _packs(self.ctx):
-            return tuple(_unpack(r, self.ctx.n) for r in rows)
-        return rows
+        return _row_kernel(self.ctx).unpack(rows)
 
     @property
     def max_ideal(self) -> tuple[Element, ...]:
@@ -953,12 +1001,12 @@ class IdealData:
 
 def ideal_data(S: Subring) -> IdealData:
     ctx = S.ctx
-    K = _square_kernel(ctx)
+    K = _row_kernel(ctx)
     # rows[0] is 1, the reduced member of 1 + span(rows[1:]), so m is
     # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
     # reduced against the others, and a multiple of it that clears column 0
     # is zero, so this basis is in Howell form with no echelon pass
-    m = K.head + S._rows[1:]
+    m = K.m(S._rows)
     sq = K.square(m)
     if not ctx.p_image:
         return IdealData(ctx, m, sq, sq)
@@ -980,7 +1028,7 @@ def cotangent_dim(S: Subring) -> int:
 # -- one-step extensions and lifting ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
     with the kernel generated by kernel_gen; src_ideal is ideal_data(src),
@@ -997,7 +1045,7 @@ class MinimalExtension:
     @property
     def src_ideal(self) -> IdealData:
         if self._ideal is None:
-            object.__setattr__(self, "_ideal", ideal_data(self.src))
+            self._ideal = ideal_data(self.src)
         return self._ideal
 
 
@@ -1009,7 +1057,9 @@ def _lift_row(src_ctx: RingCtx, row) -> Element:
 
 def _preimage(B: Subring) -> Subring:
     """The preimage R of B under the one-step quotient onto B's ring, its
-    canonical basis written down from B's rows.
+    canonical basis written down from B's rows by the row kernel of R's
+    ring: B's rows lifted, then the kernel generator z, which is left out
+    on a k-step where B has a pivot in the top column (_RowKernel).
 
     R carries its exponent points: B's, then nu(z), the largest point of
     R's domain.  Proof: R maps onto B with kernel span(z), z the step's
@@ -1018,18 +1068,7 @@ def _preimage(B: Subring) -> Subring:
     R's valuations are B's plus nu(z), the point the quotient step drops."""
     src_ctx = extension_ctx(B.ctx)
     points = _exponent_points(B) + (src_ctx.domain.points[-1],)
-    if _packs(src_ctx):
-        # over a field each step adds the column n-1, where z = x^(n-1) is
-        # the row 1: B's rows shifted up stay reduced, and z adds the last pivot
-        return Subring._from_packed(src_ctx, tuple(r << 1 for r in B._rows) + (1,), points=points)
-    # R contains the kernel span(z), and the top-column entries of B's rows
-    # already lie in [0, pivot), so B's rows lifted, then z, are R's
-    # canonical basis.  Only on a k-step where B has a pivot in the top
-    # column is z a multiple of that row, and left out.
-    rows = tuple(_lift_row(src_ctx, r) for r in B.basis)
-    if not _has_top_pivot(src_ctx, rows):
-        rows += (kernel_generator(src_ctx),)
-    return Subring(src_ctx, rows, points=points)
+    return Subring._from_rows(src_ctx, _row_kernel(src_ctx).preimage(B._rows), points=points)
 
 
 @functools.cache
@@ -1156,18 +1195,17 @@ def _prime_field(p: int) -> FieldCtx:
     return FieldCtx(p)
 
 
-def _lift_complement(ctx: RingCtx, data: IdealData, z: Element) -> list:
+def _lift_complement(ctx: RingCtx, data: IdealData) -> list:
     """Rows of m's canonical basis spanning a complement of (small + z) in m,
-    for z outside small.  m / (small + z) is a vector space over the residue
-    field, so the rows whose pivot is not one of (small + z)'s pivots form a
-    complement.  With z outside small, small has no pivot in the top column
-    (see restricted_extension), so adding z adds z's pivot there and changes
-    no other."""
-    if _packs(ctx):
-        grown = {r.bit_length() for r in data.small_rows} | {1}
-        return [r for r in data.max_rows if r.bit_length() not in grown]
-    grown = {_pivot(r) for r in data.small_rows} | {_pivot(z)}
-    return [r for r in data.max_rows if _pivot(r) not in grown]
+    z the kernel generator, for z outside small.  m / (small + z) is a
+    vector space over the residue field, so the rows whose pivot is not
+    one of (small + z)'s pivots form a complement.  With z outside small,
+    small has no pivot in the top column (see restricted_extension), so
+    adding z adds z's pivot there and changes no other.  The row kernel
+    holds z and reads the pivots."""
+    K = _row_kernel(ctx)
+    grown = {*map(K.pivot, data.small_rows), K.pivot(K.z)}
+    return [r for r in data.max_rows if K.pivot(r) not in grown]
 
 
 def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
@@ -1186,10 +1224,8 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     if ext.kernel_in_small:
         return LiftFamily(ext, False, d, ())
     ctx = ext.src.ctx
-    z = ext.kernel_gen
     data = ext.src_ideal
-    small = data.small_rows
-    w = _lift_complement(ctx, data, z)
+    w = _lift_complement(ctx, data)
     if len(w) != d:
         raise InvariantViolation(
             f"complement of size {len(w)} for target cotangent dimension {d}"
@@ -1197,10 +1233,8 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     # a lift maps onto dst isomorphically and meets span(z) only in 0, so
     # it keeps the valuations of dst (see _preimage)
     points = _exponent_points(ext.dst)
-    if _packs(ctx):
-        lifts = [Subring._from_packed(ctx, b, d, points) for b in _xor_lift_bases(ctx.n, w, small)]
-    else:
-        lifts = [Subring(ctx, b, d, points) for b in _lift_bases(ctx, z, w, small)]
+    bases = _row_kernel(ctx).lift_bases(w, data.small_rows)
+    lifts = [Subring._from_rows(ctx, b, d, points) for b in bases]
     if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
     # the lifts all have B's size, so their rows alone give Subring order
@@ -1410,7 +1444,7 @@ def _step(members):
             R = _preimage(M)
             data = None
             if shared is not None:
-                m = _square_kernel(R.ctx).head + R._rows[1:]
+                m = _row_kernel(R.ctx).m(R._rows)
                 data = IdealData(R.ctx, m, shared.square_rows, shared.small_rows)
             exts.append(_extension(M, R, in_small, data))
         for ext in exts:

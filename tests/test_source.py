@@ -6,7 +6,9 @@ and the command output each have one home; subrings checks no row of its
 own twice; the sibling rule reads only ring facts and has one reader, the
 family step the walk and the census share; one place decides the kernel
 bit, and the census reads carried exponent points; each ring picks its m^2
-kernel and its closure path once, and closure tests no row format; the
+kernel and its closure path once, and closure tests no row format; one row
+kernel per ring picks the row format, and the walk builds every subring
+from the kernel's rows; the
 library has one Howell pass, with two callers, and each packed row format
 one insertion loop, which closure's kept tables share; no private helper
 outlives its last caller, and no public function or method goes
@@ -149,13 +151,84 @@ def test_one_family_step_decides_sharing():
 
 
 def test_each_ring_picks_its_square_kernel_once():
-    # _SquareKernel picks a ring's m^2 products and its closure path when
-    # it is built, so ideal_data has one path and asks no ring for its row
+    # _RowKernel picks a ring's m^2 products and its closure path when it
+    # is built, so ideal_data has one path and asks no ring for its row
     # format; the XOR products of m^2 and of closure's rounds on packed F_2
     # rows are both formed there
     assert "_packs" not in _names(_function("subrings.py", "ideal_data"))
-    assert _callers("subrings.py", "_xor_mul") == {"_SquareKernel"}
-    assert _callers("subrings.py", "_closed") == {"_SquareKernel"}
+    assert _callers("subrings.py", "_xor_mul") == {"_RowKernel"}
+    assert _callers("subrings.py", "_closed") == {"_RowKernel"}
+
+
+def _definition(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    return next(n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+
+
+# the code that held a branch on the row format before the row kernel took
+# every format-dependent job
+ONE_PATH = (
+    "_has_top_pivot",
+    "Subring",
+    "project_subring",
+    "_points_of_rows",
+    "IdealData",
+    "_preimage",
+    "_lift_complement",
+    "lift_isomorphic",
+    "ideal_data",
+    "_step",
+)
+
+
+def test_one_row_kernel_picks_the_row_format():
+    # the row format is picked in one place, the row kernel's constructor,
+    # and the code that once branched on it neither asks for it nor reads
+    # a packed row's pivot off its bit length
+    assert _referrers("subrings.py", "_packs") == {"_RowKernel"}
+    kernel = _definition("subrings.py", "_RowKernel")
+    assert [f.name for f in kernel.body if isinstance(f, ast.FunctionDef) and "_packs" in _names(f)] == ["__init__"]
+    found = {name: _names(_definition("subrings.py", name)) & {"_packs", "bit_length"} for name in ONE_PATH}
+    assert found == {name: set() for name in ONE_PATH}
+
+
+def _constructs(node):
+    """The calls in node that build a subring: Subring(...), cls(...) and
+    Subring._from_rows(...) or cls._from_rows(...), by kind."""
+    kinds = Counter()
+    for c in ast.walk(node):
+        if not isinstance(c, ast.Call):
+            continue
+        f = c.func
+        if isinstance(f, ast.Name) and f.id in {"Subring", "cls"}:
+            kinds["constructor"] += 1
+        elif isinstance(f, ast.Attribute) and f.attr == "_from_rows":
+            kinds["_from_rows"] += 1
+    return kinds
+
+
+def test_the_walk_builds_subrings_from_kernel_rows():
+    # every subring the walk, closure and project_subring make is built by
+    # _from_rows from rows the ring's row kernel made, never re-packed or
+    # re-tupled by the constructor; only the subspace scan, which writes
+    # tuple rows itself, calls the constructor
+    tree = ast.parse((SRC / "subrings.py").read_text())
+    made = {
+        node.name: _constructs(node)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _constructs(node)
+    }
+    assert {name for name, kinds in made.items() if kinds["constructor"]} == {"_enumerate_subspace_scan"}
+    assert {name for name, kinds in made.items() if kinds["_from_rows"]} == {
+        "Subring",
+        "_RowKernel",
+        "_ring_mul_close",
+        "project_subring",
+        "_preimage",
+        "lift_isomorphic",
+    }
+    prime = next(f for f in _definition("subrings.py", "Subring").body if getattr(f, "name", "") == "prime_ring")
+    assert _constructs(prime) == {"_from_rows": 1}
 
 
 RING_FACTS = {"n", "base", "caps_log", "caps", "p_image", "domain"}
@@ -191,9 +264,9 @@ def test_one_howell_pass():
         for node in ast.walk(t)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
     ]
-    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_SquareKernel"}
+    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_RowKernel"}
     for phase in ("_howell_insert", "_howell_finish"):
-        assert _referrers("subrings.py", phase) == {"_packed_howell", "_SquareKernel"}
+        assert _referrers("subrings.py", phase) == {"_packed_howell", "_RowKernel"}
 
 
 def test_closure_asks_no_ring_its_row_format():
@@ -201,7 +274,7 @@ def test_closure_asks_no_ring_its_row_format():
     # row format or base, and hands the checked generators to the kernel
     names = _names(_function("subrings.py", "closure"))
     assert not names & {"_packs", "base", "p_image", "coeff"}
-    assert "_square_kernel" in names
+    assert "_row_kernel" in names
 
 
 def test_each_insertion_loop_exists_once():
@@ -219,7 +292,7 @@ def test_each_insertion_loop_exists_once():
     )
     assert set(found) == {"subrings.py:_xor_insert", "subrings.py:_howell_insert"}
     for phase in ("_xor_insert", "_xor_finish"):
-        assert _referrers("subrings.py", phase) == {"_xor_echelon", "_SquareKernel"}
+        assert _referrers("subrings.py", phase) == {"_xor_echelon", "_RowKernel"}
 
 
 def test_one_output_point():

@@ -890,7 +890,7 @@ def expand(pairs):
         data = ext.src_ideal
         for M in others:
             R = subrings._preimage(M)
-            m = subrings._square_kernel(R.ctx).head + R._rows[1:]
+            m = subrings._row_kernel(R.ctx).head + R._rows[1:]
             mine = subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)
             out.append(subrings._extension(M, R, ext.kernel_in_small, mine))
     return out
@@ -1430,8 +1430,14 @@ sys.exit("no InvariantViolation")
 
 
 def subring_view(S):
-    """What the public API says about S."""
+    """What the public API says about S, its image one step down
+    (project_subring, where there is a step down) and its preimage and
+    lifts one step up (restricted_extension, lift_isomorphic): the row
+    kernel's projection, preimage and lift bases, on either row format."""
     data = ideal_data(S)
+    down = quotient_ctx(S.ctx)
+    ext = restricted_extension(S)
+    fam = lift_isomorphic(ext)
     return (
         S.basis,
         (S.log_size, S.basis),
@@ -1439,6 +1445,9 @@ def subring_view(S):
         S.cotangent,
         cotangent_dim(S),
         (data.max_ideal, data.square, data.small),
+        project_subring(S, down).basis if down is not None else None,
+        (ext.src.basis, ext.kernel_in_small, ext.src.cotangent, exponent_set(ext.src).elems),
+        (fam.exists, fam.dim, [(L.basis, L.cotangent, exponent_set(L).elems) for L in fam.lifts]),
     )
 
 
@@ -1539,7 +1548,7 @@ def check_kernel_and_complement(ext):
     if not ext.kernel_in_small:
         grown = {subrings._pivot(r) for r in canonicalize(ctx, [*data.small, z])}
         want = [r for r in data.max_ideal if subrings._pivot(r) not in grown]
-        assert list(data._tuples(subrings._lift_complement(ctx, data, z))) == want
+        assert list(data._tuples(subrings._lift_complement(ctx, data))) == want
 
 
 def checked_census_walk(ctx):
@@ -1687,7 +1696,7 @@ class TestQuotientStepsFromParent:
         ctx = data.draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
         m = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
         want = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
-        assert subrings._square_kernel(ctx).square(m) == canonicalize(ctx, want)
+        assert subrings._row_kernel(ctx).square(m) == canonicalize(ctx, want)
 
     @pytest.mark.parametrize(
         "ctx, kernel",
@@ -1846,8 +1855,8 @@ class TestQuotientStepsFromParent:
         # m's row p and the m^2 kernel live on the ring, so every subring of
         # one ring reads the same objects (the layout: test_one_layout_per_caps)
         subs = enumerate_subrings(ctx)
-        assert {id(subrings._square_kernel(S.ctx)) for S in subs} == {id(subrings._square_kernel(ctx))}
-        head = subrings._square_kernel(ctx).head
+        assert {id(subrings._row_kernel(S.ctx)) for S in subs} == {id(subrings._row_kernel(ctx))}
+        head = subrings._row_kernel(ctx).head
         assert head == (ctx.monomial(0, ctx.p_image),)
         assert {id(ideal_data(S).max_rows[0]) for S in subs} == {id(head[0])}
 
