@@ -20,9 +20,11 @@ import argparse
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .coefficients import FieldCtx, factor_prime_power
 from .errors import InvariantViolation, SkippedChecks
@@ -84,7 +86,37 @@ def _emit(text: str, out_path):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", payload's dict keys all str,
+    written by join instead of json's pure-Python indent encoder."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(v, nl: str) -> str:
+    # nl: a newline and the indent of v's line
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, v)) == {int}:
+            # runs of one value, such as a census's sorted d_ring_values,
+            # are their line repeated
+            sep = "," + inner
+            lines = [(sep + int.__repr__(x)) * len(list(run)) for x, run in itertools.groupby(v)]
+            return "[" + "".join(lines)[1:] + nl + "]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + nl + "]"
+    return json.dumps(v)
 
 
 def _census_payload(rows, emit_bases: bool) -> list[dict]:

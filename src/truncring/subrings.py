@@ -91,6 +91,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -534,7 +536,7 @@ def _row_kernel(ctx: RingCtx) -> _RowKernel:
     return ctx._row_kernel
 
 
-def _less_caps(C: int, slots, width: int):
+def _less_caps(C: int, slots, width: int, rep: int):
     """r -> r less C's entry in every slot holding at least that entry, for
     r whose slots (width bits at each shift in slots) lie below twice C's
     entries, every slot at once.  With h the bit length of 2 cap - 1 for
@@ -542,12 +544,15 @@ def _less_caps(C: int, slots, width: int):
     v + 2^h - cap < 2^(h+1), which sets bit h exactly when v >= cap; those
     bits, moved to the slot bottoms and filled out, mask the caps to
     subtract.  The slots of _ElementKernel's layouts are at least h + 1
-    bits wide, so nothing carries between them."""
+    bits wide, so nothing carries between them.  With rep = sum of
+    2^(k S), the constants are replicated for r holding one element at
+    each bit k S (a row); the bits are masked before they move, so nothing
+    moves between the elements either."""
     fill = (1 << width) - 1
     h = (2 * max((C >> s) & fill for s in slots) - 1).bit_length()
-    ones = sum(1 << s for s in slots)
-    K = (ones << h) - C
-    return lambda r: r - ((((r + K) >> h) & ones) * fill & C)
+    H = sum(1 << s for s in slots) << h
+    K, H, C = (H - C) * rep, H * rep, C * rep
+    return lambda r: r - ((((r + K) & H) >> h) * fill & C)
 
 
 class _ElementKernel:
@@ -576,9 +581,30 @@ class _ElementKernel:
 
     No slot carries into the next: a product's slots are at most
     B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
-    slots below leaves each at most B p^(e-1) < 2^ws."""
+    slots below leaves each at most B p^(e-1) < 2^ws.
 
-    __slots__ = ("pack", "unpack", "add", "sub", "mul", "scaled")
+    The row ops form one element's products, sums or differences with a
+    whole row of others, a valuation class in verify's scans:
+    pack_row(elems) packs the row once, and mul_row(a, row, i),
+    add_row(a, row, i) and sub_row(a, row, i) return the lists [a b],
+    [a + b] and [a - b] over the row's elements from position i on.  A
+    row is one int, element k at bit k S, the stride S a whole number of
+    64-bit words; one multiply or add forms every slot, the cut, the folds
+    and the reduction act on every slot at once with their constants
+    replicated (times ones = sum of 2^(k S)), and the slots come back as
+    native words, two or more per element wider than 64 bits.  No slot
+    spills into the next: with c the bits of one x-column, a product of
+    two reduced elements spans 2n - 1 columns, (2n - 1) c bits, before the
+    cut, and S >= (2n - 1) c.  The cut shifts every slot down by
+    (n - 1) c, so what it drops from slot k + 1 lands in bits
+    [S - (n - 1) c, S), inside [n c, S), of slot k: above slot k's
+    element, where the folds read nothing and the replicated mask clears
+    it.  Sums and differences, a + b and a + C - b per slot, stay inside
+    their n c bits.  Products are rows only at p = 2; at odd p, where no
+    bitwise step reduces a product, mul_row is the pairwise mul over the
+    row, and sums and differences take _less_caps replicated."""
+
+    __slots__ = ("pack", "unpack", "add", "sub", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
 
     def __init__(self, ctx: RingCtx):
         n, coeff = ctx.n, ctx.coeff
@@ -592,7 +618,8 @@ class _ElementKernel:
             scaled, mask = L.scaled, L.mask
             reduce = mask.__and__ if mask is not None else lambda r: scaled(r, 1)
             self.scaled = lambda u, a: scaled(a, u)
-            slots, width = shifts, w
+            slots, width, column_bits = shifts, w, w
+            fold = firsts = None
         else:
             e = coeff.e
             ws = (n * e * (p - 1) ** 2 * p ** (e - 1)).bit_length()
@@ -617,7 +644,7 @@ class _ElementKernel:
             self.pack = lambda a: _pack(map(spread.__getitem__, a), cw)
             self.unpack = lambda r: tuple([gather[(r >> s) & colmask] for s in col_shifts])
 
-            def fold(r):
+            def fold(r, firsts=firsts):
                 for sh, t in folds:
                     v = (r >> sh) & firsts
                     r += v * t - (v << sh)
@@ -634,11 +661,60 @@ class _ElementKernel:
 
                 reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
             self.scaled = lambda u, a: reduce(a * spread[u])
-            width = ws
-        fix = mask.__and__ if mask is not None else _less_caps(C, slots, width)
+            width, column_bits = ws, cw
+        # fixes(rep): fix with its constants replicated by rep
+        if mask is not None:
+            fixes = lambda rep: (mask * rep).__and__
+        else:
+            fixes = functools.partial(_less_caps, C, slots, width)
+        fix = fixes(1)
         self.add = lambda a, b: fix(a + b)
         self.sub = lambda a, b: fix(a + C - b)
-        self.mul = lambda a, b: reduce(a * b >> cut)
+        mul = self.mul = lambda a, b: reduce(a * b >> cut)
+        # 64-bit words per row slot (64 words >= (2n - 1) c bits) and per
+        # reduced element
+        words = -(-(cut + n * column_bits) // 64)
+        size = -(-(n * column_bits) // 64)
+        stride, nbytes = 64 * words, 8 * words
+        one = (1).to_bytes(nbytes, "little")
+        order = sys.byteorder
+
+        def pack_row(elems):
+            # (the elements, packed, ones, fix and the folds' firsts
+            # replicated by ones)
+            ones = int.from_bytes(one * len(elems), "little")
+            packed = int.from_bytes(b"".join([b.to_bytes(nbytes, "little") for b in elems]), "little")
+            return elems, packed, ones, fixes(ones), firsts and firsts * ones
+
+        def row_op(form):
+            # form(a, B, ones, row) is the packed, reduced row of results
+            # over B's slots, ones their ones
+            def op(a, row, i=0):
+                B, ones, count = row[1], row[2], len(row[0]) - i
+                if i:
+                    B, ones = B >> i * stride, ones >> i * stride
+                view = memoryview(form(a, B, ones, row).to_bytes(nbytes * count, order)).cast("Q")
+                if order == "big":
+                    # the native words, most significant first
+                    view = view[::-1]
+                out = view[size - 1 :: words].tolist()
+                for j in range(size - 2, -1, -1):
+                    high = map(operator.lshift, out, itertools.repeat(64))
+                    out = list(map(operator.or_, high, view[j::words].tolist()))
+                return out
+
+            return op
+
+        add_row = row_op(lambda a, B, ones, row: row[3](a * ones + B))
+        sub_row = row_op(lambda a, B, ones, row: row[3]((a + C) * ones - B))
+        if mask is None:
+            # no bitwise reduction of products
+            mul_row = lambda a, row, i=0: [mul(a, b) for b in row[0][i:]]
+        elif fold is None:
+            mul_row = row_op(lambda a, B, ones, row: row[3](a * B >> cut))
+        else:
+            mul_row = row_op(lambda a, B, ones, row: row[3](fold(a * B >> cut, row[4])))
+        self.pack_row, self.add_row, self.sub_row, self.mul_row = pack_row, add_row, sub_row, mul_row
 
 
 def _element_kernel(ctx: RingCtx) -> _ElementKernel:

@@ -14,11 +14,16 @@ empty list means the law held everywhere.  Suites bundle the checks:
   equivalence, tail membership, quotient-step counting, and ideal
   correspondence under projection.
 
-The valuation scans test every pair of nonzero elements.  They run on the
-ring's packed element kernel (subrings._element_kernel), where a sum,
-difference, product or unit multiple is a few int operations, and read nu
-from a table built on each call with one ring nu per element, so a planted
-nu reaches them; an element is unpacked only to format a violation.
+The valuation scans test every unordered pair of nonzero elements once.
+They run on the ring's packed element kernel (subrings._element_kernel)
+and read nu from a table built on each call with one ring nu per element,
+so a planted nu reaches them.  Each scan goes by valuation class: one of
+the kernel's row ops pairs an element with the members of its own class
+from it on and with every later class (monomial likeness: its own class
+only), and the scan decides that row with C-level verdicts on nu read
+through the table.  Only when some row fails does the pairwise loop, on
+the same table, run to write the report; an element is unpacked only to
+format a violation.
 
 A check that cannot run at the ring's scale raises TooLarge.  run_suite
 then records it as skipped and goes on with the next check; when any was
@@ -27,6 +32,7 @@ skipped it raises SkippedChecks, which carries every result.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -88,13 +94,26 @@ def _scans(ctx: RingCtx) -> tuple[str, ...]:
 
 
 class _Valuations(dict):
-    """nu of the nonzero elements, keyed by their packed form.  A key the
-    ring lacks is a fault of the packed kernel, not of nu."""
+    """nu of the elements, keyed by their packed form, with nu(0) above
+    every point.  A key the ring lacks is a fault of the packed kernel,
+    not of nu."""
 
     __slots__ = ("ctx",)
 
     def __missing__(self, r):
         raise InvariantViolation(f"packed result {r:#x} is no nonzero element of {self.ctx!r}")
+
+
+class _Above:
+    """nu(0): a valuation above every point."""
+
+    __slots__ = ()
+
+    def __gt__(self, other):
+        return True
+
+    def __lt__(self, other):
+        return False
 
 
 def _valued_elements(ctx: RingCtx):
@@ -108,28 +127,75 @@ def _valued_elements(ctx: RingCtx):
     valued = [(K.pack(a), ctx.nu(a)) for a in ctx.elements() if a != zero]
     nu = _Valuations(valued)
     nu.ctx = ctx
+    nu[0] = _Above()
     return K, valued, nu
+
+
+def _classes(valued) -> dict:
+    """The valuation classes: nu -> the packed elements with it, each class
+    and the classes in enumeration order."""
+    classes: dict = {}
+    for a, va in valued:
+        classes.setdefault(va, []).append(a)
+    return classes
+
+
+def _scan(ctx: RingCtx, rows, pairs) -> list[str]:
+    """One valuation scan: rows(ctx, K, valued, nu) decides it a row at a
+    time, and only when some row fails does pairs, the pairwise loop, run
+    on the same table to write the report."""
+    K, valued, nu = _valued_elements(ctx)
+    return [] if rows(ctx, K, valued, nu) else pairs(ctx, K, valued, nu)
 
 
 # -- valuation suite -----------------------------------------------------------
 
 
-def check_valuation_strict(ctx: RingCtx) -> list[str]:
-    """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
-    bad = []
-    dom = ctx.domain
-    K, valued, nu = _valued_elements(ctx)
-    mul, fmt = K.mul, lambda r: ctx.format(K.unpack(r))
-    # the sums, formed once and read by position: sums[i][j] is
-    # pts[i] + pts[j], None where undefined, pts the domain's points and
-    # then any valuation that is none of them (a faulty nu's)
+def _point_sums(dom, valued):
+    """The sums of valuations, formed once and read by position: sums[i][j]
+    is pts[i] + pts[j], None where undefined, pts the domain's points and
+    then any valuation that is none of them (a faulty nu's), at[v] the
+    position of v."""
     pts = list(dom.points)
     at = {pt: i for i, pt in enumerate(pts)}
     for _, v in valued:
         if v not in at:
             at[v] = len(pts)
             pts.append(v)
-    sums = [[dom.add(s, t) for t in pts] for s in pts]
+    return at, [[dom.add(s, t) for t in pts] for s in pts]
+
+
+def check_valuation_strict(ctx: RingCtx) -> list[str]:
+    """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
+    return _scan(ctx, _strict_rows, _strict_pairs)
+
+
+def _strict_rows(ctx, K, valued, nu) -> bool:
+    # a's row: its own class from a on, where nu(a) + nu(a) is defined, and
+    # every later class whose sum with nu(a) is; a zero product reads as
+    # above every point, so it fails the comparison
+    at, sums = _point_sums(ctx.domain, valued)
+    classes = list(_classes(valued).items())
+    get, mul_row = nu.__getitem__, K.mul_row
+    for c, (va, members) in enumerate(classes):
+        row_sums = sums[at[va]]
+        targets = [(s, bucket) for vb, bucket in classes[c:] if (s := row_sums[at[vb]]) is not None]
+        if not targets:
+            continue
+        row = K.pack_row([b for _, bucket in targets for b in bucket])
+        expect = [s for s, bucket in targets for _ in bucket]
+        own = targets[0][1] is members
+        for i, a in enumerate(members):
+            start = i if own else 0
+            if list(map(get, mul_row(a, row, start))) != expect[start:]:
+                return False
+    return True
+
+
+def _strict_pairs(ctx, K, valued, nu) -> list[str]:
+    bad = []
+    mul, fmt = K.mul, lambda r: ctx.format(K.unpack(r))
+    at, sums = _point_sums(ctx.domain, valued)
     valued = [(a, va, at[va]) for a, va in valued]
     # add and mul commute, so each unordered pair is tested once
     for i, (a, va, ia) in enumerate(valued):
@@ -148,8 +214,30 @@ def check_valuation_strict(ctx: RingCtx) -> list[str]:
 
 def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
     """nu(a+b) >= min(nu(a), nu(b)), with equality when the two differ."""
+    return _scan(ctx, _nonarchimedean_rows, _nonarchimedean_pairs)
+
+
+def _nonarchimedean_rows(ctx, K, valued, nu) -> bool:
+    # a's row: its own class from a on, then every later class.  Inside a's
+    # class the sums are at least nu(a), 0 above every point; across
+    # classes they have the smaller valuation, and a + b = 0 (only where
+    # nu(-a) != nu(a)) fails, leaving that pair to the report
+    classes = list(_classes(valued).items())
+    get, add_row = nu.__getitem__, K.add_row
+    for c, (va, members) in enumerate(classes):
+        later = classes[c + 1 :]
+        row = K.pack_row(members + [b for _, bucket in later for b in bucket])
+        expect = [min(va, vb) for vb, bucket in later for _ in bucket]
+        m = len(members)
+        for i, a in enumerate(members):
+            vals = list(map(get, add_row(a, row, i)))
+            if min(vals[: m - i]) < va or vals[m - i :] != expect:
+                return False
+    return True
+
+
+def _nonarchimedean_pairs(ctx, K, valued, nu) -> list[str]:
     bad = []
-    K, valued, nu = _valued_elements(ctx)
     add, fmt = K.add, lambda r: ctx.format(K.unpack(r))
     for i, (a, va) in enumerate(valued):
         for b, vb in valued[i:]:
@@ -168,17 +256,40 @@ def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
 def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     """Equal valuations differ by a coefficient unit, up to higher valuation:
     nu(a) = nu(b) forces some unit u with a = u b or nu(a - u b) > nu(a)."""
+    return _scan(ctx, _monomial_rows, _monomial_pairs)
+
+
+def _monomial_rows(ctx, K, valued, nu) -> bool:
+    # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once,
+    # as a - u b for the members b of a's class from a on.  Members with the
+    # same unit multiples u b, up to order (one unit orbit), share one group
+    # of them in the row, and the groups go in the order of their last
+    # member, so those of the members from a on are a suffix.  A pair holds
+    # when its best unit leaves nu above val, nu[0] above every point
+    units = list(ctx.coeff.units())
+    k = len(units)
+    sub_row, scaled, get = K.sub_row, K.scaled, nu.__getitem__
+    for val, bucket in _classes(valued).items():
+        last = {}
+        for j, b in enumerate(bucket):
+            last[tuple(sorted([scaled(u, b) for u in units]))] = j
+        groups = sorted(last, key=last.__getitem__)
+        ends = sorted(last.values())
+        row = K.pack_row([ub for group in groups for ub in group])
+        for i, a in enumerate(bucket):
+            vals = map(get, sub_row(a, row, bisect.bisect_left(ends, i) * k))
+            if not min(map(max, *[vals] * k) if k > 1 else vals) > val:
+                return False
+    return True
+
+
+def _monomial_pairs(ctx, K, valued, nu) -> list[str]:
     bad = []
     units = list(ctx.coeff.units())
-    K, valued, nu = _valued_elements(ctx)
     sub, scaled, fmt = K.sub, K.scaled, lambda r: ctx.format(K.unpack(r))
-    buckets: dict = {}
-    for a, va in valued:
-        buckets.setdefault(va, []).append(a)
-    # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once:
-    # b runs over the bucket and a over the members up to b, so b's unit
+    # b runs over the class and a over the members up to b, so b's unit
     # multiples are formed once per b
-    for val, bucket in buckets.items():
+    for val, bucket in _classes(valued).items():
         for j, b in enumerate(bucket):
             multiples = [scaled(u, b) for u in units]
             for a in bucket[: j + 1]:

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from truncring import cli
 from truncring.cli import main
@@ -302,6 +303,50 @@ class TestVerify:
         ]
         assert d["checks"][2]["violations"] == ["x * kernel generator is nonzero"]
         assert captured.err.count("skipped lift-") == 2
+
+
+class TestJsonText:
+    """_json_text writes the bytes of json.dumps(payload, indent=2) + newline."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--q", "2", "--n", "6"),
+            ("census", "--q", "4", "--n", "3", "--emit-bases"),
+            ("census", "--p", "2", "--N", "2", "--n", "4", "--k", "1", "--emit-bases"),
+            ("lifts", "--q", "2", "--n", "3", "--subring", "x^2"),
+            ("lifts", "--p", "2", "--N", "2", "--n", "2", "--k", "1", "--subring", "1"),
+            ("shape", "--p", "2", "--N", "2", "--n", "2", "--k", "2", "--subring", "2x"),
+            ("counterexample", "--a", "6", "--q", "2"),
+            ("verify", "--suite", "all", "--q", "2", "--n", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_payload(self, capsys, monkeypatch, argv):
+        payloads = []
+        real = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda payload: payloads.append(payload) or real(payload))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        [payload] = payloads
+        assert out == real(payload) == json.dumps(payload, indent=2) + "\n"
+
+    json_values = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**200), max_value=2**200)
+        | st.floats()
+        | st.text(),
+        lambda inner: st.lists(inner, max_size=6)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.lists(st.sampled_from([0, 1, 2, True, False]), max_size=12)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        max_leaves=40,
+    )
+
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
 
 
 class TestUsageErrors:

@@ -2355,6 +2355,23 @@ class TestElementKernel:
                 assert K.sub(pa, pb) == packed[ctx.sub(a, b)]
                 assert K.mul(pa, pb) == packed[ctx.mul(a, b)]
 
+    # F8[x]/x^3: two 64-bit words per element, three per slot of a row
+    @pytest.mark.parametrize("ctx", KERNEL_RINGS + [field_ring(8, 3)], ids=_ring_id)
+    def test_row_ops_match_the_pairwise_ops(self, ctx):
+        K = subrings._element_kernel(ctx)
+        elems = [K.pack(a) for a in ctx.elements()]
+        row = K.pack_row(elems)
+        for name in ("add", "sub", "mul"):
+            pairwise, row_op = getattr(K, name), getattr(K, name + "_row")
+            for i, a in enumerate(elems):
+                want = [pairwise(a, b) for b in elems]
+                assert row_op(a, row) == want
+                assert row_op(a, row, i) == want[i:]
+                assert row_op(a, K.pack_row([elems[-1 - i]])) == [want[-1 - i]]
+            a = elems[-1]
+            assert row_op(a, K.pack_row([])) == []
+            assert row_op(a, row, len(elems)) == []
+
     def test_built_on_first_use_once_per_ring(self):
         ctx = field_ring(4, 3)
         assert ctx._element is None

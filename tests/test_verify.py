@@ -218,20 +218,129 @@ def test_scans_read_nu_once_per_element_and_run_no_ring_op(ctx, scan):
     assert calls == {"nu": 2 * (ctx.size - 1)}
 
 
+KERNEL_OPS = ("pack", "unpack", "add", "sub", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
+
+
+def _kernel_copy(K, **ops):
+    """A namespace kernel with K's ops, the given ones replaced."""
+    return SimpleNamespace(**({name: getattr(K, name) for name in KERNEL_OPS} | ops))
+
+
+@pytest.mark.parametrize("where", ("row", "pairwise"))
 @pytest.mark.parametrize("op, scan", list(zip(("mul", "add", "sub"), VALUATION_SCANS)), ids=("mul", "add", "sub"))
-def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, monkeypatch):
+def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, where, monkeypatch):
+    # the rows read every result of the row ops; the pairwise ops run only
+    # in the report, so their plant is met on a ring with a planted nu,
+    # where a row fails
     real = verify._element_kernel
 
     def faulty(ctx):
         K = real(ctx)
-        ops = {name: getattr(K, name) for name in ("pack", "unpack", "add", "sub", "mul", "scaled")}
-        inner = ops[op]
-        ops[op] = lambda a, b: inner(a, b) | 1 << 500
-        return SimpleNamespace(**ops)
+        if where == "row":
+            inner = getattr(K, op + "_row")
+            planted = lambda a, row, i=0: [r | 1 << 500 for r in inner(a, row, i)]
+            return _kernel_copy(K, **{op + "_row": planted})
+        inner = getattr(K, op)
+        return _kernel_copy(K, **{op: lambda a, b: inner(a, b) | 1 << 500})
 
     monkeypatch.setattr(verify, "_element_kernel", faulty)
+    ctx = field_ring(4, 3)
+    if where == "pairwise":
+        ctx = _planted(ctx, ctx.parse("[0,1]x"), 2)
     with pytest.raises(InvariantViolation, match="is no nonzero element of F4"):
-        scan(field_ring(4, 3))
+        scan(ctx)
+
+
+REPORTERS = [verify._strict_pairs, verify._nonarchimedean_pairs, verify._monomial_pairs]
+OUT_OF_DOMAIN = (zpn_ring(3, 2, 3, 1), "x + x^2", (2, 1))
+
+
+@pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS + [OUT_OF_DOMAIN], ids=repr)
+def test_each_scan_returns_its_pairwise_report(ctx, elem, wrong):
+    bad = _planted(ctx, ctx.parse(elem), wrong)
+    for scan, pairs in zip(VALUATION_SCANS, REPORTERS):
+        assert scan(bad) == pairs(bad, *verify._valued_elements(bad)), scan.__name__
+
+
+@pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS, ids=repr)
+@pytest.mark.parametrize("scan", VALUATION_SCANS, ids=lambda fn: fn.__name__)
+def test_the_report_reads_the_scans_table(ctx, elem, wrong, scan):
+    calls = Counter()
+    counted = _counted(_planted(ctx, ctx.parse(elem), wrong), calls)
+    assert scan(counted)
+    assert calls == {"nu": ctx.size - 1}
+
+
+P2_RINGS = [field_ring(2, 4), field_ring(4, 3), zpn_ring(2, 2, 3, 1), zpn_ring(2, 1, 4)]
+
+
+@pytest.mark.parametrize("ctx", P2_RINGS + [field_ring(3, 3), zpn_ring(3, 2, 3, 1)], ids=repr)
+def test_the_rows_test_each_unordered_pair_once(ctx, monkeypatch):
+    formed = Counter()
+    real = verify._element_kernel
+
+    def recording(ctx):
+        # a row is (its elements, the kernel's row), and each row op counts
+        # the pairs it forms
+        K = real(ctx)
+
+        def recorded(name):
+            def op(a, row, i=0):
+                formed.update((a, b) for b in row[0][i:])
+                return getattr(K, name)(a, row[1], i)
+
+            return op
+
+        ops = {name: recorded(name) for name in ("add_row", "sub_row", "mul_row")}
+        return _kernel_copy(K, pack_row=lambda elems: (elems, K.pack_row(elems)), **ops)
+
+    monkeypatch.setattr(verify, "_element_kernel", recording)
+    K, valued, _ = verify._valued_elements(ctx)
+    pairs = [(a, va, b, vb) for i, (a, va) in enumerate(valued) for b, vb in valued[i:]]
+
+    def once(want):
+        return Counter(map(frozenset, formed.elements())) == Counter({frozenset(ab): 1 for ab in want})
+
+    assert verify.check_valuation_strict(ctx) == []
+    assert once((a, b) for a, va, b, vb in pairs if ctx.domain.add(va, vb) is not None)
+    formed.clear()
+    assert verify.check_valuation_nonarchimedean(ctx) == []
+    assert once((a, b) for a, _, b, _ in pairs)
+    # monomial-like forms a - u b for every unit u and same-class pair, a
+    # before b, and a - u b' only for b' in a's class
+    formed.clear()
+    assert verify.check_valuation_monomial_like(ctx) == []
+    units = list(ctx.coeff.units())
+    assert all((a, K.scaled(u, b)) in formed for a, va, b, vb in pairs if va == vb for u in units)
+    multiples = {v: {K.scaled(u, b) for b in bucket for u in units} for v, bucket in verify._classes(valued).items()}
+    nu = dict(valued)
+    assert all(ub in multiples[nu[a]] for a, ub in formed)
+
+
+@pytest.mark.parametrize("ctx", P2_RINGS, ids=repr)
+@pytest.mark.parametrize("scan", VALUATION_SCANS, ids=lambda fn: fn.__name__)
+def test_clean_scans_at_p_2_make_no_pairwise_kernel_op(ctx, scan, monkeypatch):
+    # so a silent fall back to the pairwise loop cannot hide
+    calls = Counter()
+    real = verify._element_kernel
+
+    def counting(ctx):
+        K = real(ctx)
+
+        def counted(name):
+            inner = getattr(K, name)
+
+            def op(a, b):
+                calls[name] += 1
+                return inner(a, b)
+
+            return op
+
+        return _kernel_copy(K, **{name: counted(name) for name in ("add", "sub", "mul")})
+
+    monkeypatch.setattr(verify, "_element_kernel", counting)
+    assert scan(ctx) == []
+    assert calls == {}
 
 
 class TestSkippedChecks:
