@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 
 from .coefficients import FieldCtx, ZpNCtx, factor_prime_power
 from .errors import CtxMismatch, NotAQuotient, PolyParseError, UndefinedValuation
@@ -55,7 +56,10 @@ class _TruncPolyCtx:
 
     ``_down`` and ``_up`` hold the neighbouring rings of the quotient chain
     once quotient_ctx or extension_ctx has built them, so every subring of
-    one level shares one context; ``_kernel`` holds kernel_generator's
+    one level shares one context.  ``_down`` is a strong link and ``_up`` a
+    weak reference, so a chain is held from its top, and reference counting
+    frees a level once nothing above it or outside it holds it (nothing a
+    context holds refers back to it); ``_kernel`` holds kernel_generator's
     element, ``_row_kernel`` the row format of the ring's subrings and
     every job that depends on it (subrings._RowKernel: packing, pivots,
     preimage and image rows, the row p of m, m^2, the lift bases and how
@@ -65,7 +69,7 @@ class _TruncPolyCtx:
 
     __slots__ = (
         "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_row_kernel",
-        "_element",
+        "_element", "__weakref__",
     )
 
     def _set_facts(self, coeff, n: int, base: int, caps_log: tuple, p_image: int, domain):
@@ -409,21 +413,23 @@ def quotient_ctx(ctx: RingCtx):
             below = ctx._sibling(ctx.n, k - 1)
         else:
             below = ctx._sibling(ctx.n - 1, ctx.caps_log[0])
-        ctx._down, below._up = below, ctx
+        ctx._down, below._up = below, weakref.ref(ctx)
     return ctx._down
 
 
 def extension_ctx(ctx: RingCtx) -> RingCtx:
     """The source of the one-step quotient onto ctx (inverse of quotient_ctx).
-    Built once per context; its quotient_ctx is ctx itself."""
-    if ctx._up is None:
+    Built once per context while something holds it (ctx links to it
+    weakly); its quotient_ctx is ctx itself."""
+    above = ctx._up and ctx._up()
+    if above is None:
         k = ctx.caps_log[-1]
         if k < ctx.caps_log[0]:
             above = ctx._sibling(ctx.n, k + 1)
         else:
             above = ctx._sibling(ctx.n + 1, 1)
-        ctx._up, above._down = above, ctx
-    return ctx._up
+        ctx._up, above._down = weakref.ref(above), ctx
+    return above
 
 
 def kernel_generator(src: RingCtx) -> Element:

@@ -9,13 +9,14 @@ and the set of row valuations can be read straight off the pivots.
 
 Over Z/p^N one pass computes the Howell form (Howell, Spans in the module
 (Z_m)^s, 1986): _packed_howell, on rows packed into ints in the layout of
-their column caps (_layout, one per p and caps, built once).  _echelon
-reduces and packs the rows it is given, those of canonicalize and the
-tagged rows of _lift_bases; the m^2 kernel hands it Kronecker products.
-The pass is an insertion phase and a finishing phase, and closure keeps
-one table of the insertion phase for a whole closure, over every ring
-whose coefficients are residues (Z/p^N and F_p; over F_2, the XOR
-insertion of _xor_echelon).  Fields keep _rref, and F_2 its XOR kernels.
+their column caps (_layout, one per p and caps, built once), returning
+packed rows.  _echelon reduces and packs the tuple rows of canonicalize;
+the m^2 kernel hands the pass Kronecker products, and _howell_lift_bases
+a lift family's tagged rows.  The pass is an insertion phase and a
+finishing phase, and closure keeps one table of the insertion phase for a
+whole closure, over every ring whose coefficients are residues (Z/p^N and
+F_p; over F_2, the XOR insertion of _xor_echelon).  F_q with q = p^e,
+e > 1, keeps _rref, and F_2 its XOR kernels.
 
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
@@ -23,13 +24,13 @@ when the coefficients form a field, F_q or Z/p, and over Z/p the Howell
 form is the echelon form, so Z[x]/(p, x^n) takes the field path.  Each
 ring's row kernel (_RowKernel) picks, once, from base and p_image, the row
 format of its subrings (_packs, which nothing else reads), and owns every
-job that depends on it: packing and unpacking, pivots and valuations of
-rows, the preimage and image rows of a quotient step, m's rows, the lift
-bases, how m^2 is formed and how closure closes: XOR products on packed
-rows, Kronecker products and the element kernel's products where base is
-p, ring mul over F_q with q = p^e, e > 1.  So the walk, ideal_data and
-closure have one path for every ring.  A row is checked once, where it
-enters (ctx._check), and never again.
+job that depends on it: packing and unpacking, valuations of rows (which
+name their pivots), the preimage and image rows of a quotient step, m's
+row p, the lift bases, how m^2 is formed and how closure closes: XOR
+products on packed rows, Kronecker products and the element kernel's
+products where base is p, ring mul over F_q with q = p^e, e > 1.  So the
+walk, ideal_data and closure have one path for every ring.  A row is
+checked once, where it enters (ctx._check), and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -46,23 +47,29 @@ ideal_data runs once per family, and one per member elsewhere.  The walk
 writes the stood-for members' extensions down (_step); the census counts
 them by weight off the first of them (_census_walk).
 
-Subrings of F_2[x]/x^n and of Z[x]/(2, x^n), the same ring, keep their
-canonical rows packed into ints, and every other ring's subrings keep
-tuples.  The quotient-chain code (restricted_extension, ideal_data,
-lift_isomorphic, the tree walk) hands rows to the ring's row kernel and
-builds each subring from the rows it returns (Subring._from_rows), with no
-re-packing or re-tupling: over F_2 echelon form by XOR on the pivot bit,
-ring products by shift-and-XOR.  Tuples of packed rows appear only at the
+Subrings of every ring whose coefficients are residues (base is p: Z/p^N,
+and F_p, F_2 among them) keep their canonical rows packed into ints,
+column 0 most significant, so int order is tuple order; over F_2 in one
+bit per column, elsewhere in the width of the ring's caps, one width along
+a whole quotient chain but where it grows on an n-step (_Layout).
+Subrings of F_q with q = p^e, e > 1, keep tuples.  The quotient-chain code
+(restricted_extension, ideal_data, lift_isomorphic, the tree walk) hands
+rows to the ring's row kernel and builds each subring from the rows it
+returns (Subring._from_rows), with no re-packing or re-tupling: a preimage
+is a shift, an image a shift or a reduction of the low column, a top
+pivot a compare (_RowKernel).  Tuples of packed rows appear only at the
 API boundary: Subring.basis and the IdealData fields return tuples,
-unpacked when read.  The tuple _rref, _lift_bases and the whole tuple path
-stay the reference the XOR kernels are tested against.
+unpacked when read, and canonicalize, in_row_span and the CLI take and
+give tuples.  The tuple _rref and _lift_bases, on F_2 rows, stay the
+reference the XOR kernels are tested against.
 
 On both families a quotient step reads what it can off the parent, with
 no echelon pass: the preimage of B has B's rows lifted, then the kernel
 generator, as its canonical basis (the generator is left out on a k-step
 where B already has a pivot in the top column), the image of S has S's
 rows projected, less the one that becomes 0, and the maximal ideal m has
-R's rows with the first, 1, replaced by p (dropped over a field).
+R's rows with the first, 1, replaced by p (dropped over a field).  The
+proof that a shift lifts a row is _RowKernel's.
 Over Z/p^N and F_p the products that span m^2 are formed by Kronecker
 substitution, one int multiply each on rows packed with a field wide
 enough for any product coefficient, and stay packed through the Howell
@@ -71,9 +78,10 @@ ring mul and _rref, and F_2 the XOR products.  m^2's canonical basis is
 the one echelon pass of a step, and the rest is read off it.  The
 obstruction module m^2 + pR is m^2 + (p), as p times a row of m lies in
 m^2, and its Howell form is the row p, then m^2's rows that are 0 in
-column 0.  The kernel generator lies in it iff it has a pivot in the top
-column, and when it does not, the lift complement follows from its pivots
-and the kernel's.  Where the kernel generator's valuation is a sum of two
+column 0, those below the row 1.  The kernel generator lies in it iff it
+has a pivot in the top column, its last row below the row x^(n-2), and
+when it does not, the lift complement follows from its pivots and the
+kernel's.  Where the kernel generator's valuation is a sum of two
 nonzero valuations of the preimage, the kernel generator lies in m^2, and
 the step forms no m^2 at all (_kernel_is_a_product).  Ring mul,
 canonicalize and in_row_span stay the reference.
@@ -93,6 +101,7 @@ import functools
 import itertools
 import operator
 import sys
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -149,15 +158,15 @@ def _rref(K, rows, ncols: int):
 
 
 def _echelon(ctx: RingCtx, rows, tags: int = 0):
-    """Canonical basis of rows that carry `tags` extra columns after the n
-    ring columns.  Over a field it is _rref's.  Over Z/p^N it is the Howell
-    form: each row is reduced into the column caps, a tag column capped at
-    p, packed in the layout of those caps (_packed_in) and echeloned by
-    _packed_howell."""
+    """Canonical basis, as tuples, of tuple rows that carry `tags` extra
+    columns after the n ring columns.  Over a field it is _rref's.  Over
+    Z/p^N it is the Howell form: each row is reduced into the column caps,
+    a tag column capped at p, packed in the layout of those caps
+    (_packed_in) and echeloned by _packed_howell."""
     if not ctx.p_image:
         return _rref(ctx.coeff, rows, ctx.n + tags)
     L = _layout(ctx.coeff.p, ctx.caps_log + (1,) * tags)
-    return _packed_howell(L, _packed_in(L, rows))
+    return _unpack(_packed_howell(L, _packed_in(L, rows)), L.w, len(L.caps))
 
 
 def _packed_in(L, rows) -> list:
@@ -177,12 +186,6 @@ def _lead(row) -> int:
     """Pivot column of a canonical row: where its first nonzero entry
     first occurs, both found at C level."""
     return row.index(next(filter(None, row)))
-
-
-def _pivot(row) -> tuple[int, int]:
-    """(column, entry) of a canonical row's pivot."""
-    col = _lead(row)
-    return col, row[col]
 
 
 def _reducer(ctx: RingCtx, basis):
@@ -229,21 +232,14 @@ def in_row_span(ctx: RingCtx, basis, v: Element) -> bool:
     return not any(_reducer(ctx, basis)(v))
 
 
-def _has_top_pivot(ctx: RingCtx, rows) -> bool:
-    """Whether canonical rows of ctx, as its row kernel holds them, have a
-    pivot in the top column n-1: the last row's, read by the kernel's
-    pivot."""
-    return bool(rows) and _row_kernel(ctx).pivot(rows[-1])[0] == ctx.n - 1
-
-
-def _span_logsize(ctx, basis) -> int:
-    """log_base of the span size, from the pivots of a canonical basis:
-    each row adds the cap exponent of its pivot column less the pivot's
-    valuation, the two read as the row's nu; over a field each adds 1."""
+def _span_logsize(ctx, rows) -> int:
+    """log_base of the span size, from the pivots of canonical rows as the
+    ring's row kernel holds them: each row adds the cap exponent of its
+    pivot column less the pivot's valuation, the two read as the row's nu;
+    over a field each adds 1."""
     if not ctx.p_image:
-        return len(basis)
-    logs = ctx.caps_log
-    return sum(logs[c] - a for c, a in map(ctx.nu, basis))
+        return len(rows)
+    return sum(ctx.caps_log[c] - a for c, a in map(_row_kernel(ctx).nu, rows))
 
 
 # -- packed F_2 rows -----------------------------------------------------------
@@ -256,8 +252,10 @@ def _span_logsize(ctx, basis) -> int:
 
 def _packs(ctx: RingCtx) -> bool:
     """Whether subrings of ctx keep packed rows: exactly when the
-    coefficients are F_2 = Z/2, over F_2[x]/x^n and Z[x]/(2, x^n) alike."""
-    return ctx.base == 2 and not ctx.p_image
+    coefficients are residues (base is p): Z/p^N and F_p, with F_2 = Z/2,
+    over F_2[x]/x^n and Z[x]/(2, x^n) alike, in one bit per column.  Over
+    F_q with q = p^e, e > 1, rows are tuples."""
+    return ctx.base == ctx.coeff.p
 
 
 def _pack(row, w: int = 1) -> int:
@@ -268,8 +266,10 @@ def _pack(row, w: int = 1) -> int:
     return v
 
 
-def _unpack(v: int, width: int) -> Element:
-    return tuple(map(int, format(v, f"0{width}b")))
+def _unpack(rows, w: int, n: int) -> tuple:
+    """Packed rows of n columns, w bits each, as tuples."""
+    fm, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
+    return tuple([tuple([(r >> s) & fm for s in shifts]) for r in rows])
 
 
 def _xor_echelon(rows) -> tuple[int, ...]:
@@ -329,9 +329,7 @@ def _xor_lift_bases(n: int, w, small) -> list:
     tag of w_i is bit d-1-i, so the scalar tuple c read as a d-bit int
     flips column n-1 of a row by the parity of c & (its tags)."""
     d = len(w)
-    tagged = [1 << (n - 1 + d)]
-    tagged += [wi << d | 1 << (d - 1 - i) for i, wi in enumerate(w)]
-    tagged += [s << d for s in small]
+    tagged = [1 << (n - 1 + d)] + [wi << d | 1 << (d - 1 - i) for i, wi in enumerate(w)] + [s << d for s in small]
     basis = _xor_echelon(tagged)
     if any(row.bit_length() <= d + 1 for row in basis):
         raise InvariantViolation("the kernel column of a lift family carries a pivot")
@@ -348,40 +346,60 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- packed rows and elements: the layout, the m^2 and element kernels, the
+# -- packed rows and elements: the layout, the row and element kernels, the
 # -- packed Howell pass --------------------------------------------------------
 #
 # A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
-# with w bits per column, as the F_2 rows do with w = 1.  One int multiply
-# of two packed rows forms every coefficient of their product (Kronecker
-# substitution), and the right shift by w (n - 1) drops the degrees at or
-# past n.  The products stay packed through the Howell pass that echelons
-# them (_packed_howell), and so do the rows _echelon echelons over Z/p^N
-# and the rows of closure's kept table; only the pass's few output rows
-# become tuples.  verify's pair scans, and closure's products, run on
-# packed ring elements (_ElementKernel): in the same layout over residue
-# coefficients, and over F_q, q = p^e, e > 1, in one with 2e - 1 slots for
-# t-degrees per column, so a product in F_p[t][x] is one int multiply too;
-# each result is reduced to its one packed form.
+# with w bits per column, as the F_2 rows do with w = 1, and subrings of
+# those rings keep their canonical rows so, in the layout of their ring's
+# caps (_layout).  One int multiply of two packed rows forms every
+# coefficient of their product (Kronecker substitution), and the right
+# shift by w (n - 1) drops the degrees at or past n.  The products stay
+# packed through the Howell pass that echelons them (_packed_howell), and
+# so do its output rows, the rows closure keeps in its table and a lift
+# family's tagged rows.  One width serves a ring's whole quotient chain, so
+# a quotient step moves a row by a shift (_RowKernel).  verify's pair scans,
+# and closure's products, run on packed ring elements (_ElementKernel): in
+# the same layout over residue coefficients, and over F_q, q = p^e, e > 1,
+# in one with 2e - 1 slots for t-degrees per column, so a product in
+# F_p[t][x] is one int multiply too; each result is reduced to its one
+# packed form.
 
 
 class _Layout:
-    """Packed rows with column caps caps[j] = p^logs[j]: w bits per column,
-    w = bit_length(2 n cap^2) for n columns and cap the largest cap (the
-    no-carry bound of _packed_howell), column j at bit shifts[j] (column 0
-    most significant), col[b] the column of a row of bit length b, low[j]
-    the bits below column j, C[j] the caps of columns j..n-1 packed, and
-    mask the caps less one packed when every cap is a power of two (p = 2),
-    so that r & mask reduces every column of r at once; None otherwise.
-    One per (p, logs), built by _layout."""
+    """Packed rows with column caps caps[j] = p^logs[j], the ring's columns
+    and then `tags` tag columns capped at p: w bits per column, column j at
+    bit shifts[j] (column 0 most significant), col[b] the column of a row
+    of bit length b, low[j] the bits below column j, C[j] the caps of
+    columns j..n-1 packed, and mask the caps less one packed when every cap
+    is a power of two (p = 2), so that r & mask reduces every column of r at
+    once; None otherwise.  One per (p, ring logs, tags), built by _layout.
 
-    __slots__ = ("p", "caps", "logs", "w", "shifts", "col", "low", "C", "mask")
+    The width is the ring's: w = bit_length(2 n cap^2) for the ring's n
+    columns, cap its largest cap p^N, the tags aside.  It is the no-carry
+    bound of _packed_howell on the ring's rows and their Kronecker products.
+    It depends on p, N and n only, so every context of one ring packs a
+    subring into the same ints, and a ring and its quotient share it except
+    on an n-step where bit_length(2 (n-1) cap^2) < bit_length(2 n cap^2);
+    the row kernel repacks exactly there.  Tag columns share the ring's
+    width, so a tagged row is its ring row shifted left past the tags.
+    They keep the bound where they are used, a lift family's d tags: the d
+    rows w_i are rows of m's Howell basis with distinct pivot columns, none
+    at column 0 (over a field m has no row there, over Z/p^N its row there,
+    p, is a row of the obstruction module too), so d <= n - 1.  The rows
+    entering the pass are reduced, below cap^2 / 2 in every column, and a
+    column takes at most n + d - 1 reductions of at most (cap - 1) cap
+    each (_packed_howell's proof), so it stays below
+    (n + d - 1/2) cap^2 < 2 n cap^2 < 2^w."""
 
-    def __init__(self, p: int, logs: tuple):
+    __slots__ = ("p", "caps", "logs", "tags", "w", "shifts", "col", "low", "C", "mask")
+
+    def __init__(self, p: int, logs: tuple, tags: int = 0):
+        w = self.w = (2 * len(logs) * p ** (2 * max(logs))).bit_length()
+        logs += (1,) * tags
         n = len(logs)
         caps = tuple(p**c for c in logs)
-        self.p, self.caps, self.logs = p, caps, logs
-        w = self.w = (2 * n * max(caps) ** 2).bit_length()
+        self.p, self.caps, self.logs, self.tags = p, caps, logs, tags
         self.shifts = tuple(w * (n - 1 - j) for j in range(n))
         self.col = tuple(n - 1 - (b - 1) // w for b in range(n * w + 1))
         self.low = tuple((1 << s) - 1 for s in self.shifts)
@@ -398,38 +416,41 @@ class _Layout:
 
 
 @functools.cache
-def _layout(p: int, logs: tuple) -> _Layout:
-    """The one layout of the column caps p^logs, shared by every m^2 kernel
-    and echelon with those caps.  The cache holds one small immutable value
-    per cap tuple met: a ring's caps, alone or with a lift family's d tag
-    columns."""
-    return _Layout(p, logs)
+def _layout(p: int, logs: tuple, tags: int = 0) -> _Layout:
+    """The one layout of the column caps p^logs and `tags` tag columns,
+    shared by every kernel and echelon with those caps.  The cache holds
+    one small immutable value per key met: a ring's caps, alone or with a
+    lift family's d tag columns."""
+    return _Layout(p, logs, tags)
 
 
 class _RowKernel:
     """A ring's row format and every job that depends on it, picked once
     per ring (_row_kernel) from the ring's facts: packed int rows where
-    _packs(ctx), tuple rows elsewhere.  Each job is one attribute (m a
-    method), and each takes a whole tuple of rows where it takes rows, so
+    _packs(ctx), tuple rows over F_q with q = p^e, e > 1.  Each job is one
+    attribute, and each takes a whole tuple of rows where it takes rows, so
     a subring pays one call per job:
-      - pack(basis), the rows of a basis of tuples, and unpack(rows), the
-        tuples (both the identity on tuple rows);
-      - pivot(row), the (column, entry) of a canonical row's pivot, and
-        nu(row), its valuation;
-      - z, the kernel generator of the step out of the ring, as a row
-        (None on the base ring, which has no such step);
-      - preimage(rows), the canonical rows of the preimage in this ring
-        of the subring one step down with those rows (see _preimage), and
-        project(rows), those of the image in this ring of the subring one
-        step up with those rows (see project_subring);
-      - head, the rows of m before R's rows after the 1: (p,) over Z/p^N
-        with N > 1 and () over a field, and m(rows), m's canonical rows,
+      - pack(basis), the rows of a basis of reduced tuples, and
+        unpack(rows), the tuples (both the identity on tuple rows);
+      - nu(row), a canonical row's valuation, which names its pivot
+        (column and entry, a power of p);
+      - one, the row 1, and top, the row x^(n-2): a row below top leads at
+        column n-1, and a row below one is 0 in column 0, as packed rows
+        order as their tuples do;
+      - z, the kernel generator of the step out of the ring, as a row,
+        and preimage(rows) and project(rows), the canonical rows of the
+        preimage in this ring of the subring one step down with those
+        rows (see _preimage), and of the image one step down of the
+        subring of this ring with those rows (see project_subring); None
+        on the base ring, which has no such step;
+      - head, the rows of m before R's rows after the 1: the row p over
+        Z/p^N with N > 1 and () over a field, so m's canonical rows are
         head + rows[1:] (see ideal_data);
-      - lift_bases(w, small), the lift family's bases (_lift_bases,
-        _xor_lift_bases on packed rows);
+      - lift_bases(w, small), the lift family's bases (_xor_lift_bases,
+        _howell_lift_bases, and _lift_bases on tuple rows);
       - square(m), m^2's canonical basis from the products a b, a before
         or at b, of the rows of m, and close(S, gens), closure's subring
-        generated by S and the checked generators.
+        of S's ring generated by S and the checked generators.
     square and close take
       - XOR products (_xor_mul) on packed F_2 rows: square echelons them
         by _xor_echelon, and close runs its rounds (_closed) on one lead
@@ -437,97 +458,132 @@ class _RowKernel:
       - over residue coefficients, Z/p^N and F_p, where base is p, in the
         layout of the ring's caps: Kronecker products, which square
         echelons by _packed_howell, and close runs its rounds on one
-        Howell table, by _howell_insert and _howell_finish, multiplying
-        rows with the ring's _element_kernel, whose products are reduced;
+        Howell table, started from S's rows as they are, by _howell_insert
+        and _howell_finish, multiplying rows with the ring's
+        _element_kernel, whose products are reduced;
       - ring mul over F_q with q = p^e, e > 1, whose products are not
         residue products: square echelons them by _echelon, and close runs
-        rounds of tuple rows (_ring_mul_close)."""
+        rounds of tuple rows (_ring_mul_close).
+    No job holds the ring's context, which holds the kernel: the tuple
+    jobs reach it through a weak reference, so reference counting frees a
+    ring.
 
-    __slots__ = ("pack", "unpack", "pivot", "nu", "z", "preimage", "project", "head", "lift_bases", "square", "close")
+    A quotient step moves packed rows by a shift.  Over residue
+    coefficients a row has w bits per column (_Layout: w = 1 over F_2),
+    column j at bit w (n-1-j).  On an n-step the quotient D of this ring R
+    has n - 1 columns, R's top column has cap p (over a field, every
+    column), and z = x^(n-1) is the row 1; a row of D, in D's width, has
+    column j at bit w (n-2-j), so where the widths agree R's row with the
+    same entries and 0 in column n-1 is the same int shifted left by w,
+    and the projection is the right shift by w, which drops column n-1.
+    Where they differ the rows are repacked, column by column.  On a k-step
+    D has R's n columns and width, and R's top cap p^k is D's times p, so a
+    row of D, its entries below its caps, is the same int as a row of R;
+    the projection reduces the low column mod p^(k-1), which is z, and
+    z = p^(k-1) x^(n-1) is the int p^(k-1).
+
+    The preimage's rows are the canonical basis of R = lift(B) + span(z),
+    B the subring of D: on an n-step B's rows lifted, then z; on a k-step
+    the same, unless B's last row leads at column n-1 (a top pivot, a row
+    below top), when z is left out.  Proof: the rows are in echelon form,
+    B's pivots where B has them and z's at column n-1, each pivot a power
+    of p; each entry above a pivot lies in [0, pivot): above B's pivots as
+    in B, and in column n-1, without a top pivot, B's entries there are 0
+    (n-step) or below D's top cap p^(k-1), z's entry (k-step).  A member
+    of R that is 0 left of a column c maps to a member of B that is 0
+    there, which B's rows led at or past c span (none for c = n-1, as B
+    has no top pivot), and the difference lies in span(z); so the rows
+    have the Howell property, and they span R.  On
+    a k-step where B has a top pivot, its last row is b = p^a x^(n-1) with
+    a < k - 1 (D's top cap is p^(k-1)), the same int in R, and
+    z = p^(k-1-a) b lies in lift(B): R = lift(B), whose members alone in
+    column n-1 are the multiples of b, so B's rows are R's canonical
+    basis."""
+
+    __slots__ = (
+        "pack", "unpack", "nu", "head", "one", "top", "z", "preimage", "project", "lift_bases", "square", "close",
+    )
 
     def __init__(self, ctx: RingCtx):
-        n, p = ctx.n, ctx.coeff.p
-        self.head = (ctx.monomial(0, ctx.p_image),) if ctx.p_image else ()
-        if _packs(ctx):
-            points = ctx.domain.points
-            self.pack = lambda basis: tuple(map(_pack, basis))
-            self.unpack = lambda rows: tuple([_unpack(r, n) for r in rows])
-            # a row's pivot column is n - bit_length, and every pivot is 1
-            self.pivot = lambda r: (n - r.bit_length(), 1)
-            self.nu = lambda r: points[n - r.bit_length()]
-            # each step over F_2 adds the column n-1, where z = x^(n-1) is
-            # the row 1: B's rows shifted up stay reduced, and z adds the
-            # last pivot; the image drops the last column, the row 1 with it
-            self.z = 1
-            self.preimage = lambda rows: tuple([r << 1 for r in rows]) + (1,)
-            self.project = lambda rows: tuple(filter(None, [r >> 1 for r in rows]))
+        n, p, logs = ctx.n, ctx.coeff.p, ctx.caps_log
+        packs, xor = _packs(ctx), p == 2 and not ctx.p_image
+        if packs:
+            L = _layout(p, logs)
+            w = 1 if xor else L.w
+            pack = self.pack = lambda basis: tuple([_pack(r, w) for r in basis])
+            self.unpack = lambda rows: _unpack(rows, w, n)
+            # a canonical row's pivot is p^a at some column c, and its bit
+            # length, w (n-1-c) + bit_length(p^a), names it; the domain lists
+            # the points (c, a) in that order (c alone over a field)
+            pivots = [w * (n - 1 - c) + (p**a).bit_length() for c, log in enumerate(logs) for a in range(log)]
+            lengths = dict(zip(pivots, ctx.domain.points))
+            self.nu = lambda r: lengths[r.bit_length()]
+        else:
+            # over F_q a row's valuation is its pivot column
+            ring = weakref.ref(ctx)
+            pack = self.pack = self.unpack = tuple
+            self.nu = _lead
+        self.head = pack((ctx.monomial(0, ctx.p_image),)) if ctx.p_image else ()
+        self.one = pack((ctx.one(),))[0]
+        top, z = pack((ctx.monomial(n - 2), kernel_generator(ctx))) if n > 1 else (None, None)
+        self.top, self.z, self.preimage, self.project = top, z, None, None
+        if not packs:
+            # over F_q every step adds column n-1, where z = x^(n-1) adds the
+            # last pivot and the image drops the row z
+            self.preimage = lambda rows: tuple([r + (0,) for r in rows]) + (z,)
+            self.project = lambda rows: tuple([r[:-1] for r in rows if any(r[:-1])])
+            self.lift_bases = lambda w, small: _lift_bases(ring(), w, small)
+            self.square = lambda m: _echelon(c := ring(), [c.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+            self.close = _ring_mul_close
+            return
+        if n > 1 and logs[-1] > 1:
+            # a k-step: the quotient's top cap is p^(k-1), z's entry
+            self.preimage = lambda rows: rows if rows[-1] < top else rows + (z,)
+            self.project = lambda rows: tuple(filter(None, [r - (r & (top - 1)) // z * z for r in rows]))
+        elif n > 1 and (xor or _layout(p, logs[:1] * (n - 1)).w == w):
+            # an n-step in one width
+            self.preimage = lambda rows: tuple([r << w for r in rows]) + (z,)
+            self.project = lambda rows: tuple(filter(None, [r >> w for r in rows]))
+        elif n > 1:
+            # an n-step onto n - 1 columns of a smaller width wb: column j
+            # moves between bit wb (n-2-j) there and w (n-1-j) here
+            wb = _layout(p, logs[:1] * (n - 1)).w
+            cols = [(wb * (n - 2 - j), w * (n - 1 - j), (1 << wb) - 1) for j in range(n - 1)]
+            self.preimage = lambda rows: tuple([sum((r >> s & m) << t for s, t, m in cols) for r in rows]) + (z,)
+            self.project = lambda rows: tuple(filter(None, [sum((r >> t & m) << s for s, t, m in cols) for r in rows]))
+        if xor:
             self.lift_bases = lambda w, small: _xor_lift_bases(n, w, small)
             self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
 
-            def xor_close(S, gens):
-                # the pivot of column 0, the row 1, has bit length n
-                lead = _closed(
-                    {r.bit_length(): r for r in S._rows},
-                    list(map(_pack, gens)),
-                    _xor_insert,
-                    lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows],
-                    n,
-                )
-                return Subring._from_rows(ctx, _xor_finish(lead))
+            def close(S, gens):
+                # the lead table keys rows by bit length: the row 1's is n
+                lead = {r.bit_length(): r for r in S._rows}
+                products = lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows]
+                _closed(lead, list(map(_pack, gens)), _xor_insert, products, n)
+                return Subring._from_rows(S.ctx, _xor_finish(lead))
 
-            self.close = xor_close
-            return
-        z = self.z = kernel_generator(ctx) if n > 1 else None
-        # tuple() of a tuple is that tuple, and a shared function adds no
-        # per-ring object (a ring's kernel lives until the cyclic collector
-        # frees its context)
-        self.pack = self.unpack = tuple
-        self.pivot, self.nu = _pivot, ctx.nu
+        else:
+            one, shifts, cut, col, C = self.one, L.shifts, L.shifts[0], L.col, L.C
+            self.lift_bases = lambda w, small: _howell_lift_bases(L, one, z, w, small)
+            self.square = lambda m: _packed_howell(L, [a * b >> cut for i, a in enumerate(m) for b in m[i:]])
 
-        def preimage(rows):
-            # R contains the kernel span(z), and the top-column entries of
-            # B's rows already lie in [0, pivot), so B's rows lifted, then z,
-            # are R's canonical basis.  Only on a k-step where B has a pivot
-            # in the top column is z a multiple of that row, and left out.
-            rows = tuple([_lift_row(ctx, r) for r in rows])
-            return rows if _has_top_pivot(ctx, rows) else rows + (z,)
+            def close(S, gens):
+                mul = _element_kernel(S.ctx).mul
 
-        self.preimage = preimage
-        self.project = lambda rows: tuple([r for r in (ctx._reduce(r[:n]) for r in rows) if any(r)])
-        self.lift_bases = lambda w, small: _lift_bases(ctx, z, w, small)
-        if ctx.base != p:
-            self.square = lambda m: _echelon(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
-            self.close = functools.partial(_ring_mul_close, ctx)
-            return
-        L = _layout(p, ctx.caps_log)
-        # shifts[0] = w (n - 1), the shift that drops the degrees at or past n
-        w, cut, C = L.w, L.shifts[0], L.C
+                def products(new, rows):
+                    rows = [P for _, _, P in rows]
+                    return [mul(P, b) for _, _, P in new for b in rows]
 
-        def kronecker_square(m):
-            packed = [_pack(r, w) for r in m]
-            return _packed_howell(L, [a * b >> cut for i, a in enumerate(packed) for b in packed[i:]])
+                # S's canonical rows as a finished table: each at its pivot
+                # column c, with the table's entry (p^a, C[c] - r, r)
+                table = {}
+                for r in S._rows:
+                    c = col[r.bit_length()]
+                    table[c] = (r >> shifts[c], C[c] - r, r)
+                _closed(table, _packed_in(L, gens), functools.partial(_howell_insert, L), products, 0)
+                return Subring._from_rows(S.ctx, _howell_finish(L, table))
 
-        def howell_close(S, gens):
-            mul = _element_kernel(ctx).mul
-
-            def products(new, rows):
-                rows = [P for _, _, P in rows]
-                return [mul(P, b) for _, _, P in new for b in rows]
-
-            # S's canonical basis as a finished table: each row at its pivot
-            # column, with the table's entry (p^a, C[c] - P, P)
-            table = {}
-            for r in S._rows:
-                c, P = _lead(r), _pack(r, w)
-                table[c] = (r[c], C[c] - P, P)
-            _closed(table, _packed_in(L, gens), functools.partial(_howell_insert, L), products, 0)
-            return Subring._from_rows(ctx, _howell_finish(L, table))
-
-        self.square = kronecker_square
-        self.close = howell_close
-
-    def m(self, rows):
-        return self.head + rows[1:]
+        self.close = close
 
 
 def _row_kernel(ctx: RingCtx) -> _RowKernel:
@@ -725,15 +781,16 @@ def _element_kernel(ctx: RingCtx) -> _ElementKernel:
 
 def _packed_howell(L: _Layout, rows) -> tuple:
     """The Howell form (over F_p, the reduced echelon form) of packed rows
-    in the layout L, whose n columns, tag columns included, hold integers
-    in [0, n (cap - 1)^2], cap the largest of L's caps: the Kronecker bound
-    on the coefficients of a product of two reduced rows (the m^2 kernel of
-    _RowKernel), and above every entry of a reduced row (_echelon,
-    closure).  It runs in two phases: _howell_insert puts the rows into a
-    table of pivot rows, column c -> (pivot entry p^a, C[c] - P, P), and
-    _howell_finish unpacks the table and back-reduces it.  closure keeps
-    one table for a whole closure and runs the insertion phase on it round
-    by round.
+    in the layout L, packed rows in column order.  Without tag columns the
+    n columns hold integers in [0, n (cap - 1)^2], cap the largest of L's
+    caps: the Kronecker bound on the coefficients of a product of two
+    reduced rows (the m^2 kernel of _RowKernel), and above every entry of a
+    reduced row (_echelon, closure); with them, the rows are reduced
+    (_Layout gives their bound).  It runs in two phases: _howell_insert
+    puts the rows into a table of pivot rows, column c -> (pivot entry p^a,
+    C[c] - P, P), and _howell_finish back-reduces the table.  closure
+    keeps one table for a whole closure and runs the insertion phase on it
+    round by round.
 
     Each row is inserted into the table.  Its lead column c is read off its
     bit length.  A lead entry that is 0 mod caps[c] is cleared by masking
@@ -744,8 +801,8 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     at c, or of lower valuation there, becomes the pivot: normalized so its
     entry is p^b, its columns reduced, and its annihilator
     p^(logs[c] - b) row queued; the pivot it displaces goes on being
-    inserted.  The output rows are unpacked in column order and each
-    reduces the rows above it into [0, pivot) at its column.
+    inserted.  The output rows, in column order, each reduce the rows
+    above them into [0, pivot) at their column.
 
     The insertion keeps the span: it adds multiples of pivots, scales by
     units and queues multiples of pivots, so the table's span grows by the
@@ -763,7 +820,7 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     (Howell, Spans in the module (Z_m)^s, 1986).
 
     No column carries into the next, as w = bit_length(2 n cap^2), n and
-    cap as above.  Proof: a row enters with columns at most n (cap - 1)^2
+    cap as above (tag columns aside, see _Layout).  Proof: a row enters with columns at most n (cap - 1)^2
     (a reduced row, or a product of two), (cap - 1) cap / p (an annihilator
     p^(logs[c] - b) P, b >= 1, of a reduced P) or cap - 1 (a displaced
     pivot, reduced).  A reduction at the lead column c adds
@@ -806,22 +863,47 @@ def _howell_insert(L: _Layout, table: dict, rows) -> dict:
 
 
 def _howell_finish(L: _Layout, table: dict) -> tuple:
-    """The finishing phase of _packed_howell: the table's rows unpacked in
-    column order, each reducing the rows above it into [0, pivot) at its
-    column.  table is left as it is."""
-    caps, shifts = L.caps, L.shifts
-    n, fm = len(shifts), (1 << L.w) - 1
+    """The finishing phase of _packed_howell: the table's rows in column
+    order, packed, each reducing the rows above it into [0, pivot) at its
+    column.  A row r above the pivot P at c, entry p^a, with v its entry
+    there, becomes r + (v / p^a)(C[c] - P) with every column reduced by its
+    cap: C[c] - P is 0 left of c and has no negative column, as P is
+    reduced, each column stays below cap + (cap - 1) cap < 2^w, and the
+    result is r - (v / p^a) P reduced, v mod p^a at c.  table is left as it
+    is."""
+    shifts, fm = L.shifts, (1 << L.w) - 1
     out = []
     for c in sorted(table):
-        pa, _, P = table[c]
-        row = [(P >> s) & fm for s in shifts]
-        for r in out:
-            mfac = r[c] // pa
+        pa, neg, P = table[c]
+        for i, r in enumerate(out):
+            mfac = ((r >> shifts[c]) & fm) // pa
             if mfac:
-                for j in range(c, n):
-                    r[j] = (r[j] - mfac * row[j]) % caps[j]
-        out.append(row)
-    return tuple(map(tuple, out))
+                out[i] = L.scaled(r + mfac * neg, 1)
+        out.append(P)
+    return tuple(out)
+
+
+def _howell_lift_bases(L: _Layout, one: int, z: int, w, small) -> list:
+    """The packed _lift_bases over residue coefficients, Z/p^N and F_p, on
+    rows in the ring's layout L, one the row 1 and z the kernel generator
+    p^(k-1) x^(n-1), the int p^(k-1).  The tag of w_i is the tag column i,
+    past the ring's columns in the same width (_layout(p, logs, d), whose
+    no-carry bound is _Layout's), so a tagged row is its ring row shifted
+    left by d w, plus its tags, and a ring row is the right shift back.
+    Tags are read mod p, so F_p's tables give f (_lifts), and a row's entry
+    v < p^k in column n-1 becomes v - f p^(k-1) mod p^k, f p^(k-1) being
+    below p^k."""
+    p, ww, d, dw = L.p, L.w, len(w), len(w) * L.w
+    tagged = [one << dw] + [wi << dw | 1 << ww * (d - 1 - i) for i, wi in enumerate(w)] + [s << dw for s in small]
+    echeloned = _packed_howell(_layout(p, L.logs, d) if d else L, tagged)
+    if any(row.bit_length() <= dw + ww for row in echeloned):
+        raise InvariantViolation("the kernel column of a lift family carries a pivot")
+    fm, cap = (1 << ww) - 1, L.caps[-1]
+    # each row's tag digits, first tag first, where it has any
+    digits = [[(row >> ww * j) & fm for j in range(d - 1, -1, -1)] for row in echeloned]
+    tags = [(i, t) for i, t in enumerate(digits) if any(t)]
+    edit = lambda r, f: r - f * z + (cap if (r & fm) < f * z else 0)
+    return _lifts([row >> dw for row in echeloned], tags, d, _prime_field(p), edit)
 
 
 # -- subrings ----------------------------------------------------------------
@@ -833,7 +915,8 @@ class Subring:
     a subring from any generators.
 
     _rows is the canonical basis as the ring's row kernel holds it
-    (_RowKernel): packed ints over F_2, the basis tuples otherwise.  The
+    (_RowKernel): packed ints where the coefficients are residues (Z/p^N
+    and F_p), the basis tuples over F_q with q = p^e, e > 1.  The
     constructor packs the basis it is given; _from_rows, the constructor of
     every subring the walk, closure and project_subring make, takes rows
     the kernel made.  basis gives the tuples, unpacked on first read.
@@ -867,7 +950,7 @@ class Subring:
         its canonical basis, its m/(m^2 + pR) is 0, and its valuations are
         the domain's zero column: 0, or (0, 0), ..., (0, N-1) over Z/p^N,
         where p^j has valuation (0, j)."""
-        return cls._from_rows(ctx, _row_kernel(ctx).pack((ctx.one(),)), 0, ctx.domain.zero_column)
+        return cls._from_rows(ctx, (_row_kernel(ctx).one,), 0, ctx.domain.zero_column)
 
     @property
     def basis(self) -> tuple[Element, ...]:
@@ -976,7 +1059,7 @@ def _closed(table: dict, fresh: list, insert, products, one) -> dict:
         fresh = products(new, [e for c, e in table.items() if c != one])
 
 
-def _ring_mul_close(ctx: RingCtx, S: Subring, gens) -> Subring:
+def _ring_mul_close(S: Subring, gens) -> Subring:
     """closure over F_q with q = p^e, e > 1, on tuple rows.  Each round
     holds a canonical basis B and fresh rows F with span(B)^2 ⊆ B + span(F),
     first with B the basis of S and F the generators.  The round reduces F
@@ -985,7 +1068,7 @@ def _ring_mul_close(ctx: RingCtx, S: Subring, gens) -> Subring:
     are the products f b, f in F, b in B'.  That keeps the invariant:
     (B + F)^2 = B^2 + F (B + F) ⊆ B + F (B + F), and B ⊆ B' while those
     products span F (B + F)."""
-    basis, fresh = S.basis, gens
+    ctx, basis, fresh = S.ctx, S.basis, gens
     while True:
         fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
         if not fresh:
@@ -996,19 +1079,21 @@ def _ring_mul_close(ctx: RingCtx, S: Subring, gens) -> Subring:
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
     """Image of a subring under the one-step quotient map, its canonical
-    basis written down by dst's row kernel: S's rows projected (packed ones
-    shifted right by one), the one that becomes 0 dropped.  The step keeps
-    the columns below n-1 with their caps, pivots and entries above pivots;
-    column n-1 goes, or on a Z k-step its cap falls from p^k to p^(k-1).  Over a field the
-    row with pivot n-1 is x^(n-1) itself; over Z a top pivot p^(k-1)
-    vanishes (k = 1 on an n-step), and every other top entry is already
-    below the pivot above it.  The Howell property (Howell, Spans in the
+    basis written down by the row kernel of S's ring: S's rows projected
+    (packed ones shifted right by one column, or on a k-step their low
+    column reduced mod p^(k-1)), the one that becomes 0 dropped.  The step
+    keeps the columns below n-1 with their caps, pivots and entries above
+    pivots; column n-1 goes, or on a Z k-step its cap falls from p^k to
+    p^(k-1).  Over a field the row with pivot n-1 is x^(n-1) itself; over
+    Z a top pivot p^(k-1) vanishes (k = 1 on an n-step), a top pivot p^a,
+    a < k - 1, stays with the entries above it below p^a, and without a top
+    pivot the top entries are reduced into the new cap.  The Howell property (Howell, Spans in the
     module (Z_m)^s, 1986) holds: an image member 0 left of a column c < n-1
     lifts to one of S, spanned by S's rows from pivot c on, and no nonzero
     member only in the top column appears: it lifts to a multiple of S's."""
     if quotient_ctx(S.ctx) != dst:
         raise NotAQuotient(f"{dst!r} is not the one-step quotient of {S.ctx!r}")
-    return Subring._from_rows(dst, _row_kernel(dst).project(S._rows))
+    return Subring._from_rows(dst, _row_kernel(S.ctx).project(S._rows))
 
 
 def _exponent_points(S: Subring) -> tuple:
@@ -1028,8 +1113,7 @@ def _points_of_rows(S: Subring) -> tuple:
     ctx = S.ctx
     pts = list(map(_row_kernel(ctx).nu, S._rows))
     if ctx.p_image:
-        logs = ctx.caps_log
-        pts += [(c, b) for c, a in pts for b in range(a + 1, logs[c])]
+        pts += [(c, b) for c, a in pts for b in range(a + 1, ctx.caps_log[c])]
     return tuple(sorted(pts))
 
 
@@ -1062,17 +1146,9 @@ class IdealData:
     def _tuples(self, rows) -> tuple[Element, ...]:
         return _row_kernel(self.ctx).unpack(rows)
 
-    @property
-    def max_ideal(self) -> tuple[Element, ...]:
-        return self._tuples(self.max_rows)
-
-    @property
-    def square(self) -> tuple[Element, ...]:
-        return self._tuples(self.square_rows)
-
-    @property
-    def small(self) -> tuple[Element, ...]:
-        return self._tuples(self.small_rows)
+    max_ideal = property(lambda self: self._tuples(self.max_rows))
+    square = property(lambda self: self._tuples(self.square_rows))
+    small = property(lambda self: self._tuples(self.small_rows))
 
 
 def ideal_data(S: Subring) -> IdealData:
@@ -1082,14 +1158,15 @@ def ideal_data(S: Subring) -> IdealData:
     # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
     # reduced against the others, and a multiple of it that clears column 0
     # is zero, so this basis is in Howell form with no echelon pass
-    m = K.m(S._rows)
+    m = K.head + S._rows[1:]
     sq = K.square(m)
     if not ctx.p_image:
         return IdealData(ctx, m, sq, sq)
     # m^2 + pR = m^2 + (p), since p rows[i] lies in m^2 for i >= 1.  Column
     # 0 of m^2 holds multiples of p^2 only, so the row p, then the rows of
-    # m^2 that are 0 there, is the Howell form of m^2 + (p)
-    small = K.head + tuple(r for r in sq if not r[0])
+    # m^2 that are 0 there (the rows below the row 1), is the Howell form of
+    # m^2 + (p)
+    small = K.head + tuple([r for r in sq if r < K.one])
     return IdealData(ctx, m, sq, small)
 
 
@@ -1123,12 +1200,6 @@ class MinimalExtension:
         if self._ideal is None:
             self._ideal = ideal_data(self.src)
         return self._ideal
-
-
-def _lift_row(src_ctx: RingCtx, row) -> Element:
-    if len(row) < src_ctx.n:
-        return tuple(row) + (0,)
-    return tuple(row)
 
 
 def _preimage(B: Subring) -> Subring:
@@ -1210,7 +1281,8 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     if _kernel_is_a_product(R):
         return _extension(B, R, True)
     data = ideal_data(R)
-    return _extension(B, R, _has_top_pivot(R.ctx, data.small_rows), data)
+    small = data.small_rows
+    return _extension(B, R, bool(small) and small[-1] < _row_kernel(R.ctx).top, data)
 
 
 @dataclass(frozen=True)
@@ -1223,43 +1295,43 @@ class LiftFamily:
     lifts: tuple[Subring, ...]
 
 
-def _lift_bases(ctx: RingCtx, z: Element, w, small) -> list:
+def _lift_bases(ctx: RingCtx, w, small) -> list:
     """Canonical bases of span(1, w_1 - c_1 z, ..., w_d - c_d z, small), one
-    per scalar tuple c, in itertools.product order.
+    per scalar tuple c, in itertools.product order, over a field with tuple
+    rows (F_q, q = p^e, e > 1), where z = x^(n-1).
 
     One canonical basis of span(1, w_1, ..., w_d, small) is computed, with d
-    tag columns holding each row's coefficient on w_i (mod p on the Howell
-    path).  The lift for c is the image of that module under
-    v -> v - f_c(v) z, where f_c(v) is the sum of c_i times v's tags.  The
-    lifts meet the kernel only in 0, so the kernel column n-1 never carries
-    a pivot, and editing that column row by row keeps the normal form.
-    Rows whose edit is zero are shared between the lifts.
+    tag columns holding each row's coefficient on w_i.  The lift for c is
+    the image of that module under v -> v - f_c(v) z, where f_c(v) is the
+    sum of c_i times v's tags (_lifts).  The lifts meet the kernel only in
+    0, so the kernel column n-1 never carries a pivot, and editing that
+    column row by row keeps the normal form.
     """
-    n, d, base = ctx.n, len(w), ctx.base
-    K = ctx.coeff
-    tagged = [ctx.one() + (0,) * d]
-    tagged += [wi + tuple(int(i == j) for j in range(d)) for i, wi in enumerate(w)]
+    n, d = ctx.n, len(w)
+    tagged = [ctx.one() + (0,) * d] + [wi + tuple(int(i == j) for j in range(d)) for i, wi in enumerate(w)]
     tagged += [s + (0,) * d for s in small]
     basis = _echelon(ctx, tagged, d)
     if any(_lead(row) >= n - 1 for row in basis):
         raise InvariantViolation("the kernel column of a lift family carries a pivot")
-    rows = [row[:n] for row in basis]
+    add, neg = ctx.coeff.tables[:2]
     tags = [(i, row[n:]) for i, row in enumerate(basis) if any(row[n:])]
-    # f_c is read from the residue field's tables.  Over F_q, top = 1 and
-    # the cap is q, so the final % keeps the entry.  Over Z/p^N, tags and c
-    # lie in [0, p), top = p^(k-1) and the cap is p^k, so f matters mod p
-    # only: F_p's tables give it, and K's mod-p^N arithmetic edits the row.
-    add, _, mul, _ = _prime_field(K.p).tables if ctx.p_image else K.tables
-    top, cap = z[n - 1], ctx.caps[-1]
-    out = [list(rows) for _ in range(base**d)]
+    return _lifts([row[:n] for row in basis], tags, d, ctx.coeff, lambda r, f: r[:-1] + (add[r[-1]][neg[f]],))
+
+
+def _lifts(rows, tags, d: int, K: FieldCtx, edit) -> list:
+    """The lift bases of a lift family from its echeloned rows, one per
+    scalar tuple c in K^d, K the residue field, in itertools.product order:
+    lift c has each row i with tags t, (i, t) in tags, edited by
+    f_c = sum c_j t_j, edit(r, f) being r less f z, and the other rows as
+    they are, shared between the lifts."""
+    add, _, mul, _ = K.tables
+    out = [list(rows) for _ in range(K.q**d)]
     for i, t in tags:
         # f_c(row i) for every c, in itertools.product order
         fs = [0]
         for ti in t:
-            times = mul[ti]
-            fs = [add[f][times[c]] for f in fs for c in range(base)]
-        r = rows[i]
-        edited = [r] + [r[:-1] + (K.sub(r[-1], K.mul(f, top)) % cap,) for f in range(1, base)]
+            fs = [add[f][mul[ti][c]] for f in fs for c in range(K.q)]
+        edited = [rows[i]] + [edit(rows[i], f) for f in range(1, K.q)]
         for lift, f in zip(out, fs):
             lift[i] = edited[f]
     return list(map(tuple, out))
@@ -1278,10 +1350,11 @@ def _lift_complement(ctx: RingCtx, data: IdealData) -> list:
     one of (small + z)'s pivots form a complement.  With z outside small,
     small has no pivot in the top column (see restricted_extension), so
     adding z adds z's pivot there and changes no other.  The row kernel
-    holds z and reads the pivots."""
+    holds z and reads the pivots, as valuations: on canonical rows, whose
+    pivots are powers of p, the valuation names the pivot."""
     K = _row_kernel(ctx)
-    grown = {*map(K.pivot, data.small_rows), K.pivot(K.z)}
-    return [r for r in data.max_rows if K.pivot(r) not in grown]
+    grown = {*map(K.nu, data.small_rows), K.nu(K.z)}
+    return [r for r in data.max_rows if K.nu(r) not in grown]
 
 
 def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
@@ -1396,7 +1469,7 @@ def _coset_reps(ctx: RingCtx, basis):
     two share a coset, and there are |ambient| / |S| of them, as |S| is
     prod cap/pivot over the pivot columns (_span_logsize reads it so).
     Both facts need the basis's Howell property (over F_q, echelon form)."""
-    pivots = dict(map(_pivot, basis))
+    pivots = {c: row[c] for c, row in zip(map(_lead, basis), basis)}
     reps = itertools.product(*(range(pivots.get(j, cap)) for j, cap in enumerate(ctx.caps)))
     next(reps)
     return reps
@@ -1520,7 +1593,7 @@ def _step(members):
             R = _preimage(M)
             data = None
             if shared is not None:
-                m = _row_kernel(R.ctx).m(R._rows)
+                m = _row_kernel(R.ctx).head + R._rows[1:]
                 data = IdealData(R.ctx, m, shared.square_rows, shared.small_rows)
             exts.append(_extension(M, R, in_small, data))
         for ext in exts:

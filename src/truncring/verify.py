@@ -42,7 +42,6 @@ from .shapes import enumerate_shapes
 from .subrings import (
     Subring,
     _element_kernel,
-    _lift_row,
     canonicalize,
     census,
     cotangent_dim,
@@ -585,7 +584,7 @@ def check_ideal_correspondence(ctx: RingCtx) -> list[str]:
         image = canonicalize(dst_ctx, [project(ctx, dst_ctx, r) for r in m_src])
         if image != m_dst:
             bad.append(f"{B!r}: projected maximal ideal differs")
-        pre = canonicalize(ctx, [_lift_row(ctx, r) for r in m_dst] + [z])
+        pre = canonicalize(ctx, [r + (0,) * (ctx.n - len(r)) for r in m_dst] + [z])
         if pre != m_src:
             bad.append(f"{B!r}: preimage of the maximal ideal differs")
     return bad

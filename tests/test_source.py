@@ -8,8 +8,8 @@ family step the walk and the census share; one place decides the kernel
 bit, and the census reads carried exponent points; each ring picks its m^2
 kernel and its closure path once, and closure tests no row format; one row
 kernel per ring picks the row format, and the walk builds every subring
-from the kernel's rows; the
-library has one Howell pass, with two callers, and each packed row format
+from the kernel's rows, converting none between tuples and ints; the
+library has one Howell pass, and each packed row format
 one insertion loop, which closure's kept tables share; no private helper
 outlives its last caller, and no public function or method goes
 unreferenced; and every name the benchmark's tracer wraps exists where it
@@ -166,9 +166,10 @@ def _definition(module, name):
 
 
 # the code that held a branch on the row format before the row kernel took
-# every format-dependent job
+# every format-dependent job (restricted_extension took the place of
+# _has_top_pivot, which is gone)
 ONE_PATH = (
-    "_has_top_pivot",
+    "restricted_extension",
     "Subring",
     "project_subring",
     "_points_of_rows",
@@ -231,6 +232,43 @@ def test_the_walk_builds_subrings_from_kernel_rows():
     assert _constructs(prime) == {"_from_rows": 1}
 
 
+# what a quotient step runs, from a family's members to their extensions
+# and lift families
+WALK_PATH = (
+    "_step",
+    "_family_extensions",
+    "restricted_extension",
+    "_preimage",
+    "ideal_data",
+    "_kernel_is_a_product",
+    "_extension",
+    "lift_isomorphic",
+    "_lift_complement",
+    "_howell_lift_bases",
+)
+
+
+def test_the_walk_converts_no_rows():
+    # rows stay packed along the quotient chain: a preimage is a shift and
+    # a top pivot a compare, so the tuple preimage and projection, with
+    # _lift_row and _has_top_pivot, are gone; generators entering closure
+    # are the one thing the kernel packs, and no step of the walk packs,
+    # unpacks or scans a tuple row for its pivot
+    tree = ast.parse((SRC / "subrings.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    gone = {"_has_top_pivot", "_lift_row"}
+    assert not defined & gone
+    assert not [p.name for p in sorted(SRC.rglob("*.py")) if gone & _names(ast.parse(p.read_text()))]
+    kernel = _definition("subrings.py", "_RowKernel")
+    assert "_reduce" not in _names(kernel)
+    assert _referrers("subrings.py", "_packed_in") == {"_echelon", "_RowKernel"}
+    inner = [f for f in ast.walk(kernel) if isinstance(f, ast.FunctionDef) and f.name != "__init__"]
+    assert [f.name for f in inner if "_packed_in" in _names(f)] == ["close"]
+    tuple_work = {"_packed_in", "_pack", "_unpack", "unpack", "_pivot", "_lead", "basis"}
+    found = {name: _names(_definition("subrings.py", name)) & tuple_work for name in WALK_PATH}
+    assert found == {name: set() for name in WALK_PATH}
+
+
 RING_FACTS = {"n", "base", "caps_log", "caps", "p_image", "domain"}
 
 
@@ -253,9 +291,10 @@ def test_sibling_rule_reads_only_ring_facts():
 
 def test_one_howell_pass():
     # the library has one Howell pass: _echelon runs it on Z/p^N rows, with
-    # or without tag columns, and the m^2 kernel on its Kronecker products;
-    # the closure path of the ring's kernel runs its two phases on one kept
-    # table; the tuple pass lives on in the tests only, as their oracle
+    # or without tag columns, the m^2 kernel on its Kronecker products and
+    # the packed lift bases on a family's tagged rows; the closure path of
+    # the ring's kernel runs its two phases on one kept table; the tuple
+    # pass lives on in the tests only, as their oracle
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
     assert trees and not [t for t in trees if "_howell" in _names(t)]
     assert not [
@@ -264,7 +303,7 @@ def test_one_howell_pass():
         for node in ast.walk(t)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
     ]
-    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_RowKernel"}
+    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_RowKernel", "_howell_lift_bases"}
     for phase in ("_howell_insert", "_howell_finish"):
         assert _referrers("subrings.py", phase) == {"_packed_howell", "_RowKernel"}
 

@@ -4,6 +4,7 @@ family."""
 
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import random
@@ -936,15 +937,21 @@ def checked_family_walk(ctx):
     return seen["families"], seen["shared"], seen["differ"]
 
 
+def lift_row(up, row):
+    """A row of the ring one step below up, read in up: a column of 0 added
+    on an n-step, the same entries on a k-step."""
+    return row + (0,) * (up.n - len(row))
+
+
 def family_test(members):
     """T on a lift family (R, *lifts) in ctx: in the ring one level up, the
     kernel generator z of the step into ctx, lifted, times every row of R's
     m (p included, and z, which lies in m) is 0."""
     ctx = members[0].ctx
     up = extension_ctx(ctx)
-    z = subrings._lift_row(up, kernel_generator(ctx))
+    z = lift_row(up, kernel_generator(ctx))
     m = ideal_data(members[0]).max_ideal
-    return all(up.mul(z, subrings._lift_row(up, r)) == up.zero() for r in m)
+    return all(up.mul(z, lift_row(up, r)) == up.zero() for r in m)
 
 
 def family_rules(ctx):
@@ -1193,7 +1200,13 @@ class TestWalkSafetyNets:
     that gets past every check before it."""
 
     @pytest.mark.parametrize(
-        "ctx, kernel", [(zpn_ring(2, 2, 3), "_lift_bases"), (field_ring(2, 5), "_xor_lift_bases")], ids=repr
+        "ctx, kernel",
+        [
+            (zpn_ring(2, 2, 3), "_howell_lift_bases"),
+            (field_ring(2, 5), "_xor_lift_bases"),
+            (field_ring(4, 4), "_lift_bases"),
+        ],
+        ids=repr,
     )
     def test_repeated_lift(self, ctx, kernel, monkeypatch):
         # a lift-bases kernel that returns its first lift in place of its last
@@ -1360,7 +1373,7 @@ def packed_rows(rows):
 
 
 def unpacked_rows(rows, width):
-    return tuple(subrings._unpack(r, width) for r in rows)
+    return subrings._unpack(rows, 1, width)
 
 
 class TestPackedKernels:
@@ -1368,7 +1381,7 @@ class TestPackedKernels:
     def test_packing_keeps_rows_and_their_order(self, pair):
         a, b = pair
         pa, pb = subrings._pack(a), subrings._pack(b)
-        assert subrings._unpack(pa, len(a)) == a
+        assert unpacked_rows([pa], len(a)) == (a,)
         assert (pa < pb) == (a < b)
 
     @given(st.data())
@@ -1385,7 +1398,7 @@ class TestPackedKernels:
         a, b = pair
         n = len(a)
         got = subrings._xor_mul(subrings._pack(a), subrings._pack(b), n)
-        assert subrings._unpack(got, n) == field_ring(2, n).mul(a, b)
+        assert unpacked_rows([got], n) == (field_ring(2, n).mul(a, b),)
 
     @given(st.data())
     def test_lift_bases_match_tuple_lift_bases(self, data):
@@ -1394,7 +1407,7 @@ class TestPackedKernels:
         w = data.draw(st.lists(f2_row(n), max_size=4))
         small = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=5)), n)
         try:
-            want = subrings._lift_bases(ctx, kernel_generator(ctx), w, small)
+            want = subrings._lift_bases(ctx, w, small)
         except InvariantViolation:
             with pytest.raises(InvariantViolation):
                 subrings._xor_lift_bases(n, packed_rows(w), packed_rows(small))
@@ -1402,6 +1415,14 @@ class TestPackedKernels:
         got = subrings._xor_lift_bases(n, packed_rows(w), packed_rows(small))
         assert [unpacked_rows(b, n) for b in got] == want
 
+
+    @pytest.mark.parametrize("ctx", [zpn_ring(2, 2, 3), zpn_ring(3, 2, 3, 1), field_ring(3, 3)], ids=repr)
+    def test_kernel_column_pivot_raises_on_residue_rows(self, ctx):
+        # w = x^2 leads at the kernel column, where z = p^(k-1) x^2 is a
+        # multiple of it; the packed lift bases refuse it as the XOR ones do
+        K = subrings._row_kernel(ctx)
+        with pytest.raises(InvariantViolation, match="kernel column of a lift family"):
+            subrings._howell_lift_bases(layout_of(ctx), K.one, K.z, K.pack([ctx.monomial(2)]), ())
 
     def test_kernel_column_pivot_raises_under_optimization(self):
         # w = x^2 in F2[x]/x^3 is the kernel generator itself
@@ -1452,10 +1473,53 @@ def subring_view(S):
 
 
 # Z[x]/(2, x^n) is F_2[x]/x^n and runs the same packed path; the F_2 cases
-# keep their plain ids 1..9
-PACKED_RINGS = [pytest.param(n, functools.partial(field_ring, 2), id=str(n)) for n in range(1, 10)] + [
-    pytest.param(n, functools.partial(zpn_ring, 2, 1), id=repr(zpn_ring(2, 1, n))) for n in range(1, 10)
-]
+# keep their plain ids 1..9.  Past F_2 the residue rings keep packed rows in
+# their chain's width: Z/p^N with k-steps at p = 2, 3 and N = 2, 3, and F_3
+# and F_5.  The chains of Z[x]/(2^2, x^5, 2x^4), F3[x]/x^6 and F5[x]/x^4
+# change width between levels (test_chain_width_changes).
+Z_PACKED = [(2, 2, 3, 1), (2, 2, 4, 2), (2, 2, 5, 1), (2, 3, 3, 2), (3, 2, 3, 1), (3, 2, 4, 2), (3, 3, 3, 2)]
+PACKED_RINGS = (
+    [pytest.param(n, functools.partial(field_ring, 2), id=str(n)) for n in range(1, 10)]
+    + [pytest.param(n, functools.partial(zpn_ring, 2, 1), id=repr(zpn_ring(2, 1, n))) for n in range(1, 10)]
+    + [
+        pytest.param(n, functools.partial(zpn_ring, p, N, k=k), id=repr(zpn_ring(p, N, n, k)))
+        for p, N, n, k in Z_PACKED
+    ]
+    + [
+        pytest.param(n, functools.partial(field_ring, q), id=repr(field_ring(q, n)))
+        for q, top in ((3, 6), (5, 4))
+        for n in range(1, top + 1)
+    ]
+)
+
+
+def tuple_path(monkeypatch):
+    """Make every ring built from now on keep tuple rows: _packs refuses
+    every ring.  The library's tuple kernel serves F_q with q = p^e, e > 1,
+    so on the Z family its jobs that hold only over a field are replaced
+    by oracles: the preimage, the projection and the lift bases by
+    canonicalize of the lifted rows and z, of the projected rows, and of 1,
+    small and the w_i - c_i z, and nu by the ring's."""
+    monkeypatch.setattr(subrings, "_packs", lambda ctx: False)
+    inner = subrings._RowKernel
+
+    def lift_bases(ctx, z, w, small):
+        edits = itertools.product(range(ctx.base), repeat=len(w))
+        shifted = lambda c: [ctx.sub(wi, ctx.scalar_mul(ci, z)) for wi, ci in zip(w, c)]
+        return [canonicalize(ctx, [ctx.one(), *shifted(c), *small]) for c in edits]
+
+    def kernel(ctx):
+        K = inner(ctx)
+        if isinstance(ctx, ZpNPolyCtx):
+            K.nu = ctx.nu
+        if isinstance(ctx, ZpNPolyCtx) and ctx.n > 1:
+            down, z = quotient_ctx(ctx), kernel_generator(ctx)
+            K.preimage = lambda rows: canonicalize(ctx, [lift_row(ctx, r) for r in rows] + [z])
+            K.project = lambda rows: canonicalize(down, [project(ctx, down, r) for r in rows])
+            K.lift_bases = functools.partial(lift_bases, ctx, z)
+        return K
+
+    monkeypatch.setattr(subrings, "_RowKernel", kernel)
 
 
 class TestPackedPaths:
@@ -1466,12 +1530,40 @@ class TestPackedPaths:
         assert all(isinstance(r, int) for S in packed for r in S._rows)
         packed_view = [subring_view(S) for S in packed]
         packed_census = census(ctx)
-        monkeypatch.setattr(subrings, "_packs", lambda ctx: False)
+        tuple_path(monkeypatch)
         ctx = ring(n)
         plain = enumerate_subrings(ctx)
         assert all(S._rows == S.basis for S in plain)
         assert [subring_view(S) for S in plain] == packed_view
         assert census(ctx) == packed_census
+
+    def test_chain_width_changes(self):
+        # the rows of these chains change width on some n-step below the top
+        for ctx in (zpn_ring(2, 2, 5, 1), field_ring(3, 6), field_ring(5, 4)):
+            widths = {layout_of(C).w for C in subrings._quotient_chain(ctx)}
+            assert len(widths) > 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # one step above Z[x]/(2^2, x^3), an n-step that widens the rows
+            ["--p", "2", "--N", "2", "--n", "3", "--subring", "x"],
+            ["--p", "2", "--N", "2", "--n", "3", "--subring", "2x;x^2"],
+            # a k-step, and a k-step onto a subring with a top pivot
+            ["--p", "3", "--N", "2", "--n", "3", "--k", "1", "--subring", "3x"],
+            ["--p", "2", "--N", "3", "--n", "3", "--k", "2", "--subring", "x^2"],
+            ["--q", "5", "--n", "3", "--subring", "x^2"],
+        ],
+        ids=" ".join,
+    )
+    def test_lifts_command_matches_the_tuple_path(self, argv, capsys, monkeypatch):
+        from truncring.cli import main
+
+        assert main(["lifts", *argv]) == 0
+        packed = capsys.readouterr().out
+        tuple_path(monkeypatch)
+        assert main(["lifts", *argv]) == 0
+        assert capsys.readouterr().out == packed
 
     def test_census_walk_builds_no_tuples(self, monkeypatch):
         counts = Counter()
@@ -1504,6 +1596,83 @@ class TestPackedPaths:
         x = small.parse("x")
         small.mul(x, x)
         assert counts["mul"] > before
+
+    @pytest.mark.parametrize("ctx", [zpn_ring(2, 2, 6, 1), zpn_ring(3, 2, 4), field_ring(3, 7)], ids=repr)
+    def test_residue_census_converts_no_rows(self, ctx, monkeypatch):
+        # rows stay packed along the whole quotient chain: once each level's
+        # row kernel is built (the first census builds them), a census packs,
+        # unpacks and reads no tuple row
+        total = sum(r.count for r in census(ctx))
+        counts = Counter()
+
+        def counting(name, inner):
+            def count(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return count
+
+        monkeypatch.setattr(subrings, "_pack", counting("_pack", subrings._pack))
+        monkeypatch.setattr(subrings, "_unpack", counting("unpack", subrings._unpack))
+        monkeypatch.setattr(Subring, "basis", property(counting("basis", Subring.basis.fget)))
+        assert sum(r.count for r in census(ctx)) == total
+        assert counts == {}
+        # the counters do count
+        enumerate_subrings(ctx)[-1].basis
+        closure(ctx, [ctx.monomial(1)])
+        assert set(counts) == {"_pack", "unpack", "basis"}
+
+    def test_closure_bfs_packs_only_the_generators(self, monkeypatch):
+        # closure starts its table from S's rows as they are, so closure_bfs
+        # packs each generator it adjoins and nothing else (it made 35,578
+        # packs of S's rows on this ring while Z/p^N subrings kept tuples)
+        ctx = zpn_ring(2, 2, 5)
+        subrings._row_kernel(ctx), subrings._element_kernel(ctx)
+        packed, given = Counter(), Counter()
+        inner_pack, inner_closure = subrings._pack, subrings.closure
+
+        def counting_pack(row, w=1):
+            row = tuple(row)
+            packed[row] += 1
+            return inner_pack(row, w)
+
+        def counting_closure(S, gens):
+            given.update(map(tuple, gens))
+            return inner_closure(S, gens)
+
+        monkeypatch.setattr(subrings, "_pack", counting_pack)
+        monkeypatch.setattr(subrings, "closure", counting_closure)
+        assert len(enumerate_subrings(ctx, "closure_bfs")) == 221
+        assert packed == given and sum(given.values()) > 1000
+
+
+def live_contexts():
+    return sum(isinstance(o, (FieldPolyCtx, ZpNPolyCtx)) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: [census(zpn_ring(2, 2, 6, 1)) for _ in range(3)],
+        lambda: truncring.run_suite(field_ring(2, 7), "all"),
+        lambda: truncring.run_suite(zpn_ring(2, 2, 4, 1), "all"),
+        lambda: truncring.run_suite(field_ring(4, 3), "all"),
+        lambda: lift_isomorphic(restricted_extension(closure(zpn_ring(2, 2, 3), [(0, 2, 1)]))),
+    ],
+    ids=["census", "verify F2", "verify Z", "verify F4", "lifts"],
+)
+def test_contexts_are_freed_by_reference_counting(run):
+    # a chain links down strongly and up weakly, and no kernel a context
+    # holds refers back to it, so a context goes when its last holder does,
+    # with the cyclic collector off
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_contexts()
+        run()
+        assert live_contexts() == before
+    finally:
+        gc.enable()
 
 
 # -- quotient steps read off the parent, against canonicalize and ring mul -------
@@ -1541,13 +1710,19 @@ def check_ideal_data(S):
         assert data.small == data.square
 
 
+def pivot(row):
+    """(column, entry) of a canonical row's pivot."""
+    col = subrings._lead(row)
+    return col, row[col]
+
+
 def check_kernel_and_complement(ext):
     """The kernel test and the lift complement against canonicalize."""
     ctx, data, z = ext.src.ctx, ext.src_ideal, ext.kernel_gen
     assert ext.kernel_in_small == in_row_span(ctx, data.small, z)
     if not ext.kernel_in_small:
-        grown = {subrings._pivot(r) for r in canonicalize(ctx, [*data.small, z])}
-        want = [r for r in data.max_ideal if subrings._pivot(r) not in grown]
+        grown = {pivot(r) for r in canonicalize(ctx, [*data.small, z])}
+        want = [r for r in data.max_ideal if pivot(r) not in grown]
         assert list(data._tuples(subrings._lift_complement(ctx, data))) == want
 
 
@@ -1696,7 +1871,8 @@ class TestQuotientStepsFromParent:
         ctx = data.draw(st.sampled_from([field_ring(p, n), zpn_ring(p, 1, n)]))
         m = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
         want = [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]]
-        assert subrings._row_kernel(ctx).square(m) == canonicalize(ctx, want)
+        K = subrings._row_kernel(ctx)
+        assert K.unpack(K.square(K.pack(m))) == canonicalize(ctx, want)
 
     @pytest.mark.parametrize(
         "ctx, kernel",
@@ -1856,8 +2032,9 @@ class TestQuotientStepsFromParent:
         # one ring reads the same objects (the layout: test_one_layout_per_caps)
         subs = enumerate_subrings(ctx)
         assert {id(subrings._row_kernel(S.ctx)) for S in subs} == {id(subrings._row_kernel(ctx))}
-        head = subrings._row_kernel(ctx).head
-        assert head == (ctx.monomial(0, ctx.p_image),)
+        K = subrings._row_kernel(ctx)
+        head = K.head
+        assert K.unpack(head) == (ctx.monomial(0, ctx.p_image),)
         assert {id(ideal_data(S).max_rows[0]) for S in subs} == {id(head[0])}
 
 
@@ -1941,7 +2118,7 @@ def packed_howell_case(draw, field):
 
 def packed_howell(ctx, rows):
     L = layout_of(ctx)
-    return subrings._packed_howell(L, [subrings._pack(r, L.w) for r in rows])
+    return subrings._unpack(subrings._packed_howell(L, [subrings._pack(r, L.w) for r in rows]), L.w, ctx.n)
 
 
 @st.composite
@@ -2009,13 +2186,18 @@ class TestPackedHowell:
         inner = subrings._packed_howell
 
         def recording(L, rows):
-            seen.setdefault((L.p, L.logs), set()).add(id(L))
+            # the arguments _layout was called with
+            key = (L.p, L.logs[: len(L.logs) - L.tags]) + ((L.tags,) if L.tags else ())
+            seen.setdefault(key, set()).add(id(L))
             return inner(L, rows)
 
         monkeypatch.setattr(subrings, "_packed_howell", recording)
         enumerate_subrings(ctx)
         closure(ctx, [ctx.monomial(1)])
-        assert {len(logs) for _, logs in seen} > {ctx.n}
+        # lift families' tag columns share the width of their ring's columns
+        tagged = [key for key in seen if len(key) == 3]
+        assert tagged
+        assert all(subrings._layout(*key).w == subrings._layout(*key[:2]).w for key in tagged)
         assert all(ids == {id(subrings._layout(*key))} for key, ids in seen.items())
 
         def refuse(*args):
