@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import itertools
 import json
@@ -285,7 +286,10 @@ def _add_ring_flags(sp):
     sp.add_argument("--n", type=int, required=True, help="truncation order")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: parsing leaves it as it
+    was, and each command looks up what it runs when it runs."""
     parser = argparse.ArgumentParser(
         prog="truncring",
         description="Subring censuses, lifts, and invariant checks for truncated polynomial rings.",

@@ -8,11 +8,22 @@ the set of valuations occurring in Z[x]/(p^N, x^n, p^k x^{n-1}).
 
 A shape is a subset containing zero and closed under defined sums.
 
-Every shape question reads one set, the pairwise sums of the shape's
-nonzero points (_sums): closure asks that its defined members lie in the
-shape, the minimal generators are the nonzero points outside it, the
-census bound counts gaps above those generators, and enumeration forces
-a point exactly when it is a sum of two points already chosen.
+A set of points is a mask, an int with one bit per point, in the domain's
+layout (_PointLayout): the interval point i sits at bit i, the grid point
+(i, j) at bit i (2N-1) + j, and zero at bit 0.  Positions add as the
+points do, and j + j' <= 2N - 2 never carries into the next row, so the
+sums of two sets are one mask shifted by each position of the other
+(_raw_sums), and the defined sums are the bits that land in the domain's
+mask: a sum past the last row, in a row's unused bits j >= N or on a
+capped top-row point lands outside it.  Positions also order as the
+points do, so a mask decodes to its points in ascending order.  Every
+shape question is answered by shifts, as numerical semigroups are held
+as bitmaps (Fromentin and Hivert, Exploring the tree of numerical
+semigroups, 2016): closure asks that the defined sums of the shape's
+nonzero points lie in it, the minimal generators are the nonzero points
+outside those sums, the census bound counts the gaps above each
+generator by popcount, and enumeration forces a point exactly when it is
+a sum of two points already chosen.
 """
 
 from __future__ import annotations
@@ -29,8 +40,49 @@ Point = Union[int, tuple[int, int]]
 _MAX_ENUM_POINTS = 24
 
 
+class _PointLayout:
+    """A domain's bit layout (see the module docstring): each domain lists
+    its points and places one it contains at bit(pt)."""
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """The points' positions, ascending as the points are."""
+        return tuple(map(self.bit, self.points))
+
+    @cached_property
+    def _placed(self) -> tuple:
+        return tuple(zip(self.points, self.bits))
+
+    @cached_property
+    def mask(self) -> int:
+        """The mask of every point."""
+        return sum(1 << b for b in self.bits)
+
+    @cached_property
+    def zero_column_mask(self) -> int:
+        return self.mask_of(self.zero_column)
+
+    @cached_property
+    def top_bit(self) -> int:
+        """The mask of the largest point."""
+        return 1 << self.bits[-1]
+
+    def mask_of(self, pts: Iterable[Point]) -> int:
+        """The mask of the points; ValueError for one outside the domain."""
+        m = 0
+        for pt in pts:
+            if not self.contains(pt):
+                raise ValueError(f"{pt!r} is not a point of {self}")
+            m |= 1 << self.bit(pt)
+        return m
+
+    def points_of(self, mask: int) -> tuple:
+        """The points of a mask, ascending."""
+        return tuple([pt for pt, b in self._placed if mask >> b & 1])
+
+
 @dataclass(frozen=True)
-class IntervalDomain:
+class IntervalDomain(_PointLayout):
     """Exponents [0, n-1]; a + b is defined when it stays below n."""
 
     n: int
@@ -55,13 +107,16 @@ class IntervalDomain:
     def contains(self, pt) -> bool:
         return isinstance(pt, int) and 0 <= pt < self.n
 
+    def bit(self, pt: int) -> int:
+        return pt
+
     def add(self, a: int, b: int):
         s = a + b
         return s if s < self.n else None
 
 
 @dataclass(frozen=True)
-class GridDomain:
+class GridDomain(_PointLayout):
     """Pairs [0, n-1] x [0, N-1] ordered and added lexicographically.
 
     With tail < N the points (n-1, j), j >= tail are excluded and sums are
@@ -106,6 +161,10 @@ class GridDomain:
         i, j = pt
         return 0 <= i < self.n and 0 <= j < self.N and not (i == self.n - 1 and j >= self.tail)
 
+    def bit(self, pt: tuple[int, int]) -> int:
+        # 2N - 1 bits a row: j + j' <= 2N - 2 stays in the row
+        return pt[0] * (2 * self.N - 1) + pt[1]
+
     def add(self, a, b):
         s = (a[0] + b[0], a[1] + b[1])
         return s if self.contains(s) else None
@@ -114,30 +173,85 @@ class GridDomain:
 ExpDomain = Union[IntervalDomain, GridDomain]
 
 
+def _raw_sums(a: int, b: int) -> int:
+    """The mask of the sums u + v, u in mask a and v in mask b, defined or
+    not: b shifted by each of a's positions, one set bit of a at a time
+    (b * low is b shifted to low's position)."""
+    s = 0
+    while a:
+        low = a & -a
+        s |= b * low
+        a ^= low
+    return s
+
+
+def _closure(domain: ExpDomain, m: int) -> int:
+    """The closure of the mask m under defined sums, in one ascending pass
+    over its members, each adding its defined sums with the members so far.
+    Proof that the result is closed: a sum of two nonzero points lies above
+    both, so a member is added while a lower one is passed, and when the
+    pass reaches a member v, every member u <= v is in m and v + u is
+    added."""
+    dom = domain.mask
+    above = m & ~1
+    while above:
+        low = above & -above
+        m |= m * low & dom
+        # the members above low, those just added among them
+        above = m & -(low << 1)
+    return m
+
+
+def _is_shape_mask(domain: ExpDomain, m: int) -> bool:
+    """Whether the mask m holds zero, lies in the domain and holds every
+    defined sum of two of its nonzero points."""
+    nz = m & ~1
+    return bool(m & 1) and not m & ~domain.mask and not _raw_sums(nz, nz) & domain.mask & ~m
+
+
 def is_shape(domain: ExpDomain, elems: Iterable[Point]) -> bool:
     """True when elems contains zero, lies in the domain, and is closed
     under every defined sum of its members."""
-    s = set(elems)
-    if domain.zero not in s:
+    try:
+        m = domain.mask_of(elems)
+    except ValueError:
         return False
-    if not all(domain.contains(pt) for pt in s):
-        return False
-    return all(t in s for t in _sums(s - {domain.zero}) if domain.contains(t))
+    return _is_shape_mask(domain, m)
 
 
 @dataclass(frozen=True)
 class Shape:
-    """A validated sub-partial-monoid, elements sorted ascending."""
+    """A validated sub-partial-monoid, elements sorted ascending.  Its mask
+    and its generators' mask are memoised outside the fields."""
 
     domain: ExpDomain
     elems: tuple[Point, ...]
 
     @staticmethod
     def of(domain: ExpDomain, elems: Iterable[Point]) -> "Shape":
-        pts = tuple(sorted(set(elems)))
-        if not is_shape(domain, pts):
-            raise ValueError(f"{pts} is not a shape of {domain}")
-        return Shape(domain, pts)
+        return Shape.of_mask(domain, domain.mask_of(elems))
+
+    @staticmethod
+    def of_mask(domain: ExpDomain, mask: int) -> "Shape":
+        """The shape whose points are the mask's; ValueError when they are
+        not a shape."""
+        if not _is_shape_mask(domain, mask):
+            raise ValueError(f"{domain.points_of(mask)} is not a shape of {domain}")
+        return _shape(domain, mask)
+
+    @cached_property
+    def mask(self) -> int:
+        return self.domain.mask_of(self.elems)
+
+    @cached_property
+    def _generators(self) -> int:
+        """The mask of the minimal generators (see minimal_generators)."""
+        domain, m = self.domain, self.mask
+        nz = m & ~1
+        gens = nz & ~_raw_sums(nz, nz)
+        if _closure(domain, gens | 1) != m:
+            raise InvariantViolation(f"generators {domain.points_of(gens)} do not span the shape {self.elems}")
+        return gens
 
     def __contains__(self, pt) -> bool:
         return pt in self.elems
@@ -152,40 +266,30 @@ class Shape:
         return minimal_generators(self)
 
     def generator_count(self) -> int:
-        return len(minimal_generators(self))
+        return self._generators.bit_count()
 
 
-def _sums(pts, others=None) -> set:
-    """Every raw sum a + b with a in pts and b in others (default pts),
-    whether or not the domain defines it."""
-    others = pts if others is None else others
-    if all(isinstance(a, int) for a in pts):
-        return {a + b for a in pts for b in others}
-    return {(a[0] + b[0], a[1] + b[1]) for a in pts for b in others}
+def _shape(domain: ExpDomain, mask: int) -> Shape:
+    """The Shape of a mask known to be one, its mask memoised."""
+    sh = Shape(domain, domain.points_of(mask))
+    object.__setattr__(sh, "mask", mask)
+    return sh
 
 
 def minimal_generators(shape: Shape) -> tuple[Point, ...]:
     """The unique minimal generating set: nonzero elements that are not a
-    sum of two nonzero elements.
+    sum of two nonzero elements.  InvariantViolation when they do not
+    generate the shape, which happens only if it is not closed.
 
     A sum of members that equals a member is automatically defined in the
     domain, so decomposability does not depend on the ambient domain.
     """
-    nz = set(shape.elems) - {shape.domain.zero}
-    gens = tuple(sorted(nz - _sums(nz)))
-    if generate(shape.domain, gens) != set(shape.elems):
-        raise InvariantViolation(f"generators {gens} do not span the shape {shape.elems}")
-    return gens
+    return shape.domain.points_of(shape._generators)
 
 
 def generate(domain: ExpDomain, gens: Iterable[Point]) -> set:
     """Closure of gens (plus zero) under iterated defined sums."""
-    out = new = {domain.zero} | set(gens)
-    # each pair of points is summed in the round after the later one appears
-    while new:
-        new = {t for t in _sums(new, out) if domain.contains(t)} - out
-        out |= new
-    return out
+    return set(domain.points_of(_closure(domain, domain.mask_of(gens) | 1)))
 
 
 def is_realizable_zshape(shape: Shape) -> bool:
@@ -193,7 +297,7 @@ def is_realizable_zshape(shape: Shape) -> bool:
     it must contain the whole zero column (0, 0), ..., (0, N-1)."""
     if not isinstance(shape.domain, GridDomain):
         raise TypeError("realizability test applies to grid shapes")
-    return set(shape.domain.zero_column) <= set(shape.elems)
+    return not shape.domain.zero_column_mask & ~shape.mask
 
 
 def chain_bound(shape: Shape) -> int:
@@ -210,21 +314,24 @@ def chain_bound(shape: Shape) -> int:
     lexicographically and added componentwise, so a + b > a for nonzero b,
     and t, above every point left, is never a summand.  So a step at a gap
     t adds exactly the shape's generators below t, and summing over
-    generators instead of steps gives the count.
+    generators instead of steps gives the count: the popcount of the gaps
+    above each generator, as positions order as the points do.
 
     Every shape the census bounds contains the zero column, where (0, 1)
     is the only generator, as (0, j) = (0, 1) + (0, j-1): p's generator,
     which no step accounts for.  On an interval the zero column is 0.
     """
     domain = shape.domain
-    col = set(domain.zero_column)
-    gaps = [t for t in domain.points if t not in col and t not in shape]
-    # a generator above every gap counts none, and whether g is one
-    # depends only on the points below g
-    top = max(gaps, default=domain.zero)
-    low = {pt for pt in shape.elems if domain.zero < pt < top}
-    gens = low - _sums(low) - col
-    return sum(t > g for g in gens for t in gaps)
+    col = domain.zero_column_mask
+    gaps = domain.mask & ~shape.mask & ~col
+    gens = shape._generators & ~col
+    count = 0
+    while gens:
+        low = gens & -gens
+        # -(low << 1) masks every position above low's
+        count += (gaps & -(low << 1)).bit_count()
+        gens ^= low
+    return count
 
 
 def e_bound(n: int, s) -> int:
@@ -261,22 +368,23 @@ def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[S
     restricted to those containing the zero column (on an interval that is
     just 0, so the flag is a no-op there).
     """
-    pts = [pt for pt in domain.points if pt != domain.zero]
-    if len(pts) + 1 > _MAX_ENUM_POINTS:
-        raise TooLarge(f"{len(pts) + 1} points exceeds the enumeration limit {_MAX_ENUM_POINTS}")
-    required = set(domain.zero_column) if realizable_only else set()
+    bits = domain.bits[1:]
+    if len(bits) + 1 > _MAX_ENUM_POINTS:
+        raise TooLarge(f"{len(bits) + 1} points exceeds the enumeration limit {_MAX_ENUM_POINTS}")
+    required = domain.zero_column_mask if realizable_only else 0
     out = []
 
-    def rec(i: int, nz: set, sums: set):
-        # nz: the nonzero points chosen so far, sums: their pairwise sums
-        if i == len(pts):
-            out.append(Shape(domain, tuple(sorted(nz | {domain.zero}))))
+    def rec(i: int, nz: int, sums: int):
+        # nz: the mask of the nonzero points chosen so far, sums: their
+        # pairwise sums
+        if i == len(bits):
+            out.append(_shape(domain, nz | 1))
             return
-        h = pts[i]
-        if h not in required and h not in sums:
+        b = bits[i]
+        if not (required | sums) >> b & 1:
             rec(i + 1, nz, sums)
-        with_h = nz | {h}
-        rec(i + 1, with_h, sums | _sums((h,), with_h))
+        nz |= 1 << b
+        rec(i + 1, nz, sums | nz << b)
 
-    rec(0, set(), set())
+    rec(0, 0, 0)
     return sorted(out, key=lambda s: s.elems)

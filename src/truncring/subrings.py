@@ -92,7 +92,10 @@ preimage R of B has d(R) = d(B) + [z not in m_R^2 + pR] (the proof is in
 restricted_extension) and B's points plus nu(z) (_preimage), and a lift
 has d(B) and B's points.  So neither the census nor the enumeration calls
 cotangent_dim, which stays the one direct computation and the oracle, or
-reads points off rows.
+reads points off rows.  The points are held as a mask in the domain's
+bit layout (shapes._PointLayout), so a preimage sets one bit, the
+kernel-bit test compares masks, the census keys its rows by mask and
+decodes each row's points once, and the row's shape facts are shifts.
 """
 
 from __future__ import annotations
@@ -921,15 +924,16 @@ class Subring:
     every subring the walk, closure and project_subring make, takes rows
     the kernel made.  basis gives the tuples, unpacked on first read.
 
-    The cotangent dimension and the exponent points are memoised: the
-    prime ring and every subring the quotient-chain walk makes carry them
-    (see restricted_extension and _preimage), and any other subring
-    computes them, with cotangent_dim and _points_of_rows, on first use.
+    The cotangent dimension and the exponent points, as a mask in the
+    domain's bit layout (shapes._PointLayout), are memoised: the prime
+    ring and every subring the quotient-chain walk makes carry them (see
+    restricted_extension and _preimage), and any other subring computes
+    them, with cotangent_dim and _points_of_rows, on first use.
     """
 
     __slots__ = ("ctx", "_rows", "_basis", "_cotangent", "_points")
 
-    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None, points: tuple | None = None):
+    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None, points: int | None = None):
         self.ctx = ctx
         self._basis = tuple(map(tuple, basis))
         self._rows = _row_kernel(ctx).pack(self._basis)
@@ -950,7 +954,7 @@ class Subring:
         its canonical basis, its m/(m^2 + pR) is 0, and its valuations are
         the domain's zero column: 0, or (0, 0), ..., (0, N-1) over Z/p^N,
         where p^j has valuation (0, j)."""
-        return cls._from_rows(ctx, (_row_kernel(ctx).one,), 0, ctx.domain.zero_column)
+        return cls._from_rows(ctx, (_row_kernel(ctx).one,), 0, ctx.domain.zero_column_mask)
 
     @property
     def basis(self) -> tuple[Element, ...]:
@@ -1096,36 +1100,36 @@ def project_subring(S: Subring, dst: RingCtx) -> Subring:
     return Subring._from_rows(dst, _row_kernel(S.ctx).project(S._rows))
 
 
-def _exponent_points(S: Subring) -> tuple:
-    """The sorted valuation points of S, memoised: the walk carries them
-    (see _preimage and lift_isomorphic), and any other subring reads them
+def _point_mask(S: Subring) -> int:
+    """The mask of S's valuation points, memoised: the walk carries it
+    (see _preimage and lift_isomorphic), and any other subring reads it
     off its rows (_points_of_rows) on first use."""
     if S._points is None:
         S._points = _points_of_rows(S)
     return S._points
 
 
-def _points_of_rows(S: Subring) -> tuple:
-    """The sorted valuation points read off the canonical basis: each row
-    contributes its own valuation and, when p != 0, those of its multiples
-    by powers of p that keep the pivot.  The row kernel's nu reads a row's
-    valuation."""
+def _points_of_rows(S: Subring) -> int:
+    """The mask of the valuation points read off the canonical basis: each
+    row contributes its own valuation and, when p != 0, those of its
+    multiples by powers of p that keep the pivot.  The row kernel's nu
+    reads a row's valuation."""
     ctx = S.ctx
     pts = list(map(_row_kernel(ctx).nu, S._rows))
     if ctx.p_image:
         pts += [(c, b) for c, a in pts for b in range(a + 1, ctx.caps_log[c])]
-    return tuple(sorted(pts))
+    return ctx.domain.mask_of(pts)
 
 
 def exponent_set(S: Subring) -> Shape:
     """Valuations of the nonzero members, as the walk carries them or read
-    off the canonical basis (_exponent_points).
+    off the canonical basis (_point_mask).
 
     Over a field these are exactly the pivot columns; over Z/p^N each row
     with pivot p^a in column c contributes the points (c, a), ..., up to
     the cap of that column.
     """
-    return Shape.of(S.ctx.domain, _exponent_points(S))
+    return Shape.of_mask(S.ctx.domain, _point_mask(S))
 
 
 # -- ideals and cotangent data ------------------------------------------------
@@ -1208,29 +1212,32 @@ def _preimage(B: Subring) -> Subring:
     ring: B's rows lifted, then the kernel generator z, which is left out
     on a k-step where B has a pivot in the top column (_RowKernel).
 
-    R carries its exponent points: B's, then nu(z), the largest point of
-    R's domain.  Proof: R maps onto B with kernel span(z), z the step's
-    kernel generator, whose nonzero members all have valuation nu(z).  The
-    quotient map keeps the valuation of every member outside span(z), so
-    R's valuations are B's plus nu(z), the point the quotient step drops."""
+    R carries its exponent points: B's mask with the bit of nu(z), the
+    largest point of R's domain, set; the domains along a quotient chain
+    share their layout, whose positions depend on N alone.  Proof: R maps
+    onto B with kernel span(z), z the step's kernel generator, whose
+    nonzero members all have valuation nu(z).  The quotient map keeps the
+    valuation of every member outside span(z), so R's valuations are B's
+    plus nu(z), the point the quotient step drops."""
     src_ctx = extension_ctx(B.ctx)
-    points = _exponent_points(B) + (src_ctx.domain.points[-1],)
+    points = _point_mask(B) | src_ctx.domain.top_bit
     return Subring._from_rows(src_ctx, _row_kernel(src_ctx).preimage(B._rows), points=points)
 
 
 @functools.cache
 def _top_splits(domain) -> tuple:
-    """The pairs (u, v), u before or at v, of nonzero points of the domain
-    whose sum is its largest point.  One tuple per domain met."""
+    """The masks of the pairs {u, v} of nonzero points of the domain whose
+    sum is its largest point.  One tuple per domain met."""
     top = domain.points[-1]
     pts = [u for u in domain.points if u != domain.zero]
-    return tuple((u, v) for i, u in enumerate(pts) for v in pts[i:] if domain.add(u, v) == top)
+    return tuple(domain.mask_of((u, v)) for i, u in enumerate(pts) for v in pts[i:] if domain.add(u, v) == top)
 
 
 def _kernel_is_a_product(R: Subring) -> bool:
     """Whether nu(z), z the kernel generator of the step out of R's ring,
-    is a sum of two valuations of members of m_R, read off R's exponent
-    points.  When it is, z lies in m_R^2.
+    is a sum of two valuations of members of m_R: whether R's point mask
+    holds one of the domain's split masks (_top_splits).  When it is, z
+    lies in m_R^2.
 
     Proof: valuations add inside the domain.  Over F_q, nu(ab) =
     nu(a) + nu(b) when that is below n.  Over Z/p^N, with nu(a) = (c, α)
@@ -1242,9 +1249,10 @@ def _kernel_is_a_product(R: Subring) -> bool:
     alone in column n-1, where z is, so ab is a unit multiple of z and z
     lies in m_R^2 ⊆ m_R^2 + pR.  The unit point 0 is no summand: every
     point is 0 + itself, and no member of valuation 0 lies in m_R."""
-    pts = set(_exponent_points(R))
-    for u, v in _top_splits(R.ctx.domain):
-        if u in pts and v in pts:
+    m = _point_mask(R)
+    # a loop, not any(): the walk runs this once per extension
+    for uv in _top_splits(R.ctx.domain):
+        if m & uv == uv:
             return True
     return False
 
@@ -1381,7 +1389,7 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
         )
     # a lift maps onto dst isomorphically and meets span(z) only in 0, so
     # it keeps the valuations of dst (see _preimage)
-    points = _exponent_points(ext.dst)
+    points = _point_mask(ext.dst)
     bases = _row_kernel(ctx).lift_bases(w, data.small_rows)
     lifts = [Subring._from_rows(ctx, b, d, points) for b in bases]
     if len({L._rows for L in lifts}) != len(lifts):
@@ -1700,10 +1708,10 @@ class CensusRow:
 
 
 def _census_walk(ctx: RingCtx) -> dict:
-    """Exponent points -> Counter of cotangent dimensions over the subrings
-    of ctx, counted from the families of _top_families, not built.  Each
-    family is extended once more, to the top, by _family_extensions.  The
-    member M an extension is of counts once: its preimage with d(M) +
+    """Exponent point mask -> Counter of cotangent dimensions over the
+    subrings of ctx, counted from the families of _top_families, not
+    built.  Each family is extended once more, to the top, by
+    _family_extensions.  The member M an extension is of counts once: its preimage with d(M) +
     [z not in the obstruction module] (see restricted_extension), and when
     z is not, M's base^d(M) lifts, each with M's exponent points and d(M).
 
@@ -1715,10 +1723,9 @@ def _census_walk(ctx: RingCtx) -> dict:
     lifts count base^(2 d(B)) under B's points.
 
     Every member carries its exponent points down the walk, and the
-    preimage's points are M's, then top, the largest point of the top
-    ring's domain (the proof is _preimage's), so no points are read off
-    rows."""
-    top = (ctx.domain.points[-1],)
+    preimage's points are M's and top, the largest point of the top ring's
+    domain (the proof is _preimage's), so no points are read off rows."""
+    top = ctx.domain.top_bit
     base = ctx.base
     rows = defaultdict(Counter)
     for members in _top_families(ctx):
@@ -1729,13 +1736,13 @@ def _census_walk(ctx: RingCtx) -> dict:
                 counted.append((others[0], len(others)))
             in_small = ext.kernel_in_small
             for M, weight in counted:
-                pts, d = _exponent_points(M), M.cotangent
-                rows[pts + top][d + (not in_small)] += weight
+                pts, d = _point_mask(M), M.cotangent
+                rows[pts | top][d + (not in_small)] += weight
                 if not in_small:
                     rows[pts][d] += weight * base**d
     if not rows:  # the base ring
         prime = Subring.prime_ring(ctx)
-        rows[_exponent_points(prime)][prime.cotangent] += 1
+        rows[_point_mask(prime)][prime.cotangent] += 1
     return rows
 
 
@@ -1764,15 +1771,15 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
             if S in seen:
                 raise ValueError(f"{S!r} appears twice in the census of {ctx!r}")
             seen.add(S)
-            pts = _exponent_points(S)
+            pts = _point_mask(S)
             members[pts].append(S)
             rows[pts][S.cotangent] += 1
     base = ctx.base
     out = []
-    for pts in sorted(rows):
-        dims = rows[pts]
+    # rows keyed by point mask, each decoded once and sorted by its points
+    for sh in sorted((Shape.of_mask(ctx.domain, m) for m in rows), key=lambda sh: sh.elems):
+        dims = rows[sh.mask]
         count = sum(dims.values())
-        sh = Shape.of(ctx.domain, pts)
         exp = chain_bound(sh)
         out.append(
             CensusRow(
@@ -1783,7 +1790,7 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
                 equality=count == base**exp,
                 d_shape=sh.generator_count(),
                 d_ring_values=tuple(sorted(dims.elements())),
-                subrings=tuple(members.get(pts, ())),
+                subrings=tuple(members.get(sh.mask, ())),
             )
         )
     return out

@@ -355,6 +355,19 @@ class TestUsageErrors:
         assert main([]) == 2
         assert main(["nonsense"]) == 2
 
+    def test_kept_parser_answers_each_call_alike(self, capsys):
+        # one parser serves every call: a usage error after a run, and a run
+        # after a usage error, print what they print on their own
+        assert cli._build_parser() is cli._build_parser()
+        calls = [["census", "--q", "2"], ["census", "--q", "2", "--n", "4"], ["nonsense"]]
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append((main(argv), capsys.readouterr()))
+        assert [(main(argv), capsys.readouterr()) for argv in calls * 2] == alone * 2
+        assert [code for code, _ in alone] == [2, 0, 2]
+        assert alone[0][1].err.endswith("truncring census: error: the following arguments are required: --n\n")
+
     def test_conflicting_ring_flags(self, capsys):
         assert main(["verify", "--suite", "all", "--n", "3"]) == 2
         assert main(["verify", "--suite", "all", "--q", "2", "--p", "2", "--N", "2", "--n", "3"]) == 2

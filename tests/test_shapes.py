@@ -1,5 +1,6 @@
 """Valuation shapes: closure, minimal generators, the counting recursions,
-and exhaustive enumeration against a subset-filter oracle."""
+and exhaustive enumeration against a subset-filter oracle; the bit layout
+and the mask kernels against the set definitions they replaced."""
 
 import itertools
 
@@ -19,6 +20,7 @@ from truncring import (
     is_shape,
     minimal_generators,
 )
+from truncring.shapes import chain_bound
 
 FAMILY_E = {0, 6, 7, 8, 12, 13, 14, 15, 16, 17}
 
@@ -276,3 +278,174 @@ class TestEnumeration:
         counts = [len(enumerate_shapes(IntervalDomain(n))) for n in range(1, 7)]
         assert counts == sorted(counts)
         assert counts[2] == 3 and counts[3] == 5
+
+
+# -- the set definitions, the oracle of the mask kernels ------------------------
+#
+# Each shape question as the library answered it on Python sets before points
+# became masks: one set of pairwise sums, filtered by domain.contains.
+
+
+def sums(pts, others=None) -> set:
+    """Every raw sum a + b with a in pts and b in others (default pts),
+    whether or not the domain defines it."""
+    others = pts if others is None else others
+    return {add(a, b) for a in pts for b in others}
+
+
+def is_shape_by_sets(domain, elems) -> bool:
+    s = set(elems)
+    if domain.zero not in s or not all(domain.contains(pt) for pt in s):
+        return False
+    return all(t in s for t in sums(s - {domain.zero}) if domain.contains(t))
+
+
+def generate_by_sets(domain, gens) -> set:
+    out = new = {domain.zero} | set(gens)
+    while new:
+        new = {t for t in sums(new, out) if domain.contains(t)} - out
+        out |= new
+    return out
+
+
+def generators_by_sets(domain, elems) -> tuple:
+    """The minimal generators, None when they do not span elems."""
+    nz = set(elems) - {domain.zero}
+    gens = tuple(sorted(nz - sums(nz)))
+    return gens if generate_by_sets(domain, gens) == set(elems) else None
+
+
+def chain_bound_by_sets(domain, elems) -> int:
+    col = set(domain.zero_column)
+    gaps = [t for t in domain.points if t not in col and t not in elems]
+    gens = set(generators_by_sets(domain, elems)) - col
+    return sum(t > g for g in gens for t in gaps)
+
+
+def enumerate_by_sets(domain, realizable_only=False) -> list:
+    pts = [pt for pt in domain.points if pt != domain.zero]
+    required = set(domain.zero_column) if realizable_only else set()
+    out = []
+
+    def rec(i, nz, done):
+        if i == len(pts):
+            out.append(tuple(sorted(nz | {domain.zero})))
+            return
+        h = pts[i]
+        if h not in required and h not in done:
+            rec(i + 1, nz, done)
+        with_h = nz | {h}
+        rec(i + 1, with_h, done | sums((h,), with_h))
+
+    rec(0, set(), set())
+    return sorted(out)
+
+
+MASK_DOMAINS = [IntervalDomain(n) for n in range(1, 11)] + [
+    GridDomain(n, N, k)
+    for n, N in [(1, 2), (1, 3), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
+    for k in range(1, N + 1)
+    if n > 1 or k == N
+]
+
+
+def subsets(domain):
+    """Every subset of the domain's points."""
+    pts = domain.points
+    return [c for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
+
+
+class TestMaskLayout:
+    @pytest.mark.parametrize("domain", MASK_DOMAINS, ids=str)
+    def test_positions_add_and_order_as_the_points(self, domain):
+        # a defined sum sits at the sum of the positions, an undefined one
+        # at a position of no point, and positions ascend with the points
+        at = dict(zip(domain.points, domain.bits))
+        assert list(domain.bits) == sorted(set(domain.bits))
+        assert domain.bits[0] == 0 and domain.points[0] == domain.zero
+        assert domain.mask == sum(1 << b for b in domain.bits)
+        assert domain.top_bit == 1 << at[domain.points[-1]]
+        assert domain.zero_column_mask == sum(1 << at[pt] for pt in domain.zero_column)
+        for u, v in itertools.product(domain.points, repeat=2):
+            t = domain.add(u, v)
+            assert at.get(t) == (at[u] + at[v] if t is not None else None)
+            if t is None:
+                assert not domain.mask >> (at[u] + at[v]) & 1
+
+    @pytest.mark.parametrize("domain", MASK_DOMAINS, ids=str)
+    def test_masks_round_trip(self, domain):
+        for c in subsets(domain):
+            m = domain.mask_of(c)
+            assert domain.points_of(m) == tuple(sorted(c))
+            assert m.bit_count() == len(c) and not m & ~domain.mask
+
+    @pytest.mark.parametrize(
+        "domain, outside",
+        [
+            (IntervalDomain(4), [4, -1, (0, 0), 1.0]),
+            (GridDomain(2, 2), [(2, 0), (0, 2), (0, -1), 0, (0, 0, 0)]),
+            (GridDomain(3, 3, 1), [(2, 1), (2, 2), (3, 0)]),
+        ],
+        ids=str,
+    )
+    def test_points_outside_the_domain(self, domain, outside):
+        for pt in outside:
+            elems = (domain.zero, pt)
+            assert not is_shape(domain, elems)
+            for f in (domain.mask_of, lambda e: Shape.of(domain, e), lambda e: generate(domain, e)):
+                with pytest.raises(ValueError):
+                    f(elems)
+        with pytest.raises(ValueError):
+            e_bound(4, {0, 4})
+        with pytest.raises(ValueError):
+            eps_bound(3, 3, 1, {(0, 0), (0, 1), (0, 2), (2, 1)})
+
+
+class TestMaskKernels:
+    @pytest.mark.parametrize("domain", MASK_DOMAINS, ids=str)
+    def test_every_subset_matches_the_set_definitions(self, domain):
+        for c in subsets(domain):
+            verdict = is_shape(domain, c)
+            assert verdict == is_shape_by_sets(domain, c)
+            assert generate(domain, c) == generate_by_sets(domain, c)
+            if not verdict:
+                with pytest.raises(ValueError):
+                    Shape.of(domain, c)
+                if domain.zero in c:
+                    # an unclosed set: its generators do not span it
+                    assert generators_by_sets(domain, c) is None
+                    with pytest.raises(InvariantViolation):
+                        minimal_generators(Shape(domain, tuple(sorted(c))))
+                continue
+            sh = Shape.of(domain, c)
+            assert sh.elems == tuple(sorted(c)) and sh.mask == domain.mask_of(c)
+            gens = generators_by_sets(domain, c)
+            assert sh.minimal_generators() == minimal_generators(sh) == gens
+            assert sh.generator_count() == len(gens)
+            assert chain_bound(sh) == chain_bound_by_sets(domain, c)
+            realizable = set(domain.zero_column) <= set(c)
+            if isinstance(domain, IntervalDomain):
+                assert e_bound(domain.n, c) == chain_bound_by_sets(domain, c)
+            else:
+                assert is_realizable_zshape(sh) == realizable
+                if domain.N >= 2 and realizable:
+                    assert eps_bound(domain.n, domain.N, domain.tail, c) == chain_bound_by_sets(domain, c)
+
+    @pytest.mark.parametrize("domain", MASK_DOMAINS, ids=str)
+    @pytest.mark.parametrize("realizable_only", [False, True])
+    def test_enumeration_matches_the_set_definitions(self, domain, realizable_only):
+        got = enumerate_shapes(domain, realizable_only)
+        assert [s.elems for s in got] == enumerate_by_sets(domain, realizable_only)
+        assert all(s.mask == domain.mask_of(s.elems) for s in got)
+
+    def test_of_mask_checks_as_of_does(self):
+        dom = GridDomain(3, 2, 1)
+        for c in subsets(dom):
+            m = dom.mask_of(c)
+            if is_shape(dom, c):
+                assert Shape.of_mask(dom, m) == Shape.of(dom, c)
+            else:
+                with pytest.raises(ValueError):
+                    Shape.of_mask(dom, m)
+        with pytest.raises(ValueError):
+            Shape.of_mask(dom, dom.mask | 1 << 20)

@@ -5,7 +5,8 @@ what the rings share or defines more than its arithmetic; the walk step
 and the command output each have one home; subrings checks no row of its
 own twice; the sibling rule reads only ring facts and has one reader, the
 family step the walk and the census share; one place decides the kernel
-bit, and the census reads carried exponent points; each ring picks its m^2
+bit, and the census reads carried exponent points; shape questions are
+shifts of point masks; each ring picks its m^2
 kernel and its closure path once, and closure tests no row format; one row
 kernel per ring picks the row format, and the walk builds every subring
 from the kernel's rows, converting none between tuples and ints; the
@@ -131,13 +132,24 @@ def _function(module, name):
 
 def test_one_place_decides_the_kernel_bit():
     # the valuation test and the m^2 pass decide the kernel bit in one
-    # place; the census reads the exponent points the walk carries through
-    # the memo, and nothing but the memo reads points off rows
+    # place; the census reads the point masks the walk carries through the
+    # memo, and nothing but the memo reads points off rows
     assert _callers("subrings.py", "_kernel_is_a_product") == {"restricted_extension"}
-    assert _referrers("subrings.py", "_points_of_rows") == {"_exponent_points"}
+    assert _referrers("subrings.py", "_points_of_rows") == {"_point_mask"}
     walk = _names(_function("subrings.py", "_census_walk"))
-    assert "_exponent_points" in walk
+    assert "_point_mask" in walk
     assert not walk & {"_points_of_rows", "basis", "_rows", "nu"}
+
+
+def test_shape_questions_are_answered_by_masks():
+    # every shape question is a shift of masks in the domain's layout: the
+    # set-based pairwise sums live on in the tests only, as the oracle, and
+    # a point is checked against its domain where it becomes a mask
+    # (_PointLayout.mask_of), not once per sum
+    tree = ast.parse((SRC / "shapes.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_sums" not in defined | _names(tree)
+    assert _callers("shapes.py", "contains") == {"_PointLayout", "GridDomain"}
 
 
 def test_one_family_step_decides_sharing():

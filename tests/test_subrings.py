@@ -757,18 +757,31 @@ WALK_RINGS = COTANGENT_RINGS + [
 ]
 
 
+def kernel_is_a_product_by_sets(R):
+    """The valuation test on point sets: whether nu(z), the largest point of
+    R's domain, is a defined sum of two nonzero points of R."""
+    dom = R.ctx.domain
+    pts = set(dom.points_of(R._points)) - {dom.zero}
+    return any(dom.add(u, v) == dom.points[-1] for u in pts for v in pts)
+
+
 def points_checked_extension(B, inner=subrings.restricted_extension):
-    """restricted_extension, checking the exponent points B and its preimage
-    carry against the points read off their rows, the preimage's being B's,
-    then the valuation of the step's kernel generator; and the kernel bit
-    against the m^2 pass of the preimage, which must put z in the
-    obstruction module wherever the valuation test fires."""
+    """restricted_extension, checking the point masks B and its preimage
+    carry against the masks read off their rows, the preimage's being B's
+    plus the bit of the step's kernel generator's valuation; the split-mask
+    kernel-bit test against the set test; and the kernel bit against the
+    m^2 pass of the preimage, which must put z in the obstruction module
+    wherever the valuation test fires."""
     ext = inner(B)
     R, z = ext.src, ext.kernel_gen
+    top = 1 << R.ctx.domain.bit(R.ctx.nu(z))
     assert B._points == subrings._points_of_rows(B)
-    assert R._points == subrings._points_of_rows(R) == B._points + (R.ctx.nu(z),)
+    assert not B._points & top
+    assert R._points == subrings._points_of_rows(R) == B._points | top
+    fired = subrings._kernel_is_a_product(R)
+    assert fired == kernel_is_a_product_by_sets(R)
     in_small = in_row_span(R.ctx, ideal_data(R).small, z)
-    if subrings._kernel_is_a_product(R):
+    if fired:
         assert in_small
     assert ext.kernel_in_small == in_small
     return ext
@@ -779,7 +792,8 @@ def assert_walk_matches_grouped(ctx):
         mp.setattr(subrings, "restricted_extension", points_checked_extension)
         walked = census(ctx)
         subs = enumerate_subrings(ctx)
-        # every subring the walk makes carries its points, as its rows give them
+        # every subring the walk makes carries its point mask, as its rows
+        # give it
         assert all(S._points == subrings._points_of_rows(S) for S in subs)
         grouped = census(ctx, subs)
     assert all(row.subrings == () for row in walked)
@@ -825,6 +839,21 @@ class TestCensusWalk:
     @settings(max_examples=30, deadline=None)
     def test_walk_matches_grouped_census_on_z_rings(self, params):
         assert_walk_matches_grouped(zpn_ring(*params))
+
+    @pytest.mark.parametrize("ctx", [zpn_ring(2, 2, 7, 1), zpn_ring(2, 3, 5, 3), zpn_ring(3, 2, 5, 2)], ids=repr)
+    def test_split_masks_match_the_set_test(self, ctx, monkeypatch):
+        # every preimage of a census-z ring's walk, where both verdicts occur
+        inner, seen = subrings._kernel_is_a_product, Counter()
+
+        def checked(R):
+            fired = inner(R)
+            assert fired == kernel_is_a_product_by_sets(R)
+            seen[fired] += 1
+            return fired
+
+        monkeypatch.setattr(subrings, "_kernel_is_a_product", checked)
+        census(ctx)
+        assert seen[True] and seen[False]
 
     def test_grouped_census_rejects_foreign_subrings(self):
         with pytest.raises(CtxMismatch):
