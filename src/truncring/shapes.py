@@ -67,6 +67,14 @@ class _PointLayout:
         """The mask of the largest point."""
         return 1 << self.bits[-1]
 
+    @cached_property
+    def top_splits(self) -> tuple[int, ...]:
+        """The masks of the pairs {u, v} of nonzero points whose sum is the
+        largest point."""
+        top = self.points[-1]
+        pts = [u for u in self.points if u != self.zero]
+        return tuple(self.mask_of((u, v)) for i, u in enumerate(pts) for v in pts[i:] if self.add(u, v) == top)
+
     def mask_of(self, pts: Iterable[Point]) -> int:
         """The mask of the points; ValueError for one outside the domain."""
         m = 0

@@ -10,13 +10,13 @@ and the set of row valuations can be read straight off the pivots.
 Over Z/p^N one pass computes the Howell form (Howell, Spans in the module
 (Z_m)^s, 1986): _packed_howell, on rows packed into ints in the layout of
 their column caps (_layout, one per p and caps, built once), returning
-packed rows.  _echelon reduces and packs the tuple rows of canonicalize;
+packed rows.  canonicalize reduces and packs the tuple rows it is given;
 the m^2 kernel hands the pass Kronecker products, and _howell_lift_bases
-a lift family's tagged rows.  The pass is an insertion phase and a
-finishing phase, and closure keeps one table of the insertion phase for a
-whole closure, over every ring whose coefficients are residues (Z/p^N and
-F_p; over F_2, the XOR insertion of _xor_echelon).  F_q with q = p^e,
-e > 1, keeps _rref, and F_2 its XOR kernels.
+a lift family's tagged rows.  F_q with q = p^e, e > 1, keeps _rref, and
+F_2 its XOR kernels.  Each of the three echelon passes is an insertion
+phase and a finishing phase, and closure runs one rounds loop on every
+row format, keeping one table of the ring's insertion phase for a whole
+closure.
 
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
@@ -26,11 +26,12 @@ ring's row kernel (_RowKernel) picks, once, from base and p_image, the row
 format of its subrings (_packs, which nothing else reads), and owns every
 job that depends on it: packing and unpacking, valuations of rows (which
 name their pivots), the preimage and image rows of a quotient step, m's
-row p, the lift bases, how m^2 is formed and how closure closes: XOR
-products on packed rows, Kronecker products and the element kernel's
-products where base is p, ring mul over F_q with q = p^e, e > 1.  So the
-walk, ideal_data and closure have one path for every ring.  A row is
-checked once, where it enters (ctx._check), and never again.
+row p, the lift bases, and how the products of m^2 and of closure's
+rounds are formed and echeloned: XOR products on packed F_2 rows,
+Kronecker products where base is p, ring mul over F_q with q = p^e,
+e > 1.  So the walk, ideal_data and closure have one path for every ring,
+and the packed element kernel (_ElementKernel) serves verify alone.  A
+row is checked once, where it enters (ctx._check), and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -131,45 +132,65 @@ _CHAIN_LIMIT = 1 << 20
 # -- canonical row bases -----------------------------------------------------
 
 
-def _rref(K, rows, ncols: int):
+def _rref(K, rows) -> tuple:
     """Reduced row echelon form over the field K, F_q or Z/p, read from its
     lookup tables (FieldCtx.tables); zero rows are dropped and the output
-    rows are sorted by pivot column."""
+    rows are sorted by pivot column.  It runs in two phases: _rref_insert
+    puts the rows into a table, pivot column -> row, and _rref_finish
+    back-substitutes.  closure keeps one table for a whole closure over
+    F_q with q = p^e, e > 1, and runs the insertion phase on it round by
+    round."""
+    return _rref_finish(K, _rref_insert(K, {}, rows))
+
+
+def _rref_insert(K, table: dict, rows) -> dict:
+    """The insertion phase of _rref: each row is reduced by the row of table
+    (pivot column -> row, its pivot 1) at its pivot column until it is 0 or
+    leads a column table lacks, where it is kept, scaled to pivot 1.  Rows
+    are only added, so the span of table grows by the rows' span.  Returns
+    table."""
     add, neg, mul, inv = K.tables
-    work = [list(r) for r in rows if any(r)]
-    out = []
-    for col in range(ncols):
-        pick = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                pick = idx
+    for r in rows:
+        while any(r):
+            c = _lead(r)
+            s = table.get(c)
+            if s is None:
+                scale = mul[inv[r[c]]]
+                table[c] = tuple([scale[x] for x in r])
                 break
-        if pick is None:
-            continue
-        row = work.pop(pick)
-        scale = mul[inv[row[col]]]
-        row = [scale[x] for x in row]
-        for other in work + out:
-            c = other[col]
-            if c:
-                # other - c row, as other + (-c) row
-                scale = mul[neg[c]]
-                for j in range(col, ncols):
-                    other[j] = add[other[j]][scale[row[j]]]
-        out.append(row)
-    return tuple(tuple(r) for r in out)
+            # r - r[c] s, as r + (-r[c]) s: 0 at c, as s is 0 left of it
+            scale = mul[neg[r[c]]]
+            r = [add[x][scale[y]] for x, y in zip(r, s)]
+    return table
 
 
-def _echelon(ctx: RingCtx, rows, tags: int = 0):
-    """Canonical basis, as tuples, of tuple rows that carry `tags` extra
-    columns after the n ring columns.  Over a field it is _rref's.  Over
-    Z/p^N it is the Howell form: each row is reduced into the column caps,
-    a tag column capped at p, packed in the layout of those caps
+def _rref_finish(K, table: dict) -> tuple:
+    """The finishing phase of _rref: the table's rows in column order, each
+    clearing its column in the rows before it, which are 0 left of it and
+    so keep the pivots already cleared.  table is left as it is."""
+    add, neg, mul, _ = K.tables
+    out = []
+    for c in sorted(table):
+        P = table[c]
+        for i, r in enumerate(out):
+            if r[c]:
+                scale = mul[neg[r[c]]]
+                out[i] = tuple([add[x][scale[y]] for x, y in zip(r, P)])
+        out.append(P)
+    return tuple(out)
+
+
+def canonicalize(ctx: RingCtx, rows):
+    """Canonical basis of the module spanned by the rows; two row sets span
+    the same module iff their canonical bases are equal tuples.  Over a
+    field it is _rref's.  Over Z/p^N it is the Howell form: each row is
+    reduced into the column caps, packed in the layout of those caps
     (_packed_in) and echeloned by _packed_howell."""
+    ctx._check(*rows)
     if not ctx.p_image:
-        return _rref(ctx.coeff, rows, ctx.n + tags)
-    L = _layout(ctx.coeff.p, ctx.caps_log + (1,) * tags)
-    return _unpack(_packed_howell(L, _packed_in(L, rows)), L.w, len(L.caps))
+        return _rref(ctx.coeff, rows)
+    L = _layout(ctx.coeff.p, ctx.caps_log)
+    return _unpack(_packed_howell(L, _packed_in(L, rows)), L.w, ctx.n)
 
 
 def _packed_in(L, rows) -> list:
@@ -178,15 +199,8 @@ def _packed_in(L, rows) -> list:
     return [_pack((x % c for x, c in zip(r, caps)), w) for r in rows]
 
 
-def canonicalize(ctx: RingCtx, rows):
-    """Canonical basis of the module spanned by the rows; two row sets span
-    the same module iff their canonical bases are equal tuples."""
-    ctx._check(*rows)
-    return _echelon(ctx, rows)
-
-
 def _lead(row) -> int:
-    """Pivot column of a canonical row: where its first nonzero entry
+    """Pivot column of a nonzero tuple row: where its first nonzero entry
     first occurs, both found at C level."""
     return row.index(next(filter(None, row)))
 
@@ -361,12 +375,11 @@ def _xor_lift_bases(n: int, w, small) -> list:
 # packed through the Howell pass that echelons them (_packed_howell), and
 # so do its output rows, the rows closure keeps in its table and a lift
 # family's tagged rows.  One width serves a ring's whole quotient chain, so
-# a quotient step moves a row by a shift (_RowKernel).  verify's pair scans,
-# and closure's products, run on packed ring elements (_ElementKernel): in
-# the same layout over residue coefficients, and over F_q, q = p^e, e > 1,
-# in one with 2e - 1 slots for t-degrees per column, so a product in
-# F_p[t][x] is one int multiply too; each result is reduced to its one
-# packed form.
+# a quotient step moves a row by a shift (_RowKernel).  verify's pair scans
+# run on packed ring elements (_ElementKernel): in the same layout over
+# residue coefficients, and over F_q, q = p^e, e > 1, in one with 2e - 1
+# slots for t-degrees per column, so a product in F_p[t][x] is one int
+# multiply too; each result is reduced to its one packed form.
 
 
 class _Layout:
@@ -433,8 +446,10 @@ class _RowKernel:
     _packs(ctx), tuple rows over F_q with q = p^e, e > 1.  Each job is one
     attribute, and each takes a whole tuple of rows where it takes rows, so
     a subring pays one call per job:
-      - pack(basis), the rows of a basis of reduced tuples, and
-        unpack(rows), the tuples (both the identity on tuple rows);
+      - pack(basis), the rows of tuples that pass the ring's entry rule
+        (over Z/p^N, N > 1, any residues, reduced into the caps as they
+        are packed), and unpack(rows), the tuples (both the identity on
+        tuple rows);
       - nu(row), a canonical row's valuation, which names its pivot
         (column and entry, a power of p);
       - one, the row 1, and top, the row x^(n-2): a row below top leads at
@@ -452,21 +467,26 @@ class _RowKernel:
       - lift_bases(w, small), the lift family's bases (_xor_lift_bases,
         _howell_lift_bases, and _lift_bases on tuple rows);
       - square(m), m^2's canonical basis from the products a b, a before
-        or at b, of the rows of m, and close(S, gens), closure's subring
-        of S's ring generated by S and the checked generators.
-    square and close take
-      - XOR products (_xor_mul) on packed F_2 rows: square echelons them
-        by _xor_echelon, and close runs its rounds (_closed) on one lead
-        table, by _xor_insert and _xor_finish;
+        or at b, of the rows of m;
+      - closure's parts, which closure's one rounds loop runs: start(rows),
+        the echelon table of canonical rows, entered as finished;
+        insert(table, rows) and finish(table), the two phases of the
+        ring's echelon pass; products(new, rows), the products of a round's
+        new table entries with the table's rows, in one comprehension; and
+        one_key, the key of the row 1 in a table.
+    The products and the echelon pass are
+      - over F_2, on packed rows: XOR products (_xor_mul), and the XOR
+        pass, _xor_echelon, its table keyed by bit length (_xor_insert and
+        _xor_finish);
       - over residue coefficients, Z/p^N and F_p, where base is p, in the
-        layout of the ring's caps: Kronecker products, which square
-        echelons by _packed_howell, and close runs its rounds on one
-        Howell table, started from S's rows as they are, by _howell_insert
-        and _howell_finish, multiplying rows with the ring's
-        _element_kernel, whose products are reduced;
-      - ring mul over F_q with q = p^e, e > 1, whose products are not
-        residue products: square echelons them by _echelon, and close runs
-        rounds of tuple rows (_ring_mul_close).
+        layout of the ring's caps: Kronecker products, a b >> cut, masked
+        by the caps at p = 2 and otherwise left for the insertion to
+        reduce (two rows of the table are reduced, so their product is
+        inside _packed_howell's no-carry bound), and the Howell pass,
+        _packed_howell (_howell_insert and _howell_finish);
+      - over F_q with q = p^e, e > 1, whose products are not residue
+        products, on tuple rows: ring mul, and _rref (_rref_insert and
+        _rref_finish).
     No job holds the ring's context, which holds the kernel: the tuple
     jobs reach it through a weak reference, so reference counting frees a
     ring.
@@ -504,16 +524,22 @@ class _RowKernel:
     basis."""
 
     __slots__ = (
-        "pack", "unpack", "nu", "head", "one", "top", "z", "preimage", "project", "lift_bases", "square", "close",
+        "pack", "unpack", "nu", "head", "one", "top", "z", "preimage", "project", "lift_bases", "square",
+        "start", "insert", "finish", "products", "one_key",
     )
 
     def __init__(self, ctx: RingCtx):
         n, p, logs = ctx.n, ctx.coeff.p, ctx.caps_log
         packs, xor = _packs(ctx), p == 2 and not ctx.p_image
+        self.one_key = 0
         if packs:
             L = _layout(p, logs)
-            w = 1 if xor else L.w
-            pack = self.pack = lambda basis: tuple([_pack(r, w) for r in basis])
+            if xor:
+                w, pack = 1, lambda basis: tuple(map(_pack, basis))
+            else:
+                # generators are residues, reduced into the caps as they enter
+                w, pack = L.w, lambda basis: tuple(_packed_in(L, basis))
+            self.pack = pack
             self.unpack = lambda rows: _unpack(rows, w, n)
             # a canonical row's pivot is p^a at some column c, and its bit
             # length, w (n-1-c) + bit_length(p^a), names it; the domain lists
@@ -523,7 +549,7 @@ class _RowKernel:
             self.nu = lambda r: lengths[r.bit_length()]
         else:
             # over F_q a row's valuation is its pivot column
-            ring = weakref.ref(ctx)
+            ring, coeff = weakref.ref(ctx), ctx.coeff
             pack = self.pack = self.unpack = tuple
             self.nu = _lead
         self.head = pack((ctx.monomial(0, ctx.p_image),)) if ctx.p_image else ()
@@ -536,8 +562,16 @@ class _RowKernel:
             self.preimage = lambda rows: tuple([r + (0,) for r in rows]) + (z,)
             self.project = lambda rows: tuple([r[:-1] for r in rows if any(r[:-1])])
             self.lift_bases = lambda w, small: _lift_bases(ring(), w, small)
-            self.square = lambda m: _echelon(c := ring(), [c.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
-            self.close = _ring_mul_close
+            self.square = lambda m: _rref((c := ring()).coeff, [c.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+            self.start = lambda rows: {_lead(r): r for r in rows}
+            self.insert = functools.partial(_rref_insert, coeff)
+            self.finish = functools.partial(_rref_finish, coeff)
+
+            def products(new, rows):
+                mul = ring().mul
+                return [mul(a, b) for a in new for b in rows]
+
+            self.products = products
             return
         if n > 1 and logs[-1] > 1:
             # a k-step: the quotient's top cap is p^(k-1), z's entry
@@ -557,36 +591,22 @@ class _RowKernel:
         if xor:
             self.lift_bases = lambda w, small: _xor_lift_bases(n, w, small)
             self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
-
-            def close(S, gens):
-                # the lead table keys rows by bit length: the row 1's is n
-                lead = {r.bit_length(): r for r in S._rows}
-                products = lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows]
-                _closed(lead, list(map(_pack, gens)), _xor_insert, products, n)
-                return Subring._from_rows(S.ctx, _xor_finish(lead))
-
-        else:
-            one, shifts, cut, col, C = self.one, L.shifts, L.shifts[0], L.col, L.C
-            self.lift_bases = lambda w, small: _howell_lift_bases(L, one, z, w, small)
-            self.square = lambda m: _packed_howell(L, [a * b >> cut for i, a in enumerate(m) for b in m[i:]])
-
-            def close(S, gens):
-                mul = _element_kernel(S.ctx).mul
-
-                def products(new, rows):
-                    rows = [P for _, _, P in rows]
-                    return [mul(P, b) for _, _, P in new for b in rows]
-
-                # S's canonical rows as a finished table: each at its pivot
-                # column c, with the table's entry (p^a, C[c] - r, r)
-                table = {}
-                for r in S._rows:
-                    c = col[r.bit_length()]
-                    table[c] = (r >> shifts[c], C[c] - r, r)
-                _closed(table, _packed_in(L, gens), functools.partial(_howell_insert, L), products, 0)
-                return Subring._from_rows(S.ctx, _howell_finish(L, table))
-
-        self.close = close
+            # the lead table keys rows by bit length: the row 1's is n
+            self.start = lambda rows: {r.bit_length(): r for r in rows}
+            self.insert, self.finish, self.one_key = _xor_insert, _xor_finish, n
+            self.products = lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows]
+            return
+        one, shifts, cut, col, C = self.one, L.shifts, L.shifts[0], L.col, L.C
+        # -1 keeps every bit: at odd p no mask reduces a product
+        mask = -1 if L.mask is None else L.mask
+        self.lift_bases = lambda w, small: _howell_lift_bases(L, one, z, w, small)
+        self.square = lambda m: _packed_howell(L, [a * b >> cut for i, a in enumerate(m) for b in m[i:]])
+        # each canonical row at its pivot column c, with the table's entry
+        # (p^a, C[c] - r, r)
+        self.start = lambda rows: {(c := col[r.bit_length()]): (r >> shifts[c], C[c] - r, r) for r in rows}
+        self.insert = functools.partial(_howell_insert, L)
+        self.finish = functools.partial(_howell_finish, L)
+        self.products = lambda new, rows: [a * b >> cut & mask for _, _, a in new for _, _, b in rows]
 
 
 def _row_kernel(ctx: RingCtx) -> _RowKernel:
@@ -616,10 +636,10 @@ def _less_caps(C: int, slots, width: int, rep: int):
 
 class _ElementKernel:
     """Packed arithmetic on a ring's elements, for scans over every pair of
-    them (verify's valuation suite) and, where base is p, for closure's
-    products of table rows: pack and unpack, and add, sub, mul and
-    scaled (u, a) -> u a on packed elements.  Every packed element is
-    reduced, so two are equal exactly when the elements are, and 0 is 0.
+    them, verify's valuation suite, its one user: pack and unpack, and add,
+    sub, mul and scaled (u, a) -> u a on packed elements.  Every packed
+    element is reduced, so two are equal exactly when the elements are,
+    and 0 is 0.
     Picked from the ring's facts, once per ring (_element_kernel):
       - residue coefficients (base is p: F_p, Z/p and Z/p^N) take the
         layout of the ring's caps, _layout: a product is one int multiply
@@ -787,8 +807,9 @@ def _packed_howell(L: _Layout, rows) -> tuple:
     in the layout L, packed rows in column order.  Without tag columns the
     n columns hold integers in [0, n (cap - 1)^2], cap the largest of L's
     caps: the Kronecker bound on the coefficients of a product of two
-    reduced rows (the m^2 kernel of _RowKernel), and above every entry of a
-    reduced row (_echelon, closure); with them, the rows are reduced
+    reduced rows (the m^2 kernel and closure's products, _RowKernel), and
+    above every entry of a reduced row (canonicalize, closure's
+    generators); with them, the rows are reduced
     (_Layout gives their bound).  It runs in two phases: _howell_insert
     puts the rows into a table of pivot rows, column c -> (pivot entry p^a,
     C[c] - P, P), and _howell_finish back-reduces the table.  closure
@@ -1011,20 +1032,19 @@ class Subring:
 def closure(ctx, gens) -> Subring:
     """Smallest unital subring containing the generators.  ctx is either
     the ring, whose prime ring the generators are adjoined to, or a
-    subring S of it, to which they are adjoined (closure_bfs's step).  The
-    ring's _RowKernel picks, once, how its rows are echeloned and
-    multiplied: packed rows in one kept echelon table (_closed) wherever
-    the coefficients are residues, tuple rounds over F_q with q = p^e,
-    e > 1 (_ring_mul_close).
+    subring S of it, to which they are adjoined (closure_bfs's step).  One
+    rounds loop closes on every row format; the ring's _RowKernel holds
+    the parts that depend on it: the start table, the two phases of its
+    echelon pass and the products of a round.
 
-    Only products not formed before are formed, and on packed rows the
-    echelon table is kept from round to round, so only the fresh rows are
-    inserted.  The table starts as the canonical basis of S, or of the
-    prime ring, which is closed, entered as a finished table, with no
-    insertion: a canonical basis has the Howell property, so every
-    annihilator that was never queued already lies in the span of the
-    rows led past its column, as _packed_howell's proof needs.  Each
-    generator is reduced into the column caps before it is packed.
+    Only products not formed before are formed, and the echelon table is
+    kept from round to round, so only the fresh rows are inserted.  The
+    table starts as the canonical basis of S, or of the prime ring, which
+    is closed, entered as a finished table, with no insertion: a canonical
+    basis has the Howell property, so every annihilator that was never
+    queued already lies in the span of the rows led past its column, as
+    _packed_howell's proof needs.  Each generator is reduced into the
+    column caps as the kernel packs it.
 
     The invariant: with T the table's span and F the fresh rows,
     T^2 ⊆ T + span(F), first with F the generators.  A round inserts F,
@@ -1034,8 +1054,8 @@ def closure(ctx, gens) -> Subring:
     is the result, finished into its canonical basis.  Otherwise
     T_new = T_old + span(F) and T_old^2 ⊆ T_new, so
     T_new^2 = span(K)^2 + span(N) T_new ⊆ T_new + span(N x rows), and the
-    next fresh rows are N x rows, rows every table row but column 0's
-    pivot.  That pivot is 1: no row displaces it, as 1 divides every
+    next fresh rows are N x rows, rows every table row but the pivot row
+    of column 0.  That row is 1: no row displaces it, as 1 divides every
     entry, and its products are their other factor, already in the table.
     Every member of the result is a sum of products of the generators and
     of members of the start, so it lies in every subring containing them.
@@ -1046,39 +1066,15 @@ def closure(ctx, gens) -> Subring:
         S = Subring.prime_ring(ctx)
     gens = list(gens)
     ctx._check(*gens)
-    return _row_kernel(ctx).close(S, gens)
-
-
-def _closed(table: dict, fresh: list, insert, products, one) -> dict:
-    """closure's rounds on a kept echelon table: insert(table, rows) adds
-    rows to it, products(new, rows) forms the products of the new entries
-    with the others, and one is the key of column 0's pivot, 1.  Returns
-    the table, closed; the proof is closure's."""
+    K = _row_kernel(ctx)
+    table, fresh = K.start(S._rows), K.pack(gens)
     while True:
         old = dict(table)
-        insert(table, fresh)
+        K.insert(table, fresh)
         new = [e for c, e in table.items() if e is not old.get(c)]
         if not new:
-            return table
-        fresh = products(new, [e for c, e in table.items() if c != one])
-
-
-def _ring_mul_close(S: Subring, gens) -> Subring:
-    """closure over F_q with q = p^e, e > 1, on tuple rows.  Each round
-    holds a canonical basis B and fresh rows F with span(B)^2 ⊆ B + span(F),
-    first with B the basis of S and F the generators.  The round reduces F
-    against B and drops the zeros; if none is left, span(B) is closed.
-    Otherwise B' is the canonical basis of B + F, and the next fresh rows
-    are the products f b, f in F, b in B'.  That keeps the invariant:
-    (B + F)^2 = B^2 + F (B + F) ⊆ B + F (B + F), and B ⊆ B' while those
-    products span F (B + F)."""
-    ctx, basis, fresh = S.ctx, S.basis, gens
-    while True:
-        fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
-        if not fresh:
-            return Subring._from_rows(ctx, basis)
-        basis = _echelon(ctx, [*basis, *fresh])
-        fresh = [ctx.mul(f, b) for f in fresh for b in basis]
+            return Subring._from_rows(ctx, K.finish(table))
+        fresh = K.products(new, [e for c, e in table.items() if c != K.one_key])
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
@@ -1224,19 +1220,10 @@ def _preimage(B: Subring) -> Subring:
     return Subring._from_rows(src_ctx, _row_kernel(src_ctx).preimage(B._rows), points=points)
 
 
-@functools.cache
-def _top_splits(domain) -> tuple:
-    """The masks of the pairs {u, v} of nonzero points of the domain whose
-    sum is its largest point.  One tuple per domain met."""
-    top = domain.points[-1]
-    pts = [u for u in domain.points if u != domain.zero]
-    return tuple(domain.mask_of((u, v)) for i, u in enumerate(pts) for v in pts[i:] if domain.add(u, v) == top)
-
-
 def _kernel_is_a_product(R: Subring) -> bool:
     """Whether nu(z), z the kernel generator of the step out of R's ring,
     is a sum of two valuations of members of m_R: whether R's point mask
-    holds one of the domain's split masks (_top_splits).  When it is, z
+    holds one of the domain's split masks (top_splits).  When it is, z
     lies in m_R^2.
 
     Proof: valuations add inside the domain.  Over F_q, nu(ab) =
@@ -1251,7 +1238,7 @@ def _kernel_is_a_product(R: Subring) -> bool:
     point is 0 + itself, and no member of valuation 0 lies in m_R."""
     m = _point_mask(R)
     # a loop, not any(): the walk runs this once per extension
-    for uv in _top_splits(R.ctx.domain):
+    for uv in R.ctx.domain.top_splits:
         if m & uv == uv:
             return True
     return False
@@ -1318,7 +1305,7 @@ def _lift_bases(ctx: RingCtx, w, small) -> list:
     n, d = ctx.n, len(w)
     tagged = [ctx.one() + (0,) * d] + [wi + tuple(int(i == j) for j in range(d)) for i, wi in enumerate(w)]
     tagged += [s + (0,) * d for s in small]
-    basis = _echelon(ctx, tagged, d)
+    basis = _rref(ctx.coeff, tagged)
     if any(_lead(row) >= n - 1 for row in basis):
         raise InvariantViolation("the kernel column of a lift family carries a pivot")
     add, neg = ctx.coeff.tables[:2]

@@ -7,11 +7,12 @@ own twice; the sibling rule reads only ring facts and has one reader, the
 family step the walk and the census share; one place decides the kernel
 bit, and the census reads carried exponent points; shape questions are
 shifts of point masks; each ring picks its m^2
-kernel and its closure path once, and closure tests no row format; one row
-kernel per ring picks the row format, and the walk builds every subring
-from the kernel's rows, converting none between tuples and ints; the
-library has one Howell pass, and each packed row format
-one insertion loop, which closure's kept tables share; no private helper
+kernel and its closure parts once, and closure runs one rounds loop on
+every row format, testing none; one row kernel per ring picks the row
+format, and the walk builds every subring from the kernel's rows,
+converting none between tuples and ints; the library has one Howell
+pass, and each row format one insertion loop, which closure's kept
+tables share; only verify uses the element kernel; no private helper
 outlives its last caller, and no public function or method goes
 unreferenced; and every name the benchmark's tracer wraps exists where it
 looks."""
@@ -162,14 +163,22 @@ def test_one_family_step_decides_sharing():
     }
 
 
+# the parts of closure's rounds loop that depend on the row format, which
+# each ring's kernel holds
+CLOSURE_PARTS = {"start", "insert", "finish", "products", "one_key"}
+
+
 def test_each_ring_picks_its_square_kernel_once():
-    # _RowKernel picks a ring's m^2 products and its closure path when it
-    # is built, so ideal_data has one path and asks no ring for its row
-    # format; the XOR products of m^2 and of closure's rounds on packed F_2
-    # rows are both formed there
+    # _RowKernel picks a ring's m^2 products and its closure parts when it
+    # is built, so ideal_data and closure have one path each and ask no
+    # ring for its row format; the XOR products of m^2 and of closure's
+    # rounds on packed F_2 rows are both formed there, and closure alone
+    # runs the parts
     assert "_packs" not in _names(_function("subrings.py", "ideal_data"))
     assert _callers("subrings.py", "_xor_mul") == {"_RowKernel"}
-    assert _callers("subrings.py", "_closed") == {"_RowKernel"}
+    assert CLOSURE_PARTS <= _names(_function("subrings.py", "closure"))
+    kernel_users = _referrers("subrings.py", "_row_kernel")
+    assert {name for name in kernel_users if _names(_definition("subrings.py", name)) & CLOSURE_PARTS} == {"closure"}
 
 
 def _definition(module, name):
@@ -222,7 +231,8 @@ def _constructs(node):
 
 def test_the_walk_builds_subrings_from_kernel_rows():
     # every subring the walk, closure and project_subring make is built by
-    # _from_rows from rows the ring's row kernel made, never re-packed or
+    # _from_rows from rows the ring's row kernel made (closure's from the
+    # rows its kernel's finishing phase returns), never re-packed or
     # re-tupled by the constructor; only the subspace scan, which writes
     # tuple rows itself, calls the constructor
     tree = ast.parse((SRC / "subrings.py").read_text())
@@ -234,8 +244,7 @@ def test_the_walk_builds_subrings_from_kernel_rows():
     assert {name for name, kinds in made.items() if kinds["constructor"]} == {"_enumerate_subspace_scan"}
     assert {name for name, kinds in made.items() if kinds["_from_rows"]} == {
         "Subring",
-        "_RowKernel",
-        "_ring_mul_close",
+        "closure",
         "project_subring",
         "_preimage",
         "lift_isomorphic",
@@ -264,8 +273,9 @@ def test_the_walk_converts_no_rows():
     # rows stay packed along the quotient chain: a preimage is a shift and
     # a top pivot a compare, so the tuple preimage and projection, with
     # _lift_row and _has_top_pivot, are gone; generators entering closure
-    # are the one thing the kernel packs, and no step of the walk packs,
-    # unpacks or scans a tuple row for its pivot
+    # are the one thing the kernel packs, reducing them into the caps as
+    # canonicalize does, and no step of the walk packs, unpacks or scans a
+    # tuple row for its pivot
     tree = ast.parse((SRC / "subrings.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     gone = {"_has_top_pivot", "_lift_row"}
@@ -273,10 +283,9 @@ def test_the_walk_converts_no_rows():
     assert not [p.name for p in sorted(SRC.rglob("*.py")) if gone & _names(ast.parse(p.read_text()))]
     kernel = _definition("subrings.py", "_RowKernel")
     assert "_reduce" not in _names(kernel)
-    assert _referrers("subrings.py", "_packed_in") == {"_echelon", "_RowKernel"}
-    inner = [f for f in ast.walk(kernel) if isinstance(f, ast.FunctionDef) and f.name != "__init__"]
-    assert [f.name for f in inner if "_packed_in" in _names(f)] == ["close"]
+    assert _referrers("subrings.py", "_packed_in") == {"canonicalize", "_RowKernel"}
     tuple_work = {"_packed_in", "_pack", "_unpack", "unpack", "_pivot", "_lead", "basis"}
+    assert _names(_function("subrings.py", "closure")) & (tuple_work | {"pack"}) == {"pack"}
     found = {name: _names(_definition("subrings.py", name)) & tuple_work for name in WALK_PATH}
     assert found == {name: set() for name in WALK_PATH}
 
@@ -302,11 +311,11 @@ def test_sibling_rule_reads_only_ring_facts():
 
 
 def test_one_howell_pass():
-    # the library has one Howell pass: _echelon runs it on Z/p^N rows, with
-    # or without tag columns, the m^2 kernel on its Kronecker products and
-    # the packed lift bases on a family's tagged rows; the closure path of
-    # the ring's kernel runs its two phases on one kept table; the tuple
-    # pass lives on in the tests only, as their oracle
+    # the library has one Howell pass: canonicalize runs it on Z/p^N rows,
+    # the m^2 kernel on its Kronecker products and the packed lift bases on
+    # a family's tagged rows; the ring's kernel hands its two phases to
+    # closure, which runs them on one kept table; the tuple pass lives on
+    # in the tests only, as their oracle
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
     assert trees and not [t for t in trees if "_howell" in _names(t)]
     assert not [
@@ -315,35 +324,50 @@ def test_one_howell_pass():
         for node in ast.walk(t)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
     ]
-    assert _callers("subrings.py", "_packed_howell") == {"_echelon", "_RowKernel", "_howell_lift_bases"}
+    assert _callers("subrings.py", "_packed_howell") == {"canonicalize", "_RowKernel", "_howell_lift_bases"}
     for phase in ("_howell_insert", "_howell_finish"):
         assert _referrers("subrings.py", phase) == {"_packed_howell", "_RowKernel"}
 
 
 def test_closure_asks_no_ring_its_row_format():
-    # the ring's kernel picks closure's path once: closure itself tests no
-    # row format or base, and hands the checked generators to the kernel
-    names = _names(_function("subrings.py", "closure"))
+    # the ring's kernel picks closure's parts once: closure itself tests no
+    # row format or base, and runs one rounds loop, on every row format,
+    # with the parts of the ring's kernel; the per-format loops are gone,
+    # and the rounds on tuple rows live on in the tests, as an oracle
+    closure = _function("subrings.py", "closure")
+    names = _names(closure)
     assert not names & {"_packs", "base", "p_image", "coeff"}
     assert "_row_kernel" in names
+    assert len([n for n in ast.walk(closure) if isinstance(n, (ast.While, ast.For))]) == 1
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    defined = {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_closed", "_ring_mul_close", "close"}
 
 
 def test_each_insertion_loop_exists_once():
-    # a packed row is inserted by reading its pivot off its bit length, in
-    # one loop per row format that the m^2 kernel, _echelon and closure
-    # share: _xor_insert on F_2 rows and _howell_insert in the Howell layout
+    # a row is inserted by reading its pivot, off its bit length where it is
+    # packed and by _lead where it is a tuple, in one loop per row format
+    # that the echelon pass and closure share: _xor_insert on F_2 rows,
+    # _howell_insert in the Howell layout and _rref_insert on tuple rows
     found = Counter(
         f"{path.name}:{node.name}"
         for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.FunctionDef)
         for loop in ast.walk(node)
-        if isinstance(loop, ast.While)
-        and any(isinstance(a, ast.Attribute) and a.attr == "bit_length" for a in ast.walk(loop))
+        if isinstance(loop, ast.While) and _names(loop) & {"bit_length", "_lead"}
     )
-    assert set(found) == {"subrings.py:_xor_insert", "subrings.py:_howell_insert"}
-    for phase in ("_xor_insert", "_xor_finish"):
-        assert _referrers("subrings.py", phase) == {"_xor_echelon", "_RowKernel"}
+    assert set(found) == {"subrings.py:_xor_insert", "subrings.py:_howell_insert", "subrings.py:_rref_insert"}
+    for echelon, kind in (("_xor_echelon", "_xor"), ("_rref", "_rref")):
+        for phase in (f"{kind}_insert", f"{kind}_finish"):
+            assert _referrers("subrings.py", phase) == {echelon, "_RowKernel"}
+
+
+def test_only_verify_uses_the_element_kernel():
+    # closure forms its products in the ring's row layout, so the packed
+    # element kernel serves verify's pair scans alone
+    found = {path.name: _callers(path.name, "_element_kernel") for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, callers in found.items() if callers} == {"verify.py"}
 
 
 def test_one_output_point():
@@ -353,7 +377,7 @@ def test_one_output_point():
 
 def test_library_rows_are_echeloned_unchecked():
     # canonicalize checks rows where they enter; rows the library already
-    # holds are echeloned with _echelon, never checked again
+    # holds are echeloned by the passes it calls, never checked again
     tree = ast.parse((SRC / "subrings.py").read_text())
     calls = [
         node.lineno

@@ -459,6 +459,20 @@ class TestCensus:
         ]
         assert all(r.count == 1 and r.count <= r.bound for r in rows)
 
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+    def test_field_census_is_f2s_with_q_for_2(self, q):
+        # measured, not proven: at every n the walk's size limit admits,
+        # census(F_q[x]/x^n) has F_2[x]/x^n's shapes, and where F_2 counts
+        # 2^e subrings F_q counts q^e; a failure is a counterexample
+        n = 1
+        while q**n <= subrings._CHAIN_LIMIT:
+            f2 = {r.shape.elems: r.count for r in census(field_ring(2, n))}
+            exps = {sh: count.bit_length() - 1 for sh, count in f2.items()}
+            assert all(f2[sh] == 2**e for sh, e in exps.items())
+            got = {r.shape.elems: r.count for r in census(field_ring(q, n))}
+            assert got == {sh: q**e for sh, e in exps.items()}, n
+            n += 1
+
     @pytest.mark.parametrize("ctx", [field_ring(2, 5), zpn_ring(2, 2, 3, 2)], ids=repr)
     def test_counts_stay_within_bounds(self, ctx):
         for row in census(ctx, enumerate_subrings(ctx)):
@@ -1419,7 +1433,7 @@ class TestPackedKernels:
         d = data.draw(st.integers(0, 4))
         rows = data.draw(st.lists(f2_row(n + d), max_size=8))
         got = subrings._xor_echelon(packed_rows(rows))
-        assert unpacked_rows(got, n + d) == subrings._rref(F2, rows, n + d)
+        assert unpacked_rows(got, n + d) == subrings._rref(F2, rows)
         assert got == tuple(sorted(got, reverse=True))
 
     @given(st.integers(1, 14).flatmap(lambda n: st.tuples(f2_row(n), f2_row(n))))
@@ -1434,7 +1448,7 @@ class TestPackedKernels:
         n = data.draw(st.integers(2, 9))
         ctx = field_ring(2, n)
         w = data.draw(st.lists(f2_row(n), max_size=4))
-        small = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=5)), n)
+        small = subrings._rref(F2, data.draw(st.lists(f2_row(n), max_size=5)))
         try:
             want = subrings._lift_bases(ctx, w, small)
         except InvariantViolation:
@@ -1522,13 +1536,30 @@ PACKED_RINGS = (
 )
 
 
+def rounds_insert(ctx, table, rows):
+    """The insertion phase of closure's table over Z/p^N on tuple rows, by
+    the rounds oracle's step (rounds_closure): table, pivot column -> row,
+    holds a canonical basis; the rows are reduced against it and, where
+    any is left, the basis is canonicalized with them.  An entry that does
+    not change keeps its object, so closure sees it as old; a Howell
+    basis keeps its pivot columns as its span grows."""
+    basis = tuple(table[c] for c in sorted(table))
+    fresh = [r for r in map(subrings._reducer(ctx, basis), rows) if any(r)]
+    for r in canonicalize(ctx, [*basis, *fresh]) if fresh else ():
+        if table.get(c := subrings._lead(r)) != r:
+            table[c] = r
+    return table
+
+
 def tuple_path(monkeypatch):
     """Make every ring built from now on keep tuple rows: _packs refuses
     every ring.  The library's tuple kernel serves F_q with q = p^e, e > 1,
     so on the Z family its jobs that hold only over a field are replaced
-    by oracles: the preimage, the projection and the lift bases by
-    canonicalize of the lifted rows and z, of the projected rows, and of 1,
-    small and the w_i - c_i z, and nu by the ring's."""
+    by oracles: the preimage, the projection, the lift bases and m^2 by
+    canonicalize of the lifted rows and z, of the projected rows, of 1,
+    small and the w_i - c_i z, and of the ring products; closure's
+    insertion by the rounds oracle's step (rounds_insert), its table then
+    a canonical basis to finish by sorting; and nu by the ring's."""
     monkeypatch.setattr(subrings, "_packs", lambda ctx: False)
     inner = subrings._RowKernel
 
@@ -1541,6 +1572,9 @@ def tuple_path(monkeypatch):
         K = inner(ctx)
         if isinstance(ctx, ZpNPolyCtx):
             K.nu = ctx.nu
+            K.square = lambda m: canonicalize(ctx, [ctx.mul(a, b) for i, a in enumerate(m) for b in m[i:]])
+            K.insert = functools.partial(rounds_insert, ctx)
+            K.finish = lambda table: tuple(table[c] for c in sorted(table))
         if isinstance(ctx, ZpNPolyCtx) and ctx.n > 1:
             down, z = quotient_ctx(ctx), kernel_generator(ctx)
             K.preimage = lambda rows: canonicalize(ctx, [lift_row(ctx, r) for r in rows] + [z])
@@ -1656,7 +1690,7 @@ class TestPackedPaths:
         # packs each generator it adjoins and nothing else (it made 35,578
         # packs of S's rows on this ring while Z/p^N subrings kept tuples)
         ctx = zpn_ring(2, 2, 5)
-        subrings._row_kernel(ctx), subrings._element_kernel(ctx)
+        subrings._row_kernel(ctx)
         packed, given = Counter(), Counter()
         inner_pack, inner_closure = subrings._pack, subrings.closure
 
@@ -1790,7 +1824,7 @@ def kron_row(ctx):
 
 def layout_of(ctx):
     """The packed layout of ctx's column caps, which its m^2 kernel and
-    _echelon share."""
+    canonicalize share."""
     return subrings._layout(ctx.coeff.p, ctx.caps_log)
 
 
@@ -1802,7 +1836,7 @@ def kron_unpack(L, v):
 
 
 # the echelon pass each m^2 kernel ends in, and the kernel's name
-SQUARE_KERNELS = {"_xor_echelon": "XOR", "_packed_howell": "Kronecker", "_echelon": "ring mul"}
+SQUARE_KERNELS = {"_xor_echelon": "XOR", "_packed_howell": "Kronecker", "_rref": "ring mul"}
 
 
 def square_kernel_of(ctx):
@@ -2069,11 +2103,11 @@ class TestQuotientStepsFromParent:
 
 # -- the packed Howell pass ------------------------------------------------------
 #
-# ideal_data echelons the packed m^2 products with _packed_howell, and
-# _echelon the rows it is given over Z/p^N, tagged or not; the tuple Howell
-# pass below (over F_p, _rref) is their oracle, on rows whose columns run up
-# to the Kronecker bound n (cap - 1)^2, multiples of the caps and of p
-# included.
+# _packed_howell echelons ideal_data's packed m^2 products, the rows
+# canonicalize is given over Z/p^N and a lift family's tagged rows; the
+# tuple Howell pass below (over F_p, _rref) is its oracle, on rows whose
+# columns run up to the Kronecker bound n (cap - 1)^2, multiples of the
+# caps and of p included.
 
 
 def tuple_howell(K, caps_log, rows):
@@ -2175,16 +2209,19 @@ class TestPackedHowell:
     @given(tagged_rows_case())
     @settings(max_examples=300, deadline=None)
     def test_tagged_echelon_matches_howell(self, case):
-        # _lift_bases's rows: d tag columns, each capped at p
+        # a lift family's rows: d tag columns, each capped at p, in the
+        # layout _howell_lift_bases echelons them in
         ctx, rows, d = case
-        assert subrings._echelon(ctx, rows, d) == tuple_howell(ctx.coeff, ctx.caps_log + (1,) * d, rows)
+        L = subrings._layout(ctx.coeff.p, ctx.caps_log, d)
+        got = subrings._unpack(subrings._packed_howell(L, subrings._packed_in(L, rows)), L.w, ctx.n + d)
+        assert got == tuple_howell(ctx.coeff, ctx.caps_log + (1,) * d, rows)
 
     @given(packed_howell_case(field=True))
     @settings(max_examples=200, deadline=None)
     def test_matches_rref_over_odd_prime_fields(self, case):
         ctx, rows = case
         reduced = [[x % ctx.base for x in r] for r in rows]
-        assert packed_howell(ctx, rows) == subrings._rref(ctx.coeff, reduced, ctx.n)
+        assert packed_howell(ctx, rows) == subrings._rref(ctx.coeff, reduced)
 
     def test_annihilator_and_reduction_examples(self):
         # 2 (2 + x) = 2x leads a later column, so it becomes its own row
@@ -2209,8 +2246,9 @@ class TestPackedHowell:
 
     @pytest.mark.parametrize("ctx", [zpn_ring(3, 2, 4), zpn_ring(2, 3, 4, 2)], ids=repr)
     def test_one_layout_per_caps(self, ctx, monkeypatch):
-        # the m^2 kernel and _echelon, tagged or not, read one layout per
-        # (p, column caps), and a second pass over the ring builds none
+        # the m^2 kernel and the lift bases, with tag columns or without,
+        # read one layout per (p, column caps), and a second pass over the
+        # ring builds none
         seen = {}
         inner = subrings._packed_howell
 
@@ -2240,8 +2278,10 @@ class TestPackedHowell:
 # -- the incremental closure and the packed projection ----------------------------
 #
 # closure forms only the products of the fresh rows with the new basis, and
-# closure_bfs adjoins one element to an already closed subring; the oracle
-# re-forms every pairwise product of the basis until the span stops growing.
+# closure_bfs adjoins one element to an already closed subring; one oracle
+# re-forms every pairwise product of the basis until the span stops growing,
+# and the rounds oracle re-echelons the whole basis with each round's fresh
+# rows.
 
 
 def pairwise_closure(ctx, gens):
@@ -2256,6 +2296,36 @@ def pairwise_closure(ctx, gens):
         basis = grown
 
 
+def rounds_closure(S, gens):
+    """Oracle: the canonical basis of the subring of S's ring generated by
+    S and gens, by rounds on tuple rows.  Each round holds a canonical basis
+    B and fresh rows F with span(B)^2 ⊆ B + span(F), first with B the
+    basis of S and F the generators.  The round reduces F against B and
+    drops the zeros; if none is left, span(B) is closed.  Otherwise B' is
+    the canonical basis of B + F, and the next fresh rows are the products
+    f b, f in F, b in B'.  That keeps the invariant:
+    (B + F)^2 = B^2 + F (B + F) ⊆ B + F (B + F), and B ⊆ B' while those
+    products span F (B + F)."""
+    ctx, basis, fresh = S.ctx, S.basis, gens
+    while True:
+        fresh = [r for r in map(_reducer(ctx, basis), fresh) if any(r)]
+        if not fresh:
+            return basis
+        basis = canonicalize(ctx, [*basis, *fresh])
+        fresh = [ctx.mul(f, b) for f in fresh for b in basis]
+
+
+def seeded_gens(ctx, rng):
+    """One to three generators, each 0 left of a drawn column, so that the
+    closures they make run from small subrings to the whole ring."""
+    n, q = ctx.n, ctx.base
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        gens.append(tuple([0] * v + [rng.randrange(q) for _ in range(n - v)]))
+    return gens
+
+
 BFS_RINGS = [
     field_ring(2, 7),
     field_ring(3, 5),
@@ -2266,9 +2336,9 @@ BFS_RINGS = [
     zpn_ring(2, 3, 4, 2),
 ]
 
-# every path the ring's kernel picks for closure: XOR rounds on packed F_2
-# rows, the Howell table at p = 2 with a k-step cap and at odd p, and the
-# tuple rounds over F_q with q = p^e, e > 1
+# every table the ring's kernel gives closure's rounds: the XOR table on
+# packed F_2 rows, the Howell table at p = 2 with a k-step cap and at odd
+# p, and the _rref table on tuple rows over F_q with q = p^e, e > 1
 CLOSURE_RINGS = [
     field_ring(2, 7),
     zpn_ring(2, 1, 6),
@@ -2316,6 +2386,34 @@ class TestIncrementalClosure:
     def test_closure_matches_pairwise_products_on_every_path(self, ctx, data):
         assert_closure_matches_pairwise_products(ctx, data)
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            field_ring(4, 5),
+            field_ring(8, 4),
+            field_ring(8, 4, (1, 0, 1, 1)),
+            field_ring(9, 4),
+            field_ring(25, 3),
+            field_ring(27, 3),
+        ],
+        ids=lambda ctx: f"{ctx!r} mod {ctx.coeff.modulus}",
+    )
+    def test_extension_field_closure_matches_the_rounds_oracle(self, ctx):
+        # the kept _rref table against the rounds oracle, from the ring's
+        # prime ring and adjoined to a closed subring as closure_bfs does
+        rng = random.Random(f"{ctx!r} {ctx.coeff.modulus}")
+        prime = Subring.prime_ring(ctx)
+        sizes = set()
+        for _ in range(40):
+            gens = seeded_gens(ctx, rng)
+            S = closure(ctx, gens[:1])
+            assert S.basis == rounds_closure(prime, gens[:1])
+            T = closure(S, gens[1:])
+            assert T.basis == rounds_closure(S, gens[1:])
+            sizes.add(T.log_size)
+        # the draws reach proper subrings and the whole ring
+        assert ctx.n in sizes and min(sizes) < ctx.n
+
     @pytest.mark.parametrize("ctx", [field_ring(2, 7), zpn_ring(2, 2, 4, 1), field_ring(3, 5)], ids=repr)
     def test_no_generators_leave_a_subring_as_it_is(self, ctx):
         # the table starts as the subring's canonical basis, finished
@@ -2336,14 +2434,16 @@ class TestIncrementalClosure:
         ids=repr,
     )
     def test_residue_rings_close_with_no_ring_mul_or_echelon(self, ctx, monkeypatch):
-        # where base is p, closure multiplies and echelons packed rows only
+        # where base is p, closure multiplies and echelons packed rows only,
+        # forming its products itself, not through the element kernel
         subs = enumerate_subrings(ctx)
 
         def refuse(*args):
-            raise AssertionError("closure reached ring mul or _echelon")
+            raise AssertionError("closure reached ring mul, a tuple echelon or the element kernel")
 
         monkeypatch.setattr(type(ctx), "mul", refuse)
-        monkeypatch.setattr(subrings, "_echelon", refuse)
+        for name in ("canonicalize", "_rref", "_element_kernel"):
+            monkeypatch.setattr(subrings, name, refuse)
         assert enumerate_subrings(ctx, "closure_bfs") == subs
 
 
