@@ -36,17 +36,23 @@ row is checked once, where it enters (ctx._check), and never again.
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
 quotient tree: the enumeration builds its top level, the census counts it.
-The walk's unit is the lift family, some B's preimage and B's lifts.
-Where the step above the family's ring adds a column and the square of the
-family's kernel generator vanishes there (over a field for n >= 3, over
-Z/p^N, N > 1, at every n), the members' preimages one level up share m^2
-and the kernel bit.  That rule about the ring, and its proof, is
-_siblings_share_square, and one place reads it: _family_extensions, the
-family step of the walk and of the census top alike.  It gives one
-extension standing for the whole family where the rule holds, so
-ideal_data runs once per family, and one per member elsewhere.  The walk
-writes the stood-for members' extensions down (_step); the census counts
-them by weight off the first of them (_census_walk).
+The walk's unit is the extension R -> B that makes a lift family, B's
+preimage R and B's lifts; the lifts are built only where a member's own
+extension is needed.  Where the step above the family's ring adds a
+column and the square of the family's kernel generator vanishes there
+(over a field for n >= 3, over Z/p^N, N > 1, at every n), the members'
+preimages one level up share m^2 and the kernel bit.  That rule about the
+ring, and its proof, is _siblings_share_square, and one place reads it:
+_family_extensions, the family step of the walk at every level.  It
+gives one pair standing for the whole family where the rule holds, R's
+extension and R -> B, so ideal_data runs once per family, and one pair
+per member elsewhere.  The walk builds the stood-for lifts and writes
+their extensions down (_step).  One level below the top the census does
+not: it counts B's lifts by weight, base^d(B) with B's points and d(B),
+under R's kernel bit, with lift_isomorphic's complement check and no lift
+built, and it counts the top itself by weight off each pair
+(_census_walk).  Where the rule fails there (at n = 2 over a field, on a
+k-step to the top over Z/p^N) the census builds that level's lifts.
 
 Subrings of every ring whose coefficients are residues (base is p: Z/p^N,
 and F_p, F_2 among them) keep their canonical rows packed into ints,
@@ -471,9 +477,11 @@ class _RowKernel:
       - closure's parts, which closure's one rounds loop runs: start(rows),
         the echelon table of canonical rows, entered as finished;
         insert(table, rows) and finish(table), the two phases of the
-        ring's echelon pass; products(new, rows), the products of a round's
-        new table entries with the table's rows, in one comprehension; and
-        one_key, the key of the row 1 in a table.
+        ring's echelon pass; products(new, rows), the products new[i] b,
+        b in rows[i:], of a round's new table entries with the table's
+        rows, which begin with the new entries, in one comprehension (rows
+        is sliced only past its first entry, so a round of one new entry,
+        the most common, copies no list).
     The products and the echelon pass are
       - over F_2, on packed rows: XOR products (_xor_mul), and the XOR
         pass, _xor_echelon, its table keyed by bit length (_xor_insert and
@@ -525,13 +533,12 @@ class _RowKernel:
 
     __slots__ = (
         "pack", "unpack", "nu", "head", "one", "top", "z", "preimage", "project", "lift_bases", "square",
-        "start", "insert", "finish", "products", "one_key",
+        "start", "insert", "finish", "products",
     )
 
     def __init__(self, ctx: RingCtx):
         n, p, logs = ctx.n, ctx.coeff.p, ctx.caps_log
         packs, xor = _packs(ctx), p == 2 and not ctx.p_image
-        self.one_key = 0
         if packs:
             L = _layout(p, logs)
             if xor:
@@ -569,7 +576,7 @@ class _RowKernel:
 
             def products(new, rows):
                 mul = ring().mul
-                return [mul(a, b) for a in new for b in rows]
+                return [mul(a, b) for i, a in enumerate(new) for b in (rows[i:] if i else rows)]
 
             self.products = products
             return
@@ -591,10 +598,12 @@ class _RowKernel:
         if xor:
             self.lift_bases = lambda w, small: _xor_lift_bases(n, w, small)
             self.square = lambda m: _xor_echelon([_xor_mul(a, b, n) for i, a in enumerate(m) for b in m[i:]])
-            # the lead table keys rows by bit length: the row 1's is n
+            # the lead table keys rows by bit length
             self.start = lambda rows: {r.bit_length(): r for r in rows}
-            self.insert, self.finish, self.one_key = _xor_insert, _xor_finish, n
-            self.products = lambda new, rows: [_xor_mul(a, b, n) for a in new for b in rows]
+            self.insert, self.finish = _xor_insert, _xor_finish
+            self.products = lambda new, rows: [
+                _xor_mul(a, b, n) for i, a in enumerate(new) for b in (rows[i:] if i else rows)
+            ]
             return
         one, shifts, cut, col, C = self.one, L.shifts, L.shifts[0], L.col, L.C
         # -1 keeps every bit: at odd p no mask reduces a product
@@ -606,7 +615,9 @@ class _RowKernel:
         self.start = lambda rows: {(c := col[r.bit_length()]): (r >> shifts[c], C[c] - r, r) for r in rows}
         self.insert = functools.partial(_howell_insert, L)
         self.finish = functools.partial(_howell_finish, L)
-        self.products = lambda new, rows: [a * b >> cut & mask for _, _, a in new for _, _, b in rows]
+        self.products = lambda new, rows: [
+            a * b >> cut & mask for i, (_, _, a) in enumerate(new) for _, _, b in (rows[i:] if i else rows)
+        ]
 
 
 def _row_kernel(ctx: RingCtx) -> _RowKernel:
@@ -1048,18 +1059,29 @@ def closure(ctx, gens) -> Subring:
 
     The invariant: with T the table's span and F the fresh rows,
     T^2 ⊆ T + span(F), first with F the generators.  A round inserts F,
-    and N is the table entries new after it, compared by identity with a
-    snapshot taken before it; K, the old entries still in the table, lie
-    in T_old.  If N is empty the table did not change, so T is closed and
-    is the result, finished into its canonical basis.  Otherwise
+    and N is the table entries new after it, read against a snapshot of
+    the entries taken before it; K, the old entries still in the table,
+    lie in T_old.  An insertion phase only adds keys, which the table's
+    order puts last, or replaces the entry of a key in place (the Howell
+    pass, where a smaller pivot displaces a row), so the entries extend
+    the snapshot position by position: where their first len(snapshot)
+    match it, one list compare, N is the entries past it, and otherwise
+    the entries that differ from the snapshot, by identity, and those past
+    it.  If N is empty the table did not change, so T is closed and is
+    the result, finished into its canonical basis.  Otherwise
     T_new = T_old + span(F) and T_old^2 ⊆ T_new, so
-    T_new^2 = span(K)^2 + span(N) T_new ⊆ T_new + span(N x rows), and the
-    next fresh rows are N x rows, rows every table row but the pivot row
-    of column 0.  That row is 1: no row displaces it, as 1 divides every
-    entry, and its products are their other factor, already in the table.
-    Every member of the result is a sum of products of the generators and
-    of members of the start, so it lies in every subring containing them.
-    Only the generators are checked; later rows are reduced or products."""
+    T_new^2 = span(K)^2 + span(N) T_new ⊆ T_new + span(N x rows), rows
+    every table row but the first, the pivot row of column 0.  That row is
+    1, first in the start table as the first row of a canonical basis, and
+    no row displaces it, as 1 divides every entry; its products are their
+    other factor, already in the table.  The next fresh rows are the
+    products N[i] b, b in rows[i:], with rows listing N first and then
+    K's rows but the 1: the ring is commutative, so N[j] N[i] = N[i] N[j]
+    for j > i, and those products span N x rows, each unordered pair of
+    new entries formed once.  Every member of the result is a sum of
+    products of the generators and of members of the start, so it lies in
+    every subring containing them.  Only the generators are checked; later
+    rows are reduced or products."""
     if isinstance(ctx, Subring):
         S, ctx = ctx, ctx.ctx
     else:
@@ -1069,12 +1091,17 @@ def closure(ctx, gens) -> Subring:
     K = _row_kernel(ctx)
     table, fresh = K.start(S._rows), K.pack(gens)
     while True:
-        old = dict(table)
+        old = list(table.values())
         K.insert(table, fresh)
-        new = [e for c, e in table.items() if e is not old.get(c)]
+        entries, k = list(table.values()), len(old)
+        if entries[:k] == old:
+            new, kept = entries[k:], old[1:]
+        else:
+            new = [e for e, o in zip(entries, old) if e is not o] + entries[k:]
+            kept = [o for e, o in zip(entries, old) if e is o][1:]
         if not new:
             return Subring._from_rows(ctx, K.finish(table))
-        fresh = K.products(new, [e for c, e in table.items() if c != K.one_key])
+        fresh = K.products(new, new + kept)
 
 
 def project_subring(S: Subring, dst: RingCtx) -> Subring:
@@ -1352,6 +1379,17 @@ def _lift_complement(ctx: RingCtx, data: IdealData) -> list:
     return [r for r in data.max_rows if K.nu(r) not in grown]
 
 
+def _checked_complement(ext: MinimalExtension) -> list:
+    """The lift complement of an unobstructed extension (_lift_complement),
+    checked against the carried d(dst): the family's base^d(dst) lifts,
+    built or counted, rest on its having d(dst) rows."""
+    d = ext.dst.cotangent
+    w = _lift_complement(ext.src.ctx, ext.src_ideal)
+    if len(w) != d:
+        raise InvariantViolation(f"complement of size {len(w)} for target cotangent dimension {d}")
+    return w
+
+
 def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     """Compute the lift family of a minimal one-step extension.
 
@@ -1368,16 +1406,11 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     if ext.kernel_in_small:
         return LiftFamily(ext, False, d, ())
     ctx = ext.src.ctx
-    data = ext.src_ideal
-    w = _lift_complement(ctx, data)
-    if len(w) != d:
-        raise InvariantViolation(
-            f"complement of size {len(w)} for target cotangent dimension {d}"
-        )
+    w = _checked_complement(ext)
     # a lift maps onto dst isomorphically and meets span(z) only in 0, so
     # it keeps the valuations of dst (see _preimage)
     points = _point_mask(ext.dst)
-    bases = _row_kernel(ctx).lift_bases(w, data.small_rows)
+    bases = _row_kernel(ctx).lift_bases(w, ext.src_ideal.small_rows)
     lifts = [Subring._from_rows(ctx, b, d, points) for b in bases]
     if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
@@ -1557,68 +1590,88 @@ def _siblings_share_square(ctx: RingCtx) -> bool:
     return logs[-1] == logs[0] and (ctx.n >= 3 or logs[0] >= 2)
 
 
-def _family_extensions(members) -> list:
-    """Pairs (restricted_extension of a member of a lift family, the
-    members it stands for), the family being B's preimage, then B's lifts.
+def _built_lifts(ext: MinimalExtension) -> tuple:
+    """ext's lifts, built (lift_isomorphic) and checked to number base^dim,
+    0 when obstructed: a lift family of any other size would duplicate or
+    drop a subtree, which a census cannot see, so it raises."""
+    fam = lift_isomorphic(ext)
+    if len(fam.lifts) != (ext.src.ctx.base**fam.dim if fam.exists else 0):
+        raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
+    return fam.lifts
+
+
+def _family_extensions(ext: MinimalExtension) -> list:
+    """Pairs (restricted_extension of a member of the lift family that ext
+    makes, the extension whose lifts that pair also stands for, or None),
+    the family being ext.src, B's preimage, then B's lifts, B = ext.dst.
     Where _siblings_share_square holds, one pair stands for the family: the
-    preimage's extension, and B's lifts, whose preimages share its m^2,
-    obstruction module and kernel bit.  Elsewhere each member has a pair of
-    its own, standing for no other member."""
-    if _siblings_share_square(members[0].ctx):
-        return [(restricted_extension(members[0]), members[1:])]
-    return [(restricted_extension(M), ()) for M in members]
+    preimage's extension, and ext, whose lifts' preimages share its m^2,
+    obstruction module and kernel bit; the lifts are not built here, only
+    where their own extensions are written down (_step).  Elsewhere the
+    lifts are built and each member has a pair of its own, standing for no
+    other member."""
+    R = ext.src
+    if _siblings_share_square(R.ctx):
+        return [(restricted_extension(R), ext)]
+    return [(restricted_extension(M), None) for M in (R, *_built_lifts(ext))]
 
 
-def _step(members):
-    """Yield the lift families one level up that the members of a lift
-    family make: each member's preimage, then its lifts.  A member that an
-    extension of _family_extensions stands for writes its own extension
-    down: its preimage with the shared kernel bit and, when the family is
-    unobstructed, its m as ideal_data writes m (the row p over Z/p^N, then
-    that preimage's rows after the 1), with the shared m^2 and obstruction
-    module.  A lift family of any size but base^dim (0 when obstructed)
-    would duplicate or drop a subtree, which a census cannot see, so it
-    raises."""
-    base = members[0].ctx.base
-    for first, others in _family_extensions(members):
-        exts = [first]
+def _step(pairs):
+    """Yield the extensions of a lift family's members, from the family's
+    pairs of _family_extensions: each pair's extension, then, where the
+    pair stands for the lifts of an extension, each of those lifts' own,
+    written down: its preimage with the pair's kernel bit and, when the
+    pair is unobstructed, its m as ideal_data writes m (the row p over
+    Z/p^N, then that preimage's rows after the 1), with the pair's m^2 and
+    obstruction module.  Each extension makes a lift family one level up:
+    its preimage, then its lifts (_built_lifts).  The stood-for lifts are
+    built here, as their extensions need them, and checked (_built_lifts).
+    The walk runs _step on every family below the level one below the top,
+    and the enumeration on those of that level too; the census does not, so
+    there the lifts a pair stands for are counted, never built (see
+    _census_walk)."""
+    for first, stood in pairs:
+        yield first
+        if stood is None:
+            continue
         in_small = first.kernel_in_small
         shared = None if in_small else first.src_ideal
-        for M in others:
+        for M in _built_lifts(stood):
             R = _preimage(M)
             data = None
             if shared is not None:
                 m = _row_kernel(R.ctx).head + R._rows[1:]
                 data = IdealData(R.ctx, m, shared.square_rows, shared.small_rows)
-            exts.append(_extension(M, R, in_small, data))
-        for ext in exts:
-            fam = lift_isomorphic(ext)
-            if len(fam.lifts) != (base**fam.dim if fam.exists else 0):
-                raise InvariantViolation(f"{len(fam.lifts)} lifts in a family of dimension {fam.dim}")
-            yield (ext.src, *fam.lifts)
+            yield _extension(M, R, in_small, data)
 
 
 def _top_families(ctx: RingCtx):
-    """Yield the lift families one level below the top of ctx, walking the
-    quotient tree depth first: each is the tuple (R, *lifts) of some B's
-    preimage and B's lifts, or (the prime ring,) when ctx is one step above
-    the base ring; nothing for the base ring.
+    """Yield the lift families one level below the top of ctx, each as its
+    pairs of _family_extensions, walking the quotient tree depth first;
+    nothing for the base ring.
 
-    Every subring of a level has one parent, its image B one level down:
-    it is B's preimage or one of B's lifts, so the families of a level
-    partition it.  Below the top the walk takes each family's _step and
-    visits the families it makes; the top level is left to the caller,
-    which builds it (enumeration, through _step) or counts it (census,
-    through _family_extensions).  Both extend a family by
-    _family_extensions, which decides once whether its members share.
+    The walk's unit is the extension that makes a lift family: its
+    preimage and, built only where a member's own extension is needed, its
+    lifts.  Every subring of a level has one parent, its image B one level
+    down: it is B's preimage or one of B's lifts, so the families of a
+    level partition it.  The root is the prime ring of the base ring, a
+    family of one member that no extension makes; its one extension, which
+    stands for no other member, makes the families of level 1.  Below the
+    top the walk takes each family's pairs and the extensions _step writes
+    down from them, one per family one level up.  One level below the top
+    it yields the pairs and leaves the top to the caller, which builds it
+    (enumeration, through _step and _built_lifts) or counts it (census).
 
-    Where _siblings_share_square holds, the members of a family have
-    preimages with one m^2 and one kernel bit, so one extension stands for
-    the family; the rule and its proof are in _siblings_share_square.
+    Where _siblings_share_square holds one level below the top, each
+    family there has one pair, standing for B's lifts, which are never
+    built for the census: it counts them off B (see _census_walk), and the
+    enumeration builds them in _step.  The rule reads only the ring's
+    facts, so it holds for every family of that level or for none.
     Elsewhere siblings can differ: at n = 2 over a field, where the family
     of the prime ring is the full ring and the prime ring, and over Z/p^N
-    below a k-step, as in 32 of the 235 families the walk of
-    Z[x]/(2^2, x^6, 2x^5) makes.
+    below a k-step, as in 32 of the families the walk of
+    Z[x]/(2^2, x^6, 2x^5) makes.  There the lifts are built and each member
+    is extended on its own.
     """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} exceeds the walk limit {_CHAIN_LIMIT}")
@@ -1631,28 +1684,32 @@ def _top_families(ctx: RingCtx):
     # extension_ctx of the level below, as every preimage's is
     if extension_ctx(chain[top - 1]) is not ctx:
         raise InvariantViolation(f"the quotient chain of {ctx!r} does not return to it")
-    stack = [((Subring.prime_ring(chain[0]),), 0)]
+    root = restricted_extension(Subring.prime_ring(chain[0]))
+    if top == 1:
+        yield [(root, None)]
+        return
+    stack = [(root, 1)]
     while stack:
-        members, level = stack.pop()
+        ext, level = stack.pop()
+        if ext.src.ctx is not chain[level]:
+            raise InvariantViolation(f"extension landed in {ext.src.ctx!r}, not {chain[level]!r}")
+        pairs = _family_extensions(ext)
         if level == top - 1:
-            yield members
+            yield pairs
             continue
-        level += 1
-        for fam in _step(members):
-            if fam[0].ctx is not chain[level]:
-                raise InvariantViolation(f"extension landed in {fam[0].ctx!r}, not {chain[level]!r}")
-            stack.append((fam, level))
+        stack.extend((e, level + 1) for e in _step(pairs))
 
 
 def _enumerate_minimal_ext(ctx) -> list[Subring]:
-    """Each family below the top contributes the families its _step makes:
-    its members' preimages and their lifts.  A collision at any level
-    duplicates a subtree, and every subring has a descendant at the top,
-    so the one check there finds it."""
+    """Each family one level below the top contributes the families its
+    _step makes: its members' preimages and their lifts.  A collision at
+    any level duplicates a subtree, and every subring has a descendant at
+    the top, so the one check there finds it."""
     subs = []
-    for members in _top_families(ctx):
-        for fam in _step(members):
-            subs.extend(fam)
+    for pairs in _top_families(ctx):
+        for ext in _step(pairs):
+            subs.append(ext.src)
+            subs.extend(_built_lifts(ext))
     if len({S._rows for S in subs}) != len(subs):
         raise InvariantViolation("preimages and lifts must not collide")
     return sorted(subs, key=Subring._key) or [Subring.prime_ring(ctx)]
@@ -1696,18 +1753,25 @@ class CensusRow:
 
 def _census_walk(ctx: RingCtx) -> dict:
     """Exponent point mask -> Counter of cotangent dimensions over the
-    subrings of ctx, counted from the families of _top_families, not
-    built.  Each family is extended once more, to the top, by
-    _family_extensions.  The member M an extension is of counts once: its preimage with d(M) +
+    subrings of ctx, counted from the pairs of _top_families, not built.
+    Each pair's extension is of one member M of a family one level below
+    the top, and M counts once: its preimage with d(M) +
     [z not in the obstruction module] (see restricted_extension), and when
     z is not, M's base^d(M) lifts, each with M's exponent points and d(M).
 
-    The members an extension stands for are lifts of one B, with B's
-    exponent points and d(B), and their preimages share the extension's
-    kernel bit (proof in _siblings_share_square).  So the first of them
-    counts for all, weighted by their number: their preimages count
-    base^d(B) under B's points plus top, and, when unobstructed, their
-    lifts count base^(2 d(B)) under B's points.
+    A pair that stands for the lifts of an extension R -> B (R = B's
+    preimage, the pair's own member) counts them by weight, unbuilt.  They
+    number base^d(B) when R -> B is unobstructed and none otherwise: the
+    lift family is affine over the d(B) rows of the complement, and the
+    complement check that lift_isomorphic runs on a built family runs here
+    too (_checked_complement).  Each lift maps isomorphically onto B and
+    meets the kernel only in 0, so it has B's exponent points and d(B)
+    (see lift_isomorphic).  Their preimages share the kernel bit of R's,
+    the pair's extension, by _siblings_share_square, which holds where
+    _family_extensions makes such a pair.  So B counts for all of them:
+    their preimages count base^d(B) under B's points plus top, and, when
+    that bit is unobstructed, their lifts count base^(2 d(B)) under B's
+    points.  Only R and B are built, no lift of B.
 
     Every member carries its exponent points down the walk, and the
     preimage's points are M's and top, the largest point of the top ring's
@@ -1715,12 +1779,12 @@ def _census_walk(ctx: RingCtx) -> dict:
     top = ctx.domain.top_bit
     base = ctx.base
     rows = defaultdict(Counter)
-    for members in _top_families(ctx):
-        for ext, others in _family_extensions(members):
+    for pairs in _top_families(ctx):
+        for ext, stood in pairs:
             # (member, how many members it counts for)
             counted = [(ext.dst, 1)]
-            if others:
-                counted.append((others[0], len(others)))
+            if stood is not None and not stood.kernel_in_small:
+                counted.append((stood.dst, base ** len(_checked_complement(stood))))
             in_small = ext.kernel_in_small
             for M, weight in counted:
                 pts, d = _point_mask(M), M.cotangent

@@ -119,11 +119,15 @@ def _referrers(module, name):
 
 
 def test_one_walk_step():
-    # the walk and the enumeration's top extend a family through _step,
-    # which checks each family's size, so neither makes families its own way;
-    # the census top extends its families through the same family step
-    assert _callers("subrings.py", "_family_extensions") == {"_step", "_census_walk"}
-    assert _callers("subrings.py", "lift_isomorphic") == {"_step"}
+    # the walk and the enumeration's top write a family's extensions down
+    # through _step, and every lift family is built through _built_lifts,
+    # which checks its size, so nothing makes families its own way; the
+    # walk is the one caller of the family step, and the census and the
+    # enumeration take its pairs from the walk
+    assert _callers("subrings.py", "_family_extensions") == {"_top_families"}
+    assert _callers("subrings.py", "_step") == {"_top_families", "_enumerate_minimal_ext"}
+    assert _callers("subrings.py", "lift_isomorphic") == {"_built_lifts"}
+    assert _callers("subrings.py", "_top_families") == {"_enumerate_minimal_ext", "_census_walk"}
 
 
 def _function(module, name):
@@ -155,17 +159,25 @@ def test_shape_questions_are_answered_by_masks():
 
 def test_one_family_step_decides_sharing():
     # the sibling rule is read in one place, and the census counts the
-    # extensions that family step returns without extending a member itself
+    # pairs that family step returns without extending a member or building
+    # a lift itself; the lifts it counts unbuilt keep lift_isomorphic's
+    # complement check
     assert _callers("subrings.py", "_siblings_share_square") == {"_family_extensions"}
     assert not _names(_function("subrings.py", "_census_walk")) & {
         "restricted_extension",
         "_siblings_share_square",
+        "_family_extensions",
+        "_step",
+        "_preimage",
+        "lift_isomorphic",
+        "_built_lifts",
     }
+    assert _callers("subrings.py", "_checked_complement") == {"lift_isomorphic", "_census_walk"}
 
 
 # the parts of closure's rounds loop that depend on the row format, which
 # each ring's kernel holds
-CLOSURE_PARTS = {"start", "insert", "finish", "products", "one_key"}
+CLOSURE_PARTS = {"start", "insert", "finish", "products"}
 
 
 def test_each_ring_picks_its_square_kernel_once():
@@ -258,6 +270,8 @@ def test_the_walk_builds_subrings_from_kernel_rows():
 WALK_PATH = (
     "_step",
     "_family_extensions",
+    "_built_lifts",
+    "_checked_complement",
     "restricted_extension",
     "_preimage",
     "ideal_data",

@@ -819,6 +819,34 @@ def assert_walk_matches_grouped(ctx):
             assert S.cotangent == cotangent_dim(S)
 
 
+def census_path(ctx):
+    """How census(ctx) takes the level one below the top: "counted" where
+    _siblings_share_square holds there, its lift families counted and not
+    built, "built" elsewhere, and None on a chain of fewer than two
+    steps."""
+    below = quotient_ctx(ctx)
+    if below is None or quotient_ctx(below) is None:
+        return None
+    return "counted" if subrings._siblings_share_square(below) else "built"
+
+
+def lift_bases_by_ring(ctx, run):
+    """Counter of the lift-basis calls, by the ring of ctx's quotient chain
+    they run on, while run(ctx) runs."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for c in subrings._quotient_chain(ctx):
+            K = subrings._row_kernel(c)
+
+            def counting(w, small, c=c, inner=K.lift_bases):
+                counts[c] += 1
+                return inner(w, small)
+
+            mp.setattr(K, "lift_bases", counting)
+        run(ctx)
+    return counts
+
+
 @st.composite
 def field_params(draw, limit=1024):
     # (q, n) with at most `limit` elements
@@ -853,6 +881,51 @@ class TestCensusWalk:
     @settings(max_examples=30, deadline=None)
     def test_walk_matches_grouped_census_on_z_rings(self, params):
         assert_walk_matches_grouped(zpn_ring(*params))
+
+    @pytest.mark.parametrize(
+        "ctx, path",
+        [
+            # the census-z rings
+            (zpn_ring(2, 2, 7, 1), "counted"),
+            (zpn_ring(2, 3, 5, 3), "built"),
+            (zpn_ring(3, 2, 5, 2), "built"),
+            # a k-step to the top, whose level below is reached by a k-step
+            (zpn_ring(2, 3, 4, 3), "built"),
+            # n = 2 one level below the top
+            *((field_ring(q, 3), "built") for q in (2, 3, 4, 9)),
+            # chains of one step
+            *((field_ring(q, 2), None) for q in (2, 3, 4, 9)),
+            (zpn_ring(2, 2, 2, 1), None),
+        ],
+        ids=repr,
+    )
+    def test_walk_matches_grouped_census_on_each_path(self, ctx, path):
+        # every row field but subrings, counted or built one level below the top
+        assert census_path(ctx) == path
+        walked = census(ctx)
+        grouped = census(ctx, enumerate_subrings(ctx))
+        assert all(row.subrings == () for row in walked)
+        assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
+
+    def test_walk_rings_take_both_paths(self):
+        assert {census_path(ctx) for ctx in WALK_RINGS} == {"counted", "built", None}
+
+    @pytest.mark.parametrize("ctx", [field_ring(2, 10), zpn_ring(2, 2, 6, 1)], ids=repr)
+    def test_census_builds_no_lift_one_level_below_the_top(self, ctx):
+        below = quotient_ctx(ctx)
+        assert census_path(ctx) == "counted"
+        counted = lift_bases_by_ring(ctx, census)
+        assert counted[below] == 0 and counted[ctx] == 0
+        # the levels further down still build theirs, and the enumeration
+        # builds every level
+        assert sum(counted.values())
+        built = lift_bases_by_ring(ctx, enumerate_subrings)
+        assert built[below] and built[ctx]
+
+    def test_census_builds_the_lifts_below_a_k_step_to_the_top(self):
+        ctx = zpn_ring(2, 3, 5, 3)
+        assert census_path(ctx) == "built"
+        assert lift_bases_by_ring(ctx, census)[quotient_ctx(ctx)]
 
     @pytest.mark.parametrize("ctx", [zpn_ring(2, 2, 7, 1), zpn_ring(2, 3, 5, 3), zpn_ring(3, 2, 5, 2)], ids=repr)
     def test_split_masks_match_the_set_test(self, ctx, monkeypatch):
@@ -926,13 +999,16 @@ class TestCensusWalk:
 def expand(pairs):
     """The extensions of a family's members, written down from the pairs of
     _family_extensions as _step writes them: each pair's extension, then,
-    for each member it stands for, that member's preimage with the pair's
-    kernel bit and m with the pair's m^2 and obstruction module."""
+    for each lift of the extension the pair stands for, that lift's
+    preimage with the pair's kernel bit and m with the pair's m^2 and
+    obstruction module."""
     out = []
-    for ext, others in pairs:
+    for ext, stood in pairs:
         out.append(ext)
+        if stood is None:
+            continue
         data = ext.src_ideal
-        for M in others:
+        for M in lift_isomorphic(stood).lifts:
             R = subrings._preimage(M)
             m = subrings._row_kernel(R.ctx).head + R._rows[1:]
             mine = subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)
@@ -940,20 +1016,29 @@ def expand(pairs):
     return out
 
 
+def family_of(ext):
+    """The lift family ext makes: its preimage, then its lifts."""
+    return (ext.src, *lift_isomorphic(ext).lifts)
+
+
 def checked_family_walk(ctx):
     """Enumerate ctx with every family's extensions checked against the
     per-member oracle.  Returns (families, families of two or more members
-    whose own preimages share m^2, families whose own preimages differ)."""
+    whose own preimages share m^2, families whose own preimages differ),
+    counting the families extensions make: every family but the root, the
+    prime ring of the base ring."""
     inner = subrings._family_extensions
     seen = Counter()
 
-    def checking(members):
-        pairs = inner(members)
-        # one pair for the family where the rule holds, one per member elsewhere
-        if subrings._siblings_share_square(members[0].ctx):
-            assert [others for _, others in pairs] == [members[1:]]
+    def checking(ext):
+        pairs = inner(ext)
+        members = family_of(ext)
+        # one pair for the family where the rule holds, standing for ext's
+        # lifts, one per member elsewhere
+        if subrings._siblings_share_square(ext.src.ctx):
+            assert len(pairs) == 1 and pairs[0][1] is ext
         else:
-            assert [others for _, others in pairs] == [()] * len(members)
+            assert [stood for _, stood in pairs] == [None] * len(members)
         exts = expand(pairs)
         assert [ext.dst for ext in exts] == list(members)
         own = [restricted_extension(M) for M in members]
@@ -1002,10 +1087,11 @@ def family_rules(ctx):
     enumeration of ctx extends."""
     inner, seen = subrings._family_extensions, []
 
-    def recording(members):
+    def recording(ext):
+        members = family_of(ext)
         if len(members) > 1:
-            seen.append((subrings._siblings_share_square(members[0].ctx), family_test(members)))
-        return inner(members)
+            seen.append((subrings._siblings_share_square(ext.src.ctx), family_test(members)))
+        return inner(ext)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subrings, "_family_extensions", recording)
@@ -1056,13 +1142,15 @@ class TestSharedSquare:
         up = extension_ctx(ctx)
         assert squares == [(up.monomial(2),), ()]
         assert not subrings._siblings_share_square(ctx)
-        # F_q[x]/x^3: the root family and this one, the one that differs
-        assert checked_family_walk(field_ring(q, 3)) == (2, 0, 1)
+        # F_q[x]/x^3: this family, the one that differs, is the one family
+        # an extension makes (the root, the prime ring of F_q, is made by none)
+        assert checked_family_walk(field_ring(q, 3)) == (1, 0, 1)
 
     def test_z_siblings_are_not_shared(self):
         # over Z/p^N, N > 1, z = p^(k-1) x^(n-1) times w need not vanish
         ctx = zpn_ring(2, 2, 6, 1)
-        assert checked_family_walk(ctx) == (235, 46, 32)
+        # 234 families that extensions make, and the root
+        assert checked_family_walk(ctx) == (234, 46, 32)
         B = Subring.prime_ring(zpn_ring(2, 2, 2))
         ext = restricted_extension(B)
         members = (ext.src, *lift_isomorphic(ext).lifts)
@@ -1224,18 +1312,61 @@ class TestCollisionCheck:
         assert planted
 
     # the census counts the top level instead of calling lift_isomorphic
-    # there, so a depth 0 plant never reaches it.  Unguarded, the depth 2
-    # plant on F2[x]/x^6 counted 35 subrings instead of 24
+    # there, so a depth 0 plant never reaches it.  Where
+    # _siblings_share_square holds one level below the top, as on these
+    # rings, the census counts that level's lifts too, never building them,
+    # so a depth 1 plant is never planted and the counts stand; the
+    # complement check guards those families
+    # (test_counted_families_keep_the_complement_check), and the rings
+    # below, where the rule fails there, still build them.  Unguarded, the
+    # depth 2 plant on F2[x]/x^6 counted 35 subrings instead of 24
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize(
         "ctx", COLLISION_RINGS + [field_ring(2, 6), field_ring(4, 5), field_ring(2, 8)], ids=repr
     )
     def test_planted_collision_stops_the_census(self, ctx, depth, monkeypatch):
-        census(ctx)
+        want = census(ctx)
         planted = _plant_collision(monkeypatch, ctx, depth)
+        if depth == 1:
+            assert subrings._siblings_share_square(quotient_ctx(ctx))
+            assert census(ctx) == want
+            assert not planted
+            return
         with pytest.raises(InvariantViolation, match="lifts in a family"):
             census(ctx)
         assert planted
+
+    # where the rule fails one level below the top (n = 2 there over a
+    # field, a k-step to the top over Z/p^N), the census builds that level's
+    # lift families, and a plant there stops it
+    @pytest.mark.parametrize(
+        "ctx", [field_ring(2, 3), field_ring(3, 3), zpn_ring(2, 2, 3), zpn_ring(2, 3, 4), zpn_ring(3, 2, 4)], ids=repr
+    )
+    def test_planted_collision_below_the_top_stops_the_building_census(self, ctx, monkeypatch):
+        assert not subrings._siblings_share_square(quotient_ctx(ctx))
+        census(ctx)
+        planted = _plant_collision(monkeypatch, ctx, 1)
+        with pytest.raises(InvariantViolation, match="lifts in a family"):
+            census(ctx)
+        assert planted
+
+    @pytest.mark.parametrize("ctx", [field_ring(2, 6), field_ring(3, 5), zpn_ring(2, 2, 5, 1)], ids=repr)
+    def test_counted_families_keep_the_complement_check(self, ctx, monkeypatch):
+        # a lift complement one row short one level below the top, where the
+        # census counts the lifts of every family and builds none
+        below = quotient_ctx(ctx)
+        assert subrings._siblings_share_square(below)
+        inner = subrings._lift_complement
+
+        def short(c, data):
+            w = inner(c, data)
+            return w[1:] if c is below else w
+
+        monkeypatch.setattr(subrings, "_lift_complement", short)
+        planted = _plant_collision(monkeypatch, ctx, 1)
+        with pytest.raises(InvariantViolation, match="complement of size"):
+            census(ctx)
+        assert not planted
 
 
 class TestWalkSafetyNets:
@@ -2413,6 +2544,38 @@ class TestIncrementalClosure:
             sizes.add(T.log_size)
         # the draws reach proper subrings and the whole ring
         assert ctx.n in sizes and min(sizes) < ctx.n
+
+    @pytest.mark.parametrize(
+        "ctx, formed, pairs",
+        [(field_ring(2, 7), 6683, 7115), (field_ring(3, 5), 1568, 1676), (zpn_ring(2, 2, 4, 1), 1073, 1157)],
+        ids=repr,
+    )
+    def test_closure_bfs_forms_each_unordered_pair_once(self, ctx, formed, pairs, monkeypatch):
+        # a round's new entries lead the rows and new[i] meets rows[i:]
+        # only, so the products of two new entries are formed once: formed
+        # against the pairs new x rows that every round would form otherwise
+        K = subrings._row_kernel(ctx)
+        inner, counts = K.products, Counter()
+
+        def counting(new, rows):
+            assert all(a is b for a, b in zip(new, rows))
+            out = inner(new, rows)
+            assert len(out) == sum(len(rows) - i for i in range(len(new)))
+            counts["formed"] += len(out)
+            counts["pairs"] += len(new) * len(rows)
+            return out
+
+        inner_closure = subrings.closure
+
+        def checked(S, gens):
+            T = inner_closure(S, gens)
+            assert T.basis == rounds_closure(S, gens)
+            return T
+
+        monkeypatch.setattr(K, "products", counting)
+        monkeypatch.setattr(subrings, "closure", checked)
+        assert enumerate_subrings(ctx, "closure_bfs") == enumerate_subrings(ctx)
+        assert counts == {"formed": formed, "pairs": pairs}
 
     @pytest.mark.parametrize("ctx", [field_ring(2, 7), zpn_ring(2, 2, 4, 1), field_ring(3, 5)], ids=repr)
     def test_no_generators_leave_a_subring_as_it_is(self, ctx):
