@@ -24,13 +24,14 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
 from .coefficients import FieldCtx, factor_prime_power
 from .errors import InvariantViolation, SkippedChecks
 from .rings import FieldPolyCtx, field_ring, zpn_ring
-from .shapes import Shape
+from .shapes import minimal_generators
 from .subrings import (
     Subring,
     census,
@@ -47,10 +48,6 @@ from .verify import SUITES, run_suite
 
 def _pts_json(pts) -> list:
     return [list(pt) if isinstance(pt, tuple) else pt for pt in pts]
-
-
-def _shape_json(shape: Shape) -> list:
-    return _pts_json(shape.elems)
 
 
 def _basis_polys(S: Subring) -> list[str]:
@@ -124,7 +121,7 @@ def _census_payload(rows, emit_bases: bool) -> list[dict]:
     out = []
     for row in rows:
         d = {
-            "shape": _shape_json(row.shape),
+            "shape": _pts_json(row.shape.elems),
             "count": row.count,
             "bound_exp": row.bound_exp,
             "bound": row.bound,
@@ -154,6 +151,9 @@ def _field_modulus(q: int, text):
     p, e = factor_prime_power(q)
     if e == 1:
         raise ValueError("--modulus applies only to extension fields")
+    # a term past degree e is a wrong degree, not an exponent of F_p[x]/x^(e+1)
+    if any(int(d) > e for d in re.findall(r"\^(\d+)", "".join(text.split()))):
+        raise ValueError(f"modulus must be monic of degree {e}")
     return FieldPolyCtx(FieldCtx(p), e + 1).parse(text)
 
 
@@ -220,8 +220,8 @@ def _cmd_shape(args) -> tuple[str, int]:
         "ring": repr(ctx),
         "subring": _basis_polys(B),
         "log_size": B.log_size,
-        "shape": _shape_json(sh),
-        "generators": _pts_json(sh.minimal_generators()),
+        "shape": _pts_json(sh.elems),
+        "generators": _pts_json(minimal_generators(sh)),
         "d_shape": sh.generator_count(),
         "d_ring": cotangent_dim(B),
     }
@@ -237,7 +237,7 @@ def _cmd_counterexample(args) -> tuple[str, int]:
         "ring": repr(ctx),
         "generators": [ctx.format(g) for g in rep.gens],
         "subring": _basis_polys(rep.ring),
-        "shape": _shape_json(rep.shape),
+        "shape": _pts_json(rep.shape.elems),
         "shape_generators": list(rep.generators),
         "d_shape": rep.d_shape,
         "d_ring": rep.d_ring,

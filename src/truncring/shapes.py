@@ -229,11 +229,13 @@ def is_shape(domain: ExpDomain, elems: Iterable[Point]) -> bool:
 
 @dataclass(frozen=True)
 class Shape:
-    """A validated sub-partial-monoid, elements sorted ascending.  Its mask
-    and its generators' mask are memoised outside the fields."""
+    """A sub-partial-monoid held as its mask; the constructor does not
+    check that the mask is one (Shape.of and Shape.of_mask do).  Its
+    points, ascending, and its generators' mask are memoised outside the
+    fields."""
 
     domain: ExpDomain
-    elems: tuple[Point, ...]
+    mask: int
 
     @staticmethod
     def of(domain: ExpDomain, elems: Iterable[Point]) -> "Shape":
@@ -245,11 +247,11 @@ class Shape:
         not a shape."""
         if not _is_shape_mask(domain, mask):
             raise ValueError(f"{domain.points_of(mask)} is not a shape of {domain}")
-        return _shape(domain, mask)
+        return Shape(domain, mask)
 
     @cached_property
-    def mask(self) -> int:
-        return self.domain.mask_of(self.elems)
+    def elems(self) -> tuple[Point, ...]:
+        return self.domain.points_of(self.mask)
 
     @cached_property
     def _generators(self) -> int:
@@ -270,18 +272,8 @@ class Shape:
     def __len__(self) -> int:
         return len(self.elems)
 
-    def minimal_generators(self) -> tuple[Point, ...]:
-        return minimal_generators(self)
-
     def generator_count(self) -> int:
         return self._generators.bit_count()
-
-
-def _shape(domain: ExpDomain, mask: int) -> Shape:
-    """The Shape of a mask known to be one, its mask memoised."""
-    sh = Shape(domain, domain.points_of(mask))
-    object.__setattr__(sh, "mask", mask)
-    return sh
 
 
 def minimal_generators(shape: Shape) -> tuple[Point, ...]:
@@ -386,7 +378,7 @@ def enumerate_shapes(domain: ExpDomain, realizable_only: bool = False) -> list[S
         # nz: the mask of the nonzero points chosen so far, sums: their
         # pairwise sums
         if i == len(bits):
-            out.append(_shape(domain, nz | 1))
+            out.append(Shape(domain, nz | 1))
             return
         b = bits[i]
         if not (required | sums) >> b & 1:

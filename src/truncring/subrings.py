@@ -1160,15 +1160,25 @@ def exponent_set(S: Subring) -> Shape:
 
 @dataclass(frozen=True)
 class IdealData:
-    """Canonical bases for the maximal ideal m, its square, and the
+    """Canonical bases for the maximal ideal m of ring, its square, and the
     obstruction module (m^2 over a field, m^2 + pR = m^2 + (p) in mixed
-    characteristic), held as the row kernel of ctx holds rows (see
-    Subring); max_ideal, square and small give them as tuples."""
+    characteristic), held as the row kernel of ring's context holds rows
+    (see Subring); max_ideal, square and small give them as tuples."""
 
-    ctx: RingCtx
-    max_rows: tuple
+    ring: Subring
     square_rows: tuple
     small_rows: tuple
+
+    ctx = property(lambda self: self.ring.ctx)
+
+    @property
+    def max_rows(self) -> tuple:
+        """m's canonical basis.  The ring's rows[0] is 1, the reduced
+        member of 1 + span(rows[1:]), so m is rows[1:] over a field and
+        span(p, rows[1:]) over Z/p^N.  The row p is reduced against the
+        others, and a multiple of it that clears column 0 is zero, so this
+        basis is in Howell form with no echelon pass."""
+        return _row_kernel(self.ctx).head + self.ring._rows[1:]
 
     def _tuples(self, rows) -> tuple[Element, ...]:
         return _row_kernel(self.ctx).unpack(rows)
@@ -1179,22 +1189,17 @@ class IdealData:
 
 
 def ideal_data(S: Subring) -> IdealData:
-    ctx = S.ctx
-    K = _row_kernel(ctx)
-    # rows[0] is 1, the reduced member of 1 + span(rows[1:]), so m is
-    # rows[1:] over a field and span(p, rows[1:]) over Z/p^N.  The row p is
-    # reduced against the others, and a multiple of it that clears column 0
-    # is zero, so this basis is in Howell form with no echelon pass
-    m = K.head + S._rows[1:]
-    sq = K.square(m)
-    if not ctx.p_image:
-        return IdealData(ctx, m, sq, sq)
+    K = _row_kernel(S.ctx)
+    # m's rows as IdealData.max_rows reads them
+    sq = K.square(K.head + S._rows[1:])
+    if not S.ctx.p_image:
+        return IdealData(S, sq, sq)
     # m^2 + pR = m^2 + (p), since p rows[i] lies in m^2 for i >= 1.  Column
     # 0 of m^2 holds multiples of p^2 only, so the row p, then the rows of
     # m^2 that are 0 there (the rows below the row 1), is the Howell form of
     # m^2 + (p)
     small = K.head + tuple([r for r in sq if r < K.one])
-    return IdealData(ctx, m, sq, small)
+    return IdealData(S, sq, small)
 
 
 def cotangent_dim(S: Subring) -> int:
@@ -1211,16 +1216,18 @@ def cotangent_dim(S: Subring) -> int:
 @dataclass
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
-    with the kernel generated by kernel_gen; src_ideal is ideal_data(src),
+    with the kernel generated by kernel_gen, the kernel generator of
+    src's ring (which the ring keeps); src_ideal is ideal_data(src),
     kept from the m^2 pass that decided kernel_in_small, or computed on
     first read where the valuation test decided it without one.
     restricted_extension builds it."""
 
     src: Subring
     dst: Subring
-    kernel_gen: Element
     kernel_in_small: bool
     _ideal: IdealData | None = field(default=None, repr=False, compare=False)
+
+    kernel_gen = property(lambda self: kernel_generator(self.src.ctx))
 
     @property
     def src_ideal(self) -> IdealData:
@@ -1275,7 +1282,7 @@ def _extension(B: Subring, R: Subring, in_small: bool, data: IdealData | None = 
     """The extension R -> B, R = _preimage(B), with its kernel bit and,
     when given, data = ideal_data(R)."""
     R._cotangent = B.cotangent + (not in_small)
-    return MinimalExtension(R, B, kernel_generator(R.ctx), in_small, data)
+    return MinimalExtension(R, B, in_small, data)
 
 
 def restricted_extension(B: Subring) -> MinimalExtension:
@@ -1621,15 +1628,14 @@ def _step(pairs):
     pairs of _family_extensions: each pair's extension, then, where the
     pair stands for the lifts of an extension, each of those lifts' own,
     written down: its preimage with the pair's kernel bit and, when the
-    pair is unobstructed, its m as ideal_data writes m (the row p over
-    Z/p^N, then that preimage's rows after the 1), with the pair's m^2 and
-    obstruction module.  Each extension makes a lift family one level up:
-    its preimage, then its lifts (_built_lifts).  The stood-for lifts are
-    built here, as their extensions need them, and checked (_built_lifts).
-    The walk runs _step on every family below the level one below the top,
-    and the enumeration on those of that level too; the census does not, so
-    there the lifts a pair stands for are counted, never built (see
-    _census_walk)."""
+    pair is unobstructed, its ideal data: its own m, which IdealData reads
+    off the preimage, with the pair's m^2 and obstruction module.  Each
+    extension makes a lift family one level up: its preimage, then its
+    lifts (_built_lifts).  The stood-for lifts are built here, as their
+    extensions need them, and checked (_built_lifts).  The walk runs _step
+    on every family below the level one below the top, and the enumeration
+    on those of that level too; the census does not, so there the lifts a
+    pair stands for are counted, never built (see _census_walk)."""
     for first, stood in pairs:
         yield first
         if stood is None:
@@ -1638,10 +1644,7 @@ def _step(pairs):
         shared = None if in_small else first.src_ideal
         for M in _built_lifts(stood):
             R = _preimage(M)
-            data = None
-            if shared is not None:
-                m = _row_kernel(R.ctx).head + R._rows[1:]
-                data = IdealData(R.ctx, m, shared.square_rows, shared.small_rows)
+            data = None if shared is None else IdealData(R, shared.square_rows, shared.small_rows)
             yield _extension(M, R, in_small, data)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, SkippedChecks, TooLarge
 from .rings import RingCtx, kernel_generator, project, quotient_ctx
-from .shapes import enumerate_shapes
+from .shapes import enumerate_shapes, minimal_generators
 from .subrings import (
     Subring,
     _element_kernel,
@@ -492,7 +492,7 @@ def check_tail_membership(ctx: RingCtx) -> list[str]:
     bad = []
     for S in _subrings(ctx, "minimal_ext"):
         sh = exponent_set(S)
-        if top in sh.elems and top not in sh.minimal_generators():
+        if top in sh.elems and top not in minimal_generators(sh):
             if not in_row_span(ctx, ideal_data(S).square, tail):
                 bad.append(f"{S!r}: non-generator tail {top} escapes m^2")
     return bad

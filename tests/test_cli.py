@@ -388,6 +388,18 @@ class TestUsageErrors:
         assert main(["verify", "--suite", "lifts", *z_ring, "--modulus", "garbage"]) == 2
 
     @pytest.mark.parametrize(
+        "q, modulus, degree",
+        [(4, "1+x+x^3", 2), (4, "1+x", 2), (8, "x^4+x+1", 3), (8, "x^2+x+1", 3)],
+    )
+    def test_modulus_of_the_wrong_degree(self, capsys, q, modulus, degree):
+        # a term past the field's degree is a wrong degree too, not an
+        # exponent out of range
+        assert main(["census", "--q", str(q), "--n", "3", "--modulus", modulus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: modulus must be monic of degree {degree}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [["census", "--q", "2", "--n", "3"], ["verify", "--suite", "all", "--q", "2", "--n", "4"]],
     )

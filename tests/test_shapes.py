@@ -135,20 +135,21 @@ class TestRealizability:
 class TestMinimalGenerators:
     def test_family_shape(self):
         s = Shape.of(IntervalDomain(18), FAMILY_E)
-        assert s.minimal_generators() == (6, 7, 8, 17)
+        assert minimal_generators(s) == (6, 7, 8, 17)
         assert s.generator_count() == 4
 
     def test_trivial_shape(self):
-        assert Shape.of(IntervalDomain(5), {0}).minimal_generators() == ()
+        assert minimal_generators(Shape.of(IntervalDomain(5), {0})) == ()
 
     def test_full_grid(self):
         s = Shape.of(GridDomain(2, 2), {(0, 0), (0, 1), (1, 0), (1, 1)})
-        assert s.minimal_generators() == ((0, 1), (1, 0))
+        assert minimal_generators(s) == ((0, 1), (1, 0))
 
     def test_unclosed_set_is_an_invariant_violation(self):
         # Shape() skips the validation of Shape.of; 2 + 2 = 4 is missing
+        dom = IntervalDomain(5)
         with pytest.raises(InvariantViolation):
-            minimal_generators(Shape(IntervalDomain(5), (0, 2, 3)))
+            minimal_generators(Shape(dom, dom.mask_of((0, 2, 3))))
 
     def test_generate_recovers_family_shape(self):
         assert generate(IntervalDomain(18), (6, 7, 8, 17)) == FAMILY_E
@@ -160,7 +161,7 @@ class TestMinimalGenerators:
     )
     def test_generation_and_minimality(self, domain):
         for s in enumerate_shapes(domain):
-            gens = s.minimal_generators()
+            gens = minimal_generators(s)
             assert generate(domain, gens) == set(s.elems)
             for g in gens:
                 rest = tuple(h for h in gens if h != g)
@@ -182,8 +183,8 @@ class TestMinimalGenerators:
         big = IntervalDomain(3 * n)
         for s in enumerate_shapes(IntervalDomain(n)):
             widened = Shape.of(big, set(s.elems) | set(range(n, 3 * n)))
-            low = {g for g in widened.minimal_generators() if g < n}
-            assert low == set(s.minimal_generators())
+            low = {g for g in minimal_generators(widened) if g < n}
+            assert low == set(minimal_generators(s))
 
 
 class TestIntervalBound:
@@ -415,12 +416,15 @@ class TestMaskKernels:
                     # an unclosed set: its generators do not span it
                     assert generators_by_sets(domain, c) is None
                     with pytest.raises(InvariantViolation):
-                        minimal_generators(Shape(domain, tuple(sorted(c))))
+                        minimal_generators(Shape(domain, domain.mask_of(c)))
                 continue
             sh = Shape.of(domain, c)
             assert sh.elems == tuple(sorted(c)) and sh.mask == domain.mask_of(c)
+            # the unchecked constructor holds the same shape: the mask is all
+            unchecked = Shape(domain, domain.mask_of(c))
+            assert unchecked == sh and hash(unchecked) == hash(sh) and unchecked.elems == tuple(sorted(c))
             gens = generators_by_sets(domain, c)
-            assert sh.minimal_generators() == minimal_generators(sh) == gens
+            assert minimal_generators(sh) == gens
             assert sh.generator_count() == len(gens)
             assert chain_bound(sh) == chain_bound_by_sets(domain, c)
             realizable = set(domain.zero_column) <= set(c)

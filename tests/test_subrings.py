@@ -340,6 +340,22 @@ class TestExtensionsAndLifts:
                 for r in small:
                     assert A.contains(r)
 
+    @pytest.mark.parametrize("ctx", [field_ring(2, 10), zpn_ring(2, 2, 6, 1)], ids=repr)
+    def test_census_reads_each_kernel_generator_once(self, ctx, monkeypatch):
+        # each ring of the chain keeps its kernel generator, and an
+        # extension reads it from its source's ring instead of holding a copy
+        calls = Counter()
+        real = subrings.kernel_generator
+
+        def counting(c):
+            calls[c] += 1
+            return real(c)
+
+        monkeypatch.setattr(subrings, "kernel_generator", counting)
+        census(ctx)
+        assert set(calls) <= set(subrings._quotient_chain(ctx))
+        assert all(v == 1 for v in calls.values()), calls
+
 
 class TestEnumeration:
     def test_smallest_field_ring_lattice(self):
@@ -1000,8 +1016,8 @@ def expand(pairs):
     """The extensions of a family's members, written down from the pairs of
     _family_extensions as _step writes them: each pair's extension, then,
     for each lift of the extension the pair stands for, that lift's
-    preimage with the pair's kernel bit and m with the pair's m^2 and
-    obstruction module."""
+    preimage with the pair's kernel bit and the pair's m^2 and obstruction
+    module beside the preimage's own m."""
     out = []
     for ext, stood in pairs:
         out.append(ext)
@@ -1010,8 +1026,7 @@ def expand(pairs):
         data = ext.src_ideal
         for M in lift_isomorphic(stood).lifts:
             R = subrings._preimage(M)
-            m = subrings._row_kernel(R.ctx).head + R._rows[1:]
-            mine = subrings.IdealData(R.ctx, m, data.square_rows, data.small_rows)
+            mine = subrings.IdealData(R, data.square_rows, data.small_rows)
             out.append(subrings._extension(M, R, ext.kernel_in_small, mine))
     return out
 

@@ -9,6 +9,7 @@ import pytest
 
 from truncring import (
     FieldPolyCtx,
+    IdealData,
     InvariantViolation,
     SkippedChecks,
     Subring,
@@ -529,6 +530,19 @@ def _whole_ring_shape(real, ctx):
     return lambda S: real(closure(S.ctx, [S.ctx.monomial(1)]))
 
 
+def _square_read_as_max_ideal(real, ctx):
+    """ideal_data whose derived m reads back its m^2."""
+
+    class Faulty(IdealData):
+        max_rows = property(lambda self: self.square_rows)
+
+    def ideal_data(S):
+        data = real(S)
+        return Faulty(data.ring, data.square_rows, data.small_rows)
+
+    return ideal_data
+
+
 def _census_less_its_last_row(real, ctx):
     return lambda c, subs=None: real(c, subs)[:-1]
 
@@ -566,7 +580,7 @@ PLANTED = [
     ("cotangent-propagation", F2_7, "cotangent_dim", _quotient_cotangent_zero, "but B does not"),
     ("projection-shape", Z_DESK, "project_subring", _projects_to_prime_ring, "projected shape"),
     ("step-counts", Z_DESK, "census", _census_of_ring_plus_one, "truncated rings"),
-    ("ideal-correspondence", Z_DESK, "ideal_data", _returning(max_rows=lambda d: d.square_rows), "maximal ideal differs"),
+    ("ideal-correspondence", Z_DESK, "ideal_data", _square_read_as_max_ideal, "maximal ideal differs"),
     ("projection-disjointness", F2_7, "project_subring", _projects_to_prime_ring, "hit from shapes"),
     # more faults for the checks that report more than one kind of violation
     ("realized-shapes", Z_DESK, "census", _census_less_its_last_row, "admissible but never realized"),
