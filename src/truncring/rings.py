@@ -64,7 +64,7 @@ class _TruncPolyCtx:
     every job that depends on it (subrings._RowKernel: packing, pivots,
     preimage and image rows, the row p of m, m^2, the lift bases and how
     a closure runs) and ``_element`` the packed element arithmetic of
-    verify's pair scans and of closure's products, each once built.
+    verify's pair scans, each once built.
     """
 
     __slots__ = (

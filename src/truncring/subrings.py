@@ -10,13 +10,13 @@ and the set of row valuations can be read straight off the pivots.
 Over Z/p^N one pass computes the Howell form (Howell, Spans in the module
 (Z_m)^s, 1986): _packed_howell, on rows packed into ints in the layout of
 their column caps (_layout, one per p and caps, built once), returning
-packed rows.  canonicalize reduces and packs the tuple rows it is given;
-the m^2 kernel hands the pass Kronecker products, and _howell_lift_bases
-a lift family's tagged rows.  F_q with q = p^e, e > 1, keeps _rref, and
-F_2 its XOR kernels.  Each of the three echelon passes is an insertion
-phase and a finishing phase, and closure runs one rounds loop on every
-row format, keeping one table of the ring's insertion phase for a whole
-closure.
+packed rows.  The m^2 kernel hands the pass Kronecker products, and
+_howell_lift_bases a lift family's tagged rows.  F_q with q = p^e, e > 1,
+keeps _rref, and F_2 its XOR kernels.  Each of the three echelon passes
+is an insertion phase and a finishing phase, and closure runs one rounds
+loop on every row format, keeping one table of the ring's insertion
+phase for a whole closure; canonicalize runs the two phases of the
+ring's pass on the tuple rows it is given, packed by the ring's kernel.
 
 Both families run one code path.  Where the algorithms differ, the facts
 the ring context carries decide, never its class.  p_image = 0 exactly
@@ -188,21 +188,15 @@ def _rref_finish(K, table: dict) -> tuple:
 
 def canonicalize(ctx: RingCtx, rows):
     """Canonical basis of the module spanned by the rows; two row sets span
-    the same module iff their canonical bases are equal tuples.  Over a
-    field it is _rref's.  Over Z/p^N it is the Howell form: each row is
-    reduced into the column caps, packed in the layout of those caps
-    (_packed_in) and echeloned by _packed_howell."""
+    the same module iff their canonical bases are equal tuples: the reduced
+    row echelon form over a field, the Howell form over Z/p^N.  The rows
+    are checked, then echeloned by the ring's row kernel (_RowKernel) as
+    it echelons its own: packed where the coefficients are residues (over
+    Z/p^N reduced into the column caps as they are packed) and through
+    the insertion and finishing phases of the ring's echelon pass."""
     ctx._check(*rows)
-    if not ctx.p_image:
-        return _rref(ctx.coeff, rows)
-    L = _layout(ctx.coeff.p, ctx.caps_log)
-    return _unpack(_packed_howell(L, _packed_in(L, rows)), L.w, ctx.n)
-
-
-def _packed_in(L, rows) -> list:
-    """The rows, each reduced into L's column caps, packed in L."""
-    caps, w = L.caps, L.w
-    return [_pack((x % c for x, c in zip(r, caps)), w) for r in rows]
+    K = _row_kernel(ctx)
+    return K.unpack(K.finish(K.insert({}, K.pack(rows))))
 
 
 def _lead(row) -> int:
@@ -545,7 +539,8 @@ class _RowKernel:
                 w, pack = 1, lambda basis: tuple(map(_pack, basis))
             else:
                 # generators are residues, reduced into the caps as they enter
-                w, pack = L.w, lambda basis: tuple(_packed_in(L, basis))
+                w, caps = L.w, L.caps
+                pack = lambda basis: tuple([_pack((x % c for x, c in zip(r, caps)), w) for r in basis])
             self.pack = pack
             self.unpack = lambda rows: _unpack(rows, w, n)
             # a canonical row's pivot is p^a at some column c, and its bit
@@ -647,10 +642,10 @@ def _less_caps(C: int, slots, width: int, rep: int):
 
 class _ElementKernel:
     """Packed arithmetic on a ring's elements, for scans over every pair of
-    them, verify's valuation suite, its one user: pack and unpack, and add,
-    sub, mul and scaled (u, a) -> u a on packed elements.  Every packed
-    element is reduced, so two are equal exactly when the elements are,
-    and 0 is 0.
+    them, verify's valuation suite, its one user: pack and unpack, mul and
+    scaled (u, a) -> u a on packed elements, and the row ops below.  Every
+    packed element is reduced, so two are equal exactly when the elements
+    are, and 0 is 0.
     Picked from the ring's facts, once per ring (_element_kernel):
       - residue coefficients (base is p: F_p, Z/p and Z/p^N) take the
         layout of the ring's caps, _layout: a product is one int multiply
@@ -664,10 +659,10 @@ class _ElementKernel:
         t^e - modulus taken in [0, p), every x-column at once; then every
         slot is reduced mod p: by a mask at p = 2, else column by column,
         each column's reduction cached as it is met.
-    A sum is a + b and a difference a + C - b, C the caps packed, each
-    below twice the caps in every slot: a mask reduces them at p = 2, and
-    one conditional subtraction of C in every slot at once otherwise
-    (_less_caps).
+    The row ops' sums are a + b and their differences a + C - b, C the
+    caps packed, each below twice the caps in every slot: a mask reduces
+    them at p = 2, and one conditional subtraction of C in every slot at
+    once otherwise (_less_caps).
 
     No slot carries into the next: a product's slots are at most
     B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
@@ -694,7 +689,7 @@ class _ElementKernel:
     bitwise step reduces a product, mul_row is the pairwise mul over the
     row, and sums and differences take _less_caps replicated."""
 
-    __slots__ = ("pack", "unpack", "add", "sub", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
+    __slots__ = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
 
     def __init__(self, ctx: RingCtx):
         n, coeff = ctx.n, ctx.coeff
@@ -752,14 +747,12 @@ class _ElementKernel:
                 reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
             self.scaled = lambda u, a: reduce(a * spread[u])
             width, column_bits = ws, cw
-        # fixes(rep): fix with its constants replicated by rep
+        # fixes(rep): the reduction of sums a + b and differences a + C - b,
+        # its constants replicated by rep
         if mask is not None:
             fixes = lambda rep: (mask * rep).__and__
         else:
             fixes = functools.partial(_less_caps, C, slots, width)
-        fix = fixes(1)
-        self.add = lambda a, b: fix(a + b)
-        self.sub = lambda a, b: fix(a + C - b)
         mul = self.mul = lambda a, b: reduce(a * b >> cut)
         # 64-bit words per row slot (64 words >= (2n - 1) c bits) and per
         # reduced element
@@ -1158,7 +1151,7 @@ def exponent_set(S: Subring) -> Shape:
 # -- ideals and cotangent data ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class IdealData:
     """Canonical bases for the maximal ideal m of ring, its square, and the
     obstruction module (m^2 over a field, m^2 + pR = m^2 + (p) in mixed
@@ -1314,7 +1307,7 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     return _extension(B, R, bool(small) and small[-1] < _row_kernel(R.ctx).top, data)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LiftFamily:
     """The subrings of ext.src mapping isomorphically onto ext.dst."""
 

@@ -21,9 +21,10 @@ so a planted nu reaches them.  Each scan goes by valuation class: one of
 the kernel's row ops pairs an element with the members of its own class
 from it on and with every later class (monomial likeness: its own class
 only), and the scan decides that row with C-level verdicts on nu read
-through the table.  Only when some row fails does the pairwise loop, on
-the same table, run to write the report; an element is unpacked only to
-format a violation.
+through the table.  A row that fails writes its violation lines from its
+own results, each lined up with its partner and its expected valuation,
+in the text and order of a loop over the pairs; an element is unpacked
+only to format a violation.
 
 A check that cannot run at the ring's scale raises TooLarge.  run_suite
 then records it as skipped and goes on with the next check; when any was
@@ -139,14 +140,6 @@ def _classes(valued) -> dict:
     return classes
 
 
-def _scan(ctx: RingCtx, rows, pairs) -> list[str]:
-    """One valuation scan: rows(ctx, K, valued, nu) decides it a row at a
-    time, and only when some row fails does pairs, the pairwise loop, run
-    on the same table to write the report."""
-    K, valued, nu = _valued_elements(ctx)
-    return [] if rows(ctx, K, valued, nu) else pairs(ctx, K, valued, nu)
-
-
 # -- valuation suite -----------------------------------------------------------
 
 
@@ -164,141 +157,123 @@ def _point_sums(dom, valued):
     return at, [[dom.add(s, t) for t in pts] for s in pts]
 
 
+def _in_pair_order(ctx, K, valued, found, line) -> list[str]:
+    """The lines of the strict and non-archimedean scans: found holds
+    (a, b, *data) for each unordered pair {a, b} that breaks the law, and
+    line(x, y, *data) writes its line, x and y the pair formatted, earlier
+    then later in enumeration order; the lines go by the positions of
+    (x, y).  The position map is built only when some pair broke the law."""
+    if not found:
+        return []
+    pos = {a: i for i, (a, _) in enumerate(valued)}
+    fmt = lambda r: ctx.format(K.unpack(r))
+    keyed = []
+    for a, b, *data in found:
+        if pos[a] > pos[b]:
+            a, b = b, a
+        keyed.append((pos[a], pos[b], line(fmt(a), fmt(b), *data)))
+    return [text for *_, text in sorted(keyed)]
+
+
 def check_valuation_strict(ctx: RingCtx) -> list[str]:
     """nu(ab) = nu(a) + nu(b) whenever the sum is defined, and then ab != 0."""
-    return _scan(ctx, _strict_rows, _strict_pairs)
-
-
-def _strict_rows(ctx, K, valued, nu) -> bool:
     # a's row: its own class from a on, where nu(a) + nu(a) is defined, and
     # every later class whose sum with nu(a) is; a zero product reads as
     # above every point, so it fails the comparison
+    K, valued, nu = _valued_elements(ctx)
     at, sums = _point_sums(ctx.domain, valued)
     classes = list(_classes(valued).items())
     get, mul_row = nu.__getitem__, K.mul_row
+    found = []
     for c, (va, members) in enumerate(classes):
         row_sums = sums[at[va]]
         targets = [(s, bucket) for vb, bucket in classes[c:] if (s := row_sums[at[vb]]) is not None]
         if not targets:
             continue
-        row = K.pack_row([b for _, bucket in targets for b in bucket])
+        bs = [b for _, bucket in targets for b in bucket]
+        row = K.pack_row(bs)
         expect = [s for s, bucket in targets for _ in bucket]
         own = targets[0][1] is members
         for i, a in enumerate(members):
             start = i if own else 0
-            if list(map(get, mul_row(a, row, start))) != expect[start:]:
-                return False
-    return True
+            got = list(map(get, mul_row(a, row, start)))
+            if got != expect[start:]:
+                found += [(a, b, v, s) for b, v, s in zip(bs[start:], got, expect[start:]) if v != s]
+    return _in_pair_order(ctx, K, valued, found, _strict_line)
 
 
-def _strict_pairs(ctx, K, valued, nu) -> list[str]:
-    bad = []
-    mul, fmt = K.mul, lambda r: ctx.format(K.unpack(r))
-    at, sums = _point_sums(ctx.domain, valued)
-    valued = [(a, va, at[va]) for a, va in valued]
-    # add and mul commute, so each unordered pair is tested once
-    for i, (a, va, ia) in enumerate(valued):
-        row = sums[ia]
-        for b, vb, ib in valued[i:]:
-            s = row[ib]
-            if s is None:
-                continue
-            ab = mul(a, b)
-            if not ab:
-                bad.append(f"nu({fmt(a)}) + nu({fmt(b)}) defined but product is 0")
-            elif nu[ab] != s:
-                bad.append(f"nu({fmt(a)}*{fmt(b)}) = {nu[ab]} != {s}")
-    return bad
+def _strict_line(x, y, v, s) -> str:
+    if isinstance(v, _Above):
+        return f"nu({x}) + nu({y}) defined but product is 0"
+    return f"nu({x}*{y}) = {v} != {s}"
 
 
 def check_valuation_nonarchimedean(ctx: RingCtx) -> list[str]:
     """nu(a+b) >= min(nu(a), nu(b)), with equality when the two differ."""
-    return _scan(ctx, _nonarchimedean_rows, _nonarchimedean_pairs)
-
-
-def _nonarchimedean_rows(ctx, K, valued, nu) -> bool:
     # a's row: its own class from a on, then every later class.  Inside a's
     # class the sums are at least nu(a), 0 above every point; across
     # classes they have the smaller valuation, and a + b = 0 (only where
-    # nu(-a) != nu(a)) fails, leaving that pair to the report
+    # nu(-a) != nu(a)) fails the row but, as every zero sum, gets no line
+    K, valued, nu = _valued_elements(ctx)
     classes = list(_classes(valued).items())
     get, add_row = nu.__getitem__, K.add_row
+    found = []
     for c, (va, members) in enumerate(classes):
         later = classes[c + 1 :]
-        row = K.pack_row(members + [b for _, bucket in later for b in bucket])
+        bs = members + [b for _, bucket in later for b in bucket]
+        row = K.pack_row(bs)
         expect = [min(va, vb) for vb, bucket in later for _ in bucket]
         m = len(members)
         for i, a in enumerate(members):
             vals = list(map(get, add_row(a, row, i)))
             if min(vals[: m - i]) < va or vals[m - i :] != expect:
-                return False
-    return True
-
-
-def _nonarchimedean_pairs(ctx, K, valued, nu) -> list[str]:
-    bad = []
-    add, fmt = K.add, lambda r: ctx.format(K.unpack(r))
-    for i, (a, va) in enumerate(valued):
-        for b, vb in valued[i:]:
-            s = add(a, b)
-            if not s:
-                continue
-            lo = min(va, vb)
-            v = nu[s]
-            if v < lo:
-                bad.append(f"nu({fmt(a)}+{fmt(b)}) = {v} < min = {lo}")
-            elif va != vb and v != lo:
-                bad.append(f"nu({fmt(a)}+{fmt(b)}) = {v} != min = {lo}")
-    return bad
+                found += [(a, b, v, va) for b, v in zip(bs[i:m], vals) if v < va]
+                found += [
+                    (a, b, v, lo)
+                    for b, v, lo in zip(bs[m:], vals[m - i :], expect)
+                    if v != lo and not isinstance(v, _Above)
+                ]
+    return _in_pair_order(
+        ctx, K, valued, found, lambda x, y, v, lo: f"nu({x}+{y}) = {v} {'<' if v < lo else '!='} min = {lo}"
+    )
 
 
 def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     """Equal valuations differ by a coefficient unit, up to higher valuation:
     nu(a) = nu(b) forces some unit u with a = u b or nu(a - u b) > nu(a)."""
-    return _scan(ctx, _monomial_rows, _monomial_pairs)
-
-
-def _monomial_rows(ctx, K, valued, nu) -> bool:
     # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once,
     # as a - u b for the members b of a's class from a on.  Members with the
     # same unit multiples u b, up to order (one unit orbit), share one group
     # of them in the row, and the groups go in the order of their last
     # member, so those of the members from a on are a suffix.  A pair holds
-    # when its best unit leaves nu above val, nu[0] above every point
+    # when its best unit leaves nu above val, nu[0] above every point; a
+    # group that fails stands for each of its members from a on, and the
+    # lines go by (class, b, a)
+    K, valued, nu = _valued_elements(ctx)
     units = list(ctx.coeff.units())
     k = len(units)
     sub_row, scaled, get = K.sub_row, K.scaled, nu.__getitem__
-    for val, bucket in _classes(valued).items():
-        last = {}
-        for j, b in enumerate(bucket):
-            last[tuple(sorted([scaled(u, b) for u in units]))] = j
+    fmt = lambda r: ctx.format(K.unpack(r))
+    bad = []
+    for c, (val, bucket) in enumerate(_classes(valued).items()):
+        orbits = [tuple(sorted([scaled(u, b) for u in units])) for b in bucket]
+        last = {orbit: j for j, orbit in enumerate(orbits)}
         groups = sorted(last, key=last.__getitem__)
         ends = sorted(last.values())
         row = K.pack_row([ub for group in groups for ub in group])
         for i, a in enumerate(bucket):
-            vals = map(get, sub_row(a, row, bisect.bisect_left(ends, i) * k))
-            if not min(map(max, *[vals] * k) if k > 1 else vals) > val:
-                return False
-    return True
-
-
-def _monomial_pairs(ctx, K, valued, nu) -> list[str]:
-    bad = []
-    units = list(ctx.coeff.units())
-    sub, scaled, fmt = K.sub, K.scaled, lambda r: ctx.format(K.unpack(r))
-    # b runs over the class and a over the members up to b, so b's unit
-    # multiples are formed once per b
-    for val, bucket in _classes(valued).items():
-        for j, b in enumerate(bucket):
-            multiples = [scaled(u, b) for u in units]
-            for a in bucket[: j + 1]:
-                for ub in multiples:
-                    diff = sub(a, ub)
-                    if not diff or nu[diff] > val:
-                        break
-                else:
-                    bad.append(f"{fmt(a)} and {fmt(b)} share nu = {val} but no unit relates them")
-    return bad
+            first = bisect.bisect_left(ends, i)
+            vals = map(get, sub_row(a, row, first * k))
+            best = list(map(max, *[vals] * k) if k > 1 else vals)
+            if not min(best) > val:
+                bad += [
+                    ((c, j, i), f"{fmt(a)} and {fmt(bucket[j])} share nu = {val} but no unit relates them")
+                    for group, v in zip(groups[first:], best)
+                    if not v > val
+                    for j in range(i, len(bucket))
+                    if orbits[j] == group
+                ]
+    return [line for _, line in sorted(bad)]
 
 
 # -- bounds suite ----------------------------------------------------------------

@@ -12,7 +12,8 @@ every row format, testing none; one row kernel per ring picks the row
 format, and the walk builds every subring from the kernel's rows,
 converting none between tuples and ints; the library has one Howell
 pass, and each row format one insertion loop, which closure's kept
-tables share; only verify uses the element kernel; no private helper
+tables and canonicalize share; only verify uses the element kernel, and
+each valuation law is one pass over its rows; no private helper
 outlives its last caller, and no public function or method goes
 unreferenced; and every name the benchmark's tracer wraps exists where it
 looks."""
@@ -184,13 +185,16 @@ def test_each_ring_picks_its_square_kernel_once():
     # _RowKernel picks a ring's m^2 products and its closure parts when it
     # is built, so ideal_data and closure have one path each and ask no
     # ring for its row format; the XOR products of m^2 and of closure's
-    # rounds on packed F_2 rows are both formed there, and closure alone
-    # runs the parts
+    # rounds on packed F_2 rows are both formed there, closure alone runs
+    # the rounds, and canonicalize runs the echelon pass's two phases
     assert "_packs" not in _names(_function("subrings.py", "ideal_data"))
     assert _callers("subrings.py", "_xor_mul") == {"_RowKernel"}
-    assert CLOSURE_PARTS <= _names(_function("subrings.py", "closure"))
     kernel_users = _referrers("subrings.py", "_row_kernel")
-    assert {name for name in kernel_users if _names(_definition("subrings.py", name)) & CLOSURE_PARTS} == {"closure"}
+    parts = {name: _names(_definition("subrings.py", name)) & CLOSURE_PARTS for name in kernel_users}
+    assert {name: found for name, found in parts.items() if found} == {
+        "closure": CLOSURE_PARTS,
+        "canonicalize": {"insert", "finish"},
+    }
 
 
 def _definition(module, name):
@@ -286,10 +290,10 @@ WALK_PATH = (
 def test_the_walk_converts_no_rows():
     # rows stay packed along the quotient chain: a preimage is a shift and
     # a top pivot a compare, so the tuple preimage and projection, with
-    # _lift_row and _has_top_pivot, are gone; generators entering closure
-    # are the one thing the kernel packs, reducing them into the caps as
-    # canonicalize does, and no step of the walk packs, unpacks or scans a
-    # tuple row for its pivot
+    # _lift_row and _has_top_pivot, are gone; the kernel packs only the
+    # generators entering closure and the rows canonicalize is given,
+    # reducing them into the caps, and no step of the walk packs, unpacks
+    # or scans a tuple row for its pivot
     tree = ast.parse((SRC / "subrings.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     gone = {"_has_top_pivot", "_lift_row"}
@@ -297,8 +301,8 @@ def test_the_walk_converts_no_rows():
     assert not [p.name for p in sorted(SRC.rglob("*.py")) if gone & _names(ast.parse(p.read_text()))]
     kernel = _definition("subrings.py", "_RowKernel")
     assert "_reduce" not in _names(kernel)
-    assert _referrers("subrings.py", "_packed_in") == {"canonicalize", "_RowKernel"}
-    tuple_work = {"_packed_in", "_pack", "_unpack", "unpack", "_pivot", "_lead", "basis"}
+    assert "_packed_in" not in defined
+    tuple_work = {"_pack", "_unpack", "unpack", "_pivot", "_lead", "basis"}
     assert _names(_function("subrings.py", "closure")) & (tuple_work | {"pack"}) == {"pack"}
     found = {name: _names(_definition("subrings.py", name)) & tuple_work for name in WALK_PATH}
     assert found == {name: set() for name in WALK_PATH}
@@ -325,10 +329,10 @@ def test_sibling_rule_reads_only_ring_facts():
 
 
 def test_one_howell_pass():
-    # the library has one Howell pass: canonicalize runs it on Z/p^N rows,
-    # the m^2 kernel on its Kronecker products and the packed lift bases on
-    # a family's tagged rows; the ring's kernel hands its two phases to
-    # closure, which runs them on one kept table; the tuple pass lives on
+    # the library has one Howell pass: the m^2 kernel runs it on its
+    # Kronecker products and the packed lift bases on a family's tagged
+    # rows; the ring's kernel hands its two phases to closure, which runs
+    # them on one kept table, and to canonicalize; the tuple pass lives on
     # in the tests only, as their oracle
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
     assert trees and not [t for t in trees if "_howell" in _names(t)]
@@ -338,7 +342,7 @@ def test_one_howell_pass():
         for node in ast.walk(t)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_howell"
     ]
-    assert _callers("subrings.py", "_packed_howell") == {"canonicalize", "_RowKernel", "_howell_lift_bases"}
+    assert _callers("subrings.py", "_packed_howell") == {"_RowKernel", "_howell_lift_bases"}
     for phase in ("_howell_insert", "_howell_finish"):
         assert _referrers("subrings.py", phase) == {"_packed_howell", "_RowKernel"}
 
@@ -375,6 +379,30 @@ def test_each_insertion_loop_exists_once():
     for echelon, kind in (("_xor_echelon", "_xor"), ("_rref", "_rref")):
         for phase in (f"{kind}_insert", f"{kind}_finish"):
             assert _referrers("subrings.py", phase) == {echelon, "_RowKernel"}
+
+
+def test_canonicalize_asks_the_rings_row_kernel():
+    # canonicalize checks the rows it is given and runs the two phases of
+    # the ring's echelon pass through its row kernel, with no branch of its
+    # own on the ring's coefficients
+    names = _names(_function("subrings.py", "canonicalize"))
+    assert {"_check", "_row_kernel", "pack", "insert", "finish", "unpack"} <= names
+    assert not names & {"p_image", "base", "coeff", "_rref", "_packed_howell", "_layout"}
+
+
+def test_each_valuation_law_is_one_pass():
+    # each valuation scan decides its rows and writes its report from the
+    # rows' own results: the loops over the pairs live on in the tests as
+    # the oracle, and the element kernel keeps no pairwise sum or difference
+    gone = {"_scan", "_strict_pairs", "_nonarchimedean_pairs", "_monomial_pairs"}
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    assert not gone & {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert not [p.name for p in sorted(SRC.rglob("*.py")) if gone & _names(ast.parse(p.read_text()))]
+    kernel = _definition("subrings.py", "_ElementKernel")
+    slots = next(n.value for n in kernel.body if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__")
+    slots = set(ast.literal_eval(slots))
+    assert {"add_row", "sub_row", "mul", "mul_row"} <= slots
+    assert not {"add", "sub", "fix"} & (slots | _names(kernel))
 
 
 def test_only_verify_uses_the_element_kernel():

@@ -2,6 +2,8 @@
 suite plumbing behaves."""
 
 import dataclasses
+import functools
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -219,7 +221,7 @@ def test_scans_read_nu_once_per_element_and_run_no_ring_op(ctx, scan):
     assert calls == {"nu": 2 * (ctx.size - 1)}
 
 
-KERNEL_OPS = ("pack", "unpack", "add", "sub", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
+KERNEL_OPS = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
 
 
 def _kernel_copy(K, **ops):
@@ -227,40 +229,110 @@ def _kernel_copy(K, **ops):
     return SimpleNamespace(**({name: getattr(K, name) for name in KERNEL_OPS} | ops))
 
 
-@pytest.mark.parametrize("where", ("row", "pairwise"))
 @pytest.mark.parametrize("op, scan", list(zip(("mul", "add", "sub"), VALUATION_SCANS)), ids=("mul", "add", "sub"))
-def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, where, monkeypatch):
-    # the rows read every result of the row ops; the pairwise ops run only
-    # in the report, so their plant is met on a ring with a planted nu,
-    # where a row fails
+def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, monkeypatch):
+    # the rows read every result of the row ops
     real = verify._element_kernel
 
     def faulty(ctx):
         K = real(ctx)
-        if where == "row":
-            inner = getattr(K, op + "_row")
-            planted = lambda a, row, i=0: [r | 1 << 500 for r in inner(a, row, i)]
-            return _kernel_copy(K, **{op + "_row": planted})
-        inner = getattr(K, op)
-        return _kernel_copy(K, **{op: lambda a, b: inner(a, b) | 1 << 500})
+        inner = getattr(K, op + "_row")
+        planted = lambda a, row, i=0: [r | 1 << 500 for r in inner(a, row, i)]
+        return _kernel_copy(K, **{op + "_row": planted})
 
     monkeypatch.setattr(verify, "_element_kernel", faulty)
-    ctx = field_ring(4, 3)
-    if where == "pairwise":
-        ctx = _planted(ctx, ctx.parse("[0,1]x"), 2)
     with pytest.raises(InvariantViolation, match="is no nonzero element of F4"):
-        scan(ctx)
+        scan(field_ring(4, 3))
 
 
-REPORTERS = [verify._strict_pairs, verify._nonarchimedean_pairs, verify._monomial_pairs]
+def _pairwise_reports(ctx):
+    """The reports of the three valuation scans by loops over the pairs, on
+    the ring's own arithmetic and nu: strictness and the non-archimedean
+    law test each unordered pair of nonzero elements once, as (earlier,
+    later) in enumeration order; monomial likeness goes class by class in
+    order of first member, b through the class and a through its members
+    up to b."""
+    zero = ctx.zero()
+    elems = [a for a in ctx.elements() if a != zero]
+    nu = {a: ctx.nu(a) for a in elems}
+    strict, nonarchimedean, monomial = [], [], []
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            fa, fb, va, vb = ctx.format(a), ctx.format(b), nu[a], nu[b]
+            s = ctx.domain.add(va, vb)
+            if s is not None:
+                ab = ctx.mul(a, b)
+                if ab == zero:
+                    strict.append(f"nu({fa}) + nu({fb}) defined but product is 0")
+                elif nu[ab] != s:
+                    strict.append(f"nu({fa}*{fb}) = {nu[ab]} != {s}")
+            total = ctx.add(a, b)
+            if total != zero:
+                lo, v = min(va, vb), nu[total]
+                if v < lo:
+                    nonarchimedean.append(f"nu({fa}+{fb}) = {v} < min = {lo}")
+                elif va != vb and v != lo:
+                    nonarchimedean.append(f"nu({fa}+{fb}) = {v} != min = {lo}")
+    classes = {}
+    for a in elems:
+        classes.setdefault(nu[a], []).append(a)
+    units = list(ctx.coeff.units())
+    for val, bucket in classes.items():
+        for j, b in enumerate(bucket):
+            multiples = [ctx.scalar_mul(u, b) for u in units]
+            for a in bucket[: j + 1]:
+                diffs = [ctx.sub(a, ub) for ub in multiples]
+                if not any(d == zero or nu[d] > val for d in diffs):
+                    monomial.append(f"{ctx.format(a)} and {ctx.format(b)} share nu = {val} but no unit relates them")
+    return strict, nonarchimedean, monomial
+
+
 OUT_OF_DOMAIN = (zpn_ring(3, 2, 3, 1), "x + x^2", (2, 1))
+# one layout of each kind, as PLANTED_VALUATIONS, and two more rings
+PLANT_RINGS = [
+    field_ring(2, 4),
+    field_ring(2, 5),
+    field_ring(3, 3),
+    field_ring(5, 2),
+    field_ring(4, 3),
+    field_ring(9, 2),
+    zpn_ring(2, 2, 3, 1),
+    zpn_ring(3, 2, 2),
+    zpn_ring(2, 1, 4),
+]
 
 
-@pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS + [OUT_OF_DOMAIN], ids=repr)
+def _random_plants(seed, per_ring):
+    """Seeded plants: on each ring of PLANT_RINGS, per_ring nonzero
+    elements, each given a point of the domain as its valuation."""
+    rng = random.Random(seed)
+    for ctx in PLANT_RINGS:
+        elems = [a for a in ctx.elements() if a != ctx.zero()]
+        for _ in range(per_ring):
+            yield ctx, ctx.format(rng.choice(elems)), rng.choice(ctx.domain.points)
+
+
+RANDOM_PLANTS = list(_random_plants(seed=36, per_ring=6))
+
+
+@functools.cache
+def _planted_reports(ctx, elem, wrong):
+    return _pairwise_reports(_planted(ctx, ctx.parse(elem), wrong))
+
+
+@pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS + [OUT_OF_DOMAIN] + RANDOM_PLANTS, ids=repr)
 def test_each_scan_returns_its_pairwise_report(ctx, elem, wrong):
+    # line for line and in order, as the loops over the pairs write them
     bad = _planted(ctx, ctx.parse(elem), wrong)
-    for scan, pairs in zip(VALUATION_SCANS, REPORTERS):
-        assert scan(bad) == pairs(bad, *verify._valued_elements(bad)), scan.__name__
+    for scan, want in zip(VALUATION_SCANS, _planted_reports(ctx, elem, wrong)):
+        assert scan(bad) == want, scan.__name__
+
+
+def test_random_plants_break_every_law():
+    # the seeded batch is no batch of clean rings: each scan reports on some
+    # of its plants
+    reports = [_planted_reports(*case) for case in RANDOM_PLANTS]
+    assert all(any(lines[k] for lines in reports) for k in range(3))
 
 
 @pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS, ids=repr)
@@ -318,29 +390,29 @@ def test_the_rows_test_each_unordered_pair_once(ctx, monkeypatch):
     assert all(ub in multiples[nu[a]] for a, ub in formed)
 
 
-@pytest.mark.parametrize("ctx", P2_RINGS, ids=repr)
+P2_PLANTS = [case for case in PLANTED_VALUATIONS if case[0].coeff.p == 2]
+
+
+@pytest.mark.parametrize("ctx,elem,wrong", P2_PLANTS, ids=repr)
 @pytest.mark.parametrize("scan", VALUATION_SCANS, ids=lambda fn: fn.__name__)
-def test_clean_scans_at_p_2_make_no_pairwise_kernel_op(ctx, scan, monkeypatch):
-    # so a silent fall back to the pairwise loop cannot hide
+def test_scans_at_p_2_make_no_pairwise_kernel_op(ctx, elem, wrong, scan, monkeypatch):
+    # the clean scan and the report alike, so a silent fall back to a loop
+    # over the pairs cannot hide
     calls = Counter()
     real = verify._element_kernel
 
     def counting(ctx):
         K = real(ctx)
 
-        def counted(name):
-            inner = getattr(K, name)
+        def mul(a, b):
+            calls["mul"] += 1
+            return K.mul(a, b)
 
-            def op(a, b):
-                calls[name] += 1
-                return inner(a, b)
-
-            return op
-
-        return _kernel_copy(K, **{name: counted(name) for name in ("add", "sub", "mul")})
+        return _kernel_copy(K, mul=mul)
 
     monkeypatch.setattr(verify, "_element_kernel", counting)
     assert scan(ctx) == []
+    assert scan(_planted(ctx, ctx.parse(elem), wrong))
     assert calls == {}
 
 
