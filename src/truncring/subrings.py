@@ -659,20 +659,18 @@ class _ElementKernel:
         t^e - modulus taken in [0, p), every x-column at once; then every
         slot is reduced mod p: by a mask at p = 2, else column by column,
         each column's reduction cached as it is met.
-    The row ops' sums are a + b and their differences a + C - b, C the
-    caps packed, each below twice the caps in every slot: a mask reduces
-    them at p = 2, and one conditional subtraction of C in every slot at
-    once otherwise (_less_caps).
+    The row ops' sums a + b are below twice the caps C in every slot: a
+    mask reduces them at p = 2, and one conditional subtraction of C in
+    every slot at once otherwise (_less_caps).
 
     No slot carries into the next: a product's slots are at most
     B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
     slots below leaves each at most B p^(e-1) < 2^ws.
 
-    The row ops form one element's products, sums or differences with a
-    whole row of others, a valuation class in verify's scans:
-    pack_row(elems) packs the row once, and mul_row(a, row, i),
-    add_row(a, row, i) and sub_row(a, row, i) return the lists [a b],
-    [a + b] and [a - b] over the row's elements from position i on.  A
+    The row ops form one element's products or sums with a whole row of
+    others, a valuation class in verify's scans: pack_row(elems) packs the
+    row once, and mul_row(a, row, i) and add_row(a, row, i) return the
+    lists [a b] and [a + b] over the row's elements from position i on.  A
     row is one int, element k at bit k S, the stride S a whole number of
     64-bit words; one multiply or add forms every slot, the cut, the folds
     and the reduction act on every slot at once with their constants
@@ -684,12 +682,12 @@ class _ElementKernel:
     (n - 1) c, so what it drops from slot k + 1 lands in bits
     [S - (n - 1) c, S), inside [n c, S), of slot k: above slot k's
     element, where the folds read nothing and the replicated mask clears
-    it.  Sums and differences, a + b and a + C - b per slot, stay inside
-    their n c bits.  Products are rows only at p = 2; at odd p, where no
-    bitwise step reduces a product, mul_row is the pairwise mul over the
-    row, and sums and differences take _less_caps replicated."""
+    it.  Sums, a + b per slot, stay inside their n c bits.  Products are
+    rows only at p = 2; at odd p, where no bitwise step reduces a product,
+    mul_row is the pairwise mul over the row, and sums take _less_caps
+    replicated."""
 
-    __slots__ = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
+    __slots__ = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "mul_row")
 
     def __init__(self, ctx: RingCtx):
         n, coeff = ctx.n, ctx.coeff
@@ -747,8 +745,8 @@ class _ElementKernel:
                 reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
             self.scaled = lambda u, a: reduce(a * spread[u])
             width, column_bits = ws, cw
-        # fixes(rep): the reduction of sums a + b and differences a + C - b,
-        # its constants replicated by rep
+        # fixes(rep): the reduction of sums a + b, its constants replicated
+        # by rep
         if mask is not None:
             fixes = lambda rep: (mask * rep).__and__
         else:
@@ -789,7 +787,6 @@ class _ElementKernel:
             return op
 
         add_row = row_op(lambda a, B, ones, row: row[3](a * ones + B))
-        sub_row = row_op(lambda a, B, ones, row: row[3]((a + C) * ones - B))
         if mask is None:
             # no bitwise reduction of products
             mul_row = lambda a, row, i=0: [mul(a, b) for b in row[0][i:]]
@@ -797,7 +794,7 @@ class _ElementKernel:
             mul_row = row_op(lambda a, B, ones, row: row[3](a * B >> cut))
         else:
             mul_row = row_op(lambda a, B, ones, row: row[3](fold(a * B >> cut, row[4])))
-        self.pack_row, self.add_row, self.sub_row, self.mul_row = pack_row, add_row, sub_row, mul_row
+        self.pack_row, self.add_row, self.mul_row = pack_row, add_row, mul_row
 
 
 def _element_kernel(ctx: RingCtx) -> _ElementKernel:
@@ -951,19 +948,19 @@ class Subring:
 
     The cotangent dimension and the exponent points, as a mask in the
     domain's bit layout (shapes._PointLayout), are memoised: the prime
-    ring and every subring the quotient-chain walk makes carry them (see
-    restricted_extension and _preimage), and any other subring computes
-    them, with cotangent_dim and _points_of_rows, on first use.
+    ring and every subring the quotient-chain walk makes carry them, given
+    to _from_rows (see restricted_extension and _preimage), and any other
+    subring computes them, with cotangent_dim and _points_of_rows, on
+    first use.
     """
 
     __slots__ = ("ctx", "_rows", "_basis", "_cotangent", "_points")
 
-    def __init__(self, ctx: RingCtx, basis, cotangent: int | None = None, points: int | None = None):
+    def __init__(self, ctx: RingCtx, basis):
         self.ctx = ctx
         self._basis = tuple(map(tuple, basis))
         self._rows = _row_kernel(ctx).pack(self._basis)
-        self._cotangent = cotangent
-        self._points = points
+        self._cotangent = self._points = None
 
     @classmethod
     def _from_rows(cls, ctx: RingCtx, rows: tuple, cotangent: int | None = None, points=None):
@@ -1309,12 +1306,20 @@ def restricted_extension(B: Subring) -> MinimalExtension:
 
 @dataclass
 class LiftFamily:
-    """The subrings of ext.src mapping isomorphically onto ext.dst."""
+    """The subrings of extension.src mapping isomorphically onto
+    extension.dst: they exist exactly when the kernel generator is outside
+    the obstruction module, and number base^dim, dim = d(dst)."""
 
     extension: MinimalExtension
-    exists: bool
-    dim: int
     lifts: tuple[Subring, ...]
+
+    @property
+    def exists(self) -> bool:
+        return not self.extension.kernel_in_small
+
+    @property
+    def dim(self) -> int:
+        return self.extension.dst.cotangent
 
 
 def _lift_bases(ctx: RingCtx, w, small) -> list:
@@ -1402,10 +1407,10 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     dimension and its exponent points.  An obstructed extension reads no
     ideal data.
     """
-    d = ext.dst.cotangent
     if ext.kernel_in_small:
-        return LiftFamily(ext, False, d, ())
+        return LiftFamily(ext, ())
     ctx = ext.src.ctx
+    d = ext.dst.cotangent
     w = _checked_complement(ext)
     # a lift maps onto dst isomorphically and meets span(z) only in 0, so
     # it keeps the valuations of dst (see _preimage)
@@ -1415,7 +1420,7 @@ def lift_isomorphic(ext: MinimalExtension) -> LiftFamily:
     if len({L._rows for L in lifts}) != len(lifts):
         raise InvariantViolation("lifts must be pairwise distinct")
     # the lifts all have B's size, so their rows alone give Subring order
-    return LiftFamily(ext, True, d, tuple(sorted(lifts, key=lambda L: L._rows)))
+    return LiftFamily(ext, tuple(sorted(lifts, key=lambda L: L._rows)))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -1737,14 +1742,35 @@ def enumerate_subrings(ctx: RingCtx, method: str = "minimal_ext") -> list[Subrin
 
 @dataclass(frozen=True)
 class CensusRow:
+    """The subrings of one shape: each one's cotangent dimension, sorted,
+    and the subrings themselves where the census was given them.  The
+    count and the bound base^bound_exp are read off these; bound_exp is
+    computed once, on first read."""
+
     shape: Shape
-    count: int
-    bound_exp: int
-    bound: int
-    equality: bool
-    d_shape: int
+    base: int
     d_ring_values: tuple[int, ...]
     subrings: tuple[Subring, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.d_ring_values)
+
+    @functools.cached_property
+    def bound_exp(self) -> int:
+        return chain_bound(self.shape)
+
+    @property
+    def bound(self) -> int:
+        return self.base**self.bound_exp
+
+    @property
+    def equality(self) -> bool:
+        return self.count == self.bound
+
+    @property
+    def d_shape(self) -> int:
+        return self.shape.generator_count()
 
 
 def _census_walk(ctx: RingCtx) -> dict:
@@ -1821,26 +1847,12 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
             pts = _point_mask(S)
             members[pts].append(S)
             rows[pts][S.cotangent] += 1
-    base = ctx.base
-    out = []
     # rows keyed by point mask, each decoded once and sorted by its points
-    for sh in sorted((Shape.of_mask(ctx.domain, m) for m in rows), key=lambda sh: sh.elems):
-        dims = rows[sh.mask]
-        count = sum(dims.values())
-        exp = chain_bound(sh)
-        out.append(
-            CensusRow(
-                shape=sh,
-                count=count,
-                bound_exp=exp,
-                bound=base**exp,
-                equality=count == base**exp,
-                d_shape=sh.generator_count(),
-                d_ring_values=tuple(sorted(dims.elements())),
-                subrings=tuple(members.get(sh.mask, ())),
-            )
-        )
-    return out
+    shapes = sorted((Shape.of_mask(ctx.domain, m) for m in rows), key=lambda sh: sh.elems)
+    return [
+        CensusRow(sh, ctx.base, tuple(sorted(rows[sh.mask].elements())), tuple(members.get(sh.mask, ())))
+        for sh in shapes
+    ]
 
 
 # -- the generator-gap family ----------------------------------------------------
@@ -1850,18 +1862,27 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
 class FamilyReport:
     """The subring of K[x]/x^{2a+6} generated by x^a + x^{a+3}, x^{a+1},
     x^{a+2}: its exponent set needs four generators while three ring
-    elements generate, the fourth exponent being witnessed inside m^2."""
+    elements generate, the fourth exponent being witnessed inside m^2.
+    counterexample_family raises unless the witness lies in m^2, so every
+    report has witness_in_square True."""
 
     a: int
-    ctx: FieldPolyCtx
     gens: tuple[Element, Element, Element]
     ring: Subring
     shape: Shape
     generators: tuple[int, ...]
-    d_shape: int
     d_ring: int
     witness: Element
-    witness_in_square: bool
+
+    witness_in_square = True
+
+    @property
+    def ctx(self) -> FieldPolyCtx:
+        return self.ring.ctx
+
+    @property
+    def d_shape(self) -> int:
+        return len(self.generators)
 
 
 def counterexample_family(a: int, field) -> FamilyReport:
@@ -1894,15 +1915,4 @@ def counterexample_family(a: int, field) -> FamilyReport:
         raise InvariantViolation("witness product identity failed")
     if not in_row_span(ctx, ideal_data(R).square, witness):
         raise InvariantViolation("witness escaped the ideal square")
-    return FamilyReport(
-        a=a,
-        ctx=ctx,
-        gens=(g1, g2, g3),
-        ring=R,
-        shape=sh,
-        generators=gens,
-        d_shape=len(gens),
-        d_ring=d_ring,
-        witness=witness,
-        witness_in_square=True,
-    )
+    return FamilyReport(a=a, gens=(g1, g2, g3), ring=R, shape=sh, generators=gens, d_ring=d_ring, witness=witness)

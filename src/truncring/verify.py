@@ -60,13 +60,17 @@ _EXHAUSTIVE_LIMIT = 1024
 
 @dataclass(frozen=True)
 class CheckResult:
-    """ok: no violation found.  skipped: None when the check ran, else
-    why it could not run; a skipped check has ok True and no violations."""
+    """skipped: None when the check ran, else why it could not run; a
+    skipped check has no violations, so it is ok."""
 
     name: str
-    ok: bool
     violations: tuple[str, ...]
     skipped: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        """No violation found."""
+        return not self.violations
 
 
 # Each enumeration, census and lift oracle is computed once per run_suite
@@ -242,7 +246,9 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     """Equal valuations differ by a coefficient unit, up to higher valuation:
     nu(a) = nu(b) forces some unit u with a = u b or nu(a - u b) > nu(a)."""
     # b - u^-1 a = -u^-1 (a - u b), so each unordered pair is tested once,
-    # as a - u b for the members b of a's class from a on.  Members with the
+    # for the members b of a's class from a on.  -1 is a unit, so the unit
+    # multiples u b are those of -u b: the sums a + u b are the differences
+    # a - u b, in another order, and the row forms sums.  Members with the
     # same unit multiples u b, up to order (one unit orbit), share one group
     # of them in the row, and the groups go in the order of their last
     # member, so those of the members from a on are a suffix.  A pair holds
@@ -252,7 +258,7 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
     K, valued, nu = _valued_elements(ctx)
     units = list(ctx.coeff.units())
     k = len(units)
-    sub_row, scaled, get = K.sub_row, K.scaled, nu.__getitem__
+    add_row, scaled, get = K.add_row, K.scaled, nu.__getitem__
     fmt = lambda r: ctx.format(K.unpack(r))
     bad = []
     for c, (val, bucket) in enumerate(_classes(valued).items()):
@@ -263,7 +269,7 @@ def check_valuation_monomial_like(ctx: RingCtx) -> list[str]:
         row = K.pack_row([ub for group in groups for ub in group])
         for i, a in enumerate(bucket):
             first = bisect.bisect_left(ends, i)
-            vals = map(get, sub_row(a, row, first * k))
+            vals = map(get, add_row(a, row, first * k))
             best = list(map(max, *[vals] * k) if k > 1 else vals)
             if not min(best) > val:
                 bad += [
@@ -656,9 +662,9 @@ def run_suite(ctx: RingCtx, suite: str = "all") -> list[CheckResult]:
             try:
                 violations = fn(ctx)
             except TooLarge as exc:
-                out.append(CheckResult(name, True, (), skipped=str(exc)))
+                out.append(CheckResult(name, (), skipped=str(exc)))
                 continue
-            out.append(CheckResult(name=name, ok=not violations, violations=tuple(violations)))
+            out.append(CheckResult(name, tuple(violations)))
     finally:
         _subrings.cache_clear()
         _census.cache_clear()

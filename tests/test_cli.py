@@ -266,7 +266,7 @@ class TestVerify:
         import truncring.cli as cli
 
         monkeypatch.setattr(
-            cli, "run_suite", lambda ctx, suite: [CheckResult("broken", False, ("witness",))]
+            cli, "run_suite", lambda ctx, suite: [CheckResult("broken", ("witness",))]
         )
         code, out = run(capsys, "verify", "--suite", "all", "--q", "2", "--n", "3")
         assert code == 1

@@ -13,14 +13,16 @@ format, and the walk builds every subring from the kernel's rows,
 converting none between tuples and ints; the library has one Howell
 pass, and each row format one insertion loop, which closure's kept
 tables and canonicalize share; only verify uses the element kernel, and
-each valuation law is one pass over its rows; no private helper
-outlives its last caller, and no public function or method goes
-unreferenced; and every name the benchmark's tracer wraps exists where it
-looks."""
+each valuation law is one pass over its rows; each record holds only
+what it cannot derive; no private helper outlives its last caller, and
+no public function or method goes unreferenced; and every name the
+benchmark's tracer wraps exists where it looks."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -401,8 +403,28 @@ def test_each_valuation_law_is_one_pass():
     kernel = _definition("subrings.py", "_ElementKernel")
     slots = next(n.value for n in kernel.body if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__")
     slots = set(ast.literal_eval(slots))
-    assert {"add_row", "sub_row", "mul", "mul_row"} <= slots
-    assert not {"add", "sub", "fix"} & (slots | _names(kernel))
+    assert {"add_row", "mul", "mul_row"} <= slots
+    assert not {"add", "sub", "fix", "sub_row"} & (slots | _names(kernel))
+
+
+RECORD_FIELDS = {
+    "Shape": ("domain", "mask"),
+    "IdealData": ("ring", "square_rows", "small_rows"),
+    "MinimalExtension": ("src", "dst", "kernel_in_small", "_ideal"),
+    "LiftFamily": ("extension", "lifts"),
+    "CensusRow": ("shape", "base", "d_ring_values", "subrings"),
+    "CheckResult": ("name", "violations", "skipped"),
+    "FamilyReport": ("a", "gens", "ring", "shape", "generators", "d_ring", "witness"),
+}
+
+
+def test_records_hold_only_what_they_cannot_derive():
+    # every other attribute of a record is read off these fields, so no
+    # constructor can build an inconsistent record; a subring's constructor
+    # takes its basis alone, and carried facts go through _from_rows
+    records = {name: getattr(truncring, name) for name in RECORD_FIELDS}
+    assert {name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in records.items()} == RECORD_FIELDS
+    assert list(inspect.signature(truncring.Subring).parameters) == ["ctx", "basis"]
 
 
 def test_only_verify_uses_the_element_kernel():

@@ -10,9 +10,11 @@ from types import SimpleNamespace
 import pytest
 
 from truncring import (
+    CensusRow,
     FieldPolyCtx,
     IdealData,
     InvariantViolation,
+    LiftFamily,
     SkippedChecks,
     Subring,
     TooLarge,
@@ -221,7 +223,7 @@ def test_scans_read_nu_once_per_element_and_run_no_ring_op(ctx, scan):
     assert calls == {"nu": 2 * (ctx.size - 1)}
 
 
-KERNEL_OPS = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "sub_row", "mul_row")
+KERNEL_OPS = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "mul_row")
 
 
 def _kernel_copy(K, **ops):
@@ -229,9 +231,12 @@ def _kernel_copy(K, **ops):
     return SimpleNamespace(**({name: getattr(K, name) for name in KERNEL_OPS} | ops))
 
 
-@pytest.mark.parametrize("op, scan", list(zip(("mul", "add", "sub"), VALUATION_SCANS)), ids=("mul", "add", "sub"))
+@pytest.mark.parametrize(
+    "op, scan", list(zip(("mul", "add", "add"), VALUATION_SCANS)), ids=("mul", "add", "monomial-add")
+)
 def test_a_kernel_result_outside_the_ring_is_an_invariant_violation(op, scan, monkeypatch):
-    # the rows read every result of the row ops
+    # the rows read every result of the row ops; monomial likeness reads
+    # the sums a + u b
     real = verify._element_kernel
 
     def faulty(ctx):
@@ -335,6 +340,16 @@ def test_random_plants_break_every_law():
     assert all(any(lines[k] for lines in reports) for k in range(3))
 
 
+@pytest.mark.parametrize("ctx", PLANT_RINGS, ids=repr)
+def test_unit_multiples_are_closed_under_negation(ctx):
+    # monomial likeness reads a + u b for a - u b: -1 is a unit, so b's
+    # unit multiples, with repeats, are those of -b
+    units = list(ctx.coeff.units())
+    for b in ctx.elements():
+        multiples = [ctx.scalar_mul(u, b) for u in units]
+        assert sorted(multiples) == sorted(map(ctx.neg, multiples))
+
+
 @pytest.mark.parametrize("ctx,elem,wrong", PLANTED_VALUATIONS, ids=repr)
 @pytest.mark.parametrize("scan", VALUATION_SCANS, ids=lambda fn: fn.__name__)
 def test_the_report_reads_the_scans_table(ctx, elem, wrong, scan):
@@ -364,7 +379,7 @@ def test_the_rows_test_each_unordered_pair_once(ctx, monkeypatch):
 
             return op
 
-        ops = {name: recorded(name) for name in ("add_row", "sub_row", "mul_row")}
+        ops = {name: recorded(name) for name in ("add_row", "mul_row")}
         return _kernel_copy(K, pack_row=lambda elems: (elems, K.pack_row(elems)), **ops)
 
     monkeypatch.setattr(verify, "_element_kernel", recording)
@@ -379,8 +394,8 @@ def test_the_rows_test_each_unordered_pair_once(ctx, monkeypatch):
     formed.clear()
     assert verify.check_valuation_nonarchimedean(ctx) == []
     assert once((a, b) for a, _, b, _ in pairs)
-    # monomial-like forms a - u b for every unit u and same-class pair, a
-    # before b, and a - u b' only for b' in a's class
+    # monomial-like forms a + u b for every unit u and same-class pair, a
+    # before b, and a + u b' only for b' in a's class
     formed.clear()
     assert verify.check_valuation_monomial_like(ctx) == []
     units = list(ctx.coeff.units())
@@ -555,12 +570,17 @@ class TestLiftOracle:
 F2_7, Z_DESK = field_ring(2, 7), zpn_ring(2, 2, 4, 1)
 
 
-def _rows_with(**fields):
-    """A census whose rows have the given fields replaced, each computed
-    from the row."""
-    return lambda real, ctx: lambda c, subs=None: [
-        dataclasses.replace(row, **{k: f(row) for k, f in fields.items()}) for row in real(c, subs)
-    ]
+def _faulty_rows(rows, **derived):
+    """The rows as a CensusRow subclass whose given derived fields read the
+    given functions of the row."""
+    Faulty = type("FaultyRow", (CensusRow,), {k: property(f) for k, f in derived.items()})
+    return [Faulty(row.shape, row.base, row.d_ring_values, row.subrings) for row in rows]
+
+
+def _rows_reading(**derived):
+    """A census whose rows read the given derived fields off the given
+    functions of the row."""
+    return lambda real, ctx: lambda c, subs=None: _faulty_rows(real(c, subs), **derived)
 
 
 def _fewer_admissible_shapes(real, ctx):
@@ -627,16 +647,29 @@ def _prime_ring_shape_above(real, ctx):
 def _census_of_ring_plus_one(real, ctx):
     def census(c, subs=None):
         rows = real(c, subs)
-        return [dataclasses.replace(row, count=row.count + 1) for row in rows] if c == ctx else rows
+        return _faulty_rows(rows, count=lambda r: len(r.d_ring_values) + 1) if c == ctx else rows
 
     return census
 
 
+def _family_reported_empty(real, ctx):
+    """lift_isomorphic whose derived exists reads False."""
+
+    class Faulty(LiftFamily):
+        exists = property(lambda self: False)
+
+    def lift_isomorphic(ext):
+        fam = real(ext)
+        return Faulty(fam.extension, fam.lifts)
+
+    return lift_isomorphic
+
+
 PLANTED = [
     # (check, ring, the name verify reads, fake built from (real, ring), message)
-    ("census-bound", F2_7, "census", _rows_with(count=lambda r: r.bound + 1), "> bound"),
+    ("census-bound", F2_7, "census", _rows_reading(count=lambda r: r.bound + 1), "> bound"),
     ("realized-shapes", Z_DESK, "enumerate_shapes", _fewer_admissible_shapes, "realized but not admissible"),
-    ("bound-exponent-nonnegative", F2_7, "census", _rows_with(bound_exp=lambda r: -1), "bound exponent -1 < 0"),
+    ("bound-exponent-nonnegative", F2_7, "census", _rows_reading(bound_exp=lambda r: -1), "bound exponent -1 < 0"),
     ("lift-counts", F2_7, "lift_isomorphic", _returning(lifts=lambda fam: fam.lifts[1:]), "differs from the scan"),
     (
         "lift-containment",
@@ -664,7 +697,7 @@ PLANTED = [
         _returning(kernel_in_small=lambda ext: True),
         "kernel in obstruction but",
     ),
-    ("lift-counts", F2_7, "lift_isomorphic", _returning(exists=lambda fam: False), "family reported empty"),
+    ("lift-counts", F2_7, "lift_isomorphic", _family_reported_empty, "family reported empty"),
     ("lift-counts", Z_DESK, "cotangent_dim", lambda real, ctx: lambda S: real(S) + 1, "lifts, expected"),
     ("kernel-minimality", Z_DESK, "kernel_generator", lambda real, ctx: lambda c: c.monomial(0), "p * kernel"),
     ("kernel-minimality", F2_7, "kernel_generator", lambda real, ctx: lambda c: c.zero(), "residue multiples"),
