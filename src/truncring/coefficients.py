@@ -251,9 +251,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return self.tables[0][a][b]
 
-    def neg(self, a: int) -> int:
-        return self.tables[1][a]
-
     def sub(self, a: int, b: int) -> int:
         add, neg = self.tables[:2]
         return add[a][neg[b]]
@@ -312,9 +309,6 @@ class ZpNCtx:
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.size
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.size
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.size

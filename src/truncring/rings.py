@@ -59,17 +59,14 @@ class _TruncPolyCtx:
     one level shares one context.  ``_down`` is a strong link and ``_up`` a
     weak reference, so a chain is held from its top, and reference counting
     frees a level once nothing above it or outside it holds it (nothing a
-    context holds refers back to it); ``_kernel`` holds kernel_generator's
-    element, ``_row_kernel`` the row format of the ring's subrings and
-    every job that depends on it (subrings._RowKernel: packing, pivots,
-    preimage and image rows, the row p of m, m^2, the lift bases and how
-    a closure runs) and ``_element`` the packed element arithmetic of
-    verify's pair scans, each once built.
+    context holds refers back to it); ``_row_kernel`` holds the row format
+    of the ring's subrings and every job that depends on it
+    (subrings._RowKernel: packing, pivots, preimage and image rows, the row
+    p of m, m^2, the lift bases and how a closure runs), once built.
     """
 
     __slots__ = (
-        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_kernel", "_row_kernel",
-        "_element", "__weakref__",
+        "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_row_kernel", "__weakref__",
     )
 
     def _set_facts(self, coeff, n: int, base: int, caps_log: tuple, p_image: int, domain):
@@ -80,7 +77,7 @@ class _TruncPolyCtx:
         self.caps = tuple(base**c for c in caps_log)
         self.p_image = p_image
         self.domain = domain
-        self._down = self._up = self._kernel = self._row_kernel = self._element = None
+        self._down = self._up = self._row_kernel = None
 
     # -- constructors ------------------------------------------------------
 
@@ -225,15 +222,6 @@ class FieldPolyCtx(_TruncPolyCtx):
             self._check(a, b)
             raise
 
-    def neg(self, a: Element) -> Element:
-        if len(a) != self.n:
-            self._check(a)
-        try:
-            return tuple(map(self.coeff.tables[1].__getitem__, a))
-        except IndexError:
-            self._check(a)
-            raise
-
     def sub(self, a: Element, b: Element) -> Element:
         n = self.n
         if len(a) != n or len(b) != n:
@@ -316,11 +304,6 @@ class ZpNPolyCtx(_TruncPolyCtx):
         if len(a) != n or len(b) != n:
             self._check(a, b)
         return tuple([(x + y) % c for x, y, c in zip(a, b, self.caps)])
-
-    def neg(self, a: Element) -> Element:
-        if len(a) != self.n:
-            self._check(a)
-        return tuple([(-x) % c for x, c in zip(a, self.caps)])
 
     def sub(self, a: Element, b: Element) -> Element:
         n = self.n
@@ -434,12 +417,10 @@ def extension_ctx(ctx: RingCtx) -> RingCtx:
 
 def kernel_generator(src: RingCtx) -> Element:
     """Generator of the kernel of the one-step quotient out of src: the top
-    monomial times p^(k-1).  Built once per context."""
+    monomial times p^(k-1)."""
     if src.n == 1:
         raise NotAQuotient("the base ring has no quotient step")
-    if src._kernel is None:
-        src._kernel = src.monomial(src.n - 1, src.coeff.p ** (src.caps_log[-1] - 1))
-    return src._kernel
+    return src.monomial(src.n - 1, src.coeff.p ** (src.caps_log[-1] - 1))
 
 
 def project(src: RingCtx, dst: RingCtx, a: Element) -> Element:

@@ -29,9 +29,8 @@ name their pivots), the preimage and image rows of a quotient step, m's
 row p, the lift bases, and how the products of m^2 and of closure's
 rounds are formed and echeloned: XOR products on packed F_2 rows,
 Kronecker products where base is p, ring mul over F_q with q = p^e,
-e > 1.  So the walk, ideal_data and closure have one path for every ring,
-and the packed element kernel (_ElementKernel) serves verify alone.  A
-row is checked once, where it enters (ctx._check), and never again.
+e > 1.  So the walk, ideal_data and closure have one path for every ring.
+A row is checked once, where it enters (ctx._check), and never again.
 
 Each subring is the preimage or a lift of its image one quotient step
 down.  enumerate_subrings and census share one depth-first walk of that
@@ -109,8 +108,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-import sys
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -363,8 +360,7 @@ def _xor_lift_bases(n: int, w, small) -> list:
     return out
 
 
-# -- packed rows and elements: the layout, the row and element kernels, the
-# -- packed Howell pass --------------------------------------------------------
+# -- packed rows: the layout, the row kernel, the packed Howell pass -----------
 #
 # A row of plain residues (over Z/p^N, or over F_p) packs (_pack) into an int
 # with w bits per column, as the F_2 rows do with w = 1, and subrings of
@@ -375,11 +371,7 @@ def _xor_lift_bases(n: int, w, small) -> list:
 # packed through the Howell pass that echelons them (_packed_howell), and
 # so do its output rows, the rows closure keeps in its table and a lift
 # family's tagged rows.  One width serves a ring's whole quotient chain, so
-# a quotient step moves a row by a shift (_RowKernel).  verify's pair scans
-# run on packed ring elements (_ElementKernel): in the same layout over
-# residue coefficients, and over F_q, q = p^e, e > 1, in one with 2e - 1
-# slots for t-degrees per column, so a product in F_p[t][x] is one int
-# multiply too; each result is reduced to its one packed form.
+# a quotient step moves a row by a shift (_RowKernel).
 
 
 class _Layout:
@@ -408,14 +400,14 @@ class _Layout:
     each (_packed_howell's proof), so it stays below
     (n + d - 1/2) cap^2 < 2 n cap^2 < 2^w."""
 
-    __slots__ = ("p", "caps", "logs", "tags", "w", "shifts", "col", "low", "C", "mask")
+    __slots__ = ("p", "caps", "logs", "w", "shifts", "col", "low", "C", "mask")
 
     def __init__(self, p: int, logs: tuple, tags: int = 0):
         w = self.w = (2 * len(logs) * p ** (2 * max(logs))).bit_length()
         logs += (1,) * tags
         n = len(logs)
         caps = tuple(p**c for c in logs)
-        self.p, self.caps, self.logs, self.tags = p, caps, logs, tags
+        self.p, self.caps, self.logs = p, caps, logs
         self.shifts = tuple(w * (n - 1 - j) for j in range(n))
         self.col = tuple(n - 1 - (b - 1) // w for b in range(n * w + 1))
         self.low = tuple((1 << s) - 1 for s in self.shifts)
@@ -619,188 +611,6 @@ def _row_kernel(ctx: RingCtx) -> _RowKernel:
     if ctx._row_kernel is None:
         ctx._row_kernel = _RowKernel(ctx)
     return ctx._row_kernel
-
-
-def _less_caps(C: int, slots, width: int, rep: int):
-    """r -> r less C's entry in every slot holding at least that entry, for
-    r whose slots (width bits at each shift in slots) lie below twice C's
-    entries, every slot at once.  With h the bit length of 2 cap - 1 for
-    the largest cap, adding 2^h - cap to a slot holding v < 2 cap gives
-    v + 2^h - cap < 2^(h+1), which sets bit h exactly when v >= cap; those
-    bits, moved to the slot bottoms and filled out, mask the caps to
-    subtract.  The slots of _ElementKernel's layouts are at least h + 1
-    bits wide, so nothing carries between them.  With rep = sum of
-    2^(k S), the constants are replicated for r holding one element at
-    each bit k S (a row); the bits are masked before they move, so nothing
-    moves between the elements either."""
-    fill = (1 << width) - 1
-    h = (2 * max((C >> s) & fill for s in slots) - 1).bit_length()
-    H = sum(1 << s for s in slots) << h
-    K, H, C = (H - C) * rep, H * rep, C * rep
-    return lambda r: r - ((((r + K) & H) >> h) * fill & C)
-
-
-class _ElementKernel:
-    """Packed arithmetic on a ring's elements, for scans over every pair of
-    them, verify's valuation suite, its one user: pack and unpack, mul and
-    scaled (u, a) -> u a on packed elements, and the row ops below.  Every
-    packed element is reduced, so two are equal exactly when the elements
-    are, and 0 is 0.
-    Picked from the ring's facts, once per ring (_element_kernel):
-      - residue coefficients (base is p: F_p, Z/p and Z/p^N) take the
-        layout of the ring's caps, _layout: a product is one int multiply
-        and the shift that drops the degrees at or past n, reduced by
-        L.scaled(r, 1), a mask at p = 2;
-      - F_q with q = p^e, e > 1, packs each coefficient's base-p digits
-        into 2e - 1 t-slots of ws bits per x-column, so that one int
-        multiply forms the product in F_p[t][x] (bivariate Kronecker
-        substitution).  A product folds its t-degrees s >= e down by
-        t^s = t^(s-e) (t^e - modulus), with the coefficients of
-        t^e - modulus taken in [0, p), every x-column at once; then every
-        slot is reduced mod p: by a mask at p = 2, else column by column,
-        each column's reduction cached as it is met.
-    The row ops' sums a + b are below twice the caps C in every slot: a
-    mask reduces them at p = 2, and one conditional subtraction of C in
-    every slot at once otherwise (_less_caps).
-
-    No slot carries into the next: a product's slots are at most
-    B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
-    slots below leaves each at most B p^(e-1) < 2^ws.
-
-    The row ops form one element's products or sums with a whole row of
-    others, a valuation class in verify's scans: pack_row(elems) packs the
-    row once, and mul_row(a, row, i) and add_row(a, row, i) return the
-    lists [a b] and [a + b] over the row's elements from position i on.  A
-    row is one int, element k at bit k S, the stride S a whole number of
-    64-bit words; one multiply or add forms every slot, the cut, the folds
-    and the reduction act on every slot at once with their constants
-    replicated (times ones = sum of 2^(k S)), and the slots come back as
-    native words, two or more per element wider than 64 bits.  No slot
-    spills into the next: with c the bits of one x-column, a product of
-    two reduced elements spans 2n - 1 columns, (2n - 1) c bits, before the
-    cut, and S >= (2n - 1) c.  The cut shifts every slot down by
-    (n - 1) c, so what it drops from slot k + 1 lands in bits
-    [S - (n - 1) c, S), inside [n c, S), of slot k: above slot k's
-    element, where the folds read nothing and the replicated mask clears
-    it.  Sums, a + b per slot, stay inside their n c bits.  Products are
-    rows only at p = 2; at odd p, where no bitwise step reduces a product,
-    mul_row is the pairwise mul over the row, and sums take _less_caps
-    replicated."""
-
-    __slots__ = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "mul_row")
-
-    def __init__(self, ctx: RingCtx):
-        n, coeff = ctx.n, ctx.coeff
-        p = coeff.p
-        if ctx.base == p:
-            L = _layout(p, ctx.caps_log)
-            w, shifts, C = L.w, L.shifts, L.C[0]
-            cut, fm = shifts[0], (1 << w) - 1
-            self.pack = lambda a: _pack(a, w)
-            self.unpack = lambda r: tuple([(r >> s) & fm for s in shifts])
-            scaled, mask = L.scaled, L.mask
-            reduce = mask.__and__ if mask is not None else lambda r: scaled(r, 1)
-            self.scaled = lambda u, a: scaled(a, u)
-            slots, width, column_bits = shifts, w, w
-            fold = firsts = None
-        else:
-            e = coeff.e
-            ws = (n * e * (p - 1) ** 2 * p ** (e - 1)).bit_length()
-            cw = (2 * e - 1) * ws
-            col_shifts = [cw * (n - 1 - j) for j in range(n)]
-            cut = col_shifts[0]
-            slot = (1 << ws) - 1
-            # slot 0 of every column, and the shift of every slot below t^e
-            firsts = slot * sum(1 << s for s in col_shifts)
-            slots = [s + ws * i for s in col_shifts for i in range(e)]
-            C = sum(p << d for d in slots)
-            mask = sum(1 << d for d in slots) if p == 2 else None
-            # t^s for s >= e, highest first: (its shift, t^(s-e) (t^e - modulus))
-            minus = [-m % p for m in coeff.modulus[:e]]
-            folds = [
-                (ws * s, sum(c << ws * (s - e + i) for i, c in enumerate(minus)))
-                for s in range(2 * e - 2, e - 1, -1)
-            ]
-            spread = [sum(d << ws * i for i, d in enumerate(coeff.coeffs(c))) for c in range(coeff.q)]
-            gather = {v: c for c, v in enumerate(spread)}
-            colmask = (1 << cw) - 1
-            self.pack = lambda a: _pack(map(spread.__getitem__, a), cw)
-            self.unpack = lambda r: tuple([gather[(r >> s) & colmask] for s in col_shifts])
-
-            def fold(r, firsts=firsts):
-                for sh, t in folds:
-                    v = (r >> sh) & firsts
-                    r += v * t - (v << sh)
-                return r
-
-            if mask is not None:
-                reduce = lambda r: fold(r) & mask
-            else:
-                @functools.cache
-                def column(v):
-                    # a column at shift 0 folded, then its slots reduced mod p
-                    v = fold(v)
-                    return sum([((v >> d) & slot) % p << d for d in slots[-e:]])
-
-                reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
-            self.scaled = lambda u, a: reduce(a * spread[u])
-            width, column_bits = ws, cw
-        # fixes(rep): the reduction of sums a + b, its constants replicated
-        # by rep
-        if mask is not None:
-            fixes = lambda rep: (mask * rep).__and__
-        else:
-            fixes = functools.partial(_less_caps, C, slots, width)
-        mul = self.mul = lambda a, b: reduce(a * b >> cut)
-        # 64-bit words per row slot (64 words >= (2n - 1) c bits) and per
-        # reduced element
-        words = -(-(cut + n * column_bits) // 64)
-        size = -(-(n * column_bits) // 64)
-        stride, nbytes = 64 * words, 8 * words
-        one = (1).to_bytes(nbytes, "little")
-        order = sys.byteorder
-
-        def pack_row(elems):
-            # (the elements, packed, ones, fix and the folds' firsts
-            # replicated by ones)
-            ones = int.from_bytes(one * len(elems), "little")
-            packed = int.from_bytes(b"".join([b.to_bytes(nbytes, "little") for b in elems]), "little")
-            return elems, packed, ones, fixes(ones), firsts and firsts * ones
-
-        def row_op(form):
-            # form(a, B, ones, row) is the packed, reduced row of results
-            # over B's slots, ones their ones
-            def op(a, row, i=0):
-                B, ones, count = row[1], row[2], len(row[0]) - i
-                if i:
-                    B, ones = B >> i * stride, ones >> i * stride
-                view = memoryview(form(a, B, ones, row).to_bytes(nbytes * count, order)).cast("Q")
-                if order == "big":
-                    # the native words, most significant first
-                    view = view[::-1]
-                out = view[size - 1 :: words].tolist()
-                for j in range(size - 2, -1, -1):
-                    high = map(operator.lshift, out, itertools.repeat(64))
-                    out = list(map(operator.or_, high, view[j::words].tolist()))
-                return out
-
-            return op
-
-        add_row = row_op(lambda a, B, ones, row: row[3](a * ones + B))
-        if mask is None:
-            # no bitwise reduction of products
-            mul_row = lambda a, row, i=0: [mul(a, b) for b in row[0][i:]]
-        elif fold is None:
-            mul_row = row_op(lambda a, B, ones, row: row[3](a * B >> cut))
-        else:
-            mul_row = row_op(lambda a, B, ones, row: row[3](fold(a * B >> cut, row[4])))
-        self.pack_row, self.add_row, self.mul_row = pack_row, add_row, mul_row
-
-
-def _element_kernel(ctx: RingCtx) -> _ElementKernel:
-    if ctx._element is None:
-        ctx._element = _ElementKernel(ctx)
-    return ctx._element
 
 
 def _packed_howell(L: _Layout, rows) -> tuple:
@@ -1207,7 +1017,7 @@ def cotangent_dim(S: Subring) -> int:
 class MinimalExtension:
     """A one-step quotient src -> dst restricted to src = preimage of dst,
     with the kernel generated by kernel_gen, the kernel generator of
-    src's ring (which the ring keeps); src_ideal is ideal_data(src),
+    src's ring, formed when read; src_ideal is ideal_data(src),
     kept from the m^2 pass that decided kernel_in_small, or computed on
     first read where the valuation test decided it without one.
     restricted_extension builds it."""

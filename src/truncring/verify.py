@@ -15,9 +15,9 @@ empty list means the law held everywhere.  Suites bundle the checks:
   correspondence under projection.
 
 The valuation scans test every unordered pair of nonzero elements once.
-They run on the ring's packed element kernel (subrings._element_kernel)
-and read nu from a table built on each call with one ring nu per element,
-so a planted nu reaches them.  Each scan goes by valuation class: one of
+Each builds the ring's packed element kernel (_ElementKernel), this
+module's own, and reads nu from a table built on each call with one ring
+nu per element, so a planted nu reaches them.  Each scan goes by valuation class: one of
 the kernel's row ops pairs an element with the members of its own class
 from it on and with every later class (monomial likeness: its own class
 only), and the scan decides that row with C-level verdicts on nu read
@@ -35,6 +35,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, SkippedChecks, TooLarge
@@ -42,7 +45,8 @@ from .rings import RingCtx, kernel_generator, project, quotient_ctx
 from .shapes import enumerate_shapes, minimal_generators
 from .subrings import (
     Subring,
-    _element_kernel,
+    _layout,
+    _pack,
     canonicalize,
     census,
     cotangent_dim,
@@ -120,13 +124,199 @@ class _Above:
         return False
 
 
+# -- packed elements -----------------------------------------------------------
+#
+# The pair scans run on packed ring elements (_ElementKernel): over residue
+# coefficients in the layout of the ring's caps, the one its subrings' rows
+# take (subrings._layout), and over F_q, q = p^e, e > 1, in one with 2e - 1
+# slots for t-degrees per column, so a product in F_p[t][x] is one int
+# multiply too; each result is reduced to its one packed form.
+
+
+def _less_caps(C: int, slots, width: int, rep: int):
+    """r -> r less C's entry in every slot holding at least that entry, for
+    r whose slots (width bits at each shift in slots) lie below twice C's
+    entries, every slot at once.  With h the bit length of 2 cap - 1 for
+    the largest cap, adding 2^h - cap to a slot holding v < 2 cap gives
+    v + 2^h - cap < 2^(h+1), which sets bit h exactly when v >= cap; those
+    bits, moved to the slot bottoms and filled out, mask the caps to
+    subtract.  The slots of _ElementKernel's layouts are at least h + 1
+    bits wide, so nothing carries between them.  With rep = sum of
+    2^(k S), the constants are replicated for r holding one element at
+    each bit k S (a row); the bits are masked before they move, so nothing
+    moves between the elements either."""
+    fill = (1 << width) - 1
+    h = (2 * max((C >> s) & fill for s in slots) - 1).bit_length()
+    H = sum(1 << s for s in slots) << h
+    K, H, C = (H - C) * rep, H * rep, C * rep
+    return lambda r: r - ((((r + K) & H) >> h) * fill & C)
+
+
+class _ElementKernel:
+    """Packed arithmetic on a ring's elements, for scans over every pair of
+    them, verify's valuation suite, its one user: pack and unpack, mul and
+    scaled (u, a) -> u a on packed elements, and the row ops below.  Every
+    packed element is reduced, so two are equal exactly when the elements
+    are, and 0 is 0.
+    Picked from the ring's facts, once per scan (_valued_elements):
+      - residue coefficients (base is p: F_p, Z/p and Z/p^N) take the
+        layout of the ring's caps, _layout: a product is one int multiply
+        and the shift that drops the degrees at or past n, reduced by
+        L.scaled(r, 1), a mask at p = 2;
+      - F_q with q = p^e, e > 1, packs each coefficient's base-p digits
+        into 2e - 1 t-slots of ws bits per x-column, so that one int
+        multiply forms the product in F_p[t][x] (bivariate Kronecker
+        substitution).  A product folds its t-degrees s >= e down by
+        t^s = t^(s-e) (t^e - modulus), with the coefficients of
+        t^e - modulus taken in [0, p), every x-column at once; then every
+        slot is reduced mod p: by a mask at p = 2, else column by column,
+        each column's reduction cached as it is met.
+    The row ops' sums a + b are below twice the caps C in every slot: a
+    mask reduces them at p = 2, and one conditional subtraction of C in
+    every slot at once otherwise (_less_caps).
+
+    No slot carries into the next: a product's slots are at most
+    B = n e (p - 1)^2, and folding slot 2e-2-j, at most B p^j, into the
+    slots below leaves each at most B p^(e-1) < 2^ws.
+
+    The row ops form one element's products or sums with a whole row of
+    others, a valuation class in verify's scans: pack_row(elems) packs the
+    row once, and mul_row(a, row, i) and add_row(a, row, i) return the
+    lists [a b] and [a + b] over the row's elements from position i on.  A
+    row is one int, element k at bit k S, the stride S a whole number of
+    64-bit words; one multiply or add forms every slot, the cut, the folds
+    and the reduction act on every slot at once with their constants
+    replicated (times ones = sum of 2^(k S)), and the slots come back as
+    native words, two or more per element wider than 64 bits.  No slot
+    spills into the next: with c the bits of one x-column, a product of
+    two reduced elements spans 2n - 1 columns, (2n - 1) c bits, before the
+    cut, and S >= (2n - 1) c.  The cut shifts every slot down by
+    (n - 1) c, so what it drops from slot k + 1 lands in bits
+    [S - (n - 1) c, S), inside [n c, S), of slot k: above slot k's
+    element, where the folds read nothing and the replicated mask clears
+    it.  Sums, a + b per slot, stay inside their n c bits.  Products are
+    rows only at p = 2; at odd p, where no bitwise step reduces a product,
+    mul_row is the pairwise mul over the row, and sums take _less_caps
+    replicated."""
+
+    __slots__ = ("pack", "unpack", "mul", "scaled", "pack_row", "add_row", "mul_row")
+
+    def __init__(self, ctx: RingCtx):
+        n, coeff = ctx.n, ctx.coeff
+        p = coeff.p
+        if ctx.base == p:
+            L = _layout(p, ctx.caps_log)
+            w, shifts, C = L.w, L.shifts, L.C[0]
+            cut, fm = shifts[0], (1 << w) - 1
+            self.pack = lambda a: _pack(a, w)
+            self.unpack = lambda r: tuple([(r >> s) & fm for s in shifts])
+            scaled, mask = L.scaled, L.mask
+            reduce = mask.__and__ if mask is not None else lambda r: scaled(r, 1)
+            self.scaled = lambda u, a: scaled(a, u)
+            slots, width, column_bits = shifts, w, w
+            fold = firsts = None
+        else:
+            e = coeff.e
+            ws = (n * e * (p - 1) ** 2 * p ** (e - 1)).bit_length()
+            cw = (2 * e - 1) * ws
+            col_shifts = [cw * (n - 1 - j) for j in range(n)]
+            cut = col_shifts[0]
+            slot = (1 << ws) - 1
+            # slot 0 of every column, and the shift of every slot below t^e
+            firsts = slot * sum(1 << s for s in col_shifts)
+            slots = [s + ws * i for s in col_shifts for i in range(e)]
+            C = sum(p << d for d in slots)
+            mask = sum(1 << d for d in slots) if p == 2 else None
+            # t^s for s >= e, highest first: (its shift, t^(s-e) (t^e - modulus))
+            minus = [-m % p for m in coeff.modulus[:e]]
+            folds = [
+                (ws * s, sum(c << ws * (s - e + i) for i, c in enumerate(minus)))
+                for s in range(2 * e - 2, e - 1, -1)
+            ]
+            spread = [sum(d << ws * i for i, d in enumerate(coeff.coeffs(c))) for c in range(coeff.q)]
+            gather = {v: c for c, v in enumerate(spread)}
+            colmask = (1 << cw) - 1
+            self.pack = lambda a: _pack(map(spread.__getitem__, a), cw)
+            self.unpack = lambda r: tuple([gather[(r >> s) & colmask] for s in col_shifts])
+
+            def fold(r, firsts=firsts):
+                for sh, t in folds:
+                    v = (r >> sh) & firsts
+                    r += v * t - (v << sh)
+                return r
+
+            if mask is not None:
+                reduce = lambda r: fold(r) & mask
+            else:
+                @functools.cache
+                def column(v):
+                    # a column at shift 0 folded, then its slots reduced mod p
+                    v = fold(v)
+                    return sum([((v >> d) & slot) % p << d for d in slots[-e:]])
+
+                reduce = lambda r: sum([column((r >> s) & colmask) << s for s in col_shifts])
+            self.scaled = lambda u, a: reduce(a * spread[u])
+            width, column_bits = ws, cw
+        # fixes(rep): the reduction of sums a + b, its constants replicated
+        # by rep
+        if mask is not None:
+            fixes = lambda rep: (mask * rep).__and__
+        else:
+            fixes = functools.partial(_less_caps, C, slots, width)
+        mul = self.mul = lambda a, b: reduce(a * b >> cut)
+        # 64-bit words per row slot (64 words >= (2n - 1) c bits) and per
+        # reduced element
+        words = -(-(cut + n * column_bits) // 64)
+        size = -(-(n * column_bits) // 64)
+        stride, nbytes = 64 * words, 8 * words
+        one = (1).to_bytes(nbytes, "little")
+        order = sys.byteorder
+
+        def pack_row(elems):
+            # (the elements, packed, ones, fix and the folds' firsts
+            # replicated by ones)
+            ones = int.from_bytes(one * len(elems), "little")
+            packed = int.from_bytes(b"".join([b.to_bytes(nbytes, "little") for b in elems]), "little")
+            return elems, packed, ones, fixes(ones), firsts and firsts * ones
+
+        def row_op(form):
+            # form(a, B, ones, row) is the packed, reduced row of results
+            # over B's slots, ones their ones
+            def op(a, row, i=0):
+                B, ones, count = row[1], row[2], len(row[0]) - i
+                if i:
+                    B, ones = B >> i * stride, ones >> i * stride
+                view = memoryview(form(a, B, ones, row).to_bytes(nbytes * count, order)).cast("Q")
+                if order == "big":
+                    # the native words, most significant first
+                    view = view[::-1]
+                out = view[size - 1 :: words].tolist()
+                for j in range(size - 2, -1, -1):
+                    high = map(operator.lshift, out, itertools.repeat(64))
+                    out = list(map(operator.or_, high, view[j::words].tolist()))
+                return out
+
+            return op
+
+        add_row = row_op(lambda a, B, ones, row: row[3](a * ones + B))
+        if mask is None:
+            # no bitwise reduction of products
+            mul_row = lambda a, row, i=0: [mul(a, b) for b in row[0][i:]]
+        elif fold is None:
+            mul_row = row_op(lambda a, B, ones, row: row[3](a * B >> cut))
+        else:
+            mul_row = row_op(lambda a, B, ones, row: row[3](fold(a * B >> cut, row[4])))
+        self.pack_row, self.add_row, self.mul_row = pack_row, add_row, mul_row
+
+
 def _valued_elements(ctx: RingCtx):
-    """The ring's packed element kernel, the nonzero elements a packed with
-    nu(a), in enumeration order, and nu as a table of the packed elements.
-    nu is read once per element, so a planted nu reaches every scan."""
+    """A packed element kernel built for the ring, the nonzero elements a
+    packed with nu(a), in enumeration order, and nu as a table of the packed
+    elements.  nu is read once per element, so a planted nu reaches every
+    scan."""
     if ctx.size > _EXHAUSTIVE_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} is too large for an exhaustive scan")
-    K = _element_kernel(ctx)
+    K = _ElementKernel(ctx)
     zero = ctx.zero()
     valued = [(K.pack(a), ctx.nu(a)) for a in ctx.elements() if a != zero]
     nu = _Valuations(valued)
@@ -352,17 +542,14 @@ def check_lift_counts(ctx: RingCtx) -> list[str]:
     bad = []
     for B, oracle in _lift_oracle(ctx).items():
         ext = restricted_extension(B)
-        fam = lift_isomorphic(ext)
         if ext.kernel_in_small:
-            if fam.exists or oracle:
+            if oracle:
                 bad.append(f"{B!r}: kernel in obstruction but {len(oracle)} lifts found")
             continue
         want = base ** cotangent_dim(B)
-        if not fam.exists:
-            bad.append(f"{B!r}: family reported empty but kernel escapes the obstruction")
         if len(oracle) != want:
             bad.append(f"{B!r}: scan found {len(oracle)} lifts, expected {want}")
-        if list(fam.lifts) != oracle:
+        if list(lift_isomorphic(ext).lifts) != oracle:
             bad.append(f"{B!r}: constructed family differs from the scan")
     return bad
 
@@ -446,20 +633,17 @@ def check_cotangent_bound(ctx: RingCtx) -> list[str]:
 
 
 def check_lift_equivalence(ctx: RingCtx) -> list[str]:
-    """Three equivalent readings of one-step lifting: lifts exist iff the
-    kernel escapes the obstruction module iff the preimage's cotangent
+    """Two equivalent readings of one-step lifting: the kernel escapes the
+    obstruction module (so lifts exist) iff the preimage's cotangent
     dimension is one more than the target's."""
     if quotient_ctx(ctx) is None:
         return []
     bad = []
     for B in _subrings(quotient_ctx(ctx), "minimal_ext"):
         ext = restricted_extension(B)
-        fam = lift_isomorphic(ext)
         grows = cotangent_dim(ext.src) == cotangent_dim(B) + 1
-        if not (fam.exists == (not ext.kernel_in_small) == grows):
-            bad.append(
-                f"{B!r}: exists={fam.exists} kernel_in_small={ext.kernel_in_small} grows={grows}"
-            )
+        if (not ext.kernel_in_small) != grows:
+            bad.append(f"{B!r}: kernel_in_small={ext.kernel_in_small} grows={grows}")
     return bad
 
 

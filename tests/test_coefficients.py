@@ -93,7 +93,7 @@ class TestPrimeField:
         for a, b in pairs:
             assert F.add(a, b) == (a + b) % 257
             assert F.sub(a, b) == (a - b) % 257
-            assert F.neg(a) == -a % 257
+            assert F.tables[1][a] == -a % 257
             assert F.mul(a, b) == a * b % 257
             if a:
                 assert F.inv(a) == pow(a, -1, 257)
@@ -115,7 +115,7 @@ class TestPrimeField:
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
         for a in els:
-            assert F.add(a, F.neg(a)) == 0
+            assert F.add(a, F.tables[1][a]) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
 
@@ -164,7 +164,7 @@ class TestExtensionField:
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
         for a in els:
-            assert F.add(a, F.neg(a)) == 0
+            assert F.add(a, F.tables[1][a]) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
 
@@ -217,7 +217,7 @@ class TestExtensionField:
             da, db = digits(p, e, a), digits(p, e, b)
             assert F.add(a, b) == from_digits(p, [(x + y) % p for x, y in zip(da, db)])
             assert F.sub(a, b) == from_digits(p, [(x - y) % p for x, y in zip(da, db)])
-            assert F.neg(a) == from_digits(p, [-x % p for x in da])
+            assert F.tables[1][a] == from_digits(p, [-x % p for x in da])
 
 
 class TestZpN:
@@ -274,6 +274,6 @@ class TestZpN:
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
     def test_ring_axioms_sampled(self, a, b, c):
         R = ZpNCtx(2, 3)
-        assert R.add(a, R.neg(a)) == 0
+        assert R.add(a, R.sub(0, a)) == 0
         assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
         assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))

@@ -70,7 +70,7 @@ class TestArithmetic:
             for bad in (good[:-1], good + (1,)):
                 calls = [(op, (bad, good)) for op in (R.add, R.sub, R.mul)]
                 calls += [(op, (good, bad)) for op in (R.add, R.sub, R.mul)]
-                calls += [(op, (bad,)) for op in (R.neg, R.nu, R.is_unit, R.format)]
+                calls += [(op, (bad,)) for op in (R.nu, R.is_unit, R.format)]
                 calls += [(R.scalar_mul, (1, bad))]
                 for op, args in calls:
                     with pytest.raises(CtxMismatch):
@@ -89,7 +89,7 @@ class TestArithmetic:
         good, bad = R.one(), (1, 7)
         calls = [(op, (good, bad)) for op in (R.add, R.sub, R.mul)]
         calls += [(op, (bad, good)) for op in (R.add, R.sub, R.mul)]
-        calls += [(op, (bad,)) for op in (R.neg, R.is_unit, R.format)]
+        calls += [(op, (bad,)) for op in (R.is_unit, R.format)]
         calls += [(R.scalar_mul, (1, bad))]
         for op, args in calls:
             with pytest.raises(CtxMismatch, match="coefficient 7 in column 1"):
@@ -120,7 +120,7 @@ class TestArithmetic:
         R = zpn_ring(2, 2, 3, 2)
         el = st.tuples(*(st.integers(0, c - 1) for c in R.caps))
         a, b, c = data.draw(el), data.draw(el), data.draw(el)
-        assert R.add(a, R.neg(a)) == R.zero()
+        assert R.add(a, R.sub(R.zero(), a)) == R.zero()
         assert R.mul(a, b) == R.mul(b, a)
         assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
         assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
@@ -162,7 +162,7 @@ class TestFieldRingArithmetic:
         for _ in range(150):
             a, b, c = element(), element(), rng.randrange(q)
             assert R.add(a, b) == tuple(add(x, y) for x, y in zip(a, b))
-            assert R.neg(a) == tuple(neg(x) for x in a)
+            assert R.sub(R.zero(), a) == tuple(neg(x) for x in a)
             assert R.sub(a, b) == tuple(add(x, neg(y)) for x, y in zip(a, b))
             prod = [0] * n
             for i, x in enumerate(a):

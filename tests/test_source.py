@@ -84,7 +84,7 @@ def test_ring_families_share_one_entry_rule():
     }
 
 
-FAMILY_METHODS = {"__init__", "_sibling", "add", "neg", "sub", "mul", "scalar_mul", "nu", "__repr__"}
+FAMILY_METHODS = {"__init__", "_sibling", "add", "sub", "mul", "scalar_mul", "nu", "__repr__"}
 
 
 def test_ring_families_define_only_their_arithmetic():
@@ -400,7 +400,7 @@ def test_each_valuation_law_is_one_pass():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
     assert not gone & {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
     assert not [p.name for p in sorted(SRC.rglob("*.py")) if gone & _names(ast.parse(p.read_text()))]
-    kernel = _definition("subrings.py", "_ElementKernel")
+    kernel = _definition("verify.py", "_ElementKernel")
     slots = next(n.value for n in kernel.body if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__")
     slots = set(ast.literal_eval(slots))
     assert {"add_row", "mul", "mul_row"} <= slots
@@ -429,9 +429,28 @@ def test_records_hold_only_what_they_cannot_derive():
 
 def test_only_verify_uses_the_element_kernel():
     # closure forms its products in the ring's row layout, so the packed
-    # element kernel serves verify's pair scans alone
-    found = {path.name: _callers(path.name, "_element_kernel") for path in sorted(SRC.glob("*.py"))}
-    assert {name for name, callers in found.items() if callers} == {"verify.py"}
+    # element kernel serves verify's pair scans alone: verify defines it and
+    # builds it per scan, and neither the rings nor the subring algebra
+    # names it or keeps one
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    for name in ("_ElementKernel", "_less_caps"):
+        homes = {module for module, tree in trees.items() for n in tree.body if getattr(n, "name", None) == name}
+        assert homes == {"verify.py"}
+        assert not [module for module in ("rings.py", "subrings.py") if re.search(rf"\b{name}\b", modules[module])]
+    assert not [module for module, text in modules.items() if "_element_kernel" in text]
+
+
+RING_CONTEXT_SLOTS = (
+    "coeff", "n", "base", "caps_log", "caps", "p_image", "domain", "_down", "_up", "_row_kernel", "__weakref__",
+)
+
+
+def test_ring_contexts_keep_only_facts_links_and_the_row_kernel():
+    # a ring context holds its facts, its links along the quotient chain
+    # and the row kernel the walk reads at every step; what is cheap to
+    # form or serves one scan is formed where it is read
+    assert truncring.rings._TruncPolyCtx.__slots__ == RING_CONTEXT_SLOTS
 
 
 def test_one_output_point():
@@ -465,10 +484,12 @@ def _private_defs(tree):
     ]
 
 
+def _attributes_used(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def _names_used(node):
-    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name)) + Counter(
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    )
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name)) + _attributes_used(node)
 
 
 def test_package_has_no_dead_private_helpers():
@@ -490,11 +511,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _public_defs(tree):
-    """The module-level and class-level functions not named _name."""
-    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    """The module-level and class-level functions not named _name, each
+    with whether it is a method."""
+    scopes = [(tree.body, False)] + [(node.body, True) for node in tree.body if isinstance(node, ast.ClassDef)]
     return [
-        node
-        for body in scopes
+        (node, method)
+        for body, method in scopes
         for node in body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
     ]
@@ -503,18 +525,24 @@ def _public_defs(tree):
 def test_package_has_no_dead_public_api():
     # a public function or method that nothing refers to, in the package or
     # in what users run and read, is a second way to do a job or no way at
-    # all; the package's own re-exports and the tests do not keep it alive
+    # all; the package's own re-exports and the tests do not keep it alive.
+    # A method is referred to only as an attribute, so a local variable of
+    # its name does not count, and text refers to a name as .name, name( or
+    # `name`, so prose does not
     paths = sorted(SRC.rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     assert trees
-    uses = sum((_names_used(t) for path, t in trees.items() if path.name != "__init__.py"), Counter())
+    package = [t for path, t in trees.items() if path.name != "__init__.py"]
+    uses = {False: sum(map(_names_used, package), Counter()), True: sum(map(_attributes_used, package), Counter())}
+    own = {False: _names_used, True: _attributes_used}
     texts = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md", ROOT / "perfbench" / "tracer.py"]
-    words = set(re.findall(r"\w+", "\n".join(path.read_text() for path in texts)))
+    text = "\n".join(path.read_text() for path in texts)
+    words = {w for found in re.findall(r"\.(\w+)|(\w+)\(|`(\w+)`", text) for w in found if w}
     dead = [
         f"{path.name}:{node.name}"
         for path, tree in trees.items()
-        for node in _public_defs(tree)
-        if uses[node.name] == _names_used(node)[node.name] and node.name not in words
+        for node, method in _public_defs(tree)
+        if uses[method][node.name] == own[method](node)[node.name] and node.name not in words
     ]
     assert dead == []
 
