@@ -430,6 +430,24 @@ def test_scans_at_p_2_make_no_pairwise_kernel_op(ctx, elem, wrong, scan, monkeyp
     assert calls == {}
 
 
+def test_each_valuation_scan_builds_one_kernel_and_leaves_the_ring_bare(monkeypatch):
+    # the kernel is the scan's own: built once per scan, never per pair or
+    # class, and kept nowhere on the ring context
+    ctx = field_ring(4, 3)
+    built = Counter()
+    real = verify._ElementKernel
+
+    def counting(c):
+        built[c] += 1
+        return real(c)
+
+    monkeypatch.setattr(verify, "_ElementKernel", counting)
+    for n, scan in enumerate(VALUATION_SCANS, 1):
+        assert scan(ctx) == []
+        assert built == {ctx: n}
+    assert not any(isinstance(getattr(ctx, s, None), real) for s in type(ctx).__slots__)
+
+
 class TestSkippedChecks:
     """A check too large for the ring is skipped, the suite goes on, and
     run_suite raises SkippedChecks with every result at the end."""
@@ -657,6 +675,7 @@ PLANTED = [
     ("realized-shapes", Z_DESK, "enumerate_shapes", _fewer_admissible_shapes, "realized but not admissible"),
     ("bound-exponent-nonnegative", F2_7, "census", _rows_reading(bound_exp=lambda r: -1), "bound exponent -1 < 0"),
     ("lift-counts", F2_7, "lift_isomorphic", _returning(lifts=lambda fam: fam.lifts[1:]), "differs from the scan"),
+    ("lift-counts", F2_7, "cotangent_dim", lambda real, ctx: lambda S: real(S) - 1, "lifts, expected"),
     (
         "lift-containment",
         F2_7,
