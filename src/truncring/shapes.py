@@ -28,16 +28,51 @@ a sum of two points already chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
 
 from .errors import InvariantViolation, TooLarge
 
-Point = Union[int, tuple[int, int]]
+# Iterable in the annotations is collections.abc's; with the __future__
+# import they are never evaluated, so it is not imported
+Point = int | tuple[int, int]
 
 # Shape enumeration is exponential in the domain size; this keeps it honest.
 _MAX_ENUM_POINTS = 24
+
+
+class _Record:
+    """A record of the fields named by _fields: its repr names them, and two
+    records are equal when they are of one class and their fields' tuples
+    are.  It is unhashable, as a mutable record should be; each record
+    assigns its fields in its own __init__."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+
+class _FrozenRecord(_Record):
+    """A _Record that refuses assignment and hashes its fields' tuple.  Its
+    __init__ writes the fields to __dict__, as cached_property does."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class _PointLayout:
@@ -89,15 +124,15 @@ class _PointLayout:
         return tuple([pt for pt, b in self._placed if mask >> b & 1])
 
 
-@dataclass(frozen=True)
-class IntervalDomain(_PointLayout):
+class IntervalDomain(_FrozenRecord, _PointLayout):
     """Exponents [0, n-1]; a + b is defined when it stays below n."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"domain needs n >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"domain needs n >= 1, got {n}")
+        self.__dict__.update(n=n)
 
     @property
     def zero(self) -> int:
@@ -123,27 +158,25 @@ class IntervalDomain(_PointLayout):
         return s if s < self.n else None
 
 
-@dataclass(frozen=True)
-class GridDomain(_PointLayout):
+class GridDomain(_FrozenRecord, _PointLayout):
     """Pairs [0, n-1] x [0, N-1] ordered and added lexicographically.
 
     With tail < N the points (n-1, j), j >= tail are excluded and sums are
     defined only when they land on a remaining point.
     """
 
-    n: int
-    N: int
-    tail: int | None = None
+    _fields = ("n", "N", "tail")
 
-    def __post_init__(self):
-        if self.n < 1 or self.N < 1:
+    def __init__(self, n: int, N: int, tail: int | None = None):
+        if n < 1 or N < 1:
             raise ValueError("domain needs n >= 1 and N >= 1")
-        if self.tail is None:
-            object.__setattr__(self, "tail", self.N)
-        if not 1 <= self.tail <= self.N:
-            raise ValueError(f"tail must lie in [1, {self.N}]")
-        if self.n == 1 and self.tail != self.N:
+        if tail is None:
+            tail = N
+        if not 1 <= tail <= N:
+            raise ValueError(f"tail must lie in [1, {N}]")
+        if n == 1 and tail != N:
             raise ValueError("for n = 1 the tail cap would empty the zero column")
+        self.__dict__.update(n=n, N=N, tail=tail)
 
     @property
     def zero(self) -> tuple[int, int]:
@@ -178,7 +211,7 @@ class GridDomain(_PointLayout):
         return s if self.contains(s) else None
 
 
-ExpDomain = Union[IntervalDomain, GridDomain]
+ExpDomain = IntervalDomain | GridDomain
 
 
 def _raw_sums(a: int, b: int) -> int:
@@ -227,15 +260,16 @@ def is_shape(domain: ExpDomain, elems: Iterable[Point]) -> bool:
     return _is_shape_mask(domain, m)
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(_FrozenRecord):
     """A sub-partial-monoid held as its mask; the constructor does not
     check that the mask is one (Shape.of and Shape.of_mask do).  Its
     points, ascending, and its generators' mask are memoised outside the
     fields."""
 
-    domain: ExpDomain
-    mask: int
+    _fields = ("domain", "mask")
+
+    def __init__(self, domain: ExpDomain, mask: int):
+        self.__dict__.update(domain=domain, mask=mask)
 
     @staticmethod
     def of(domain: ExpDomain, elems: Iterable[Point]) -> "Shape":

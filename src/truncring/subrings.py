@@ -110,7 +110,6 @@ import functools
 import itertools
 import weakref
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 
 from .coefficients import FieldCtx
 from .errors import CtxMismatch, InvariantViolation, NotAQuotient, OutOfFamily, TooLarge
@@ -122,7 +121,7 @@ from .rings import (
     kernel_generator,
     quotient_ctx,
 )
-from .shapes import Shape, chain_bound, enumerate_shapes, minimal_generators
+from .shapes import Shape, _FrozenRecord, _Record, chain_bound, enumerate_shapes, minimal_generators
 
 # closures closure_bfs may make, by the census bound
 _CLOSURE_LIMIT = 100_000
@@ -958,16 +957,18 @@ def exponent_set(S: Subring) -> Shape:
 # -- ideals and cotangent data ------------------------------------------------
 
 
-@dataclass
-class IdealData:
+class IdealData(_Record):
     """Canonical bases for the maximal ideal m of ring, its square, and the
     obstruction module (m^2 over a field, m^2 + pR = m^2 + (p) in mixed
     characteristic), held as the row kernel of ring's context holds rows
     (see Subring); max_ideal, square and small give them as tuples."""
 
-    ring: Subring
-    square_rows: tuple
-    small_rows: tuple
+    _fields = ("ring", "square_rows", "small_rows")
+
+    def __init__(self, ring: Subring, square_rows: tuple, small_rows: tuple):
+        self.ring = ring
+        self.square_rows = square_rows
+        self.small_rows = small_rows
 
     ctx = property(lambda self: self.ring.ctx)
 
@@ -1013,8 +1014,7 @@ def cotangent_dim(S: Subring) -> int:
 # -- one-step extensions and lifting ------------------------------------------
 
 
-@dataclass
-class MinimalExtension:
+class MinimalExtension(_Record):
     """A one-step quotient src -> dst restricted to src = preimage of dst,
     with the kernel generated by kernel_gen, the kernel generator of
     src's ring, formed when read; src_ideal is ideal_data(src),
@@ -1022,10 +1022,14 @@ class MinimalExtension:
     first read where the valuation test decided it without one.
     restricted_extension builds it."""
 
-    src: Subring
-    dst: Subring
-    kernel_in_small: bool
-    _ideal: IdealData | None = field(default=None, repr=False, compare=False)
+    # _ideal is a memo: the repr and equality leave it out
+    _fields = ("src", "dst", "kernel_in_small")
+
+    def __init__(self, src: Subring, dst: Subring, kernel_in_small: bool, _ideal: IdealData | None = None):
+        self.src = src
+        self.dst = dst
+        self.kernel_in_small = kernel_in_small
+        self._ideal = _ideal
 
     kernel_gen = property(lambda self: kernel_generator(self.src.ctx))
 
@@ -1114,14 +1118,16 @@ def restricted_extension(B: Subring) -> MinimalExtension:
     return _extension(B, R, bool(small) and small[-1] < _row_kernel(R.ctx).top, data)
 
 
-@dataclass
-class LiftFamily:
+class LiftFamily(_Record):
     """The subrings of extension.src mapping isomorphically onto
     extension.dst: they exist exactly when the kernel generator is outside
     the obstruction module, and number base^dim, dim = d(dst)."""
 
-    extension: MinimalExtension
-    lifts: tuple[Subring, ...]
+    _fields = ("extension", "lifts")
+
+    def __init__(self, extension: MinimalExtension, lifts: tuple[Subring, ...]):
+        self.extension = extension
+        self.lifts = lifts
 
     @property
     def exists(self) -> bool:
@@ -1550,17 +1556,16 @@ def enumerate_subrings(ctx: RingCtx, method: str = "minimal_ext") -> list[Subrin
 # -- census --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(_FrozenRecord):
     """The subrings of one shape: each one's cotangent dimension, sorted,
     and the subrings themselves where the census was given them.  The
     count and the bound base^bound_exp are read off these; bound_exp is
     computed once, on first read."""
 
-    shape: Shape
-    base: int
-    d_ring_values: tuple[int, ...]
-    subrings: tuple[Subring, ...]
+    _fields = ("shape", "base", "d_ring_values", "subrings")
+
+    def __init__(self, shape: Shape, base: int, d_ring_values: tuple[int, ...], subrings: tuple[Subring, ...]):
+        self.__dict__.update(shape=shape, base=base, d_ring_values=d_ring_values, subrings=subrings)
 
     @property
     def count(self) -> int:
@@ -1668,21 +1673,28 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
 # -- the generator-gap family ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(_FrozenRecord):
     """The subring of K[x]/x^{2a+6} generated by x^a + x^{a+3}, x^{a+1},
     x^{a+2}: its exponent set needs four generators while three ring
     elements generate, the fourth exponent being witnessed inside m^2.
     counterexample_family raises unless the witness lies in m^2, so every
     report has witness_in_square True."""
 
-    a: int
-    gens: tuple[Element, Element, Element]
-    ring: Subring
-    shape: Shape
-    generators: tuple[int, ...]
-    d_ring: int
-    witness: Element
+    _fields = ("a", "gens", "ring", "shape", "generators", "d_ring", "witness")
+
+    def __init__(
+        self,
+        a: int,
+        gens: tuple[Element, Element, Element],
+        ring: Subring,
+        shape: Shape,
+        generators: tuple[int, ...],
+        d_ring: int,
+        witness: Element,
+    ):
+        self.__dict__.update(
+            a=a, gens=gens, ring=ring, shape=shape, generators=generators, d_ring=d_ring, witness=witness
+        )
 
     witness_in_square = True
 

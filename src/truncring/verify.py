@@ -38,11 +38,10 @@ import functools
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
 
 from .errors import InvariantViolation, SkippedChecks, TooLarge
 from .rings import RingCtx, kernel_generator, project, quotient_ctx
-from .shapes import enumerate_shapes, minimal_generators
+from .shapes import _FrozenRecord, enumerate_shapes, minimal_generators
 from .subrings import (
     Subring,
     _layout,
@@ -62,14 +61,14 @@ from .subrings import (
 _EXHAUSTIVE_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_FrozenRecord):
     """skipped: None when the check ran, else why it could not run; a
     skipped check has no violations, so it is ok."""
 
-    name: str
-    violations: tuple[str, ...]
-    skipped: str | None = None
+    _fields = ("name", "violations", "skipped")
+
+    def __init__(self, name: str, violations: tuple[str, ...], skipped: str | None = None):
+        self.__dict__.update(name=name, violations=violations, skipped=skipped)
 
     @property
     def ok(self) -> bool:

@@ -14,18 +14,23 @@ converting none between tuples and ints; the library has one Howell
 pass, and each row format one insertion loop, which closure's kept
 tables and canonicalize share; only verify uses the element kernel, and
 each valuation law is one pass over its rows; each record holds only
-what it cannot derive; no private helper outlives its last caller, and
+what it cannot derive and keeps its value contract as a plain class, and
+importing the command line loads neither dataclasses nor typing; no
+private helper outlives its last caller, and
 no public function or method goes unreferenced; and every name the
 benchmark's tracer wraps exists where it looks."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import truncring
 
@@ -423,8 +428,93 @@ def test_records_hold_only_what_they_cannot_derive():
     # constructor can build an inconsistent record; a subring's constructor
     # takes its basis alone, and carried facts go through _from_rows
     records = {name: getattr(truncring, name) for name in RECORD_FIELDS}
-    assert {name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in records.items()} == RECORD_FIELDS
+    assert {name: tuple(inspect.signature(cls).parameters) for name, cls in records.items()} == RECORD_FIELDS
     assert list(inspect.signature(truncring.Subring).parameters) == ["ctx", "basis"]
+
+
+def _sample_records():
+    # one of each record, built as the library builds them
+    ctx = truncring.field_ring(2, 4)
+    S = truncring.enumerate_subrings(ctx)[3]
+    ext = truncring.restricted_extension(S)
+    return [
+        truncring.IntervalDomain(3),
+        truncring.GridDomain(4, 2, 1),
+        truncring.Shape.of(truncring.IntervalDomain(4), [0, 2, 3]),
+        truncring.ideal_data(S),
+        ext,
+        truncring.lift_isomorphic(ext),
+        truncring.census(ctx)[1],
+        truncring.counterexample_family(6, truncring.FieldCtx(2)),
+        truncring.CheckResult("x", ("bad",)),
+    ]
+
+
+FROZEN_RECORDS = {"IntervalDomain", "GridDomain", "Shape", "CensusRow", "FamilyReport", "CheckResult"}
+
+
+@pytest.mark.parametrize("record", _sample_records(), ids=lambda r: type(r).__name__)
+def test_records_keep_their_value_contract(record):
+    # each record is a plain class: the repr names its constructor's fields
+    # in order, equality compares their tuples within one class, the frozen
+    # ones hash that tuple and refuse assignment, and the mutable ones are
+    # unhashable; MinimalExtension's _ideal memo is in neither repr nor
+    # equality
+    cls = type(record)
+    params = list(inspect.signature(cls).parameters)
+    fields = [name for name in params if name != "_ideal"]
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={getattr(record, f)!r}' for f in fields)})"
+    copy = cls(**{name: getattr(record, name) for name in params})
+    assert copy == record and not copy != record
+    assert record != type("Sub", (cls,), {})(**{name: getattr(record, name) for name in params})
+    assert record.__eq__(tuple(getattr(record, f) for f in fields)) is NotImplemented
+    if cls.__name__ in FROZEN_RECORDS:
+        assert hash(copy) == hash(record) == hash(tuple(getattr(record, f) for f in fields))
+        for name in params:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert copy == record
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+def test_record_reprs_and_memos():
+    assert repr(truncring.GridDomain(4, 2, 1)) == "GridDomain(n=4, N=2, tail=1)"
+    assert repr(truncring.GridDomain(4, 2)) == "GridDomain(n=4, N=2, tail=2)"
+    assert repr(truncring.IntervalDomain(3)) == "IntervalDomain(n=3)"
+    shape = truncring.Shape.of(truncring.IntervalDomain(4), [0, 2, 3])
+    assert repr(shape) == "Shape(domain=IntervalDomain(n=4), mask=13)"
+    assert repr(truncring.CheckResult("x", ())) == "CheckResult(name='x', violations=(), skipped=None)"
+    # cached_property writes past the frozen records' __setattr__
+    assert shape.elems == (0, 2, 3) and "elems" in vars(shape)
+    ctx = truncring.field_ring(2, 4)
+    row = truncring.census(ctx)[1]
+    assert "bound_exp" not in vars(row)
+    assert row.bound_exp == row.bound_exp and "bound_exp" in vars(row)
+    # the extension's ideal memo stays out of its repr and equality
+    S = truncring.enumerate_subrings(ctx)[3]
+    ext = truncring.restricted_extension(S)
+    bare = type(ext)(ext.src, ext.dst, ext.kernel_in_small)
+    assert ext.src_ideal is not None and ext._ideal is not None and bare._ideal is None
+    assert ext == bare and repr(ext) == repr(bare) and "_ideal" not in repr(ext)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # the CLI's start-up is its imports: run bare (-I -S, so no site
+    # package preloads a module), importing it loads neither dataclasses
+    # nor typing, nor what dataclasses pulls in
+    heavy = ["dataclasses", "inspect", "typing", "ast", "dis", "tokenize"]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import truncring.cli; "
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_only_verify_uses_the_element_kernel():

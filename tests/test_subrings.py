@@ -2,7 +2,6 @@
 across one-step quotients, enumeration, censuses, and the generator-gap
 family."""
 
-import dataclasses
 import functools
 import gc
 import itertools
@@ -639,7 +638,7 @@ FAMILY_FAULTS = [
     ("FieldPolyCtx", lambda real: _SubOfFirst, "witness product identity failed"),
     (
         "ideal_data",
-        lambda real: lambda S: dataclasses.replace(real(S), square_rows=()),
+        lambda real: lambda S: subrings.IdealData(S, (), real(S).small_rows),
         "witness escaped the ideal square",
     ),
 ]
@@ -856,7 +855,7 @@ def assert_walk_matches_grouped(ctx):
         assert all(S._points == subrings._points_of_rows(S) for S in subs)
         grouped = census(ctx, subs)
     assert all(row.subrings == () for row in walked)
-    assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
+    assert walked == [subrings.CensusRow(row.shape, row.base, row.d_ring_values, ()) for row in grouped]
     assert all(row.count <= row.bound for row in walked)
     # the cotangent dimensions carried down the walk, against the direct one
     for row in grouped:
@@ -950,7 +949,7 @@ class TestCensusWalk:
         walked = census(ctx)
         grouped = census(ctx, enumerate_subrings(ctx))
         assert all(row.subrings == () for row in walked)
-        assert walked == [dataclasses.replace(row, subrings=()) for row in grouped]
+        assert walked == [subrings.CensusRow(row.shape, row.base, row.d_ring_values, ()) for row in grouped]
 
     def test_walk_rings_take_both_paths(self):
         assert {census_path(ctx) for ctx in WALK_RINGS} == {"counted", "built", None}
@@ -1333,7 +1332,7 @@ def _plant_collision(monkeypatch, ctx, depth):
         fam = inner(ext)
         if ext.src.ctx == level_ctx:
             planted.append(ext.src)
-            return dataclasses.replace(fam, lifts=fam.lifts + (ext.src,))
+            return subrings.LiftFamily(fam.extension, fam.lifts + (ext.src,))
         return fam
 
     monkeypatch.setattr(subrings, "lift_isomorphic", planting)
@@ -1472,7 +1471,7 @@ def test_dropped_top_lift_stops_the_enumeration(ctx, monkeypatch):
         fam = inner(ext)
         if ext.src.ctx == ctx and fam.lifts:
             dropped.append(fam.lifts[-1])
-            return dataclasses.replace(fam, lifts=fam.lifts[:-1])
+            return subrings.LiftFamily(fam.extension, fam.lifts[:-1])
         return fam
 
     monkeypatch.setattr(subrings, "lift_isomorphic", dropping)
@@ -2063,17 +2062,18 @@ def counting_kernel_bits(monkeypatch):
 class TestQuotientStepsFromParent:
     @pytest.mark.parametrize(
         "params, kinds",
+        # kinds sorted, so that the ids do not follow string hashing
         [
-            ((3, 3, 4, 2), {"n", "k", "top"}),
-            ((5, 2, 4, 1), {"n", "k", "top"}),
-            ((2, 4, 4, 2), {"n", "k", "top"}),
-            ((2, 2, 5, 1), {"n", "k", "top"}),
-            ((2, 2, 2, 1), {"n"}),
+            ((3, 3, 4, 2), ("k", "n", "top")),
+            ((5, 2, 4, 1), ("k", "n", "top")),
+            ((2, 4, 4, 2), ("k", "n", "top")),
+            ((2, 2, 5, 1), ("k", "n", "top")),
+            ((2, 2, 2, 1), ("n",)),
         ],
         ids=str,
     )
     def test_every_z_step_matches_canonicalize(self, params, kinds):
-        assert set(checked_census_walk(zpn_ring(*params))) == kinds
+        assert set(checked_census_walk(zpn_ring(*params))) == set(kinds)
 
     @pytest.mark.parametrize("q, n", [(2, 8), (3, 6), (4, 5), (5, 4), (9, 3)])
     def test_every_field_step_matches_canonicalize(self, q, n):
