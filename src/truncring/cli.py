@@ -21,7 +21,6 @@ import csv
 import errno
 import functools
 import io
-import itertools
 import json
 import os
 import re
@@ -89,6 +88,11 @@ def _json_text(payload) -> str:
     return _json(payload, "\n") + "\n"
 
 
+class _Runs(tuple):
+    """A JSON list of ints held as its (value, repeat) pairs, in order, and
+    written run by run (_json) without the list being built."""
+
+
 def _json(v, nl: str) -> str:
     # nl: a newline and the indent of v's line
     if type(v) is int:
@@ -107,12 +111,10 @@ def _json(v, nl: str) -> str:
         if not v:
             return "[]"
         inner = nl + "  "
-        if set(map(type, v)) == {int}:
-            # runs of one value, such as a census's sorted d_ring_values,
-            # are their line repeated
+        if type(v) is _Runs:
+            # a run of one value is its line repeated
             sep = "," + inner
-            lines = [(sep + int.__repr__(x)) * len(list(run)) for x, run in itertools.groupby(v)]
-            return "[" + "".join(lines)[1:] + nl + "]"
+            return "[" + "".join([(sep + int.__repr__(x)) * k for x, k in v])[1:] + nl + "]"
         return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + nl + "]"
     return json.dumps(v)
 
@@ -127,7 +129,7 @@ def _census_payload(rows, emit_bases: bool) -> list[dict]:
             "bound": row.bound,
             "equality": row.equality,
             "d_shape": row.d_shape,
-            "d_ring_values": list(row.d_ring_values),
+            "d_ring_values": _Runs(row.d_ring_counts),
         }
         if emit_bases:
             d["subrings"] = [_basis_polys(S) for S in row.subrings]

@@ -1074,10 +1074,15 @@ def _kernel_is_a_product(R: Subring) -> bool:
     alone in column n-1, where z is, so ab is a unit multiple of z and z
     lies in m_R^2 ⊆ m_R^2 + pR.  The unit point 0 is no summand: every
     point is 0 + itself, and no member of valuation 0 lies in m_R."""
-    m = _point_mask(R)
+    return _holds_a_split(R.ctx.domain, _point_mask(R))
+
+
+def _holds_a_split(domain, mask: int) -> bool:
+    """Whether mask holds one of domain's split masks (top_splits): the
+    valuation test of _kernel_is_a_product, on a point mask."""
     # a loop, not any(): the walk runs this once per extension
-    for uv in R.ctx.domain.top_splits:
-        if m & uv == uv:
+    for uv in domain.top_splits:
+        if mask & uv == uv:
             return True
     return False
 
@@ -1449,7 +1454,9 @@ def _step(pairs):
     extensions need them, and checked (_built_lifts).  The walk runs _step
     on every family below the level one below the top, and the enumeration
     on those of that level too; the census does not, so there the lifts a
-    pair stands for are counted, never built (see _census_walk)."""
+    pair stands for are counted, never built, and two levels below the top
+    it counts those whose descendants the valuation test settles (see
+    _census_walk)."""
     for first, stood in pairs:
         yield first
         if stood is None:
@@ -1462,7 +1469,7 @@ def _step(pairs):
             yield _extension(M, R, in_small, data)
 
 
-def _top_families(ctx: RingCtx):
+def _top_families(ctx: RingCtx, count_lifts=None):
     """Yield the lift families one level below the top of ctx, each as its
     pairs of _family_extensions, walking the quotient tree depth first;
     nothing for the base ring.
@@ -1489,6 +1496,12 @@ def _top_families(ctx: RingCtx):
     below a k-step, as in 32 of the families the walk of
     Z[x]/(2^2, x^6, 2x^5) makes.  There the lifts are built and each member
     is extended on its own.
+
+    count_lifts, which the census passes and the enumeration never does,
+    is offered each pair two levels below the top that stands for the lifts
+    of an extension, where the rule holds one level below the top.  When
+    it returns True it has counted the subtrees of those lifts, which are
+    then not built (see _census_walk); otherwise _step builds them.
     """
     if ctx.size > _CHAIN_LIMIT:
         raise TooLarge(f"ring of size {ctx.size} exceeds the walk limit {_CHAIN_LIMIT}")
@@ -1505,6 +1518,7 @@ def _top_families(ctx: RingCtx):
     if top == 1:
         yield [(root, None)]
         return
+    counting = top - 2 if count_lifts and _siblings_share_square(chain[top - 1]) else None
     stack = [(root, 1)]
     while stack:
         ext, level = stack.pop()
@@ -1514,6 +1528,8 @@ def _top_families(ctx: RingCtx):
         if level == top - 1:
             yield pairs
             continue
+        if level == counting:
+            pairs = [(e, None if stood is None or count_lifts(e, stood) else stood) for e, stood in pairs]
         stack.extend((e, level + 1) for e in _step(pairs))
 
 
@@ -1557,19 +1573,22 @@ def enumerate_subrings(ctx: RingCtx, method: str = "minimal_ext") -> list[Subrin
 
 
 class CensusRow(_FrozenRecord):
-    """The subrings of one shape: each one's cotangent dimension, sorted,
-    and the subrings themselves where the census was given them.  The
-    count and the bound base^bound_exp are read off these; bound_exp is
-    computed once, on first read."""
+    """The subrings of one shape: how many have each cotangent dimension,
+    as (d, count) pairs sorted by d, one per d that occurs, and the
+    subrings themselves where the census was given them.  The count and
+    the bound base^bound_exp are read off these; bound_exp is computed
+    once, on first read."""
 
-    _fields = ("shape", "base", "d_ring_values", "subrings")
+    _fields = ("shape", "base", "d_ring_counts", "subrings")
 
-    def __init__(self, shape: Shape, base: int, d_ring_values: tuple[int, ...], subrings: tuple[Subring, ...]):
-        self.__dict__.update(shape=shape, base=base, d_ring_values=d_ring_values, subrings=subrings)
+    def __init__(
+        self, shape: Shape, base: int, d_ring_counts: tuple[tuple[int, int], ...], subrings: tuple[Subring, ...]
+    ):
+        self.__dict__.update(shape=shape, base=base, d_ring_counts=d_ring_counts, subrings=subrings)
 
     @property
     def count(self) -> int:
-        return len(self.d_ring_values)
+        return sum([c for _, c in self.d_ring_counts])
 
     @functools.cached_property
     def bound_exp(self) -> int:
@@ -1610,13 +1629,51 @@ def _census_walk(ctx: RingCtx) -> dict:
     that bit is unobstructed, their lifts count base^(2 d(B)) under B's
     points.  Only R and B are built, no lift of B.
 
+    Two levels below the top, where the rule holds one level below it,
+    _top_families offers each pair (first, f) that stands for the lifts of
+    an extension f onto B (count_two_below).  Let t1 and t0 be the top
+    bits of the level below the top and of the top, ε = first's kernel
+    bit and W = base^d(B), the number of B's lifts (checked as above).
+    When f is unobstructed and the valuation test fires on
+    pts(B) | t1 | t0, the W lifts are counted, not built: W under
+    pts(B) | t1 | t0 at d(B) + [not ε] and, when not ε, W base^d(B) under
+    pts(B) | t0 at d(B).  Proof:
+      - each lift M of B has B's points and d(B) (lift_isomorphic);
+      - M's extension has first's bit ε, by the rule two levels below the
+        top, as _step writes it down, so M's preimage R_M has the points
+        pts(B) | t1 and d(B) + [not ε] (_preimage, restricted_extension);
+      - by the rule one level below the top, R_M's family has one pair,
+        R_M's extension, standing for M's lifts, whose top preimages share
+        R_M's bit β_M;
+      - β_M is decided by the valuation test on R_M's top preimage, whose
+        points are pts(B) | t1 | t0 whichever M, so where it fires every
+        β_M is obstructed and nothing at the top is a lift;
+      - so R_M's family counts, in the loop below, R_M's preimage under
+        pts(B) | t1 | t0 at d(R_M) and, when not ε, the preimages of M's
+        base^d(B) lifts under pts(B) | t0 at d(B): the terms above, once
+        per M.
+
     Every member carries its exponent points down the walk, and the
     preimage's points are M's and top, the largest point of the top ring's
     domain (the proof is _preimage's), so no points are read off rows."""
     top = ctx.domain.top_bit
     base = ctx.base
     rows = defaultdict(Counter)
-    for pairs in _top_families(ctx):
+    below = quotient_ctx(ctx)
+    t1 = 0 if below is None else below.domain.top_bit
+
+    def count_two_below(first, f):
+        pts = _point_mask(f.dst)
+        if f.kernel_in_small or not _holds_a_split(ctx.domain, pts | t1 | top):
+            return False
+        weight, d = base ** len(_checked_complement(f)), f.dst.cotangent
+        grows = not first.kernel_in_small
+        rows[pts | t1 | top][d + grows] += weight
+        if grows:
+            rows[pts | top][d] += weight * base**d
+        return True
+
+    for pairs in _top_families(ctx, count_two_below):
         for ext, stood in pairs:
             # (member, how many members it counts for)
             counted = [(ext.dst, 1)]
@@ -1665,7 +1722,7 @@ def census(ctx: RingCtx, subrings=None) -> list[CensusRow]:
     # rows keyed by point mask, each decoded once and sorted by its points
     shapes = sorted((Shape.of_mask(ctx.domain, m) for m in rows), key=lambda sh: sh.elems)
     return [
-        CensusRow(sh, ctx.base, tuple(sorted(rows[sh.mask].elements())), tuple(members.get(sh.mask, ())))
+        CensusRow(sh, ctx.base, tuple(sorted(rows[sh.mask].items())), tuple(members.get(sh.mask, ())))
         for sh in shapes
     ]
 

@@ -136,6 +136,13 @@ def test_one_walk_step():
     assert _callers("subrings.py", "_step") == {"_top_families", "_enumerate_minimal_ext"}
     assert _callers("subrings.py", "lift_isomorphic") == {"_built_lifts"}
     assert _callers("subrings.py", "_top_families") == {"_enumerate_minimal_ext", "_census_walk"}
+    # the enumeration passes no census hook, so it builds every lift
+    [call] = [
+        c
+        for c in ast.walk(_function("subrings.py", "_enumerate_minimal_ext"))
+        if isinstance(c, ast.Call) and _names(c.func) == {"_top_families"}
+    ]
+    assert (len(call.args), call.keywords) == (1, [])
 
 
 def _function(module, name):
@@ -146,8 +153,12 @@ def _function(module, name):
 def test_one_place_decides_the_kernel_bit():
     # the valuation test and the m^2 pass decide the kernel bit in one
     # place; the census reads the point masks the walk carries through the
-    # memo, and nothing but the memo reads points off rows
+    # memo, and nothing but the memo reads points off rows.  The test's
+    # split-mask loop is one helper, which the census also runs on the
+    # masks of the top preimages two levels up from the lifts it counts
     assert _callers("subrings.py", "_kernel_is_a_product") == {"restricted_extension"}
+    assert _callers("subrings.py", "_holds_a_split") == {"_kernel_is_a_product", "_census_walk"}
+    assert _referrers("subrings.py", "top_splits") == {"_holds_a_split"}
     assert _referrers("subrings.py", "_points_of_rows") == {"_point_mask"}
     walk = _names(_function("subrings.py", "_census_walk"))
     assert "_point_mask" in walk
@@ -166,11 +177,12 @@ def test_shape_questions_are_answered_by_masks():
 
 
 def test_one_family_step_decides_sharing():
-    # the sibling rule is read in one place, and the census counts the
-    # pairs that family step returns without extending a member or building
-    # a lift itself; the lifts it counts unbuilt keep lift_isomorphic's
-    # complement check
-    assert _callers("subrings.py", "_siblings_share_square") == {"_family_extensions"}
+    # the sibling rule is read by the family step and, for the level below
+    # the top, by the walk that offers the census the pairs two levels
+    # below it; the census counts the pairs without extending a member or
+    # building a lift itself, and the lifts it counts unbuilt keep
+    # lift_isomorphic's complement check
+    assert _callers("subrings.py", "_siblings_share_square") == {"_family_extensions", "_top_families"}
     assert not _names(_function("subrings.py", "_census_walk")) & {
         "restricted_extension",
         "_siblings_share_square",
@@ -417,7 +429,7 @@ RECORD_FIELDS = {
     "IdealData": ("ring", "square_rows", "small_rows"),
     "MinimalExtension": ("src", "dst", "kernel_in_small", "_ideal"),
     "LiftFamily": ("extension", "lifts"),
-    "CensusRow": ("shape", "base", "d_ring_values", "subrings"),
+    "CensusRow": ("shape", "base", "d_ring_counts", "subrings"),
     "CheckResult": ("name", "violations", "skipped"),
     "FamilyReport": ("a", "gens", "ring", "shape", "generators", "d_ring", "witness"),
 }

@@ -591,7 +591,7 @@ def _faulty_rows(rows, **derived):
     """The rows as a CensusRow subclass whose given derived fields read the
     given functions of the row."""
     Faulty = type("FaultyRow", (CensusRow,), {k: property(f) for k, f in derived.items()})
-    return [Faulty(row.shape, row.base, row.d_ring_values, row.subrings) for row in rows]
+    return [Faulty(row.shape, row.base, row.d_ring_counts, row.subrings) for row in rows]
 
 
 def _rows_reading(**derived):
@@ -671,7 +671,7 @@ def _prime_ring_shape_above(real, ctx):
 def _census_of_ring_plus_one(real, ctx):
     def census(c, subs=None):
         rows = real(c, subs)
-        return _faulty_rows(rows, count=lambda r: len(r.d_ring_values) + 1) if c == ctx else rows
+        return _faulty_rows(rows, count=lambda r: sum(c for _, c in r.d_ring_counts) + 1) if c == ctx else rows
 
     return census
 
